@@ -40,7 +40,6 @@ from .numerics import (
     IntegrationResult,
     Spectrum,
     eigen,
-    expm_reference,
     integrate_rk4,
     numerical_rank,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "close_loop",
     "control_output",
     "eigen",
-    "expm_reference",
     "gains_from_cost",
     "gamma_bar",
     "gamma_star_search",

@@ -362,33 +362,18 @@ class SteadyStatePrediction:
     delta: np.ndarray         # bus angles (deviation frame, zero mean), rad
 
 
-def _pinned_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve lap @ x = rhs with the zero mode pinned by sum(x) = 0.
+def _bordered_solve(lap: np.ndarray, border: np.ndarray, rhs: np.ndarray):
+    """Solve [[lap, border], [1^T, 0]] [x; k] = [rhs; 0] for (x, k).
 
-    The augmented system absorbs any mean component of rhs into a dummy
-    multiplier, so the returned x solves the projected problem exactly.
+    The last row pins the zero mode of the Laplacian by sum(x) = 0; the
+    multiplier k absorbs the component of rhs along the border column.
     """
     n = lap.shape[0]
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = lap
-    aug[:n, n] = 1.0
+    aug[:n, n] = border
     aug[n, :n] = 1.0
-    full = np.zeros(n + 1)
-    full[:n] = rhs
-    sol = np.linalg.solve(aug, full)
-    return sol[:n]
-
-
-def _angle_and_consensus(lap_k: np.ndarray, ki: np.ndarray, rhs: np.ndarray):
-    """Solve [Lk, -Ki 1] [delta; k] = rhs with sum(delta) = 0 pinned."""
-    n = lap_k.shape[0]
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = lap_k
-    aug[:n, n] = -ki
-    aug[n, :n] = 1.0
-    full = np.zeros(n + 1)
-    full[:n] = rhs
-    sol = np.linalg.solve(aug, full)
+    sol = np.linalg.solve(aug, np.append(rhs, 0.0))
     return sol[:n], float(sol[n])
 
 
@@ -415,11 +400,11 @@ def predict_steady_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpe
     eta_mean = float(np.mean(eta))
     omega_dev = -eta_mean * np.ones(n)          # omega - omega_ref at stationarity
     # integrator stationarity: gamma Lc z = -omega_dev - eta
-    z_structure = _pinned_solve(lap_c, (-omega_dev - eta) / ctrl.gamma)
+    z_structure, _ = _bordered_solve(lap_c, np.ones(n), (-omega_dev - eta) / ctrl.gamma)
     rhs = (net.power - net.damping * net.omega_ref
            - (net.damping + ctrl.kp) * omega_dev - ctrl.kp * eta
            + ctrl.ki * z_structure)
-    delta, consensus = _angle_and_consensus(lap_k, ctrl.ki, rhs)
+    delta, consensus = _bordered_solve(lap_k, -ctrl.ki, rhs)
     u = ctrl.kp * (-omega_dev - eta) + ctrl.ki * (z_structure + consensus)
     return SteadyStatePrediction(
         omega_hat=net.omega_ref - eta_mean,
@@ -447,8 +432,8 @@ def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
     lap_k = net.coupling_laplacian()
     rhs = p - net.damping * net.omega_ref
     if ctrl.has_integrator:
-        delta, consensus = _angle_and_consensus(lap_k, ctrl.ki, rhs)
+        delta, consensus = _bordered_solve(lap_k, -ctrl.ki, rhs)
         return np.concatenate([delta, np.zeros(n), consensus * np.ones(n)])
     offset = float(np.sum(rhs) / np.sum(net.damping + ctrl.kp))
-    delta = _pinned_solve(lap_k, rhs - (net.damping + ctrl.kp) * offset)
+    delta, _ = _bordered_solve(lap_k, np.ones(n), rhs - (net.damping + ctrl.kp) * offset)
     return np.concatenate([delta, offset * np.ones(n)])

@@ -114,9 +114,12 @@ def _kv_lines(path, entries):
 
 def _float(path, lineno, token, what):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(path, lineno, f"{what}: expected a number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(path, lineno, f"{what}: expected a finite number, got {token!r}")
+    return value
 
 
 def _int(path, lineno, token, what):
@@ -502,6 +505,16 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     )
 
 
+def _override(value, default, what):
+    """A positive finite override, or the scenario's own value when None."""
+    if value is None:
+        return default
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be a positive finite number, got {value}")
+    return value
+
+
 def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
                  step=None) -> ScenarioResult:
     """Simulate the scenario and check settling against the predicted target.
@@ -510,9 +523,9 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
     the file's trace output destination (pass "" to suppress writing).
     """
     net = scn.network.net
-    horizon = scn.horizon if horizon is None else float(horizon)
-    settle_tol = scn.settle_tol_hz if settle_tol_hz is None else float(settle_tol_hz)
-    h = scn.step if step is None else float(step)
+    horizon = _override(horizon, scn.horizon, "horizon")
+    settle_tol = _override(settle_tol_hz, scn.settle_tol_hz, "settle_tol_hz")
+    h = _override(step, scn.step, "step")
 
     report = analyze_scenario(scn)
     ctrl = report.controller

@@ -307,12 +307,8 @@ class SimulationTrace:
 def _reconstruct(cl: ClosedLoop, states: np.ndarray):
     """Outputs and controls along a trace, by the measurement and control laws."""
     y = states @ cl.output_selector.T + cl.output_offset[None, :]
-    error = cl.system.r[None, :] - y
-    u = error * cl.controller.kp[None, :]
-    if cl.controller.has_integrator:
-        z = states[:, cl.state_layout["z"]]
-        u = u + z * cl.controller.ki[None, :]
-    return y, u
+    z = states[:, cl.state_layout["z"]] if cl.controller.has_integrator else None
+    return y, ctrlmod.control_output(cl.controller, cl.system.r, y, z)
 
 
 def simulate(cl: ClosedLoop, t_end: float, h: float = DEFAULT_STEP, x0=None) -> SimulationTrace:

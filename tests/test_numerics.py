@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from gridpi import (
     AffineOde,
     EigenvalueError,
     eigen,
-    expm_reference,
     integrate_rk4,
     numerical_rank,
 )
-from gridpi import _kernels
+from gridpi.numerics import DIVERGENCE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +116,6 @@ def test_divergence_is_reported_and_truncated():
     assert np.all(np.isfinite(out.states))
 
 
-def test_matrix_exponential_reference():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert_allclose(expm_reference(a, 2.5), [[1.0, 2.5], [0.0, 1.0]], atol=1e-14)
-
-
 def test_rk4_tracks_matrix_exponential():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -130,7 +125,7 @@ def test_rk4_tracks_matrix_exponential():
         x0 = rng.normal(size=n)
         ode = AffineOde(matrix=a, offset=np.zeros(n), x0=x0)
         out = integrate_rk4(ode, 1.0, 0.001)
-        assert_allclose(out.states[-1], expm_reference(a, 1.0) @ x0, atol=1e-9)
+        assert_allclose(out.states[-1], scipy.linalg.expm(a) @ x0, atol=1e-9)
 
 
 def test_ode_validation():
@@ -146,24 +141,47 @@ def test_ode_validation():
 
 
 # ---------------------------------------------------------------------------
-# kernel parity
+# agreement with a plain four-stage RK4 loop
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
-def test_compiled_and_numpy_kernels_agree():
+def _plain_rk4(mat, offset, x0, times):
+    """Textbook RK4 over the given time grid; stops after the first state
+    that is non-finite or beyond the divergence limit."""
+    states = [np.asarray(x0, dtype=float)]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        h, x = t1 - t0, states[-1]
+        k1 = mat @ x + offset
+        k2 = mat @ (x + 0.5 * h * k1) + offset
+        k3 = mat @ (x + 0.5 * h * k2) + offset
+        k4 = mat @ (x + h * k3) + offset
+        states.append(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        if not np.all(np.abs(states[-1]) <= DIVERGENCE_LIMIT):
+            break
+    return np.array(states)
+
+
+def test_integrator_matches_a_plain_stage_loop():
+    def _close(states, plain):
+        # relative to each sample's largest component
+        scale = np.abs(plain).max(axis=1, keepdims=True)
+        assert np.all(np.abs(states - plain) <= 1e-12 * scale)
+
+    # random 7-state system whose horizon ends in a shortened tail step
     rng = np.random.default_rng(6)
-    n, steps = 7, 40
-    mat = rng.normal(size=(n, n)) * 0.3
-    offset = rng.normal(size=n)
-    x0 = rng.normal(size=n)
+    n = 7
+    ode = AffineOde(matrix=rng.normal(size=(n, n)) * 0.3, offset=rng.normal(size=n),
+                    x0=rng.normal(size=n))
+    out = integrate_rk4(ode, 0.405, 0.01)
+    assert out.times.shape[0] == 42 and out.times[-1] == 0.405
+    plain = _plain_rk4(ode.matrix, ode.offset, ode.x0, out.times)
+    assert not out.diverged
+    _close(out.states, plain)
 
-    plain = np.empty((steps + 1, n))
-    plain[0] = x0
-    _kernels.rk4_affine_numpy(mat, offset, 0.01, steps, plain)
-
-    compiled = np.empty((steps + 1, n))
-    compiled[0] = x0
-    _kernels.rk4_affine_jit(mat, offset, 0.01, steps, compiled)
-
-    # same arithmetic in the same order: results must match bit for bit
-    assert np.array_equal(plain, compiled)
+    # divergent system: both traces end at the same step
+    ode = AffineOde(matrix=np.array([[0.0, 1.0], [40.0, 0.5]]), offset=np.array([0.0, 1.0]),
+                    x0=np.array([1.0, 0.0]))
+    out = integrate_rk4(ode, 10.0, 0.1)
+    plain = _plain_rk4(ode.matrix, ode.offset, ode.x0, np.arange(101) * 0.1)
+    assert out.diverged and plain.shape[0] < 101
+    assert out.states.shape == plain.shape
+    _close(out.states, plain)

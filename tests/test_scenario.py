@@ -185,8 +185,10 @@ def test_bundled_scenarios_load():
     ("4.0 3 -12.5", "4.0 8 -12.5", "bus id 8"),
     ("2 0.01", "9 0.01", "unknown bus id"),
     ("ki = 4.0", "ki = 4.0 5.0", "expected 1 or 3 values"),
+    ("horizon_s = 20.0", "horizon_s = inf", "horizon_s: expected a finite number"),
+    ("4.0 3 -12.5", "4.0 3 nan", "load_delta_kw: expected a finite number"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
-        "noise-bus", "gain-arity"])
+        "noise-bus", "gain-arity", "infinite-horizon", "nan-load"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -388,6 +390,12 @@ def test_cli_parse_failure_exits_two(tmp_path, capsys):
     code = cli_main(["simulate", bad])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_infinite_horizon_override(tmp_path, capsys):
+    code = cli_main(["simulate", quiet_scenario(tmp_path), "--horizon", "inf"])
+    assert code == 2
+    assert "horizon must be a positive finite number" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exits_two(tmp_path, capsys):
