@@ -94,30 +94,44 @@ class StabilityReport:
     max_real_part_excluding_zero_modes: float
 
 
-def _null_basis(mat: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal basis of the right null space, singular values <= cutoff."""
-    _, sing, vt = np.linalg.svd(mat)
-    rank = int(np.count_nonzero(sing > cutoff))
-    return vt[rank:].T
+def _right_singular(mat: np.ndarray):
+    """Singular values and the full right singular basis (rows of vt) of mat.
+
+    The thin SVD already returns all of V for tall or square matrices;
+    only wide ones need full_matrices to span the null space.
+    """
+    rows, cols = mat.shape
+    _, sing, vt = np.linalg.svd(mat, full_matrices=rows < cols)
+    return sing, vt
 
 
-def unobservable_subspace(a: np.ndarray, c: np.ndarray, rel_tol: float = numerics.RANK_REL_TOL):
+def unobservable_subspace(a: np.ndarray, c: np.ndarray, rel_tol: float = numerics.RANK_REL_TOL,
+                          *, scale: float = None):
     """Largest a-invariant subspace contained in the kernel of c.
 
     This is the null space of the observability map of (a, c), computed by
-    shrinking a kernel basis until it is invariant, which avoids forming
-    the badly scaled stack of matrix powers.  Returns an orthonormal basis
-    (n, k); k = 0 means every mode is observable.
+    shrinking a kernel basis B until it is invariant, which avoids forming
+    the badly scaled stack of matrix powers.  An orthonormal complement W
+    of B is kept alongside, so each step takes the SVD of W^T a B, which
+    has the singular values and right singular vectors of the residual
+    (I - B B^T) a B at (n - k) x k instead of n x k.  Directions with
+    singular values above rel_tol * scale leave B for W.  scale defaults
+    to max(||a||_2, 1).  Returns an orthonormal basis (n, k); k = 0 means
+    every mode is observable.
     """
-    scale = max(np.linalg.norm(a, 2), 1.0)
-    basis = _null_basis(c, rel_tol * max(np.linalg.norm(c, 2), 1.0))
+    if scale is None:
+        scale = max(np.linalg.norm(a, 2), 1.0)
+    sing, vt = _right_singular(c)
+    # the cutoff is relative to max(||c||_2, 1); ||c||_2 is sing[0]
+    rank = int(np.count_nonzero(sing > rel_tol * np.max(sing, initial=1.0)))
+    comp, basis = vt[:rank].T, vt[rank:].T
     while basis.shape[1] > 0:
-        image = a @ basis
-        residual = image - basis @ (basis.T @ image)
-        keep = _null_basis(residual, rel_tol * scale)
-        if keep.shape[1] == basis.shape[1]:
+        sing, vt = _right_singular(comp.T @ (a @ basis))
+        drop = int(np.count_nonzero(sing > rel_tol * scale))
+        if drop == 0:
             break
-        basis = basis @ keep
+        comp = np.hstack([comp, basis @ vt[:drop].T])
+        basis = basis @ vt[drop:].T
     return basis
 
 
@@ -133,7 +147,7 @@ def output_stability_check(cl: sysmodel.ClosedLoop, tol: float = STABILITY_TOL) 
     c = cl.output_selector
     spectrum = numerics.eigen(e)
     scale = max(np.linalg.norm(e, 2), 1.0)
-    basis = unobservable_subspace(e, c)
+    basis = unobservable_subspace(e, c, scale=scale)
 
     def _unobservable(vec):
         nrm = np.linalg.norm(vec)

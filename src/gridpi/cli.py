@@ -47,19 +47,6 @@ def _configure_logging():
     )
 
 
-def _gain_array(text, n, what):
-    tokens = text.replace(",", " ").split()
-    try:
-        values = np.array([float(t) for t in tokens], dtype=float)
-    except ValueError:
-        raise SystemExit(f"error: {what}: expected numbers, got {text!r}")
-    if values.shape[0] == 1:
-        return np.full(n, values[0])
-    if values.shape[0] != n:
-        raise SystemExit(f"error: {what}: expected 1 or {n} values, got {values.shape[0]}")
-    return values
-
-
 def _fmt_vec(values, unit=""):
     body = ", ".join("%.6g" % v for v in np.asarray(values).ravel())
     return f"[{body}]{(' ' + unit) if unit else ''}"
@@ -129,7 +116,7 @@ def _cmd_analyze(args):
 def _cmd_rank_test(args):
     loaded = scenariomod.load_network(args.network)
     n = loaded.net.n_buses
-    ki = _gain_array(args.ki, n, "--ki")
+    ki = scenariomod._gain_vector(None, 0, args.ki, n, "--ki")
     if np.any(ki <= 0.0):
         raise SystemExit("error: --ki values must be positive")
     result = analysismod.xi_rank_test(sysmodel.swing_to_lti(loaded.net), ki)
@@ -143,8 +130,8 @@ def _cmd_rank_test(args):
 def _cmd_gamma_bound(args):
     loaded = scenariomod.load_network(args.network)
     n = loaded.net.n_buses
-    kp = _gain_array(args.kp, n, "--kp")
-    ki = _gain_array(args.ki, n, "--ki")
+    kp = scenariomod._gain_vector(None, 0, args.kp, n, "--kp")
+    ki = scenariomod._gain_vector(None, 0, args.ki, n, "--ki")
     if np.any(kp <= 0.0) or np.any(ki <= 0.0):
         raise SystemExit("error: gains must be positive")
     ctrl = ctrlmod.ControllerSpec(

@@ -1,10 +1,10 @@
 """Weighted undirected graphs and their Laplacians.
 
-Edges carry strictly positive weights.  The Laplacian L = D - W has zero
-row sums, is symmetric positive semidefinite, and annihilates the all-ones
-vector; for a connected graph the zero eigenvalue is simple.  Connectivity
-is decided by traversal rather than spectrally, so the answer does not
-depend on how small the edge weights are.
+Edges carry strictly positive, finite weights.  The Laplacian L = D - W
+has zero row sums, is symmetric positive semidefinite, and annihilates the
+all-ones vector; for a connected graph the zero eigenvalue is simple.
+Connectivity is decided by traversal rather than spectrally, so the
+answer does not depend on how small the edge weights are.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph on nodes 0..n_nodes-1 with positive edge weights."""
+    """Undirected graph on nodes 0..n_nodes-1 with positive finite edge weights."""
 
     n_nodes: int
     edges: tuple = field(default_factory=tuple)  # ((i, j, weight), ...)
@@ -38,8 +38,8 @@ class WeightedGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge between nodes {key[0]} and {key[1]}")
             seen.add(key)
-            if not w > 0.0:
-                raise ValueError(f"edge ({i}, {j}) has non-positive weight {w}")
+            if not 0.0 < w < np.inf:
+                raise ValueError(f"edge ({i}, {j}) needs a positive finite weight, got {w}")
             cleaned.append((i, j, w))
         object.__setattr__(self, "edges", tuple(cleaned))
 

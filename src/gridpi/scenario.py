@@ -42,12 +42,18 @@ CSV_FORMAT = "%.17g"         # 17 significant digits round-trips float64
 
 
 class ParseError(ValueError):
-    """File parse/validation failure with position information."""
+    """Parse/validation failure with position information.
+
+    path None marks text that did not come from a file (a CLI option).
+    """
 
     def __init__(self, path, lineno, message):
         self.path = path
         self.lineno = lineno
-        super().__init__(f"{path}:{lineno}: {message}" if lineno else f"{path}: {message}")
+        if path is None:
+            super().__init__(message)
+        else:
+            super().__init__(f"{path}:{lineno}: {message}" if lineno else f"{path}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +251,7 @@ class Scenario:
 
 
 def _gain_vector(path, lineno, value, n, what):
+    """One finite number per bus from a comma/space list; a single value broadcasts."""
     tokens = value.replace(",", " ").split()
     if not tokens:
         raise ParseError(path, lineno, f"{what}: empty value")

@@ -39,8 +39,9 @@ class PowerNetwork:
 
     inertia [kg m^2], damping [W s^2 / rad^2], voltage [V] are per bus and
     strictly positive; power [W] is the net injected power (negative for a
-    consuming bus) and may have any sign.  lines holds (i, j, susceptance)
-    with susceptance in siemens.  omega_ref is in rad/s.
+    consuming bus) and may have any sign; all are finite.  lines holds
+    (i, j, susceptance) with susceptance in siemens, positive and finite.
+    omega_ref is in rad/s.
     """
 
     inertia: np.ndarray
@@ -61,28 +62,20 @@ class PowerNetwork:
         for name, arr in arrays.items():
             if arr.shape[0] != n:
                 raise ValueError(f"{name} has {arr.shape[0]} entries, expected {n}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"all {name} values must be finite")
             object.__setattr__(self, name, arr)
         for name in ("inertia", "damping", "voltage"):
             if not np.all(arrays[name] > 0.0):
                 raise ValueError(f"all {name} values must be strictly positive")
-        if not float(self.omega_ref) > 0.0:
-            raise ValueError("omega_ref must be positive")
+        if not 0.0 < float(self.omega_ref) < np.inf:
+            raise ValueError("omega_ref must be positive and finite")
         object.__setattr__(self, "omega_ref", float(self.omega_ref))
-        # Validates endpoints, weights, duplicates; also needed for coupling.
-        g = self._build_coupling(arrays["voltage"])
-        if not graphmod.is_connected(g):
+        # WeightedGraph validates endpoints, susceptances and duplicates.
+        topology = graphmod.WeightedGraph(n, tuple(self.lines))
+        if not graphmod.is_connected(topology):
             raise ValueError("transmission network must be connected")
-
-    def _build_coupling(self, voltage):
-        edges = []
-        for i, j, b in self.lines:
-            i, j, b = int(i), int(j), float(b)
-            if not (0 <= i < voltage.shape[0] and 0 <= j < voltage.shape[0]):
-                raise ValueError(f"line ({i}, {j}) references a missing bus")
-            if not b > 0.0:
-                raise ValueError(f"line ({i}, {j}) has non-positive susceptance {b}")
-            edges.append((i, j, voltage[i] * voltage[j] * b))
-        return graphmod.WeightedGraph(voltage.shape[0], tuple(edges))
+        object.__setattr__(self, "lines", topology.edges)
 
     @property
     def n_buses(self):
@@ -90,7 +83,9 @@ class PowerNetwork:
 
     def coupling_graph(self) -> graphmod.WeightedGraph:
         """Graph weighted by the electrical stiffness k_ij = |V_i||V_j| b_ij."""
-        return self._build_coupling(self.voltage)
+        v = self.voltage
+        return graphmod.WeightedGraph(self.n_buses,
+                                      tuple((i, j, v[i] * v[j] * b) for i, j, b in self.lines))
 
     def coupling_laplacian(self) -> np.ndarray:
         return graphmod.laplacian(self.coupling_graph())

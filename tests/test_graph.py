@@ -62,6 +62,10 @@ def test_edge_validation():
     with pytest.raises(ValueError):
         WeightedGraph(2, ((0, 1, -1.0),))
     with pytest.raises(ValueError):
+        WeightedGraph(2, ((0, 1, np.inf),))  # weight must be finite
+    with pytest.raises(ValueError):
+        WeightedGraph(2, ((0, 1, np.nan),))
+    with pytest.raises(ValueError):
         WeightedGraph(3, ((0, 1, 1.0), (1, 0, 2.0)))  # duplicate pair
     with pytest.raises(ValueError):
         WeightedGraph(0, ())

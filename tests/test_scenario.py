@@ -404,6 +404,18 @@ def test_cli_missing_file_exits_two(tmp_path, capsys):
 
 
 def test_cli_bad_gain_string_exits_two(capsys):
-    code = cli_main(["rank-test", bundled("net2.grid"), "--ki", "abc"])
-    assert code == 2
-    assert "expected numbers" in capsys.readouterr().err
+    cases = [
+        (["rank-test", bundled("net2.grid"), "--ki", "abc"], "--ki: expected a number"),
+        (["rank-test", bundled("net2.grid"), "--ki", "inf"], "--ki: expected a finite number"),
+        (["rank-test", bundled("net2.grid"), "--ki", "1, nan"], "--ki: expected a finite number"),
+        (["rank-test", bundled("net2.grid"), "--ki", ""], "--ki: empty value"),
+        (["gamma-bound", bundled("net2.grid"), "--kp", "inf", "--ki", "1"],
+         "--kp: expected a finite number"),
+        (["gamma-bound", bundled("net2.grid"), "--kp", "1", "--ki", " , "], "--ki: empty value"),
+    ]
+    for argv, needle in cases:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert needle in captured.err, argv
+        assert captured.out == "", argv

@@ -48,6 +48,26 @@ def test_network_validation():
                      lines=((0, 1, 1e-6),))
 
 
+@pytest.mark.parametrize("field, value, needle", [
+    ("power", [np.nan, 0.0], "power values must be finite"),
+    ("power", [np.inf, 0.0], "power values must be finite"),
+    ("inertia", [np.inf, 1.0], "inertia values must be finite"),
+    ("damping", [1.0, np.nan], "damping values must be finite"),
+    ("voltage", [1e3, np.inf], "voltage values must be finite"),
+    ("lines", ((0, 1, np.inf),), "positive finite weight"),
+    ("lines", ((0, 1, np.nan),), "positive finite weight"),
+    ("lines", ((0, 1, 0.0),), "positive finite weight"),
+    ("lines", ((0, 2, 1e-6),), "outside 0..1"),
+    ("omega_ref", np.inf, "omega_ref must be positive and finite"),
+])
+def test_network_rejects_non_finite_parameters(field, value, needle):
+    params = dict(inertia=np.ones(2), damping=np.ones(2), voltage=np.full(2, 1e3),
+                  power=np.zeros(2), lines=((0, 1, 1e-6),))
+    params[field] = value
+    with pytest.raises(ValueError, match=needle):
+        PowerNetwork(**params)
+
+
 def test_coupling_weights_scale_with_voltages_and_susceptance():
     net = PowerNetwork(inertia=np.ones(2), damping=np.ones(2),
                        voltage=np.array([2.0e3, 5.0e2]), power=np.zeros(2),
