@@ -31,11 +31,9 @@ from .control import (
     ControllerSpec,
     control_output,
     gains_from_cost,
-    integrator_dynamics,
 )
 from .graph import WeightedGraph, is_connected, laplacian
 from .numerics import (
-    AffineOde,
     EigenvalueError,
     IntegrationResult,
     Spectrum,
@@ -68,7 +66,6 @@ from .sysmodel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineOde",
     "ClosedLoop",
     "ControllerSpec",
     "DEC_PI",
@@ -98,7 +95,6 @@ __all__ = [
     "gamma_bar",
     "gamma_star_search",
     "integrate_rk4",
-    "integrator_dynamics",
     "is_connected",
     "laplacian",
     "load_network",

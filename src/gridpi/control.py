@@ -127,15 +127,3 @@ def control_output(ctrl: ControllerSpec, r, y, z=None) -> np.ndarray:
         u = u + ctrl.ki * np.asarray(z, dtype=float)
     return u
 
-
-def integrator_dynamics(ctrl: ControllerSpec, r, y, z=None) -> np.ndarray:
-    """Integrator state derivative z' for the given controller kind."""
-    if not ctrl.has_integrator:
-        raise ValueError("P controller has no integrator state")
-    error = np.asarray(r, dtype=float) - np.asarray(y, dtype=float)
-    if ctrl.kind == DEC_PI:
-        return error
-    if ctrl.gamma is None:
-        raise ValueError("distributed PI needs gamma before its dynamics are defined")
-    lap = graphmod.laplacian(ctrl.comm)
-    return error - ctrl.gamma * (lap @ np.asarray(z, dtype=float))

@@ -32,34 +32,6 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class AffineOde:
-    """Constant-coefficient affine system x' = matrix @ x + offset."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-    x0: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        off = np.asarray(self.offset, dtype=float)
-        x0 = np.asarray(self.x0, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        n = mat.shape[0]
-        if off.shape != (n,):
-            raise ValueError(f"offset shape {off.shape} does not match state dimension {n}")
-        if x0.shape != (n,):
-            raise ValueError(f"x0 shape {x0.shape} does not match state dimension {n}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "x0", x0)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class IntegrationResult:
     times: np.ndarray    # (k,)
     states: np.ndarray   # (k, dim), one row per step including t = 0
@@ -98,53 +70,80 @@ def numerical_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
 
 
-def _rk4_map(mat: np.ndarray, offset: np.ndarray, h: float):
-    """One classical RK4 step of x' = mat @ x + offset as the map x -> phi @ x + g.
+def _rk4_map(mat: np.ndarray, h: float):
+    """One classical RK4 step of x' = mat @ x + offset as x -> phi @ x + h * (s @ offset).
 
     The four stages collapse exactly to x + h S (mat @ x + offset) with
-    S = I + hA/2 + (hA)^2/6 + (hA)^3/24, A = mat, so phi = I + hA S and
-    g = h S offset.
+    S = I + hA/2 + (hA)^2/6 + (hA)^3/24, A = mat, so phi = I + hA S.
+    Returns (phi, s); only the forcing term depends on the offset.
     """
     eye = np.eye(mat.shape[0])
     ha = h * mat
     s = eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0))
-    return eye + ha @ s, h * (s @ offset)
+    return eye + ha @ s, s
 
 
-def integrate_rk4(ode: AffineOde, t_end: float, h: float) -> IntegrationResult:
-    """Classical 4th-order fixed-step integration of an affine system.
+def _split(span: float, h: float):
+    """Full steps of h in span, plus the length of a shortened tail step (0 if none)."""
+    n_full = int(np.floor(span / h + 1e-9))
+    tail = span - n_full * h
+    return n_full, (tail if tail > 1e-9 * h else 0.0)
 
-    The trace holds every step starting at t = 0.  If t_end is not an
-    integer multiple of h the final step is shortened to land exactly on
-    t_end.  Non-finite states or components beyond DIVERGENCE_LIMIT stop
-    the run and set the diverged flag; the trace is truncated there.
+
+def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> IntegrationResult:
+    """Classical 4th-order fixed-step integration of x' = matrix @ x + offset
+    with a piecewise-constant offset.
+
+    schedule is [(t_start, offset), ...] with the first start at 0; each
+    offset holds until the next start, the last one until t_end.  The step
+    grid restarts at every start, so no step straddles a switch: a segment
+    takes full steps of h and, when its length is not a multiple of h, one
+    shortened step landing exactly on its end.  The trace holds every step
+    from t = 0, each switch time once.  Non-finite states or components
+    beyond DIVERGENCE_LIMIT stop the run and set the diverged flag; the
+    trace is truncated there.
     """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     if t_end < 0.0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
+    mat = np.asarray(matrix, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {mat.shape}")
+    n = mat.shape[0]
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x0 shape {x.shape} does not match state dimension {n}")
+    starts = [float(t) for t, _ in schedule]
+    offsets = [np.asarray(off, dtype=float) for _, off in schedule]
+    for off in offsets:
+        if off.shape != (n,):
+            raise ValueError(f"offset shape {off.shape} does not match state dimension {n}")
+    stops = starts[1:] + [float(t_end)]
+    if not starts or starts[0] != 0.0 or any(b < a for a, b in zip(starts, stops)):
+        raise ValueError("schedule must start at t = 0 with increasing times up to t_end")
 
-    # Split into full steps of h plus an optional shortened tail step.
-    n_full = int(np.floor(t_end / h + 1e-9))
-    tail = t_end - n_full * h
-    if tail <= 1e-9 * h:
-        tail = 0.0
-    n_total = n_full + (1 if tail > 0.0 else 0)
+    plan = [_split(stop - start, h) for start, stop in zip(starts, stops)]
+    rows = 1 + sum(n_full + (tail > 0.0) for n_full, tail in plan)
+    out = np.empty((rows, n))
+    out[0] = x
+    times = np.empty(rows)
+    times[0] = 0.0
 
-    out = np.empty((n_total + 1, ode.dim))
-    out[0] = ode.x0
-    times = np.empty(n_total + 1)
-    times[: n_full + 1] = np.arange(n_full + 1) * h
-    if tail > 0.0:
-        times[-1] = t_end
-
-    step = _rk4_map(ode.matrix, ode.offset, h)
-    x = ode.x0
-    for k in range(1, n_total + 1):
-        phi, g = step if k <= n_full else _rk4_map(ode.matrix, ode.offset, tail)
-        x = phi @ x + g
-        out[k] = x
-        # written so that NaN also counts as divergence
-        if not np.max(np.abs(x)) <= DIVERGENCE_LIMIT:
-            return IntegrationResult(times=times[: k + 1], states=out[: k + 1], diverged=True)
+    phi, s = _rk4_map(mat, h)
+    k = 0
+    for start, stop, offset, (n_full, tail) in zip(starts, stops, offsets, plan):
+        times[k + 1: k + n_full + 1] = np.arange(1, n_full + 1) * h + start
+        runs = [(phi, h * (s @ offset), k + n_full)]
+        if tail > 0.0:
+            phi_tail, s_tail = _rk4_map(mat, tail)
+            runs.append((phi_tail, tail * (s_tail @ offset), k + n_full + 1))
+            times[k + n_full + 1] = (stop - start) + start
+        for step_phi, g, last in runs:
+            for k in range(k + 1, last + 1):
+                x = step_phi @ x + g
+                out[k] = x
+                # written so that NaN also counts as divergence
+                if not np.max(np.abs(x)) <= DIVERGENCE_LIMIT:
+                    return IntegrationResult(times=times[: k + 1], states=out[: k + 1], diverged=True)
     return IntegrationResult(times=times, states=out, diverged=False)

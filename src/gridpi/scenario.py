@@ -135,6 +135,14 @@ def _int(path, lineno, token, what):
         raise ParseError(path, lineno, f"{what}: expected an integer, got {token!r}") from None
 
 
+def _bus_index(path, lineno, loaded, token, what):
+    """Model index of the file bus id in token; unknown ids fail at path:lineno."""
+    try:
+        return loaded.index_of(_int(path, lineno, token, "bus id"))
+    except KeyError:
+        raise ParseError(path, lineno, f"{what}: unknown bus id {token}") from None
+
+
 # ---------------------------------------------------------------------------
 # network files
 # ---------------------------------------------------------------------------
@@ -341,8 +349,8 @@ def load_scenario(path) -> Scenario:
                 tokens = text.split()
                 if len(tokens) != 3:
                     raise ParseError(path, lineno, "expected: <bus id> <bus id> <weight>")
-                i = loaded.index_of(_int(path, lineno, tokens[0], "bus id"))
-                j = loaded.index_of(_int(path, lineno, tokens[1], "bus id"))
+                i = _bus_index(path, lineno, loaded, tokens[0], "comm_edges")
+                j = _bus_index(path, lineno, loaded, tokens[1], "comm_edges")
                 edges.append((i, j, _float(path, lineno, tokens[2], "weight")))
             try:
                 comm = graphmod.WeightedGraph(n, tuple(edges))
@@ -365,10 +373,7 @@ def load_scenario(path) -> Scenario:
             raise ParseError(path, lineno, "disturbance time must be >= 0")
         if t >= horizon:
             raise ParseError(path, lineno, f"disturbance at t = {t} is beyond the horizon {horizon}")
-        try:
-            bus = loaded.index_of(_int(path, lineno, tokens[1], "bus id"))
-        except KeyError as exc:
-            raise ParseError(path, lineno, str(exc)) from None
+        bus = _bus_index(path, lineno, loaded, tokens[1], "disturbances")
         delta_kw = _float(path, lineno, tokens[2], "load_delta_kw")
         schedule.append((t, bus, -1.0e3 * delta_kw))  # consumption -> net injection
 
@@ -377,10 +382,7 @@ def load_scenario(path) -> Scenario:
         tokens = text.split()
         if len(tokens) != 2:
             raise ParseError(path, lineno, "expected: <bus id> <eta_hz>")
-        try:
-            bus = loaded.index_of(_int(path, lineno, tokens[0], "bus id"))
-        except KeyError:
-            raise ParseError(path, lineno, f"noise references unknown bus id {tokens[0]}") from None
+        bus = _bus_index(path, lineno, loaded, tokens[0], "noise")
         eta[bus] = TWO_PI * _float(path, lineno, tokens[1], "eta_hz")
 
     trace_csv = None
@@ -558,7 +560,7 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
     destination = scn.trace_csv if csv_path is None else (csv_path or None)
     written = None
     if destination:
-        written = write_trace_csv(destination, scn, segments[0][1], trace, omega_hz)
+        written = write_trace_csv(destination, scn, segments[0][1], trace, omega_hz, h)
     return ScenarioResult(
         scenario=scn,
         analysis=report,
@@ -589,15 +591,16 @@ def _atomic_write(path, payload):
 
 
 def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
-                    trace: sysmodel.SimulationTrace, omega_hz: np.ndarray) -> str:
-    """Write the (decimated) trace; the final sample is always included.
+                    trace: sysmodel.SimulationTrace, omega_hz: np.ndarray, step: float) -> str:
+    """Write the trace of a run integrated with step `step`, one row per
+    output_every seconds; the final sample is always included.
 
     Columns: time, omega_<id>_hz per bus, u_<id>_w per bus, and z_<id> per
     bus when the controller has integrators.  Values carry 17 significant
     digits so a reread reproduces the binary floats exactly.  The file is
     written to a temporary name and renamed into place.
     """
-    stride = max(int(round(scn.output_every / scn.step)), 1)
+    stride = max(int(round(scn.output_every / step)), 1)
     picks = list(range(0, trace.times.shape[0], stride))
     if picks[-1] != trace.times.shape[0] - 1:
         picks.append(trace.times.shape[0] - 1)

@@ -308,29 +308,29 @@ def _reconstruct(cl: ClosedLoop, states: np.ndarray):
 
 def simulate(cl: ClosedLoop, t_end: float, h: float = DEFAULT_STEP, x0=None) -> SimulationTrace:
     """Integrate the closed loop from x0 (default: all-zero deviations)."""
-    if x0 is None:
-        x0 = np.zeros(cl.dim)
-    x0 = np.asarray(x0, dtype=float)
-    ode = numerics.AffineOde(matrix=cl.system_matrix, offset=cl.forcing_dev, x0=x0)
-    result = numerics.integrate_rk4(ode, t_end, h)
-    y, u = _reconstruct(cl, result.states)
-    return SimulationTrace(
-        times=result.times,
-        states=result.states,
-        outputs=y,
-        controls=u,
-        diverged=result.diverged,
-    )
+    return simulate_schedule([(0.0, cl)], t_end, h=h, x0=x0)
+
+
+def _shares_loop(cl: ClosedLoop, other: ClosedLoop) -> bool:
+    """Same loop matrix, output map, reference and controller: only the forcing may differ."""
+    return other.controller is cl.controller and all(
+        np.array_equal(a, b) for a, b in (
+            (cl.system_matrix, other.system_matrix),
+            (cl.output_selector, other.output_selector),
+            (cl.output_offset, other.output_offset),
+            (cl.system.r, other.system.r),
+        ))
 
 
 def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP, x0=None) -> SimulationTrace:
-    """Integrate a piecewise-constant schedule of closed loops.
+    """Integrate one closed loop under a piecewise-constant load schedule.
 
     segments is a list of (t_start, ClosedLoop) with t_start sorted and the
-    first at 0.  The integrator restarts at every switch time, so no step
+    first at 0.  The segments share one closed loop (loop matrix, output
+    map, reference and controller) and differ only in their forcing, i.e.
+    the loads.  The integrator restarts at every switch time, so no step
     straddles a forcing discontinuity; the state is continuous across
-    switches.  Outputs and controls at a switch sample follow the earlier
-    segment (they are continuous anyway when only the loads switch).
+    switches.  x0 defaults to all-zero deviations.
     """
     if not segments:
         raise ValueError("schedule needs at least one segment")
@@ -341,30 +341,19 @@ def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP, x0=None) 
         raise ValueError("segment start times must be strictly increasing")
     if starts[-1] >= t_end:
         raise ValueError("last segment starts after t_end")
+    cl = segments[0][1]
+    if not all(_shares_loop(cl, other) for _, other in segments[1:]):
+        raise ValueError("all segments must share one closed loop and differ only in forcing")
 
-    dims = {cl.dim for _, cl in segments}
-    if len(dims) != 1:
-        raise ValueError("all segments must share the state dimension")
-
-    times_parts, states_parts, y_parts, u_parts = [], [], [], []
-    x = x0
-    diverged = False
-    boundaries = starts[1:] + [float(t_end)]
-    for (t_start, cl), t_stop in zip(segments, boundaries):
-        trace = simulate(cl, t_stop - t_start, h=h, x0=x)
-        keep = slice(0, None) if not times_parts else slice(1, None)
-        times_parts.append(trace.times[keep] + t_start)
-        states_parts.append(trace.states[keep])
-        y_parts.append(trace.outputs[keep])
-        u_parts.append(trace.controls[keep])
-        x = trace.states[-1]
-        if trace.diverged:
-            diverged = True
-            break
+    if x0 is None:
+        x0 = np.zeros(cl.dim)
+    result = numerics.integrate_rk4(cl.system_matrix, x0,
+                                    [(t, seg.forcing_dev) for t, seg in segments], t_end, h)
+    y, u = _reconstruct(cl, result.states)
     return SimulationTrace(
-        times=np.concatenate(times_parts),
-        states=np.concatenate(states_parts),
-        outputs=np.concatenate(y_parts),
-        controls=np.concatenate(u_parts),
-        diverged=diverged,
+        times=result.times,
+        states=result.states,
+        outputs=y,
+        controls=u,
+        diverged=result.diverged,
     )

@@ -10,10 +10,11 @@ from gridpi import (
     DIST_PI,
     P,
     ControllerSpec,
+    LtiSystem,
     WeightedGraph,
+    close_loop,
     control_output,
     gains_from_cost,
-    integrator_dynamics,
     laplacian,
 )
 
@@ -98,18 +99,31 @@ def test_pi_law_adds_weighted_integral_state():
     assert_allclose(u, [2.0 + 1.0, 3.0 - 4.0])
 
 
+def _plant(m, r=None):
+    """Plant with y = x (c = I), so the loop's z-rows read z' from y and z."""
+    r = np.zeros(m) if r is None else r
+    return LtiSystem(a=-np.eye(m), b=np.eye(m), c=np.eye(m), d=np.zeros(m), eta=np.zeros(m), r=r)
+
+
+def _z_rate(ctrl, r, y, z):
+    """z' from the integrator rows of the loop that close_loop assembles."""
+    cl = close_loop(_plant(ctrl.n_nodes, r), ctrl)
+    zs = cl.state_layout["z"]
+    return cl.system_matrix[zs] @ np.concatenate([y, z]) + cl.forcing[zs]
+
+
 def test_decentralized_integrator_is_the_tracking_error():
     ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(3), ki=np.ones(3))
     r = np.array([1.0, 1.0, 1.0])
     y = np.array([0.0, 2.0, 1.0])
-    assert_allclose(integrator_dynamics(ctrl, r, y, z=np.zeros(3)), r - y)
+    assert_allclose(_z_rate(ctrl, r, y, z=np.array([3.0, -1.0, 2.0])), r - y)
 
 
 def test_consensus_term_vanishes_on_agreement():
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=3.0, comm=PAIR)
     r = y = np.zeros(2)
-    dz = integrator_dynamics(ctrl, r, y, z=np.array([5.0, 5.0]))
+    dz = _z_rate(ctrl, r, y, z=np.array([5.0, 5.0]))
     assert_allclose(dz, np.zeros(2), atol=1e-14)
 
 
@@ -117,7 +131,7 @@ def test_consensus_term_on_a_disagreeing_pair():
     # unit edge, gamma = 1, z = (1, 0), r = y: dz = -L z = (-1, 1)
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=1.0, comm=PAIR)
-    dz = integrator_dynamics(ctrl, np.zeros(2), np.zeros(2), z=np.array([1.0, 0.0]))
+    dz = _z_rate(ctrl, np.zeros(2), np.zeros(2), z=np.array([1.0, 0.0]))
     assert_allclose(dz, [-1.0, 1.0])
 
 
@@ -129,7 +143,7 @@ def test_averaging_preserves_the_integral_sum():
                           gamma=2.0, comm=g)
     for _ in range(30):
         r, y, z = rng.normal(size=(3, 4))
-        dz = integrator_dynamics(ctrl, r, y, z=z)
+        dz = _z_rate(ctrl, r, y, z=z)
         assert abs(dz.sum() - (r - y).sum()) < 1e-12
 
 
@@ -137,6 +151,6 @@ def test_integrator_requires_state():
     ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
     with pytest.raises(ValueError):
         control_output(ctrl, np.zeros(2), np.zeros(2))
-    pctrl = ControllerSpec(kind=P, kp=np.ones(2))
-    with pytest.raises(ValueError):
-        integrator_dynamics(pctrl, np.zeros(2), np.zeros(2))
+    # the P loop carries no integrator states
+    cl = close_loop(_plant(2), ControllerSpec(kind=P, kp=np.ones(2)))
+    assert "z" not in cl.state_layout and cl.dim == 2

@@ -6,7 +6,6 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from gridpi import (
-    AffineOde,
     EigenvalueError,
     eigen,
     integrate_rk4,
@@ -80,37 +79,37 @@ def test_rank_of_outer_products():
 # integrator
 # ---------------------------------------------------------------------------
 
+def _rk4(matrix, offset, x0, t_end, h):
+    """Single-segment integration of x' = matrix @ x + offset."""
+    return integrate_rk4(matrix, x0, [(0.0, offset)], t_end, h)
+
+
 def test_scalar_decay_endpoint():
-    ode = AffineOde(matrix=np.array([[-1.0]]), offset=np.zeros(1), x0=np.ones(1))
-    out = integrate_rk4(ode, 1.0, 0.01)
+    out = _rk4(np.array([[-1.0]]), np.zeros(1), np.ones(1), 1.0, 0.01)
     assert abs(out.states[-1, 0] - np.exp(-1.0)) < 1e-6
     assert not out.diverged
 
 
 def test_affine_offset_steady_state():
     # x' = -x + 1 from 0: x(t) = 1 - exp(-t)
-    ode = AffineOde(matrix=np.array([[-1.0]]), offset=np.ones(1), x0=np.zeros(1))
-    out = integrate_rk4(ode, 3.0, 0.005)
+    out = _rk4(np.array([[-1.0]]), np.ones(1), np.zeros(1), 3.0, 0.005)
     assert_allclose(out.states[:, 0], 1.0 - np.exp(-out.times), atol=1e-8)
 
 
 def test_partial_final_step():
-    ode = AffineOde(matrix=np.array([[-1.0]]), offset=np.zeros(1), x0=np.ones(1))
-    out = integrate_rk4(ode, 0.35, 0.1)
+    out = _rk4(np.array([[-1.0]]), np.zeros(1), np.ones(1), 0.35, 0.1)
     assert_allclose(out.times, [0.0, 0.1, 0.2, 0.3, 0.35])
     assert abs(out.states[-1, 0] - np.exp(-0.35)) < 1e-6
 
 
 def test_time_grid_is_uniform_when_step_divides():
-    ode = AffineOde(matrix=-np.eye(2), offset=np.zeros(2), x0=np.ones(2))
-    out = integrate_rk4(ode, 1.0, 0.1)
+    out = _rk4(-np.eye(2), np.zeros(2), np.ones(2), 1.0, 0.1)
     assert out.times.shape[0] == 11
     assert out.times[-1] == 1.0
 
 
 def test_divergence_is_reported_and_truncated():
-    ode = AffineOde(matrix=np.array([[50.0]]), offset=np.zeros(1), x0=np.ones(1))
-    out = integrate_rk4(ode, 10.0, 0.1)
+    out = _rk4(np.array([[50.0]]), np.zeros(1), np.ones(1), 10.0, 0.1)
     assert out.diverged
     assert out.times.shape[0] < 101
     assert np.all(np.isfinite(out.states))
@@ -123,21 +122,25 @@ def test_rk4_tracks_matrix_exponential():
         a = rng.normal(size=(n, n))
         a -= (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(n)  # make it decay
         x0 = rng.normal(size=n)
-        ode = AffineOde(matrix=a, offset=np.zeros(n), x0=x0)
-        out = integrate_rk4(ode, 1.0, 0.001)
+        out = _rk4(a, np.zeros(n), x0, 1.0, 0.001)
         assert_allclose(out.states[-1], scipy.linalg.expm(a) @ x0, atol=1e-9)
 
 
 def test_ode_validation():
     with pytest.raises(ValueError):
-        AffineOde(matrix=np.ones((2, 3)), offset=np.zeros(2), x0=np.zeros(2))
+        _rk4(np.ones((2, 3)), np.zeros(2), np.zeros(2), 1.0, 0.1)
     with pytest.raises(ValueError):
-        AffineOde(matrix=np.eye(2), offset=np.zeros(3), x0=np.zeros(2))
-    ode = AffineOde(matrix=np.eye(2), offset=np.zeros(2), x0=np.zeros(2))
+        _rk4(np.eye(2), np.zeros(3), np.zeros(2), 1.0, 0.1)
     with pytest.raises(ValueError):
-        integrate_rk4(ode, 1.0, -0.1)
+        _rk4(np.eye(2), np.zeros(2), np.zeros(3), 1.0, 0.1)
     with pytest.raises(ValueError):
-        integrate_rk4(ode, -1.0, 0.1)
+        _rk4(np.eye(2), np.zeros(2), np.zeros(2), 1.0, -0.1)
+    with pytest.raises(ValueError):
+        _rk4(np.eye(2), np.zeros(2), np.zeros(2), -1.0, 0.1)
+    with pytest.raises(ValueError):  # a later segment's offset is checked too
+        integrate_rk4(np.eye(2), np.zeros(2), [(0.0, np.zeros(2)), (0.5, np.zeros(3))], 1.0, 0.1)
+    with pytest.raises(ValueError):  # the schedule must start at 0
+        integrate_rk4(np.eye(2), np.zeros(2), [(0.5, np.zeros(2))], 1.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +172,44 @@ def test_integrator_matches_a_plain_stage_loop():
     # random 7-state system whose horizon ends in a shortened tail step
     rng = np.random.default_rng(6)
     n = 7
-    ode = AffineOde(matrix=rng.normal(size=(n, n)) * 0.3, offset=rng.normal(size=n),
-                    x0=rng.normal(size=n))
-    out = integrate_rk4(ode, 0.405, 0.01)
+    mat, offset, x0 = rng.normal(size=(n, n)) * 0.3, rng.normal(size=n), rng.normal(size=n)
+    out = _rk4(mat, offset, x0, 0.405, 0.01)
     assert out.times.shape[0] == 42 and out.times[-1] == 0.405
-    plain = _plain_rk4(ode.matrix, ode.offset, ode.x0, out.times)
+    plain = _plain_rk4(mat, offset, x0, out.times)
     assert not out.diverged
     _close(out.states, plain)
 
+    # three segments with different offsets; the middle one ends off the grid,
+    # so the grid restarts at 0.235 after a shortened step
+    offsets = rng.normal(size=(3, n))
+    schedule = [(0.0, offsets[0]), (0.1, offsets[1]), (0.235, offsets[2])]
+    out = integrate_rk4(mat, x0, schedule, 0.4, 0.01)
+    expected_times = np.concatenate([
+        np.arange(11) * 0.01,
+        np.arange(1, 14) * 0.01 + 0.1, [(0.235 - 0.1) + 0.1],
+        np.arange(1, 17) * 0.01 + 0.235, [(0.4 - 0.235) + 0.235],
+    ])
+    assert np.array_equal(out.times, expected_times)
+    assert not out.diverged
+    chained = [x0]
+    for (start, off), stop in zip(schedule, [0.1, 0.235, 0.4]):
+        grid = out.times[(out.times >= start) & (out.times <= stop)]
+        chained.extend(_plain_rk4(mat, off, chained[-1], grid)[1:])
+    _close(out.states, np.array(chained))
+
     # divergent system: both traces end at the same step
-    ode = AffineOde(matrix=np.array([[0.0, 1.0], [40.0, 0.5]]), offset=np.array([0.0, 1.0]),
-                    x0=np.array([1.0, 0.0]))
-    out = integrate_rk4(ode, 10.0, 0.1)
-    plain = _plain_rk4(ode.matrix, ode.offset, ode.x0, np.arange(101) * 0.1)
+    mat, offset, x0 = np.array([[0.0, 1.0], [40.0, 0.5]]), np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    out = _rk4(mat, offset, x0, 10.0, 0.1)
+    plain = _plain_rk4(mat, offset, x0, np.arange(101) * 0.1)
     assert out.diverged and plain.shape[0] < 101
     assert out.states.shape == plain.shape
+    _close(out.states, plain)
+
+    # divergence in the second segment truncates at the same step
+    out = integrate_rk4(mat, x0, [(0.0, offset), (0.25, -offset)], 10.0, 0.1)
+    first = _plain_rk4(mat, offset, x0, [0.0, 0.1, 0.2, 0.25])
+    second = _plain_rk4(mat, -offset, first[-1], np.arange(98) * 0.1 + 0.25)
+    plain = np.concatenate([first, second[1:]])
+    assert out.diverged and second.shape[0] < 98
+    assert out.states.shape == plain.shape and out.times[-1] > 0.25
     _close(out.states, plain)

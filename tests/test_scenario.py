@@ -184,11 +184,12 @@ def test_bundled_scenarios_load():
     ("4.0 3 -12.5", "-1.0 3 -12.5", "must be >= 0"),
     ("4.0 3 -12.5", "4.0 8 -12.5", "bus id 8"),
     ("2 0.01", "9 0.01", "unknown bus id"),
+    ("2 3 0.5", "2 99 0.5", "bad.scn:13: comm_edges: unknown bus id 99"),
     ("ki = 4.0", "ki = 4.0 5.0", "expected 1 or 3 values"),
     ("horizon_s = 20.0", "horizon_s = inf", "horizon_s: expected a finite number"),
     ("4.0 3 -12.5", "4.0 3 nan", "load_delta_kw: expected a finite number"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
-        "noise-bus", "gain-arity", "infinite-horizon", "nan-load"])
+        "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -331,6 +332,17 @@ def test_trace_always_includes_the_endpoint(tmp_path):
     assert data[-1, 0] == 0.55
 
 
+def test_step_override_keeps_the_output_spacing(tmp_path):
+    scn = load_scenario(quiet_scenario(tmp_path))
+    out = tmp_path / "fine.csv"
+    result = run_scenario(scn, horizon=1.0, step=scn.step / 4, csv_path=str(out))
+    _, data = read_trace_csv(str(out))
+    # 0.1 s apart at a 0.0025 s step: rows 0, 40, ..., 400
+    assert result.trace.times.shape[0] == 401
+    assert np.array_equal(data[:, 0], result.trace.times[::40])
+    assert_allclose(np.diff(data[:, 0]), scn.output_every, rtol=1e-9)
+
+
 def test_proportional_trace_has_no_integrator_columns(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path, kind="p"))
     out = tmp_path / "p.csv"
@@ -412,6 +424,9 @@ def test_cli_bad_gain_string_exits_two(capsys):
         (["gamma-bound", bundled("net2.grid"), "--kp", "inf", "--ki", "1"],
          "--kp: expected a finite number"),
         (["gamma-bound", bundled("net2.grid"), "--kp", "1", "--ki", " , "], "--ki: empty value"),
+        (["rank-test", bundled("net2.grid"), "--ki", "0"], "integral gains must be strictly positive"),
+        (["gamma-bound", bundled("net2.grid"), "--kp", "-1", "--ki", "1"],
+         "all proportional gains must be strictly positive"),
     ]
     for argv, needle in cases:
         code = cli_main(argv)

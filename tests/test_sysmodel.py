@@ -1,5 +1,7 @@
 """Swing-network modelling, loop assembly, and simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -273,3 +275,7 @@ def test_schedule_validation():
         simulate_schedule([(0.5, cl)], 1.0)  # must start at zero
     with pytest.raises(ValueError):
         simulate_schedule([(0.0, cl), (0.7, cl), (0.3, cl)], 1.0)  # unsorted
+    dist = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2), comm=net.coupling_graph())
+    loops = [close_loop(swing_to_lti(net), replace(dist, gamma=g)) for g in (0.5, 0.8)]
+    with pytest.raises(ValueError, match="share one closed loop"):
+        simulate_schedule([(0.0, loops[0]), (0.5, loops[1])], 1.0)  # different gamma
