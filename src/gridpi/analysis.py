@@ -92,6 +92,7 @@ class StabilityReport:
     zero_modes: tuple
     output_stable: bool
     max_real_part_excluding_zero_modes: float
+    scale: float  # max(||E||_2, 1); the check's tolerances are relative to it
 
 
 def _right_singular(mat: np.ndarray):
@@ -176,6 +177,7 @@ def output_stability_check(cl: sysmodel.ClosedLoop, tol: float = STABILITY_TOL) 
         zero_modes=tuple(zero_modes),
         output_stable=stable,
         max_real_part_excluding_zero_modes=max_real,
+        scale=scale,
     )
 
 

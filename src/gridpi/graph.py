@@ -15,6 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+class EdgeError(ValueError):
+    """An invalid entry of WeightedGraph.edges: index is its position there,
+    and reason names the fault without the node numbers, so that a caller
+    can name the edge its own way (a parser by file line and bus ids)."""
+
+    def __init__(self, index, i, j, reason):
+        super().__init__(f"edge ({i}, {j}) {reason}")
+        self.index = index
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected graph on nodes 0..n_nodes-1 with positive finite edge weights."""
@@ -27,19 +38,19 @@ class WeightedGraph:
             raise ValueError(f"graph needs at least one node, got {self.n_nodes}")
         cleaned = []
         seen = set()
-        for edge in self.edges:
+        for index, edge in enumerate(self.edges):
             i, j, w = edge
             i, j, w = int(i), int(j), float(w)
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"edge ({i}, {j}) references a node outside 0..{self.n_nodes - 1}")
+                raise EdgeError(index, i, j, f"references a node outside 0..{self.n_nodes - 1}")
             if i == j:
-                raise ValueError(f"self-loop at node {i} is not allowed")
+                raise EdgeError(index, i, j, "is a self-loop")
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise ValueError(f"duplicate edge between nodes {key[0]} and {key[1]}")
+                raise EdgeError(index, i, j, "duplicates an earlier edge")
             seen.add(key)
             if not 0.0 < w < np.inf:
-                raise ValueError(f"edge ({i}, {j}) needs a positive finite weight, got {w}")
+                raise EdgeError(index, i, j, f"needs a positive finite weight, got {w}")
             cleaned.append((i, j, w))
         object.__setattr__(self, "edges", tuple(cleaned))
 

@@ -16,6 +16,9 @@ RANK_REL_TOL = 1.0e-10
 # Any state component beyond this magnitude is treated as divergence. [model units]
 DIVERGENCE_LIMIT = 1.0e12
 
+# Rows integrate_rk4 propagates between two divergence checks.
+_CHECK_BLOCK = 1024
+
 
 class EigenvalueError(RuntimeError):
     """Raised when the eigenvalue iteration fails to converge."""
@@ -83,6 +86,14 @@ def _rk4_map(mat: np.ndarray, h: float):
     return eye + ha @ s, s
 
 
+def rk4_multiplier(z):
+    """Growth factor R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of one RK4 step
+    on the mode x' = lam x, z = h lam; the step damps the mode iff |R(z)| < 1.
+    The R(h lam) are the eigenvalues of integrate_rk4's one-step map."""
+    z = np.asarray(z)
+    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+
 def _split(span: float, h: float):
     """Full steps of h in span, plus the length of a shortened tail step (0 if none)."""
     n_full = int(np.floor(span / h + 1e-9))
@@ -99,9 +110,12 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> IntegrationRe
     grid restarts at every start, so no step straddles a switch: a segment
     takes full steps of h and, when its length is not a multiple of h, one
     shortened step landing exactly on its end.  The trace holds every step
-    from t = 0, each switch time once.  Non-finite states or components
-    beyond DIVERGENCE_LIMIT stop the run and set the diverged flag; the
-    trace is truncated there.
+    from t = 0, each switch time once.  Each step is x -> phi @ x + g,
+    written in place into the preallocated trace.  Divergence (a
+    non-finite component or one beyond DIVERGENCE_LIMIT) is tested once
+    per block of rows rather than after every step; the first bad row
+    stops the run, sets the diverged flag and ends the truncated trace,
+    exactly as a per-step test would.
     """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
@@ -111,9 +125,9 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> IntegrationRe
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     n = mat.shape[0]
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x0 shape {x.shape} does not match state dimension {n}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 shape {x0.shape} does not match state dimension {n}")
     starts = [float(t) for t, _ in schedule]
     offsets = [np.asarray(off, dtype=float) for _, off in schedule]
     for off in offsets:
@@ -126,7 +140,7 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> IntegrationRe
     plan = [_split(stop - start, h) for start, stop in zip(starts, stops)]
     rows = 1 + sum(n_full + (tail > 0.0) for n_full, tail in plan)
     out = np.empty((rows, n))
-    out[0] = x
+    out[0] = x0
     times = np.empty(rows)
     times[0] = 0.0
 
@@ -140,10 +154,20 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> IntegrationRe
             runs.append((phi_tail, tail * (s_tail @ offset), k + n_full + 1))
             times[k + n_full + 1] = (stop - start) + start
         for step_phi, g, last in runs:
-            for k in range(k + 1, last + 1):
-                x = step_phi @ x + g
-                out[k] = x
-                # written so that NaN also counts as divergence
-                if not np.max(np.abs(x)) <= DIVERGENCE_LIMIT:
-                    return IntegrationResult(times=times[: k + 1], states=out[: k + 1], diverged=True)
+            # rows after the first bad one in a block are discarded, so
+            # their overflow needs no warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for first in range(k + 1, last + 1, _CHECK_BLOCK):
+                    block = out[first: min(first + _CHECK_BLOCK, last + 1)]
+                    prev = out[first - 1]
+                    for row in block:
+                        np.dot(step_phi, prev, out=row)
+                        row += g
+                        prev = row
+                    # written so that NaN also counts as divergence
+                    bad = np.flatnonzero(~(np.max(np.abs(block), axis=1) <= DIVERGENCE_LIMIT))
+                    if bad.size:
+                        end = first + int(bad[0]) + 1
+                        return IntegrationResult(times=times[:end], states=out[:end], diverged=True)
+            k = last
     return IntegrationResult(times=times, states=out, diverged=False)

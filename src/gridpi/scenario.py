@@ -27,6 +27,7 @@ import numpy as np
 from . import analysis as analysismod
 from . import control as ctrlmod
 from . import graph as graphmod
+from . import numerics
 from . import sysmodel
 
 log = logging.getLogger("gridpi.scenario")
@@ -135,6 +136,13 @@ def _int(path, lineno, token, what):
         raise ParseError(path, lineno, f"{what}: expected an integer, got {token!r}") from None
 
 
+def _edge_error(path, where, exc, what):
+    """ParseError at the line of the edge that graph.EdgeError exc rejects;
+    where holds (lineno, bus id, bus id) per edge in the order given."""
+    lineno, a, b = where[exc.index]
+    return ParseError(path, lineno, f"{what}: edge {a} {b} {exc.reason}")
+
+
 def _bus_index(path, lineno, loaded, token, what):
     """Model index of the file bus id in token; unknown ids fail at path:lineno."""
     try:
@@ -209,7 +217,7 @@ def load_network(path) -> LoadedNetwork:
         rows.append(values)
 
     index = {bus_id: k for k, bus_id in enumerate(bus_ids)}
-    lines = []
+    lines, where = [], []
     for lineno, text in sections.get("lines", []):
         tokens = text.split()
         if len(tokens) != 3:
@@ -220,6 +228,7 @@ def load_network(path) -> LoadedNetwork:
                 raise ParseError(path, lineno, f"line references unknown bus id {bus_id}")
         b = _float(path, lineno, tokens[2], "susceptance_s")
         lines.append((index[ids[0]], index[ids[1]], b))
+        where.append((lineno, *ids))
 
     try:
         net = sysmodel.PowerNetwork(
@@ -230,6 +239,8 @@ def load_network(path) -> LoadedNetwork:
             lines=tuple(lines),
             omega_ref=TWO_PI * freq_hz,
         )
+    except graphmod.EdgeError as exc:
+        raise _edge_error(path, where, exc, "lines") from exc
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
     return LoadedNetwork(path=path, net=net, bus_ids=tuple(bus_ids))
@@ -344,7 +355,7 @@ def load_scenario(path) -> Scenario:
         if topo == "same-as-grid":
             comm = loaded.net.coupling_graph()
         elif topo == "edges":
-            edges = []
+            edges, where = [], []
             for lineno, text in sections.get("comm_edges", []):
                 tokens = text.split()
                 if len(tokens) != 3:
@@ -352,10 +363,11 @@ def load_scenario(path) -> Scenario:
                 i = _bus_index(path, lineno, loaded, tokens[0], "comm_edges")
                 j = _bus_index(path, lineno, loaded, tokens[1], "comm_edges")
                 edges.append((i, j, _float(path, lineno, tokens[2], "weight")))
+                where.append((lineno, loaded.bus_ids[i], loaded.bus_ids[j]))
             try:
                 comm = graphmod.WeightedGraph(n, tuple(edges))
-            except ValueError as exc:
-                raise ParseError(path, 0, f"comm_edges: {exc}") from exc
+            except graphmod.EdgeError as exc:
+                raise _edge_error(path, where, exc, "comm_edges") from exc
         else:
             raise ParseError(path, topo_line, f"comm_topology must be same-as-grid or edges, got {topo!r}")
     else:
@@ -524,6 +536,24 @@ def _override(value, default, what):
     return value
 
 
+def _check_step(stability: analysismod.StabilityReport, h: float):
+    """Refuse a step at which RK4 does not damp every mode that the
+    stability check counts as decaying (Re lam < -STABILITY_TOL * scale)."""
+    lam = stability.spectrum.eigenvalues
+    lam = lam[lam.real < -analysismod.STABILITY_TOL * stability.scale]
+    mult = np.abs(numerics.rk4_multiplier(h * lam))
+    if np.all(mult < 1.0):
+        return
+    ok = h / 2.0
+    # ends: a small enough step damps every mode with Re lam < 0
+    while np.any(np.abs(numerics.rk4_multiplier(ok * lam)) >= 1.0):
+        ok /= 2.0
+    worst = int(np.argmax(mult))
+    raise ValueError(f"step {h:g} s is outside the RK4 stability region: mode lambda = "
+                     f"{complex(lam[worst]):.6g} 1/s has |R(h lambda)| = {mult[worst]:.6g} >= 1; "
+                     f"a step of {ok:g} s passes")
+
+
 def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
                  step=None) -> ScenarioResult:
     """Simulate the scenario and check settling against the predicted target.
@@ -537,6 +567,7 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
     h = _override(step, scn.step, "step")
 
     report = analyze_scenario(scn)
+    _check_step(report.stability, h)
     ctrl = report.controller
 
     x0 = analysismod.stationary_state(net, ctrl)
@@ -615,9 +646,11 @@ def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
         blocks.append(trace.states[picks][:, loop.state_layout["z"]])
     table = np.hstack(blocks)
 
+    # one % per row; rows are boxed one at a time, since a whole-table
+    # tolist() would hold every value as a Python float at once
+    line = ",".join([CSV_FORMAT] * table.shape[1])
     rows = [",".join(columns)]
-    for row in table:
-        rows.append(",".join(CSV_FORMAT % value for value in row))
+    rows.extend(line % tuple(row.tolist()) for row in table)
     _atomic_write(path, "\n".join(rows) + "\n")
     log.info("wrote %d samples to %s", len(picks), path)
     return path

@@ -11,7 +11,7 @@ from gridpi import (
     integrate_rk4,
     numerical_rank,
 )
-from gridpi.numerics import DIVERGENCE_LIMIT
+from gridpi.numerics import _CHECK_BLOCK, DIVERGENCE_LIMIT, _rk4_map, rk4_multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +213,83 @@ def test_integrator_matches_a_plain_stage_loop():
     assert out.diverged and second.shape[0] < 98
     assert out.states.shape == plain.shape and out.times[-1] > 0.25
     _close(out.states, plain)
+
+    # Divergence is tested once per block of rows; the trace must still end
+    # at the first bad row.  x' = lam x grows by R = rk4_multiplier(h lam)
+    # per step (h a power of two keeps the time grid exact), and x0 puts the
+    # first crossing of DIVERGENCE_LIMIT half a step's growth past `row`.
+    lam, h = 2.0, 1.0 / 128.0
+    mat, zero = np.array([[lam]]), np.zeros(1)
+    grow = rk4_multiplier(h * lam)
+    block = _CHECK_BLOCK
+    for row in (block - 1, block, block + 1):
+        x0 = np.array([DIVERGENCE_LIMIT / grow ** (row - 0.5)])
+        out = _rk4(mat, zero, x0, 3 * block * h, h)
+        plain = _plain_rk4(mat, zero, x0, np.arange(3 * block + 1) * h)
+        assert out.diverged and plain.shape == (row + 1, 1)
+        assert out.states.shape == plain.shape
+        _close(out.states, plain)
+
+    # the first bad row is a shortened tail step, which runs as its own block
+    n_full, tail = block + 200, h / 2.0
+    x0 = np.array([DIVERGENCE_LIMIT / (grow ** n_full * rk4_multiplier(tail * lam) ** 0.5)])
+    out = _rk4(mat, zero, x0, n_full * h + tail, h)
+    plain = _plain_rk4(mat, zero, x0, out.times)
+    assert out.diverged and plain.shape == (n_full + 2, 1) and out.times[-1] == n_full * h + tail
+    assert out.states.shape == plain.shape
+    _close(out.states, plain)
+
+    # the first bad row ends the first block of the second segment
+    switch, row = 700, 700 + block
+    x0 = np.array([DIVERGENCE_LIMIT / grow ** (row - 0.5)])
+    nudge = 1e-3 * x0  # small forcing, so that the segments differ
+    out = integrate_rk4(mat, x0, [(0.0, nudge), (switch * h, -nudge)], 3 * block * h, h)
+    first = _plain_rk4(mat, nudge, x0, np.arange(switch + 1) * h)
+    second = _plain_rk4(mat, -nudge, first[-1], np.arange(switch, 3 * block + 1) * h)
+    plain = np.concatenate([first, second[1:]])
+    assert out.diverged and plain.shape == (row + 1, 1)
+    assert out.states.shape == plain.shape
+    _close(out.states, plain)
+
+    # after the first bad row the rest of its block overflows to inf and
+    # then NaN (phi mixes signs); that must neither leak a warning nor
+    # move the truncation
+    mat, zero = 800.0 * np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2)
+    out = _rk4(mat, zero, np.array([1.0, 0.0]), 300 * h, h)
+    plain = _plain_rk4(mat, zero, np.array([1.0, 0.0]), np.arange(301) * h)
+    assert out.diverged and plain.shape == (6, 2)
+    assert out.states.shape == plain.shape
+    _close(out.states, plain)
+
+    # a first bad row that is itself non-finite: overflow to inf, and NaN
+    for x0 in (np.array([1e308, -1e308]), np.array([np.nan, 0.0])):
+        out = _rk4(mat, zero, x0, 300 * h, h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = _plain_rk4(mat, zero, x0, np.arange(301) * h)
+        assert out.diverged and out.states.shape == plain.shape == (2, 2)
+        assert not np.any(np.isfinite(out.states[-1]))
+
+
+def test_integrator_is_the_step_map_loop():
+    # several blocks without divergence: bit-identical to x -> phi @ x + g
+    rng = np.random.default_rng(7)
+    n, h, steps = 6, 0.01, 2 * _CHECK_BLOCK + 300
+    mat = rng.normal(size=(n, n)) - 3.0 * np.eye(n)
+    offset, x = rng.normal(size=n), rng.normal(size=n)
+    out = _rk4(mat, offset, x, steps * h, h)
+    assert not out.diverged and out.states.shape == (steps + 1, n)
+    phi, s = _rk4_map(mat, h)
+    g = h * (s @ offset)
+    loop = [x]
+    for _ in range(steps):
+        x = phi @ x + g
+        loop.append(x)
+    assert np.array_equal(out.states, np.array(loop))
+
+
+def test_rk4_multiplier_is_the_spectrum_of_the_step_map():
+    rng = np.random.default_rng(8)
+    mat = rng.normal(size=(5, 5))
+    phi, _ = _rk4_map(mat, 0.3)
+    expected = np.sort_complex(rk4_multiplier(0.3 * np.linalg.eigvals(mat)))
+    assert_allclose(np.sort_complex(np.linalg.eigvals(phi)), expected, atol=1e-12)

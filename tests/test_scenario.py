@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gridpi
+from gridpi import scenario as scenario_mod
 from gridpi import ParseError, load_network, load_scenario, read_trace_csv, run_scenario
 from gridpi.cli import main as cli_main
 from support import bundled
@@ -112,6 +113,7 @@ def test_parse_errors_carry_file_and_line(tmp_path):
     ("2 load_kw=40.0", "2 color=red", "unknown bus field"),
     ("1 2 2.0e-7", "1 2", "expected: <bus id> <bus id> <susceptance_s>"),
     ("damping = 0.5", "dampening = 0.5", "unknown default"),
+    ("2 3 2.0e-7", "2 1 2.0e-7", "bad.grid:15: lines: edge 2 1 duplicates an earlier edge"),
 ])
 def test_network_diagnostics(tmp_path, before, after, needle):
     with pytest.raises(ParseError) as err:
@@ -188,8 +190,11 @@ def test_bundled_scenarios_load():
     ("ki = 4.0", "ki = 4.0 5.0", "expected 1 or 3 values"),
     ("horizon_s = 20.0", "horizon_s = inf", "horizon_s: expected a finite number"),
     ("4.0 3 -12.5", "4.0 3 nan", "load_delta_kw: expected a finite number"),
+    ("2 3 0.5", "2 1 0.5", "bad.scn:13: comm_edges: edge 2 1 duplicates an earlier edge"),
+    ("2 3 0.5", "3 3 0.5", "bad.scn:13: comm_edges: edge 3 3 is a self-loop"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
-        "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load"])
+        "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
+        "comm-reversed-duplicate", "comm-self-loop"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -343,6 +348,32 @@ def test_step_override_keeps_the_output_spacing(tmp_path):
     assert_allclose(np.diff(data[:, 0]), scn.output_every, rtol=1e-9)
 
 
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    scn = load_scenario(quiet_scenario(tmp_path))
+    result = run_scenario(scn, horizon=0.1, csv_path="")
+    loop = gridpi.close_loop(gridpi.swing_to_lti(scn.network.net), result.analysis.controller)
+    # subnormal, signed zero, negative, integer-valued and 17-digit values
+    special = np.array([5e-324, -2.5e-310, -0.0, 0.0, 3.0, -7.0, 2.0 ** 53,
+                        -1.0 / 3.0, 1e-300, 123456789.0, 0.1, -1e16])
+    rows = result.trace.times.shape[0]
+    trace = gridpi.SimulationTrace(
+        times=np.arange(rows, dtype=float),
+        states=np.resize(special, (rows, loop.dim)),
+        outputs=result.trace.outputs,
+        controls=np.resize(special[::-1], (rows, 3)),
+        diverged=False,
+    )
+    omega_hz = np.resize(np.roll(special, 5), (rows, 3))
+    out = tmp_path / "special.csv"
+    # a step equal to output_every writes every row
+    scenario_mod.write_trace_csv(str(out), scn, loop, trace, omega_hz, scn.output_every)
+    table = np.hstack([trace.times[:, None], omega_hz, trace.controls,
+                       trace.states[:, loop.state_layout["z"]]])
+    header = out.read_text(encoding="utf-8").split("\n", 1)[0]
+    expected = [header] + [",".join("%.17g" % value for value in row) for row in table]
+    assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
 def test_proportional_trace_has_no_integrator_columns(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path, kind="p"))
     out = tmp_path / "p.csv"
@@ -408,6 +439,29 @@ def test_cli_rejects_an_infinite_horizon_override(tmp_path, capsys):
     code = cli_main(["simulate", quiet_scenario(tmp_path), "--horizon", "inf"])
     assert code == 2
     assert "horizon must be a positive finite number" in capsys.readouterr().err
+
+
+def test_step_outside_the_rk4_stability_region_is_refused(capsys):
+    # at 0.5 s RK4 amplifies the ring's fastest decaying mode; integrated
+    # anyway, the run reached 7e16 Hz in 6 steps and ended as "not settled"
+    scn = load_scenario(bundled("ring_share.scn"))
+    with pytest.raises(ValueError, match="outside the RK4 stability region") as err:
+        run_scenario(scn, step=0.5, csv_path="")
+    assert ("mode lambda = -124.572+0j 1/s has |R(h lambda)| = 588728 >= 1; "
+            "a step of 0.015625 s passes") in str(err.value)
+    # the suggested step is the largest halving that passes ...
+    with pytest.raises(ValueError, match="outside the RK4 stability region"):
+        run_scenario(scn, step=0.03125, csv_path="")
+    # ... and tracks the scenario's own 2 ms step
+    coarse = run_scenario(scn, step=0.015625, horizon=20.0, csv_path="")
+    fine = run_scenario(scn, horizon=20.0, csv_path="")
+    assert not coarse.trace.diverged
+    assert_allclose(coarse.omega_hz[-1], fine.omega_hz[-1], atol=1e-6)
+
+    assert cli_main(["simulate", bundled("ring_share.scn"), "--step", "0.5", "--output", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a step of 0.015625 s passes" in captured.err
 
 
 def test_cli_missing_file_exits_two(tmp_path, capsys):
