@@ -30,7 +30,7 @@ from . import graph as graphmod
 from . import numerics
 from . import sysmodel
 
-# Marginal-mode and unobservability tolerance (relative to the matrix scale).
+# Decay margin and zero-mode band of the stability check (relative to the matrix scale).
 STABILITY_TOL = 1.0e-8
 # How negative lambda_min(sym(Lk Lc)) may be before the bound's precondition
 # is declared violated (relative to the product's own scale).
@@ -82,13 +82,16 @@ def xi_rank_test(sys: sysmodel.LtiSystem, ki) -> XiRankResult:
 @dataclass(frozen=True)
 class ZeroMode:
     eigenvalue: complex
-    eigenvector: np.ndarray
     observable: bool
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    spectrum: numerics.Spectrum
+    """Outcome of output_stability_check.  eigenvalues is the spectrum of
+    the loop matrix from its unobservable and observable blocks, sorted as
+    numerics.eigen sorts; zero_modes are those with |lam| < tol * scale."""
+
+    eigenvalues: np.ndarray
     zero_modes: tuple
     output_stable: bool
     max_real_part_excluding_zero_modes: float
@@ -108,7 +111,7 @@ def _right_singular(mat: np.ndarray):
 
 def unobservable_subspace(a: np.ndarray, c: np.ndarray, rel_tol: float = numerics.RANK_REL_TOL,
                           *, scale: float = None):
-    """Largest a-invariant subspace contained in the kernel of c.
+    """Largest a-invariant subspace in the kernel of c, and its complement.
 
     This is the null space of the observability map of (a, c), computed by
     shrinking a kernel basis B until it is invariant, which avoids forming
@@ -117,8 +120,9 @@ def unobservable_subspace(a: np.ndarray, c: np.ndarray, rel_tol: float = numeric
     has the singular values and right singular vectors of the residual
     (I - B B^T) a B at (n - k) x k instead of n x k.  Directions with
     singular values above rel_tol * scale leave B for W.  scale defaults
-    to max(||a||_2, 1).  Returns an orthonormal basis (n, k); k = 0 means
-    every mode is observable.
+    to max(||a||_2, 1).  Returns (B, W): orthonormal bases of shapes
+    (n, k) and (n, n - k) that together span R^n; k = 0 means every mode
+    is observable.  In the basis [B W], a is block upper-triangular.
     """
     if scale is None:
         scale = max(np.linalg.norm(a, 2), 1.0)
@@ -133,50 +137,33 @@ def unobservable_subspace(a: np.ndarray, c: np.ndarray, rel_tol: float = numeric
             break
         comp = np.hstack([comp, basis @ vt[:drop].T])
         basis = basis @ vt[drop:].T
-    return basis
+    return basis, comp
 
 
 def output_stability_check(cl: sysmodel.ClosedLoop, tol: float = STABILITY_TOL) -> StabilityReport:
-    """Eigenvalue test: stable iff every marginal/unstable mode is unobservable.
+    """Eigenvalue test: stable iff every observable mode decays.
 
-    A mode (lam, v) with Re lam >= -tol*scale counts as unobservable when
-    the output selector annihilates v and v lies in the unobservable
-    subspace.  Eigenvalues with |lam| < tol*scale are reported separately
-    as zero modes with their observability.
+    The unobservable subspace B is invariant, so in the basis [B W] the
+    loop matrix E is block upper-triangular: the eigenvalues of B^T E B
+    are the unobservable modes and those of W^T E W the observable ones,
+    found without eigenvectors.  Stable iff every observable eigenvalue
+    has Re lam < -tol * scale.  Eigenvalues with |lam| < tol * scale are
+    reported as zero modes, marked observable by their block.
     """
     e = cl.system_matrix
-    c = cl.output_selector
-    spectrum = numerics.eigen(e)
     scale = max(np.linalg.norm(e, 2), 1.0)
-    basis = unobservable_subspace(e, c, scale=scale)
-
-    def _unobservable(vec):
-        nrm = np.linalg.norm(vec)
-        if np.linalg.norm(c @ vec) > tol * nrm:
-            return False
-        if basis.shape[1] == 0:
-            return False
-        resid = vec - basis @ (basis.T @ vec)
-        return np.linalg.norm(resid) <= tol * nrm
-
-    zero_modes = []
-    stable = True
-    max_real = -math.inf
-    for idx, lam in enumerate(spectrum.eigenvalues):
-        vec = spectrum.right_vectors[:, idx]
-        is_zero = abs(lam) < tol * scale
-        if is_zero:
-            zero_modes.append(ZeroMode(eigenvalue=complex(lam), eigenvector=vec,
-                                       observable=not _unobservable(vec)))
-        else:
-            max_real = max(max_real, float(lam.real))
-        if lam.real >= -tol * scale and not _unobservable(vec):
-            stable = False
+    basis, comp = unobservable_subspace(e, cl.output_selector, scale=scale)
+    hidden = np.linalg.eigvals(basis.T @ e @ basis)
+    seen = np.linalg.eigvals(comp.T @ e @ comp)
+    lam = np.concatenate([hidden, seen])
+    order = np.lexsort((-lam.imag, -lam.real))
+    lam, observable = lam[order], order >= hidden.size
+    zero = np.abs(lam) < tol * scale
     return StabilityReport(
-        spectrum=spectrum,
-        zero_modes=tuple(zero_modes),
-        output_stable=stable,
-        max_real_part_excluding_zero_modes=max_real,
+        eigenvalues=lam,
+        zero_modes=tuple(ZeroMode(complex(z), bool(o)) for z, o in zip(lam[zero], observable[zero])),
+        output_stable=bool(np.all(seen.real < -tol * scale)),
+        max_real_part_excluding_zero_modes=float(np.max(lam.real[~zero], initial=-math.inf)),
         scale=scale,
     )
 

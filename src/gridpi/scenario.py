@@ -20,7 +20,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,11 +188,12 @@ def load_network(path) -> LoadedNetwork:
         if freq_hz <= 0.0:
             raise ParseError(path, lineno, "frequency_hz must be positive")
 
-    defaults = {"load_kw": 0.0}
+    # bus values are kept as (value, lineno) so that a rejected one can be located
+    defaults = {"load_kw": (0.0, 0)}
     for key, (value, lineno) in _kv_lines(path, sections.get("defaults", [])).items():
         if key not in _BUS_KEYS:
             raise ParseError(path, lineno, f"unknown default {key!r} (expected one of {_BUS_KEYS})")
-        defaults[key] = _float(path, lineno, value, key)
+        defaults[key] = (_float(path, lineno, value, key), lineno)
 
     if "buses" not in sections or not sections["buses"]:
         raise ParseError(path, 0, "network file needs a non-empty [buses] section")
@@ -209,7 +210,7 @@ def load_network(path) -> LoadedNetwork:
             key, value = token.split("=", 1)
             if key not in _BUS_KEYS:
                 raise ParseError(path, lineno, f"unknown bus field {key!r}")
-            values[key] = _float(path, lineno, value, key)
+            values[key] = (_float(path, lineno, value, key), lineno)
         for key in _BUS_KEYS:
             if key not in values:
                 raise ParseError(path, lineno, f"bus {bus_id} is missing {key!r} (no default given)")
@@ -232,15 +233,20 @@ def load_network(path) -> LoadedNetwork:
 
     try:
         net = sysmodel.PowerNetwork(
-            inertia=np.array([row["inertia"] for row in rows]),
-            damping=np.array([row["damping"] for row in rows]),
-            voltage=np.array([1.0e3 * row["voltage_kv"] for row in rows]),
-            power=np.array([-1.0e3 * row["load_kw"] for row in rows]),
+            inertia=np.array([row["inertia"][0] for row in rows]),
+            damping=np.array([row["damping"][0] for row in rows]),
+            voltage=np.array([1.0e3 * row["voltage_kv"][0] for row in rows]),
+            power=np.array([-1.0e3 * row["load_kw"][0] for row in rows]),
             lines=tuple(lines),
             omega_ref=TWO_PI * freq_hz,
         )
     except graphmod.EdgeError as exc:
         raise _edge_error(path, where, exc, "lines") from exc
+    except sysmodel.BusValueError as exc:
+        key = "voltage_kv" if exc.name == "voltage" else exc.name
+        value, lineno = rows[exc.index][key]
+        raise ParseError(path, lineno, f"{key} of bus {bus_ids[exc.index]} must be "
+                         f"strictly positive, got {value:g}") from exc
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
     return LoadedNetwork(path=path, net=net, bus_ids=tuple(bus_ids))
@@ -483,16 +489,14 @@ def _resolve_controller(scn: Scenario):
 
 def _power_stages(scn: Scenario):
     """Piecewise-constant net-injection vectors: [(t_start, power), ...]."""
-    base = scn.network.net.power.copy()
-    stages = [(0.0, base.copy())]
-    current = base.copy()
+    current = scn.network.net.power.copy()
+    stages = [(0.0, current)]
     for t, bus, delta_w in scn.schedule:
         current = current.copy()
         current[bus] += delta_w
         if stages[-1][0] == t:
-            stages[-1] = (t, current.copy())
-        else:
-            stages.append((t, current.copy()))
+            stages.pop()
+        stages.append((t, current))
     return stages
 
 
@@ -539,7 +543,7 @@ def _override(value, default, what):
 def _check_step(stability: analysismod.StabilityReport, h: float):
     """Refuse a step at which RK4 does not damp every mode that the
     stability check counts as decaying (Re lam < -STABILITY_TOL * scale)."""
-    lam = stability.spectrum.eigenvalues
+    lam = stability.eigenvalues
     lam = lam[lam.real < -analysismod.STABILITY_TOL * stability.scale]
     mult = np.abs(numerics.rk4_multiplier(h * lam))
     if np.all(mult < 1.0):

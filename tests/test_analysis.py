@@ -28,7 +28,7 @@ from gridpi import (
     swing_to_lti,
     xi_rank_test,
 )
-from gridpi.analysis import unobservable_subspace
+from gridpi.analysis import STABILITY_TOL, unobservable_subspace
 from support import random_dist_controller, random_network, two_bus_network
 
 
@@ -72,13 +72,15 @@ def test_rank_test_validates_gains():
 def test_unobservable_subspace_empty_when_observable():
     a = np.array([[0.0, 1.0], [-2.0, -3.0]])
     c = np.array([[1.0, 0.0]])
-    assert unobservable_subspace(a, c).shape == (2, 0)
+    basis, comp = unobservable_subspace(a, c)
+    assert basis.shape == (2, 0)
+    assert comp.shape == (2, 2)
 
 
 def test_unobservable_subspace_finds_a_decoupled_mode():
     a = np.diag([-1.0, -2.0])
     c = np.array([[1.0, 0.0]])
-    basis = unobservable_subspace(a, c)
+    basis, _ = unobservable_subspace(a, c)
     assert basis.shape == (2, 1)
     assert_allclose(np.abs(basis[:, 0]), [0.0, 1.0], atol=1e-12)
 
@@ -88,7 +90,7 @@ def test_unobservable_subspace_shrinks_past_non_invariant_kernels():
     a = np.zeros((3, 3))
     a[0, 1] = 1.0
     c = np.array([[1.0, 0.0, 0.0]])
-    basis = unobservable_subspace(a, c)
+    basis, _ = unobservable_subspace(a, c)
     assert basis.shape == (3, 1)
     assert_allclose(np.abs(basis[:, 0]), [0.0, 0.0, 1.0], atol=1e-12)
 
@@ -115,6 +117,12 @@ def _assert_same_subspace(basis, reference):
     assert_allclose(basis @ basis.T, reference @ reference.T, rtol=0.0, atol=1e-10)
 
 
+def _assert_complement(basis, comp):
+    # [B W] is an orthogonal matrix
+    q = np.hstack([basis, comp])
+    assert_allclose(q.T @ q, np.eye(q.shape[0]), rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("dim", [0, 1, 2, 3])
 def test_unobservable_subspace_matches_the_residual_search_on_planted_subspaces(dim):
     rng = np.random.default_rng(60 + dim)
@@ -125,8 +133,9 @@ def test_unobservable_subspace_matches_the_residual_search_on_planted_subspaces(
         t[dim:, :dim] = 0.0  # span(q[:, :dim]) is invariant
         a = q @ t @ q.T
         c = rng.normal(size=(m, n - dim)) @ q[:, dim:].T
-        basis = unobservable_subspace(a, c)
+        basis, comp = unobservable_subspace(a, c)
         assert basis.shape == (n, dim)
+        _assert_complement(basis, comp)
         _assert_same_subspace(basis, _residual_subspace(a, c))
         if dim:
             planted = q[:, :dim]
@@ -145,7 +154,9 @@ def test_unobservable_subspace_matches_the_residual_search_on_swing_loops(factor
         cl = close_loop(swing_to_lti(net), ControllerSpec(
             kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling_graph()))
         e, c = cl.system_matrix, cl.output_selector
-        _assert_same_subspace(unobservable_subspace(e, c), _residual_subspace(e, c))
+        basis, comp = unobservable_subspace(e, c)
+        _assert_same_subspace(basis, _residual_subspace(e, c))
+        _assert_complement(basis, comp)
 
 
 def test_unobservable_subspace_scale_argument_is_the_default_norm():
@@ -154,7 +165,8 @@ def test_unobservable_subspace_scale_argument_is_the_default_norm():
     cl = close_loop(swing_to_lti(net), random_dist_controller(rng, net, gamma=0.3))
     e, c = cl.system_matrix, cl.output_selector
     scale = max(np.linalg.norm(e, 2), 1.0)
-    assert np.array_equal(unobservable_subspace(e, c, scale=scale), unobservable_subspace(e, c))
+    for given, default in zip(unobservable_subspace(e, c, scale=scale), unobservable_subspace(e, c)):
+        assert np.array_equal(given, default)
 
 
 def test_observable_unstable_mode_fails_the_check():
@@ -205,6 +217,101 @@ def test_distributed_pi_loop_has_single_marginal_mode():
     assert report.output_stable
     assert len(report.zero_modes) == 1
     assert report.max_real_part_excluding_zero_modes < 0.0
+
+
+def _per_mode_classifier(cl, tol=STABILITY_TOL):
+    """Reference: the per-eigenvector classifier that the block split replaced.
+
+    A mode counts as unobservable when c annihilates its right eigenvector
+    and the eigenvector lies in the unobservable subspace.  Returns
+    (output_stable, zero modes, observable zero modes, max Re at %.6g).
+    """
+    e, c = cl.system_matrix, cl.output_selector
+    spectrum = eigen(e)
+    scale = max(np.linalg.norm(e, 2), 1.0)
+    basis, _ = unobservable_subspace(e, c, scale=scale)
+
+    def unobservable(vec):
+        nrm = np.linalg.norm(vec)
+        if np.linalg.norm(c @ vec) > tol * nrm or basis.shape[1] == 0:
+            return False
+        return np.linalg.norm(vec - basis @ (basis.T @ vec)) <= tol * nrm
+
+    stable, zero_observable, max_real = True, [], -math.inf
+    for lam, vec in zip(spectrum.eigenvalues, spectrum.right_vectors.T):
+        if abs(lam) < tol * scale:
+            zero_observable.append(not unobservable(vec))
+        else:
+            max_real = max(max_real, float(lam.real))
+        if lam.real >= -tol * scale and not unobservable(vec):
+            stable = False
+    return stable, len(zero_observable), sum(zero_observable), "%.6g" % max_real
+
+
+def _classified(cl):
+    report = output_stability_check(cl)
+    return (report.output_stable, len(report.zero_modes),
+            sum(mode.observable for mode in report.zero_modes),
+            "%.6g" % report.max_real_part_excluding_zero_modes)
+
+
+@pytest.mark.parametrize("factor", [1.0e-2, 0.5, 0.99, 2.0, 1.0e3, 1.0e5, 1.0e7])
+def test_block_split_gives_the_per_mode_verdicts_on_distributed_loops(factor):
+    # from well inside the certified bound to where the norm-relative
+    # zero-mode band saturates and the check says unstable
+    rng = np.random.default_rng(63)
+    for _ in range(8):
+        net = random_network(rng)
+        ctrl = random_dist_controller(rng, net)
+        gamma = factor * gamma_bar(net, ctrl).gamma_bar
+        cl = close_loop(swing_to_lti(net), ControllerSpec(
+            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling_graph()))
+        assert _classified(cl) == _per_mode_classifier(cl)
+
+
+@pytest.mark.parametrize("kind", [P, DEC_PI])
+def test_block_split_gives_the_per_mode_verdicts_on_p_and_decentralized_loops(kind):
+    rng = np.random.default_rng(64)
+    for _ in range(8):
+        net = random_network(rng)
+        n = net.n_buses
+        ki = rng.uniform(0.5, 5.0, n) if kind == DEC_PI else None
+        cl = close_loop(swing_to_lti(net), ControllerSpec(
+            kind=kind, kp=rng.uniform(0.5, 5.0, n), ki=ki))
+        assert _classified(cl) == _per_mode_classifier(cl)
+
+
+def test_report_eigenvalues_are_the_spectrum_sorted_as_eigen_sorts():
+    rng = np.random.default_rng(66)
+    for _ in range(5):
+        net = random_network(rng)
+        cl = close_loop(swing_to_lti(net), random_dist_controller(rng, net, gamma=0.3))
+        report = output_stability_check(cl)
+        lam = report.eigenvalues
+        assert np.array_equal(np.lexsort((-lam.imag, -lam.real)), np.arange(lam.size))
+        assert_allclose(lam, eigen(cl.system_matrix).eigenvalues, rtol=0.0, atol=1e-9 * report.scale)
+
+
+def test_uniform_angle_mode_stays_unobservable_among_slow_consensus_modes():
+    # At 1e-6 * gamma_bar the consensus modes are slow enough to fall in
+    # the zero-mode band around the uniform-angle mode.  Their eigenvectors
+    # mix with it, so _per_mode_classifier can call every zero mode
+    # observable; the block split keeps the uniform-angle mode in B.
+    rng = np.random.default_rng(65)
+    for _ in range(6):
+        net = random_network(rng)
+        ctrl = random_dist_controller(rng, net)
+        gamma = 1.0e-6 * gamma_bar(net, ctrl).gamma_bar
+        cl = close_loop(swing_to_lti(net), ControllerSpec(
+            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling_graph()))
+        uniform = np.zeros(cl.dim)
+        uniform[cl.state_layout["delta"]] = 1.0 / math.sqrt(net.n_buses)
+        basis, _ = unobservable_subspace(cl.system_matrix, cl.output_selector)
+        assert np.linalg.norm(uniform - basis @ (basis.T @ uniform)) < 1e-10
+        report = output_stability_check(cl)
+        assert len(report.zero_modes) > 1
+        assert any(not mode.observable and abs(mode.eigenvalue) < 1e-12 * report.scale
+                   for mode in report.zero_modes)
 
 
 @settings(max_examples=100, deadline=None)

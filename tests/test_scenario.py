@@ -1,5 +1,7 @@
 """Network/scenario file parsing, orchestration, CSV traces, and the CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from gridpi.cli import main as cli_main
 from support import bundled
 
 TWO_PI = 2.0 * np.pi
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(path, text):
@@ -114,6 +117,10 @@ def test_parse_errors_carry_file_and_line(tmp_path):
     ("1 2 2.0e-7", "1 2", "expected: <bus id> <bus id> <susceptance_s>"),
     ("damping = 0.5", "dampening = 0.5", "unknown default"),
     ("2 3 2.0e-7", "2 1 2.0e-7", "bad.grid:15: lines: edge 2 1 duplicates an earlier edge"),
+    ("3 inertia=4.0", "3 inertia=-1.0", "bad.grid:12: inertia of bus 3 must be strictly positive, got -1"),
+    ("damping = 0.5", "damping = 0.0", "bad.grid:6: damping of bus 1 must be strictly positive, got 0"),
+    ("voltage_kv = 10.0", "voltage_kv = -10.0",
+     "bad.grid:7: voltage_kv of bus 1 must be strictly positive, got -10"),
 ])
 def test_network_diagnostics(tmp_path, before, after, needle):
     with pytest.raises(ParseError) as err:
@@ -412,6 +419,17 @@ def test_cli_analyze_negative_verdict_exits_one(tmp_path, capsys):
     assert code == 1
     assert "rank test" in out
     assert "verdict: negative" in out
+
+
+@pytest.mark.parametrize("name, status", [
+    ("ring_share", 0), ("dist30_step", 0), ("dec30_bias", 1),
+])
+def test_cli_analyze_output_of_the_bundled_scenarios_is_pinned(capsys, name, status):
+    # the README quotes these lines; tests/golden holds them byte for byte
+    code = cli_main(["analyze", bundled(f"{name}.scn")])
+    golden = (GOLDEN / f"analyze_{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    assert code == status
 
 
 def test_cli_rank_test(capsys):
