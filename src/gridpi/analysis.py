@@ -32,6 +32,9 @@ from . import sysmodel
 
 # Decay margin and zero-mode band of the stability check (relative to the matrix scale).
 STABILITY_TOL = 1.0e-8
+# gamma_star_search: doublings before giving up, and the bisection's relative width.
+_MAX_DOUBLINGS = 80
+_SEARCH_REL_TOL = 1.0e-6
 # How negative lambda_min(sym(Lk Lc)) may be before the bound's precondition
 # is declared violated (relative to the product's own scale).
 PRECONDITION_REL_TOL = 1.0e-9
@@ -89,7 +92,7 @@ class ZeroMode:
 class StabilityReport:
     """Outcome of output_stability_check.  eigenvalues is the spectrum of
     the loop matrix from its unobservable and observable blocks, sorted as
-    numerics.eigen sorts; zero_modes are those with |lam| < tol * scale."""
+    numerics.eigen sorts; zero_modes are those with |lam| < STABILITY_TOL * scale."""
 
     eigenvalues: np.ndarray
     zero_modes: tuple
@@ -109,8 +112,7 @@ def _right_singular(mat: np.ndarray):
     return sing, vt
 
 
-def unobservable_subspace(a: np.ndarray, c: np.ndarray, rel_tol: float = numerics.RANK_REL_TOL,
-                          *, scale: float = None):
+def unobservable_subspace(a: np.ndarray, c: np.ndarray, *, scale: float = None):
     """Largest a-invariant subspace in the kernel of c, and its complement.
 
     This is the null space of the observability map of (a, c), computed by
@@ -119,20 +121,21 @@ def unobservable_subspace(a: np.ndarray, c: np.ndarray, rel_tol: float = numeric
     of B is kept alongside, so each step takes the SVD of W^T a B, which
     has the singular values and right singular vectors of the residual
     (I - B B^T) a B at (n - k) x k instead of n x k.  Directions with
-    singular values above rel_tol * scale leave B for W.  scale defaults
-    to max(||a||_2, 1).  Returns (B, W): orthonormal bases of shapes
-    (n, k) and (n, n - k) that together span R^n; k = 0 means every mode
-    is observable.  In the basis [B W], a is block upper-triangular.
+    singular values above numerics.RANK_REL_TOL * scale leave B for W.
+    scale defaults to max(||a||_2, 1).  Returns (B, W): orthonormal bases
+    of shapes (n, k) and (n, n - k) that together span R^n; k = 0 means
+    every mode is observable.  In the basis [B W], a is block
+    upper-triangular.
     """
     if scale is None:
         scale = max(np.linalg.norm(a, 2), 1.0)
     sing, vt = _right_singular(c)
     # the cutoff is relative to max(||c||_2, 1); ||c||_2 is sing[0]
-    rank = int(np.count_nonzero(sing > rel_tol * np.max(sing, initial=1.0)))
+    rank = int(np.count_nonzero(sing > numerics.RANK_REL_TOL * np.max(sing, initial=1.0)))
     comp, basis = vt[:rank].T, vt[rank:].T
     while basis.shape[1] > 0:
         sing, vt = _right_singular(comp.T @ (a @ basis))
-        drop = int(np.count_nonzero(sing > rel_tol * scale))
+        drop = int(np.count_nonzero(sing > numerics.RANK_REL_TOL * scale))
         if drop == 0:
             break
         comp = np.hstack([comp, basis @ vt[:drop].T])
@@ -140,15 +143,16 @@ def unobservable_subspace(a: np.ndarray, c: np.ndarray, rel_tol: float = numeric
     return basis, comp
 
 
-def output_stability_check(cl: sysmodel.ClosedLoop, tol: float = STABILITY_TOL) -> StabilityReport:
+def output_stability_check(cl: sysmodel.ClosedLoop) -> StabilityReport:
     """Eigenvalue test: stable iff every observable mode decays.
 
     The unobservable subspace B is invariant, so in the basis [B W] the
     loop matrix E is block upper-triangular: the eigenvalues of B^T E B
     are the unobservable modes and those of W^T E W the observable ones,
     found without eigenvectors.  Stable iff every observable eigenvalue
-    has Re lam < -tol * scale.  Eigenvalues with |lam| < tol * scale are
-    reported as zero modes, marked observable by their block.
+    has Re lam < -STABILITY_TOL * scale.  Eigenvalues with
+    |lam| < STABILITY_TOL * scale are reported as zero modes, marked
+    observable by their block.
     """
     e = cl.system_matrix
     scale = max(np.linalg.norm(e, 2), 1.0)
@@ -158,11 +162,11 @@ def output_stability_check(cl: sysmodel.ClosedLoop, tol: float = STABILITY_TOL) 
     lam = np.concatenate([hidden, seen])
     order = np.lexsort((-lam.imag, -lam.real))
     lam, observable = lam[order], order >= hidden.size
-    zero = np.abs(lam) < tol * scale
+    zero = np.abs(lam) < STABILITY_TOL * scale
     return StabilityReport(
         eigenvalues=lam,
         zero_modes=tuple(ZeroMode(complex(z), bool(o)) for z, o in zip(lam[zero], observable[zero])),
-        output_stable=bool(np.all(seen.real < -tol * scale)),
+        output_stable=bool(np.all(seen.real < -STABILITY_TOL * scale)),
         max_real_part_excluding_zero_modes=float(np.max(lam.real[~zero], initial=-math.inf)),
         scale=scale,
     )
@@ -176,18 +180,14 @@ def output_stability_check(cl: sysmodel.ClosedLoop, tol: float = STABILITY_TOL) 
 class GammaBound:
     """Largest gamma for which the coefficient conditions provably hold.
 
-    The three reported values are the coefficient bounds evaluated at
-    gamma_bar.  evaluate() gives them at any gamma; the conditions are
-    a1_lower > 0, a2_lower > 0 and a0a3_upper < a1_lower * a2_lower.
-    gamma_bar may be inf when the bound never becomes active (it is a
-    sufficient condition, typically very conservative).
+    evaluate() gives the coefficient bounds (a1_lower, a2_lower,
+    a0a3_upper) at any gamma; the conditions are a1_lower > 0,
+    a2_lower > 0 and a0a3_upper < a1_lower * a2_lower.  gamma_bar may be
+    inf when the bound never becomes active (it is a sufficient
+    condition, typically very conservative).
     """
 
     gamma_bar: float
-    a1_lower: float
-    a2_lower: float
-    a1a2_lower: float
-    a0a3_upper: float
     # primitive scalars of the bounds: a1_lower = alpha*g + kappa1, etc.
     alpha: float
     beta: float
@@ -217,9 +217,10 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     conditions on the quadratic forms of the characteristic polynomial.
 
     Precondition: x^T Lk Lc x >= 0 for all x, checked as
-    lambda_min(sym(Lk Lc)) >= -tol; choosing the communication Laplacian
-    proportional to the electrical one satisfies it.  The returned
-    gamma_bar is verified on a 100-point grid before being handed back.
+    lambda_min(sym(Lk Lc)) >= -PRECONDITION_REL_TOL * scale; choosing the
+    communication Laplacian proportional to the electrical one satisfies
+    it.  The returned gamma_bar is verified on a 100-point grid (with
+    GammaBound.evaluate) before being handed back.
     """
     lap_k, lap_c = _laplacians(net, ctrl)
     prod_sym = _sym(lap_k @ lap_c)
@@ -260,30 +261,19 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     elif qb < 0.0:
         candidates.append(-qc / qb)
 
-    bound = min(candidates) if candidates else math.inf
-
-    if math.isfinite(bound):
-        grid = bound * np.arange(1, 101) / 101.0
-        a1g = alpha * grid + kappa1
-        a2g = beta * grid + kappa2
-        if not (np.all(a1g > 0.0) and np.all(a2g > 0.0) and np.all(sigma * grid < a1g * a2g)):
-            raise RuntimeError("gamma_bar failed its own grid verification")
-        a1b, a2b, a0a3b = alpha * bound + kappa1, beta * bound + kappa2, sigma * bound
-    else:
-        a1b, a2b, a0a3b = kappa1, kappa2, 0.0
-
-    return GammaBound(
-        gamma_bar=float(bound),
-        a1_lower=float(a1b),
-        a2_lower=float(a2b),
-        a1a2_lower=float(a1b * a2b),
-        a0a3_upper=float(a0a3b),
+    result = GammaBound(
+        gamma_bar=float(min(candidates)) if candidates else math.inf,
         alpha=alpha,
         beta=beta,
         sigma=sigma,
         kappa1=kappa1,
         kappa2=kappa2,
     )
+    if math.isfinite(result.gamma_bar):
+        a1g, a2g, a0a3g = result.evaluate(result.gamma_bar * np.arange(1, 101) / 101.0)
+        if not (np.all(a1g > 0.0) and np.all(a2g > 0.0) and np.all(a0a3g < a1g * a2g)):
+            raise RuntimeError("gamma_bar failed its own grid verification")
+    return result
 
 
 def stability_cubic(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
@@ -308,14 +298,14 @@ def stability_cubic(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
     return a3, a2, a1, a0
 
 
-def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
-                      lo: float = None, rel_tol: float = 1.0e-6,
-                      max_doublings: int = 80) -> float:
+def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> float:
     """Empirical stability threshold in gamma by doubling plus bisection.
 
     Comparison tool only: assumes a single stable-to-unstable crossing.
-    Returns the largest gamma found to pass the eigenvalue check (inf if no
-    instability shows up within max_doublings doublings).
+    Starts at gamma_bar (at 1 when gamma_bar is inf), doubles until the
+    eigenvalue check fails and bisects to _SEARCH_REL_TOL relative width.
+    Returns the largest gamma found to pass the check (inf if no
+    instability shows up within _MAX_DOUBLINGS doublings).
 
     Loops that stay stable for every gamma eventually defeat the
     classifier: once gamma dwarfs the machine dynamics, the norm-relative
@@ -329,14 +319,13 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
         cl = sysmodel.close_loop(sys, replace(ctrl, gamma=float(gamma)))
         return output_stability_check(cl).output_stable
 
-    if lo is None:
-        gb = gamma_bar(net, ctrl).gamma_bar
-        lo = gb if math.isfinite(gb) else 1.0
+    gb = gamma_bar(net, ctrl).gamma_bar
+    lo = gb if math.isfinite(gb) else 1.0
     if not _stable(lo):
         raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {lo}")
     hi = None
     probe = lo
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         probe *= 2.0
         if not _stable(probe):
             hi = probe
@@ -344,7 +333,7 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
         lo = probe
     if hi is None:
         return math.inf
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _SEARCH_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if _stable(mid):
             lo = mid
@@ -417,8 +406,7 @@ def predict_steady_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpe
     )
 
 
-def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
-                     power=None) -> np.ndarray:
+def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> np.ndarray:
     """Deviation-coordinate stationary state for a disturbance-free loop.
 
     Used as the scenario initial condition: angles from the pinned force
@@ -428,12 +416,10 @@ def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
     at; since that offset is nonzero in general, the returned point is
     stationary only up to the ever-growing uniform angle ramp along the
     marginal direction (frequencies, flows, and inputs are constant).
-    power overrides the network's net injections (pre-step loads).
     """
     n = net.n_buses
-    p = net.power if power is None else np.asarray(power, dtype=float)
     lap_k = net.coupling_laplacian()
-    rhs = p - net.damping * net.omega_ref
+    rhs = net.power - net.damping * net.omega_ref
     if ctrl.has_integrator:
         delta, consensus = _bordered_solve(lap_k, -ctrl.ki, rhs)
         return np.concatenate([delta, np.zeros(n), consensus * np.ones(n)])

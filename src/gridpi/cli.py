@@ -65,8 +65,8 @@ def _print_analysis(report):
     bits = [f"kind={ctrl.kind}", f"kp={_fmt_vec(ctrl.kp)}"]
     if ctrl.ki is not None:
         bits.append(f"ki={_fmt_vec(ctrl.ki)}")
-    if report.gamma_used is not None:
-        bits.append(f"gamma={report.gamma_used:.6g}")
+    if ctrl.gamma is not None:
+        bits.append(f"gamma={ctrl.gamma:.6g}")
     print("controller: " + "  ".join(bits))
     if report.gamma_bound is not None:
         print(f"gamma_bar = {report.gamma_bound.gamma_bar:.6g}")

@@ -62,15 +62,15 @@ def eigen(a: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=values, right_vectors=vectors)
 
 
-def numerical_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Rank by singular values: count sigma_i > rel_tol * sigma_max."""
+def numerical_rank(a: np.ndarray) -> int:
+    """Rank by singular values: count sigma_i > RANK_REL_TOL * sigma_max."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0
     sigma = np.linalg.svd(a, compute_uv=False)
     if sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+    return int(np.count_nonzero(sigma > RANK_REL_TOL * sigma[0]))
 
 
 def _rk4_map(mat: np.ndarray, h: float):

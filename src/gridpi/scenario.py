@@ -20,7 +20,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,6 +99,10 @@ def _read_sections(path):
 
 
 def _check_schema(path, top):
+    for key, (_, lineno) in top.items():
+        if key != "schema":
+            raise ParseError(path, lineno, f"unknown key {key!r} before the first section "
+                             "(only 'schema' goes there)")
     if "schema" not in top:
         raise ParseError(path, 0, "missing schema header (expected 'schema = 1')")
     value, lineno = top["schema"]
@@ -106,13 +110,16 @@ def _check_schema(path, top):
         raise ParseError(path, lineno, f"unsupported schema version {value!r} (this build reads {SCHEMA_VERSION})")
 
 
-def _kv_lines(path, entries):
-    """Interpret section lines as key = value, keeping line numbers."""
+def _kv_lines(path, entries, known, what):
+    """Interpret section lines as key = value, keeping line numbers; a key
+    outside known fails at its line as an unknown `what`."""
     out = {}
     for lineno, text in entries:
         if "=" not in text:
             raise ParseError(path, lineno, f"expected key = value, got {text!r}")
         key, value = (part.strip() for part in text.split("=", 1))
+        if key not in known:
+            raise ParseError(path, lineno, f"unknown {what} {key!r} (expected one of {known})")
         if key in out:
             raise ParseError(path, lineno, f"duplicate key {key!r}")
         out[key] = (value, lineno)
@@ -143,12 +150,13 @@ def _edge_error(path, where, exc, what):
     return ParseError(path, lineno, f"{what}: edge {a} {b} {exc.reason}")
 
 
-def _bus_index(path, lineno, loaded, token, what):
-    """Model index of the file bus id in token; unknown ids fail at path:lineno."""
-    try:
-        return loaded.index_of(_int(path, lineno, token, "bus id"))
-    except KeyError:
-        raise ParseError(path, lineno, f"{what}: unknown bus id {token}") from None
+def _bus_index(path, lineno, index, token, what):
+    """Model index of the file bus id in token, from the id -> index map
+    index; unknown ids fail at path:lineno."""
+    bus_id = _int(path, lineno, token, "bus id")
+    if bus_id not in index:
+        raise ParseError(path, lineno, f"{what}: unknown bus id {bus_id}")
+    return index[bus_id]
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +168,8 @@ _BUS_KEYS = ("inertia", "damping", "voltage_kv", "load_kw")
 
 @dataclass(frozen=True)
 class LoadedNetwork:
-    path: str
     net: sysmodel.PowerNetwork
     bus_ids: tuple  # file-facing bus ids, in order of appearance
-
-    def index_of(self, bus_id):
-        try:
-            return self.bus_ids.index(bus_id)
-        except ValueError:
-            raise KeyError(f"bus id {bus_id} not present in {self.path}") from None
 
 
 def load_network(path) -> LoadedNetwork:
@@ -180,7 +181,7 @@ def load_network(path) -> LoadedNetwork:
         if name not in ("network", "defaults", "buses", "lines"):
             raise ParseError(path, 0, f"unknown section [{name}] in network file")
 
-    meta = _kv_lines(path, sections.get("network", []))
+    meta = _kv_lines(path, sections.get("network", []), ("frequency_hz",), "[network] key")
     freq_hz = 50.0
     if "frequency_hz" in meta:
         value, lineno = meta["frequency_hz"]
@@ -190,9 +191,8 @@ def load_network(path) -> LoadedNetwork:
 
     # bus values are kept as (value, lineno) so that a rejected one can be located
     defaults = {"load_kw": (0.0, 0)}
-    for key, (value, lineno) in _kv_lines(path, sections.get("defaults", [])).items():
-        if key not in _BUS_KEYS:
-            raise ParseError(path, lineno, f"unknown default {key!r} (expected one of {_BUS_KEYS})")
+    for key, (value, lineno) in _kv_lines(path, sections.get("defaults", []), _BUS_KEYS,
+                                          "default").items():
         defaults[key] = (_float(path, lineno, value, key), lineno)
 
     if "buses" not in sections or not sections["buses"]:
@@ -223,13 +223,9 @@ def load_network(path) -> LoadedNetwork:
         tokens = text.split()
         if len(tokens) != 3:
             raise ParseError(path, lineno, "expected: <bus id> <bus id> <susceptance_s>")
-        ids = [_int(path, lineno, t, "bus id") for t in tokens[:2]]
-        for bus_id in ids:
-            if bus_id not in index:
-                raise ParseError(path, lineno, f"line references unknown bus id {bus_id}")
-        b = _float(path, lineno, tokens[2], "susceptance_s")
-        lines.append((index[ids[0]], index[ids[1]], b))
-        where.append((lineno, *ids))
+        i, j = (_bus_index(path, lineno, index, t, "lines") for t in tokens[:2])
+        lines.append((i, j, _float(path, lineno, tokens[2], "susceptance_s")))
+        where.append((lineno, bus_ids[i], bus_ids[j]))
 
     try:
         net = sysmodel.PowerNetwork(
@@ -249,7 +245,7 @@ def load_network(path) -> LoadedNetwork:
                          f"strictly positive, got {value:g}") from exc
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
-    return LoadedNetwork(path=path, net=net, bus_ids=tuple(bus_ids))
+    return LoadedNetwork(net=net, bus_ids=tuple(bus_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +284,10 @@ def _gain_vector(path, lineno, value, n, what):
     return values
 
 
+_SCENARIO_KEYS = ("network", "horizon_s", "step_s", "settle_tol_hz", "output_every_s")
+_CONTROLLER_KEYS = ("kind", "kp", "ki", "cost_coeffs", "gamma", "comm_topology")
+
+
 def load_scenario(path) -> Scenario:
     """Parse and cross-validate a scenario file (loads its network too)."""
     path = os.fspath(path)
@@ -298,13 +298,14 @@ def load_scenario(path) -> Scenario:
         if name not in known:
             raise ParseError(path, 0, f"unknown section [{name}] in scenario file")
 
-    meta = _kv_lines(path, sections.get("scenario", []))
+    meta = _kv_lines(path, sections.get("scenario", []), _SCENARIO_KEYS, "[scenario] key")
     if "network" not in meta:
         raise ParseError(path, 0, "[scenario] must name a network file")
     net_value, net_line = meta["network"]
     net_path = os.path.join(os.path.dirname(os.path.abspath(path)), net_value)
     loaded = load_network(net_path)
     n = loaded.net.n_buses
+    index = {bus_id: k for k, bus_id in enumerate(loaded.bus_ids)}
 
     def _meta_float(key, default, positive=True):
         if key not in meta:
@@ -320,7 +321,7 @@ def load_scenario(path) -> Scenario:
     settle_tol = _meta_float("settle_tol_hz", DEFAULT_SETTLE_TOL)
     output_every = _meta_float("output_every_s", DEFAULT_OUTPUT_EVERY)
 
-    ctrl_kv = _kv_lines(path, sections.get("controller", []))
+    ctrl_kv = _kv_lines(path, sections.get("controller", []), _CONTROLLER_KEYS, "[controller] key")
     if "kind" not in ctrl_kv:
         raise ParseError(path, 0, "[controller] must set kind")
     kind_value, kind_line = ctrl_kv["kind"]
@@ -332,7 +333,11 @@ def load_scenario(path) -> Scenario:
     kp = _gain_vector(path, ctrl_kv["kp"][1], ctrl_kv["kp"][0], n, "kp")
 
     ki = cost = None
-    if kind != ctrlmod.P:
+    if kind == ctrlmod.P:
+        for key in ("ki", "cost_coeffs"):
+            if key in ctrl_kv:
+                raise ParseError(path, ctrl_kv[key][1], f"{key} does not apply to the p kind")
+    else:
         if "ki" in ctrl_kv and "cost_coeffs" in ctrl_kv:
             raise ParseError(path, ctrl_kv["cost_coeffs"][1], "give either ki or cost_coeffs, not both")
         if "ki" in ctrl_kv:
@@ -366,8 +371,7 @@ def load_scenario(path) -> Scenario:
                 tokens = text.split()
                 if len(tokens) != 3:
                     raise ParseError(path, lineno, "expected: <bus id> <bus id> <weight>")
-                i = _bus_index(path, lineno, loaded, tokens[0], "comm_edges")
-                j = _bus_index(path, lineno, loaded, tokens[1], "comm_edges")
+                i, j = (_bus_index(path, lineno, index, t, "comm_edges") for t in tokens[:2])
                 edges.append((i, j, _float(path, lineno, tokens[2], "weight")))
                 where.append((lineno, loaded.bus_ids[i], loaded.bus_ids[j]))
             try:
@@ -380,6 +384,9 @@ def load_scenario(path) -> Scenario:
         for key in ("gamma", "comm_topology"):
             if key in ctrl_kv:
                 raise ParseError(path, ctrl_kv[key][1], f"{key} only applies to the dist_pi kind")
+    orphan = sections.get("comm_edges")
+    if orphan and ctrl_kv.get("comm_topology", ("",))[0] != "edges":
+        raise ParseError(path, orphan[0][0], "[comm_edges] is read only with comm_topology = edges")
 
     schedule = []
     for lineno, text in sections.get("disturbances", []):
@@ -391,7 +398,7 @@ def load_scenario(path) -> Scenario:
             raise ParseError(path, lineno, "disturbance time must be >= 0")
         if t >= horizon:
             raise ParseError(path, lineno, f"disturbance at t = {t} is beyond the horizon {horizon}")
-        bus = _bus_index(path, lineno, loaded, tokens[1], "disturbances")
+        bus = _bus_index(path, lineno, index, tokens[1], "disturbances")
         delta_kw = _float(path, lineno, tokens[2], "load_delta_kw")
         schedule.append((t, bus, -1.0e3 * delta_kw))  # consumption -> net injection
 
@@ -400,11 +407,11 @@ def load_scenario(path) -> Scenario:
         tokens = text.split()
         if len(tokens) != 2:
             raise ParseError(path, lineno, "expected: <bus id> <eta_hz>")
-        bus = _bus_index(path, lineno, loaded, tokens[0], "noise")
+        bus = _bus_index(path, lineno, index, tokens[0], "noise")
         eta[bus] = TWO_PI * _float(path, lineno, tokens[1], "eta_hz")
 
     trace_csv = None
-    out_kv = _kv_lines(path, sections.get("outputs", []))
+    out_kv = _kv_lines(path, sections.get("outputs", []), ("trace_csv",), "[outputs] key")
     if "trace_csv" in out_kv:
         trace_csv = os.path.join(os.path.dirname(os.path.abspath(path)), out_kv["trace_csv"][0])
 
@@ -434,7 +441,6 @@ def load_scenario(path) -> Scenario:
 @dataclass(frozen=True)
 class AnalysisReport:
     controller: ctrlmod.ControllerSpec
-    gamma_used: float              # None unless DIST_PI
     gamma_bound: analysismod.GammaBound   # None unless DIST_PI
     rank: analysismod.XiRankResult        # None unless DEC_PI
     stability: analysismod.StabilityReport
@@ -455,7 +461,6 @@ class AnalysisReport:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    scenario: Scenario
     analysis: AnalysisReport
     trace: sysmodel.SimulationTrace
     omega_hz: np.ndarray      # (k, n) absolute frequencies
@@ -465,26 +470,22 @@ class ScenarioResult:
 
 
 def _resolve_controller(scn: Scenario):
-    """Build the concrete ControllerSpec, resolving gamma = auto."""
-    bound = None
-    gamma = None
-    if scn.kind == ctrlmod.DIST_PI:
-        probe = ctrlmod.ControllerSpec(kind=scn.kind, kp=scn.kp, ki=scn.ki,
-                                       gamma=None, comm=scn.comm, cost=scn.cost)
-        bound = analysismod.gamma_bar(scn.network.net, probe)
-        if scn.gamma_request == "auto":
-            gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
-            log.info("gamma = auto resolved to %.6g (gamma_bar = %.6g)", gamma, bound.gamma_bar)
-        else:
-            gamma = float(scn.gamma_request)
-            if math.isfinite(bound.gamma_bar) and gamma > bound.gamma_bar:
-                log.warning("gamma = %.6g exceeds the sufficient bound %.6g; "
-                            "relying on the eigenvalue check alone", gamma, bound.gamma_bar)
-        ctrl = ctrlmod.ControllerSpec(kind=scn.kind, kp=scn.kp, ki=scn.ki,
-                                      gamma=gamma, comm=scn.comm, cost=scn.cost)
+    """The concrete ControllerSpec with gamma = auto resolved, and the
+    gamma_bar bound (None unless DIST_PI)."""
+    ctrl = ctrlmod.ControllerSpec(kind=scn.kind, kp=scn.kp, ki=scn.ki, comm=scn.comm,
+                                  cost=scn.cost)
+    if ctrl.kind != ctrlmod.DIST_PI:
+        return ctrl, None
+    bound = analysismod.gamma_bar(scn.network.net, ctrl)
+    if scn.gamma_request == "auto":
+        gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
+        log.info("gamma = auto resolved to %.6g (gamma_bar = %.6g)", gamma, bound.gamma_bar)
     else:
-        ctrl = ctrlmod.ControllerSpec(kind=scn.kind, kp=scn.kp, ki=scn.ki, cost=scn.cost)
-    return ctrl, gamma, bound
+        gamma = float(scn.gamma_request)
+        if math.isfinite(bound.gamma_bar) and gamma > bound.gamma_bar:
+            log.warning("gamma = %.6g exceeds the sufficient bound %.6g; "
+                        "relying on the eigenvalue check alone", gamma, bound.gamma_bar)
+    return replace(ctrl, gamma=gamma), bound
 
 
 def _power_stages(scn: Scenario):
@@ -503,7 +504,7 @@ def _power_stages(scn: Scenario):
 def analyze_scenario(scn: Scenario) -> AnalysisReport:
     """Feasibility/stability/steady-state analysis without simulating."""
     net = scn.network.net
-    ctrl, gamma, bound = _resolve_controller(scn)
+    ctrl, bound = _resolve_controller(scn)
     stages = _power_stages(scn)
     final_net = net.with_power(stages[-1][1])
 
@@ -521,7 +522,6 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     positive = stability.output_stable and (rank is None or rank.full_rank)
     return AnalysisReport(
         controller=ctrl,
-        gamma_used=gamma,
         gamma_bound=bound,
         rank=rank,
         stability=stability,
@@ -597,7 +597,6 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
     if destination:
         written = write_trace_csv(destination, scn, segments[0][1], trace, omega_hz, h)
     return ScenarioResult(
-        scenario=scn,
         analysis=report,
         trace=trace,
         omega_hz=omega_hz,

@@ -192,18 +192,17 @@ def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Autonomous closed-loop system x' = system_matrix x + forcing.
+    """Autonomous closed-loop system x_dev' = system_matrix x_dev + forcing_dev.
 
-    forcing is the affine term of the loop as written (absolute
-    coordinates); forcing_dev is the equivalent term after the rotating
-    frame / reference shift and is what the integrator uses.  For systems
-    without delta/omega structure the two coincide.
+    forcing_dev is the affine term after the rotating frame / reference
+    shift (see _deviation_shift) and is what the integrator uses.  For
+    systems without delta/omega structure it is the affine term of the
+    loop as written.
     """
 
     system: LtiSystem
     controller: ctrlmod.ControllerSpec
     system_matrix: np.ndarray
-    forcing: np.ndarray
     forcing_dev: np.ndarray
     output_selector: np.ndarray
     state_layout: dict
@@ -255,7 +254,6 @@ def close_loop(sys: LtiSystem, ctrl: ctrlmod.ControllerSpec) -> ClosedLoop:
         system=sys,
         controller=ctrl,
         system_matrix=e,
-        forcing=forcing,
         forcing_dev=forcing_dev,
         output_selector=c_ext,
         state_layout=layout,

@@ -402,7 +402,7 @@ def test_empirical_threshold_sits_above_the_bound():
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=None, comm=net.coupling_graph())
     bound = gamma_bar(net, ctrl)
-    threshold = gamma_star_search(net, ctrl, max_doublings=12)
+    threshold = gamma_star_search(net, ctrl)
     assert threshold > bound.gamma_bar
 
 

@@ -109,7 +109,7 @@ def _z_rate(ctrl, r, y, z):
     """z' from the integrator rows of the loop that close_loop assembles."""
     cl = close_loop(_plant(ctrl.n_nodes, r), ctrl)
     zs = cl.state_layout["z"]
-    return cl.system_matrix[zs] @ np.concatenate([y, z]) + cl.forcing[zs]
+    return cl.system_matrix[zs] @ np.concatenate([y, z]) + cl.forcing_dev[zs]
 
 
 def test_decentralized_integrator_is_the_tracking_error():

@@ -1,5 +1,6 @@
 """Network/scenario file parsing, orchestration, CSV traces, and the CLI."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import gridpi
 from gridpi import scenario as scenario_mod
 from gridpi import ParseError, load_network, load_scenario, read_trace_csv, run_scenario
 from gridpi.cli import main as cli_main
-from support import bundled
+from support import (BUS_KEYS, bundled, random_network, write_network_file,
+                     write_scenario_file)
 
 TWO_PI = 2.0 * np.pi
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,6 +123,9 @@ def test_parse_errors_carry_file_and_line(tmp_path):
     ("damping = 0.5", "damping = 0.0", "bad.grid:6: damping of bus 1 must be strictly positive, got 0"),
     ("voltage_kv = 10.0", "voltage_kv = -10.0",
      "bad.grid:7: voltage_kv of bus 1 must be strictly positive, got -10"),
+    ("frequency_hz = 50.0", "frequncy_hz = 60.0", "bad.grid:3: unknown [network] key 'frequncy_hz'"),
+    ("schema = 1\n", "schema = 1\nfrequency_hz = 60.0\n",
+     "bad.grid:2: unknown key 'frequency_hz' before the first section"),
 ])
 def test_network_diagnostics(tmp_path, before, after, needle):
     with pytest.raises(ParseError) as err:
@@ -199,9 +204,20 @@ def test_bundled_scenarios_load():
     ("4.0 3 -12.5", "4.0 3 nan", "load_delta_kw: expected a finite number"),
     ("2 3 0.5", "2 1 0.5", "bad.scn:13: comm_edges: edge 2 1 duplicates an earlier edge"),
     ("2 3 0.5", "3 3 0.5", "bad.scn:13: comm_edges: edge 3 3 is a self-loop"),
+    ("horizon_s = 20.0", "horizon = 200.0", "bad.scn:4: unknown [scenario] key 'horizon'"),
+    ("gamma = 0.7", "gama = auto", "bad.scn:9: unknown [controller] key 'gama'"),
+    ("2 0.01", "2 0.01\n[outputs]\ntrace = run.csv", "bad.scn:19: unknown [outputs] key 'trace'"),
+    ("schema = 1\n", "schema = 1\nnetwork = net.grid\n",
+     "bad.scn:2: unknown key 'network' before the first section"),
+    ("kind = dist_pi", "kind = p", "bad.scn:8: ki does not apply to the p kind"),
+    ("kind = dist_pi\nkp = 1.0\nki = 4.0", "kind = p\nkp = 1.0\ncost_coeffs = 0.25",
+     "bad.scn:8: cost_coeffs does not apply to the p kind"),
+    ("comm_topology = edges", "comm_topology = same-as-grid",
+     "bad.scn:12: [comm_edges] is read only with comm_topology = edges"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
         "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
-        "comm-reversed-duplicate", "comm-self-loop"])
+        "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
+        "outputs-key", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -260,6 +276,92 @@ gamma = 0.5
     assert "dist_pi" in str(err.value)
 
 
+def _file_ids(rng, n):
+    """n distinct positive bus ids in random order."""
+    return [int(b) for b in rng.choice(np.arange(1, 10 * n + 1), size=n, replace=False)]
+
+
+def test_random_networks_round_trip_through_the_file_format(tmp_path):
+    rng = np.random.default_rng(71)
+    for k in range(20):
+        net = random_network(rng)
+        net = replace(net, omega_ref=TWO_PI * float(rng.choice([50.0, 60.0])))
+        ids = _file_ids(rng, net.n_buses)
+        defaults = tuple(key for key in BUS_KEYS if rng.random() < 0.5)
+        loaded = load_network(write_network_file(tmp_path / f"n{k}.grid", net, ids, defaults))
+        assert loaded.bus_ids == tuple(ids)
+        assert loaded.net.lines == net.lines
+        assert np.array_equal(loaded.net.inertia, net.inertia)
+        assert np.array_equal(loaded.net.damping, net.damping)
+        # written in kV, kW and Hz: one division and one product apart
+        assert_allclose(loaded.net.voltage, net.voltage, rtol=1e-15, atol=0.0)
+        assert_allclose(loaded.net.power, net.power, rtol=1e-15, atol=0.0)
+        assert_allclose(loaded.net.omega_ref, net.omega_ref, rtol=1e-15, atol=0.0)
+
+
+def test_random_scenarios_round_trip_through_the_file_format(tmp_path):
+    rng = np.random.default_rng(72)
+    for k in range(18):
+        net = random_network(rng)
+        n = net.n_buses
+        ids = _file_ids(rng, n)
+        grid = write_network_file(tmp_path / f"n{k}.grid", net, ids)
+        kind = (gridpi.P, gridpi.DEC_PI, gridpi.DIST_PI)[k % 3]
+        kp = rng.uniform(0.5, 5.0, n)
+        ki = cost = gamma = comm_edges = eta = None
+        if kind != gridpi.P and k % 2:
+            cost = rng.uniform(0.1, 2.0, n)
+        elif kind != gridpi.P:
+            ki = rng.uniform(0.5, 5.0, n)
+        if kind == gridpi.DIST_PI:
+            gamma = "auto" if k % 4 < 2 else float(rng.uniform(0.1, 1.0))
+            if rng.random() < 0.5:
+                # a spanning tree, with each edge's endpoints in random order
+                comm_edges = [tuple(rng.permutation([int(rng.integers(0, v)), v]).tolist())
+                              + (float(rng.uniform(0.5, 2.0)),) for v in range(1, n)]
+        if rng.random() < 0.5:
+            eta = rng.normal(0.0, 0.05, n)
+        # several events share a time, some on the same bus
+        schedule = [(float(t), int(rng.integers(0, n)), float(rng.uniform(-2e3, 2e3)))
+                    for t in rng.choice([0.0, 1.0, 2.5], size=6)]
+        scn = load_scenario(write_scenario_file(
+            tmp_path / f"s{k}.scn", Path(grid).name, ids, kind, kp, ki=ki, cost=cost,
+            gamma=gamma, comm_edges=comm_edges, schedule=schedule, eta=eta))
+
+        assert scn.network.bus_ids == tuple(ids)
+        assert scn.kind == kind
+        assert np.array_equal(scn.kp, kp)
+        if cost is not None:
+            assert np.array_equal(scn.cost, cost)
+            assert np.array_equal(scn.ki, gridpi.gains_from_cost(cost))
+        elif ki is not None:
+            assert np.array_equal(scn.ki, ki) and scn.cost is None
+        else:
+            assert scn.ki is None and scn.cost is None
+        if kind == gridpi.DIST_PI:
+            assert scn.gamma_request == gamma
+            want = net.coupling_graph().edges if comm_edges is None else tuple(comm_edges)
+            assert scn.comm.edges == want
+        else:
+            assert scn.gamma_request is None and scn.comm is None
+        if eta is None:
+            assert np.array_equal(scn.eta, np.zeros(n))
+        else:
+            assert_allclose(scn.eta, eta, rtol=1e-15, atol=0.0)
+        # sorted by time; events at one time keep their file order
+        ordered = sorted(schedule, key=lambda ev: ev[0])
+        assert [ev[:2] for ev in scn.schedule] == [ev[:2] for ev in ordered]
+        assert_allclose([ev[2] for ev in scn.schedule], [ev[2] for ev in ordered],
+                        rtol=1e-15, atol=0.0)
+        # simultaneous events merge into one load stage
+        stages = scenario_mod._power_stages(scn)
+        assert [t for t, _ in stages] == sorted({0.0} | {ev[0] for ev in schedule})
+        final = net.power.copy()
+        for _, bus, delta_w in scn.schedule:
+            final[bus] += delta_w
+        assert np.array_equal(stages[-1][1], final)
+
+
 # ---------------------------------------------------------------------------
 # orchestration
 # ---------------------------------------------------------------------------
@@ -279,7 +381,7 @@ def test_quiet_scenario_stays_settled(tmp_path):
 def test_gamma_auto_uses_half_the_bound(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path))
     result = run_scenario(scn)
-    assert_allclose(result.analysis.gamma_used,
+    assert_allclose(result.analysis.controller.gamma,
                     result.analysis.gamma_bound.gamma_bar / 2.0, rtol=1e-12)
 
 

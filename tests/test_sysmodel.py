@@ -136,16 +136,19 @@ def test_uniform_rotation_is_invariant_for_all_kinds():
 
 
 def test_deviation_shift_is_exact():
-    # the shifted forcing must satisfy  f_raw + E xi0 = f_dev + xi1
+    # the shifted forcing must satisfy  f_raw + E xi0 = f_dev + xi1, with
+    # f_raw = [d + b Kp (r - eta); r - eta] the affine term of the loop as written
     rng = np.random.default_rng(21)
     for _ in range(10):
         net = random_network(rng)
         eta = rng.normal(0.0, 0.2, net.n_buses)
         sys = swing_to_lti(net, eta=eta)
-        cl = close_loop(sys, random_dist_controller(rng, net, gamma=0.5))
+        ctrl = random_dist_controller(rng, net, gamma=0.5)
+        cl = close_loop(sys, ctrl)
         xi0, xi1 = _xi_vectors(cl)
-        assert_allclose(cl.forcing + cl.system_matrix @ xi0,
-                        cl.forcing_dev + xi1, atol=1e-9)
+        error = sys.r - sys.eta
+        raw = np.concatenate([sys.d + sys.b @ (ctrl.kp * error), error])
+        assert_allclose(raw + cl.system_matrix @ xi0, cl.forcing_dev + xi1, atol=1e-9)
 
 
 def test_deviation_forcing_rows():
@@ -175,7 +178,7 @@ def test_distributed_loop_reduces_to_decentralized_without_averaging():
     expected = np.zeros_like(diff)
     expected[zs, zs] = -gamma * net.coupling_laplacian()
     assert_allclose(diff, expected, atol=1e-14)
-    assert_allclose(dist.forcing, dec.forcing)
+    assert_allclose(dist.forcing_dev, dec.forcing_dev)
 
 
 def test_generic_system_closes_without_swing_blocks():
