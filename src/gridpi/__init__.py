@@ -34,10 +34,7 @@ from .control import (
 )
 from .graph import WeightedGraph, is_connected, laplacian
 from .numerics import (
-    EigenvalueError,
     IntegrationResult,
-    Spectrum,
-    eigen,
     integrate_rk4,
     numerical_rank,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "ControllerSpec",
     "DEC_PI",
     "DIST_PI",
-    "EigenvalueError",
     "GammaBound",
     "IntegrationResult",
     "KINDS",
@@ -82,7 +78,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "SimulationTrace",
-    "Spectrum",
     "StabilityReport",
     "SteadyStatePrediction",
     "WeightedGraph",
@@ -90,7 +85,6 @@ __all__ = [
     "analyze_scenario",
     "close_loop",
     "control_output",
-    "eigen",
     "gains_from_cost",
     "gamma_bar",
     "gamma_star_search",

@@ -91,8 +91,9 @@ class ZeroMode:
 @dataclass(frozen=True)
 class StabilityReport:
     """Outcome of output_stability_check.  eigenvalues is the spectrum of
-    the loop matrix from its unobservable and observable blocks, sorted as
-    numerics.eigen sorts; zero_modes are those with |lam| < STABILITY_TOL * scale."""
+    the loop matrix from its unobservable and observable blocks, sorted by
+    real part descending, then imaginary part descending; zero_modes are
+    those with |lam| < STABILITY_TOL * scale."""
 
     eigenvalues: np.ndarray
     zero_modes: tuple
@@ -350,8 +351,6 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
 class SteadyStatePrediction:
     omega_hat: float          # settled frequency, rad/s
     u_stationary: np.ndarray  # control effort per bus, W
-    z_consensus: float        # shared integrator value k
-    delta: np.ndarray         # bus angles (deviation frame, zero mean), rad
 
 
 def _bordered_solve(lap: np.ndarray, border: np.ndarray, rhs: np.ndarray):
@@ -396,14 +395,9 @@ def predict_steady_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpe
     rhs = (net.power - net.damping * net.omega_ref
            - (net.damping + ctrl.kp) * omega_dev - ctrl.kp * eta
            + ctrl.ki * z_structure)
-    delta, consensus = _bordered_solve(lap_k, -ctrl.ki, rhs)
+    _, consensus = _bordered_solve(lap_k, -ctrl.ki, rhs)
     u = ctrl.kp * (-omega_dev - eta) + ctrl.ki * (z_structure + consensus)
-    return SteadyStatePrediction(
-        omega_hat=net.omega_ref - eta_mean,
-        u_stationary=u,
-        z_consensus=consensus,
-        delta=delta,
-    )
+    return SteadyStatePrediction(omega_hat=net.omega_ref - eta_mean, u_stationary=u)
 
 
 def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> np.ndarray:

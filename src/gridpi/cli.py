@@ -9,16 +9,14 @@ Subcommands:
 
 Exit status: 0 on success (and settled / analysis-positive where that
 applies), 1 when the run or analysis reaches a negative verdict, 2 on bad
-input or a failed computation.  Set GRIDPI_LOG=DEBUG (or INFO, ...) for
-progress logging on stderr.
+input or a failed computation.  Results go to stdout; errors and the
+warning for a gamma above gamma_bar go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,21 +29,6 @@ from . import sysmodel
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-
-log = logging.getLogger("gridpi.cli")
-
-
-def _configure_logging():
-    level_name = os.environ.get("GRIDPI_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
 
 def _fmt_vec(values, unit=""):
     body = ", ".join("%.6g" % v for v in np.asarray(values).ravel())
@@ -187,7 +170,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

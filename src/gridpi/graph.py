@@ -54,10 +54,6 @@ class WeightedGraph:
             cleaned.append((i, j, w))
         object.__setattr__(self, "edges", tuple(cleaned))
 
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Dense weighted Laplacian L = D - W of shape (n_nodes, n_nodes)."""

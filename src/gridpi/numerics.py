@@ -1,7 +1,7 @@
-"""Dense linear-algebra and integration primitives.
+"""Numerical rank and the fixed-step RK4 integrator.
 
-Eigendecompositions and singular values go through LAPACK; the fixed-step
-RK4 integrator is our own.  All arrays are float64.
+Singular values go through LAPACK; the integrator is our own.  All
+arrays are float64.
 """
 
 from __future__ import annotations
@@ -20,46 +20,11 @@ DIVERGENCE_LIMIT = 1.0e12
 _CHECK_BLOCK = 1024
 
 
-class EigenvalueError(RuntimeError):
-    """Raised when the eigenvalue iteration fails to converge."""
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted by real part (descending, ties broken by
-    descending imaginary part) with matching unit-norm right eigenvectors
-    in the columns of `right_vectors`."""
-
-    eigenvalues: np.ndarray   # complex (k,)
-    right_vectors: np.ndarray  # complex (n, k)
-
-
 @dataclass(frozen=True)
 class IntegrationResult:
     times: np.ndarray    # (k,)
     states: np.ndarray   # (k, dim), one row per step including t = 0
     diverged: bool
-
-
-def eigen(a: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a real square matrix.
-
-    Raises EigenvalueError if the QR iteration does not converge.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    try:
-        values, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenvalueError(f"eigenvalue computation failed: {exc}") from exc
-    order = np.lexsort((-values.imag, -values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    # eig returns unit columns already; renormalize defensively.
-    norms = np.linalg.norm(vectors, axis=0)
-    vectors = vectors / norms
-    return Spectrum(eigenvalues=values, right_vectors=vectors)
 
 
 def numerical_rank(a: np.ndarray) -> int:

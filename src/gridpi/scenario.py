@@ -143,13 +143,6 @@ def _int(path, lineno, token, what):
         raise ParseError(path, lineno, f"{what}: expected an integer, got {token!r}") from None
 
 
-def _edge_error(path, where, exc, what):
-    """ParseError at the line of the edge that graph.EdgeError exc rejects;
-    where holds (lineno, bus id, bus id) per edge in the order given."""
-    lineno, a, b = where[exc.index]
-    return ParseError(path, lineno, f"{what}: edge {a} {b} {exc.reason}")
-
-
 def _bus_index(path, lineno, index, token, what):
     """Model index of the file bus id in token, from the id -> index map
     index; unknown ids fail at path:lineno."""
@@ -157,6 +150,26 @@ def _bus_index(path, lineno, index, token, what):
     if bus_id not in index:
         raise ParseError(path, lineno, f"{what}: unknown bus id {bus_id}")
     return index[bus_id]
+
+
+def _edge_rows(path, entries, bus_ids, what, weight, build):
+    """build(edges) for the `<bus id> <bus id> <weight>` rows of section
+    what, with edges ((i, j, weight), ...) in model indices.  A
+    graph.EdgeError from build fails at the line of the edge it names."""
+    index = {bus_id: k for k, bus_id in enumerate(bus_ids)}
+    edges = []
+    for lineno, text in entries:
+        tokens = text.split()
+        if len(tokens) != 3:
+            raise ParseError(path, lineno, f"expected: <bus id> <bus id> <{weight}>")
+        i, j = (_bus_index(path, lineno, index, t, what) for t in tokens[:2])
+        edges.append((i, j, _float(path, lineno, tokens[2], weight)))
+    try:
+        return build(tuple(edges))
+    except graphmod.EdgeError as exc:
+        i, j, _ = edges[exc.index]
+        raise ParseError(path, entries[exc.index][0],
+                         f"{what}: edge {bus_ids[i]} {bus_ids[j]} {exc.reason}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +230,20 @@ def load_network(path) -> LoadedNetwork:
         bus_ids.append(bus_id)
         rows.append(values)
 
-    index = {bus_id: k for k, bus_id in enumerate(bus_ids)}
-    lines, where = [], []
-    for lineno, text in sections.get("lines", []):
-        tokens = text.split()
-        if len(tokens) != 3:
-            raise ParseError(path, lineno, "expected: <bus id> <bus id> <susceptance_s>")
-        i, j = (_bus_index(path, lineno, index, t, "lines") for t in tokens[:2])
-        lines.append((i, j, _float(path, lineno, tokens[2], "susceptance_s")))
-        where.append((lineno, bus_ids[i], bus_ids[j]))
-
-    try:
-        net = sysmodel.PowerNetwork(
+    def network(lines):
+        return sysmodel.PowerNetwork(
             inertia=np.array([row["inertia"][0] for row in rows]),
             damping=np.array([row["damping"][0] for row in rows]),
             voltage=np.array([1.0e3 * row["voltage_kv"][0] for row in rows]),
             power=np.array([-1.0e3 * row["load_kw"][0] for row in rows]),
-            lines=tuple(lines),
+            lines=lines,
             omega_ref=TWO_PI * freq_hz,
         )
-    except graphmod.EdgeError as exc:
-        raise _edge_error(path, where, exc, "lines") from exc
+
+    try:
+        net = _edge_rows(path, sections.get("lines", []), bus_ids, "lines", "susceptance_s", network)
+    except ParseError:
+        raise  # a [lines] row, already at its line
     except sysmodel.BusValueError as exc:
         key = "voltage_kv" if exc.name == "voltage" else exc.name
         value, lineno = rows[exc.index][key]
@@ -366,18 +372,8 @@ def load_scenario(path) -> Scenario:
         if topo == "same-as-grid":
             comm = loaded.net.coupling_graph()
         elif topo == "edges":
-            edges, where = [], []
-            for lineno, text in sections.get("comm_edges", []):
-                tokens = text.split()
-                if len(tokens) != 3:
-                    raise ParseError(path, lineno, "expected: <bus id> <bus id> <weight>")
-                i, j = (_bus_index(path, lineno, index, t, "comm_edges") for t in tokens[:2])
-                edges.append((i, j, _float(path, lineno, tokens[2], "weight")))
-                where.append((lineno, loaded.bus_ids[i], loaded.bus_ids[j]))
-            try:
-                comm = graphmod.WeightedGraph(n, tuple(edges))
-            except graphmod.EdgeError as exc:
-                raise _edge_error(path, where, exc, "comm_edges") from exc
+            comm = _edge_rows(path, sections.get("comm_edges", []), loaded.bus_ids, "comm_edges",
+                              "weight", lambda edges: graphmod.WeightedGraph(n, edges))
         else:
             raise ParseError(path, topo_line, f"comm_topology must be same-as-grid or edges, got {topo!r}")
     else:
@@ -479,7 +475,6 @@ def _resolve_controller(scn: Scenario):
     bound = analysismod.gamma_bar(scn.network.net, ctrl)
     if scn.gamma_request == "auto":
         gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
-        log.info("gamma = auto resolved to %.6g (gamma_bar = %.6g)", gamma, bound.gamma_bar)
     else:
         gamma = float(scn.gamma_request)
         if math.isfinite(bound.gamma_bar) and gamma > bound.gamma_bar:
@@ -508,11 +503,13 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     stages = _power_stages(scn)
     final_net = net.with_power(stages[-1][1])
 
+    # eta enters only the loop's forcing; the rank test reads a, b and c
+    sys = sysmodel.swing_to_lti(net, eta=scn.eta)
     rank = None
     if ctrl.kind == ctrlmod.DEC_PI:
-        rank = analysismod.xi_rank_test(sysmodel.swing_to_lti(net), ctrl.ki)
+        rank = analysismod.xi_rank_test(sys, ctrl.ki)
 
-    loop = sysmodel.close_loop(sysmodel.swing_to_lti(net, eta=scn.eta), ctrl)
+    loop = sysmodel.close_loop(sys, ctrl)
     stability = analysismod.output_stability_check(loop)
 
     prediction = None
@@ -590,7 +587,6 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
     settled = (not trace.diverged) and bool(
         np.max(np.abs(omega_hz[-1] - omega_hat_hz)) < settle_tol
     )
-    log.info("scenario %s: settled = %s (tol %.3g Hz)", os.path.basename(scn.path), settled, settle_tol)
 
     destination = scn.trace_csv if csv_path is None else (csv_path or None)
     written = None
@@ -655,7 +651,6 @@ def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
     rows = [",".join(columns)]
     rows.extend(line % tuple(row.tolist()) for row in table)
     _atomic_write(path, "\n".join(rows) + "\n")
-    log.info("wrote %d samples to %s", len(picks), path)
     return path
 
 

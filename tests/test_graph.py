@@ -73,4 +73,4 @@ def test_edge_validation():
 
 def test_n_edges():
     g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
-    assert g.n_edges == 2
+    assert len(g.edges) == 2

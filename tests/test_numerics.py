@@ -1,60 +1,12 @@
-"""Dense eigendecomposition, rank, and the fixed-step integrator."""
+"""Numerical rank and the fixed-step integrator."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from gridpi import (
-    EigenvalueError,
-    eigen,
-    integrate_rk4,
-    numerical_rank,
-)
+from gridpi import integrate_rk4, numerical_rank
 from gridpi.numerics import _CHECK_BLOCK, DIVERGENCE_LIMIT, _rk4_map, rk4_multiplier
-
-
-# ---------------------------------------------------------------------------
-# eigendecomposition
-# ---------------------------------------------------------------------------
-
-def test_eigen_companion_oracle():
-    # s^2 + 3 s + 2 -> eigenvalues -1, -2
-    a = np.array([[0.0, 1.0], [-2.0, -3.0]])
-    spec = eigen(a)
-    assert_allclose(np.sort(spec.eigenvalues.real), [-2.0, -1.0], atol=1e-12)
-    assert_allclose(spec.eigenvalues.imag, 0.0, atol=1e-12)
-
-
-def test_eigen_sorted_by_real_part_descending():
-    a = np.diag([-3.0, 5.0, 1.0])
-    spec = eigen(a)
-    assert_allclose(spec.eigenvalues.real, [5.0, 1.0, -3.0])
-
-
-def test_eigen_conjugate_pair_ordering():
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +/- i
-    spec = eigen(a)
-    assert_allclose(spec.eigenvalues, [1j, -1j], atol=1e-12)
-
-
-def test_eigen_vectors_satisfy_definition():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = int(rng.integers(2, 9))
-        a = rng.normal(size=(n, n))
-        spec = eigen(a)
-        for k in range(n):
-            lam, v = spec.eigenvalues[k], spec.right_vectors[:, k]
-            assert_allclose(a @ v, lam * v, atol=1e-9 * max(np.abs(spec.eigenvalues).max(), 1.0))
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-
-
-def test_eigen_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eigen(np.ones((2, 3)))
-    with pytest.raises(EigenvalueError):
-        eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

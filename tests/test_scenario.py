@@ -1,5 +1,9 @@
 """Network/scenario file parsing, orchestration, CSV traces, and the CLI."""
 
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -174,7 +178,7 @@ trace_csv = out/run.csv
     assert_allclose(scn.kp, [1.0, 2.0, 3.0])
     assert_allclose(scn.ki, [4.0, 4.0, 4.0])
     assert scn.gamma_request == 0.7
-    assert scn.comm.n_edges == 2
+    assert len(scn.comm.edges) == 2
     # schedule sorted by time, kW -> W with the consumption sign flipped
     assert scn.schedule == ((1.0, 1, -30.0e3), (4.0, 2, 12.5e3))
     assert_allclose(scn.eta, [0.0, TWO_PI * 0.01, 0.0])
@@ -582,6 +586,22 @@ def test_step_outside_the_rk4_stability_region_is_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "a step of 0.015625 s passes" in captured.err
+
+
+def test_cli_warns_on_stderr_when_gamma_exceeds_the_bound(tmp_path):
+    # a child process, so that the warning goes through the logging setup
+    # of a plain `python -m gridpi.cli` run and not through pytest's capture
+    text = Path(bundled("ring_share.scn")).read_text(encoding="utf-8")
+    assert "gamma = auto\n" in text
+    write(tmp_path / "ring_share.scn", text.replace("gamma = auto\n", "gamma = 1.0e9\n"))
+    shutil.copy(bundled("net5ring.grid"), tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(gridpi.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "gridpi.cli", "analyze", "ring_share.scn"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 1
+    assert res.stderr == ("gamma = 1e+09 exceeds the sufficient bound 3.27708; "
+                          "relying on the eigenvalue check alone\n")
+    assert "gamma=1e+09" in res.stdout
 
 
 def test_cli_missing_file_exits_two(tmp_path, capsys):
