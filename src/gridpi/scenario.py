@@ -201,6 +201,8 @@ def load_network(path) -> LoadedNetwork:
         freq_hz = _float(path, lineno, value, "frequency_hz")
         if freq_hz <= 0.0:
             raise ParseError(path, lineno, "frequency_hz must be positive")
+        if not math.isfinite(TWO_PI * freq_hz):
+            raise ParseError(path, lineno, f"frequency_hz: 2*pi*{value} rad/s is not finite")
 
     # bus values are kept as (value, lineno) so that a rejected one can be located
     defaults = {"load_kw": (0.0, 0)}

@@ -4,15 +4,14 @@ The network model is the linearized swing equation per bus i:
 
     m_i omega_i' = -sum_j k_ij (delta_i - delta_j) - d_i omega_i + u_i + p_i
 
-with electrical coupling k_ij = |V_i||V_j| b_ij, measured output y = omega
-(plus measurement offset eta), and reference r = omega_ref * 1.  States are
-stacked x = [delta; omega].
-
-Simulation runs in deviation coordinates: omega relative to omega_ref and
-delta in the frame rotating at omega_ref.  The shift is exact here because
-the uniform-delta direction lies in the null space of every closed-loop
-matrix, so it only moves the constant forcing term.  Reported outputs are
-absolute.
+with electrical coupling k_ij = |V_i||V_j| b_ij.  The model is written in
+deviation coordinates throughout: the states x = [delta; w] hold delta in
+the frame rotating at omega_ref and w = omega - omega_ref, so the swing
+equation reads m_i w_i' = -sum_j k_ij (delta_i - delta_j) - d_i w_i + u_i
++ p_i - d_i omega_ref.  The measured output is y = w + eta (eta the
+measurement offset) and the reference is r = 0.  Traces, outputs and the
+loop forcing are all in these coordinates; callers add omega_ref back to
+report absolute frequencies.
 """
 
 from __future__ import annotations
@@ -115,7 +114,8 @@ class LtiSystem:
     """x' = a x + b u + d,  y = c x + eta, with constant reference r.
 
     blocks names meaningful slices of the state vector (the swing model uses
-    "delta" and "omega"); generic systems carry a single "x" block.
+    "delta" and "omega", in deviation coordinates with r = 0); generic
+    systems carry a single "x" block.
     """
 
     a: np.ndarray
@@ -164,7 +164,8 @@ class LtiSystem:
 
 
 def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
-    """LTI form of the swing network with y = omega and r = omega_ref * 1."""
+    """LTI form of the swing network in deviation coordinates: y = omega -
+    omega_ref + eta, r = 0, and d carries the damping of omega_ref."""
     n = net.n_buses
     minv = 1.0 / net.inertia  # accelerations scale with inverse inertia
     lap_k = net.coupling_laplacian()
@@ -177,13 +178,12 @@ def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
     c = np.zeros((n, 2 * n))
     c[:, n:] = np.eye(n)
     d = np.zeros(2 * n)
-    d[n:] = minv * net.power
+    d[n:] = minv * (net.power - net.damping * net.omega_ref)
     if eta is None:
         eta = np.zeros(n)
     eta = np.asarray(eta, dtype=float)
-    r = net.omega_ref * np.ones(n)
     blocks = {"delta": slice(0, n), "omega": slice(n, 2 * n)}
-    return LtiSystem(a=a, b=b, c=c, d=d, eta=eta, r=r, blocks=blocks)
+    return LtiSystem(a=a, b=b, c=c, d=d, eta=eta, r=np.zeros(n), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +192,11 @@ def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Autonomous closed-loop system x_dev' = system_matrix x_dev + forcing_dev.
+    """Autonomous closed-loop system x' = system_matrix x + forcing_dev.
 
-    forcing_dev is the affine term after the rotating frame / reference
-    shift (see _deviation_shift) and is what the integrator uses.  For
-    systems without delta/omega structure it is the affine term of the
-    loop as written.
+    forcing_dev is the affine term of the loop as written; for the swing
+    model it is in deviation coordinates, like the system itself.  Outputs
+    are y = output_selector x + system.eta.
     """
 
     system: LtiSystem
@@ -206,7 +205,6 @@ class ClosedLoop:
     forcing_dev: np.ndarray
     output_selector: np.ndarray
     state_layout: dict
-    output_offset: np.ndarray  # y = output_selector @ x_dev + output_offset
 
     @property
     def dim(self):
@@ -249,43 +247,14 @@ def close_loop(sys: LtiSystem, ctrl: ctrlmod.ControllerSpec) -> ClosedLoop:
         layout = dict(sys.blocks)
         layout["z"] = slice(n, n + m)
 
-    forcing_dev, y_offset = _deviation_shift(sys, e, forcing, c_ext)
     return ClosedLoop(
         system=sys,
         controller=ctrl,
         system_matrix=e,
-        forcing_dev=forcing_dev,
+        forcing_dev=forcing,
         output_selector=c_ext,
         state_layout=layout,
-        output_offset=y_offset,
     )
-
-
-def _deviation_shift(sys, e, forcing, c_ext):
-    """Move the loop into deviation coordinates when it has swing structure.
-
-    With xi(t) = xi0 + t * xi1, where xi0 puts omega_ref on the omega block
-    and xi1 puts omega_ref on the delta block, the substitution
-    x = x_dev + xi(t) turns the affine term into forcing + e @ xi0 - xi1
-    (exact because e @ xi1 = 0).  Outputs gain the constant c_ext @ xi0.
-    """
-    blocks = sys.blocks
-    if "delta" not in blocks or "omega" not in blocks:
-        return forcing, sys.eta.copy()
-    if np.ptp(sys.r) != 0.0:
-        raise ValueError("swing-structured systems expect a uniform reference")
-    omega_ref = float(sys.r[0])
-    dim = e.shape[0]
-    xi0 = np.zeros(dim)
-    xi0[blocks["omega"]] = omega_ref
-    xi1 = np.zeros(dim)
-    xi1[blocks["delta"]] = omega_ref
-    drift = e @ xi1
-    if np.linalg.norm(drift) > 1e-9 * max(np.linalg.norm(e), 1.0) * abs(omega_ref):
-        raise ValueError("uniform-angle direction is not invariant; cannot shift frame")
-    forcing_dev = forcing + e @ xi0 - xi1
-    y_offset = c_ext @ xi0 + sys.eta
-    return forcing_dev, y_offset
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +265,10 @@ def _deviation_shift(sys, e, forcing, c_ext):
 class SimulationTrace:
     """Sampled closed-loop run.
 
-    states are deviation coordinates (rotating-frame delta, omega relative
-    to omega_ref, integrator z); outputs are the absolute measured outputs
-    y including eta; controls are reconstructed from the control law.
+    states are the loop's coordinates (for the swing model: rotating-frame
+    delta, omega - omega_ref, integrator z); outputs are the measured
+    outputs y = c x + eta in the same coordinates; controls are
+    reconstructed from the control law.
     """
 
     times: np.ndarray     # (k,)
@@ -310,7 +280,7 @@ class SimulationTrace:
 
 def _reconstruct(cl: ClosedLoop, states: np.ndarray):
     """Outputs and controls along a trace, by the measurement and control laws."""
-    y = states @ cl.output_selector.T + cl.output_offset[None, :]
+    y = states @ cl.output_selector.T + cl.system.eta[None, :]
     z = states[:, cl.state_layout["z"]] if cl.controller.has_integrator else None
     return y, ctrlmod.control_output(cl.controller, cl.system.r, y, z)
 
@@ -321,12 +291,12 @@ def simulate(cl: ClosedLoop, t_end: float, h: float = DEFAULT_STEP, x0=None) -> 
 
 
 def _shares_loop(cl: ClosedLoop, other: ClosedLoop) -> bool:
-    """Same loop matrix, output map, reference and controller: only the forcing may differ."""
+    """Same loop matrix, output map, eta, reference and controller: only the forcing may differ."""
     return other.controller is cl.controller and all(
         np.array_equal(a, b) for a, b in (
             (cl.system_matrix, other.system_matrix),
             (cl.output_selector, other.output_selector),
-            (cl.output_offset, other.output_offset),
+            (cl.system.eta, other.system.eta),
             (cl.system.r, other.system.r),
         ))
 
@@ -336,7 +306,7 @@ def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP, x0=None) 
 
     segments is a list of (t_start, ClosedLoop) with t_start sorted and the
     first at 0.  The segments share one closed loop (loop matrix, output
-    map, reference and controller) and differ only in their forcing, i.e.
+    map, eta, reference and controller) and differ only in their forcing, i.e.
     the loads.  The integrator restarts at every switch time, so no step
     straddles a forcing discontinuity; the state is continuous across
     switches.  x0 defaults to all-zero deviations.

@@ -130,6 +130,8 @@ def test_parse_errors_carry_file_and_line(tmp_path):
     ("frequency_hz = 50.0", "frequncy_hz = 60.0", "bad.grid:3: unknown [network] key 'frequncy_hz'"),
     ("schema = 1\n", "schema = 1\nfrequency_hz = 60.0\n",
      "bad.grid:2: unknown key 'frequency_hz' before the first section"),
+    ("frequency_hz = 50.0", "frequency_hz = 1e308",
+     "bad.grid:3: frequency_hz: 2*pi*1e308 rad/s is not finite"),
 ])
 def test_network_diagnostics(tmp_path, before, after, needle):
     with pytest.raises(ParseError) as err:
@@ -538,6 +540,17 @@ def test_cli_analyze_output_of_the_bundled_scenarios_is_pinned(capsys, name, sta
     assert code == status
 
 
+@pytest.mark.parametrize("name, status", [
+    ("ring_share", 0), ("dist30_step", 0), ("dec30_bias", 1),
+])
+def test_cli_simulate_output_of_the_bundled_scenarios_is_pinned(capsys, name, status):
+    # stdout of the whole run: analysis, final frequencies and the settling verdict
+    code = cli_main(["simulate", bundled(f"{name}.scn"), "--output", ""])
+    golden = (GOLDEN / f"simulate_{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    assert code == status
+
+
 def test_cli_rank_test(capsys):
     code = cli_main(["rank-test", bundled("net2.grid"), "--ki", "1.0"])
     out = capsys.readouterr().out
@@ -586,6 +599,16 @@ def test_step_outside_the_rk4_stability_region_is_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "a step of 0.015625 s passes" in captured.err
+
+
+def test_cli_trace_too_large_to_allocate_exits_two(capsys):
+    # 2e14 steps of a 15-state loop is 21.3 PiB, beyond any address space,
+    # so the trace allocation fails on every machine
+    code = cli_main(["simulate", bundled("ring_share.scn"), "--step", "1e-12", "--output", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate 21.3 PiB")
 
 
 def test_cli_warns_on_stderr_when_gamma_exceeds_the_bound(tmp_path):

@@ -23,16 +23,6 @@ from gridpi import (
 from support import random_dist_controller, random_network, two_bus_network
 
 
-def _xi_vectors(cl):
-    """Coordinate-shift vectors: xi0 on the omega block, xi1 on delta."""
-    n = cl.system.n_outputs
-    xi0 = np.zeros(cl.dim)
-    xi1 = np.zeros(cl.dim)
-    xi0[cl.state_layout["omega"]] = cl.system.r
-    xi1[cl.state_layout["delta"]] = cl.system.r
-    return xi0, xi1
-
-
 # ---------------------------------------------------------------------------
 # network and LTI form
 # ---------------------------------------------------------------------------
@@ -91,8 +81,10 @@ def test_swing_lti_assembly():
     ])
     assert_allclose(sys.b, [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.25]])
     assert_allclose(sys.c, [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    assert_allclose(sys.d, [0.0, 0.0, 5.0, -1.5])
-    assert_allclose(sys.r, np.full(2, net.omega_ref))
+    # deviation coordinates: d = M^-1 (p - D omega_ref), r = 0
+    assert_allclose(sys.d, [0.0, 0.0, (10.0 - 0.5 * net.omega_ref) / 2.0,
+                            (-6.0 - net.omega_ref) / 4.0])
+    assert_allclose(sys.r, np.zeros(2))
     assert sys.blocks["delta"] == slice(0, 2)
     assert sys.blocks["omega"] == slice(2, 4)
     assert_allclose(sys.eta, np.zeros(2))
@@ -133,22 +125,6 @@ def test_uniform_rotation_is_invariant_for_all_kinds():
         v = np.zeros(cl.dim)
         v[cl.state_layout["delta"]] = 1.0
         assert_allclose(cl.system_matrix @ v, np.zeros(cl.dim), atol=1e-14)
-
-
-def test_deviation_shift_is_exact():
-    # the shifted forcing must satisfy  f_raw + E xi0 = f_dev + xi1, with
-    # f_raw = [d + b Kp (r - eta); r - eta] the affine term of the loop as written
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        net = random_network(rng)
-        eta = rng.normal(0.0, 0.2, net.n_buses)
-        sys = swing_to_lti(net, eta=eta)
-        ctrl = random_dist_controller(rng, net, gamma=0.5)
-        cl = close_loop(sys, ctrl)
-        xi0, xi1 = _xi_vectors(cl)
-        error = sys.r - sys.eta
-        raw = np.concatenate([sys.d + sys.b @ (ctrl.kp * error), error])
-        assert_allclose(raw + cl.system_matrix @ xi0, cl.forcing_dev + xi1, atol=1e-9)
 
 
 def test_deviation_forcing_rows():
@@ -203,11 +179,10 @@ def test_trace_outputs_and_controls_follow_the_laws():
     cl = close_loop(swing_to_lti(net, eta=eta), ctrl)
     tr = simulate(cl, 2.0, h=0.01)
     ow, zs = cl.state_layout["omega"], cl.state_layout["z"]
-    # measured output is the absolute frequency plus the constant offset
-    assert_allclose(tr.outputs, tr.states[:, ow] + net.omega_ref + eta, atol=1e-12)
-    # inputs reproduce the feedback law sample by sample
-    expected_u = (ctrl.kp * (net.omega_ref - tr.outputs)
-                  + ctrl.ki * tr.states[:, zs])
+    # measured output is the frequency deviation plus the constant offset
+    assert_allclose(tr.outputs, tr.states[:, ow] + eta, atol=1e-12)
+    # inputs reproduce the feedback law (reference 0) sample by sample
+    expected_u = ctrl.kp * -tr.outputs + ctrl.ki * tr.states[:, zs]
     assert_allclose(tr.controls, expected_u, atol=1e-9)
 
 
