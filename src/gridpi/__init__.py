@@ -29,7 +29,6 @@ from .control import (
     KINDS,
     P,
     ControllerSpec,
-    control_output,
     gains_from_cost,
 )
 from .graph import WeightedGraph, is_connected, laplacian
@@ -84,7 +83,6 @@ __all__ = [
     "XiRankResult",
     "analyze_scenario",
     "close_loop",
-    "control_output",
     "gains_from_cost",
     "gamma_bar",
     "gamma_star_search",

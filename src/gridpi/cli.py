@@ -174,8 +174,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # ParseError is a ValueError; MemoryError is a trace too large to allocate
-    except (ValueError, RuntimeError, MemoryError) as exc:
+    # ParseError is a ValueError; MemoryError/OSError: a trace too large to allocate or to write
+    except (ValueError, RuntimeError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

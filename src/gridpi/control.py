@@ -1,10 +1,11 @@
 """Controller families for output regulation of networked systems.
 
-Three kinds, all diagonal in the gains:
+Three kinds, all diagonal in the gains, acting on the measured output
+y = c x + eta (eta a constant measurement offset):
 
-  P        u = K_p (r - y)
-  DEC_PI   u = K_p (r - y) + K_i z,  z' = r - y
-  DIST_PI  u = K_p (r - y) + K_i z,  z' = r - y - gamma * L_c z
+  P        u = -K_p y
+  DEC_PI   u = -K_p y + K_i z,  z' = -y
+  DIST_PI  u = -K_p y + K_i z,  z' = -y - gamma * L_c z
 
 DIST_PI augments per-node integrators with consensus filtering of the
 integral states over a communication graph (Laplacian L_c), which is what
@@ -115,15 +116,4 @@ def gains_from_cost(cost) -> np.ndarray:
     if not np.all(cost > 0.0):
         raise ValueError("cost coefficients must be strictly positive")
     return 1.0 / cost
-
-
-def control_output(ctrl: ControllerSpec, r, y, z=None) -> np.ndarray:
-    """Control law u for measured output y, reference r, integrator state z."""
-    error = np.asarray(r, dtype=float) - np.asarray(y, dtype=float)
-    u = ctrl.kp * error
-    if ctrl.has_integrator:
-        if z is None:
-            raise ValueError(f"{ctrl.kind} controller needs integrator state z")
-        u = u + ctrl.ki * np.asarray(z, dtype=float)
-    return u
 

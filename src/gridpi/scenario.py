@@ -336,9 +336,17 @@ def load_scenario(path) -> Scenario:
     kind = kind_value.strip()
     if kind not in ctrlmod.KINDS:
         raise ParseError(path, kind_line, f"unknown controller kind {kind!r} (expected {ctrlmod.KINDS})")
+
+    def _positive_gains(key):
+        value, lineno = ctrl_kv[key]
+        gains = _gain_vector(path, lineno, value, n, key)
+        if not np.all(gains > 0.0):
+            raise ParseError(path, lineno, f"{key}: values must be strictly positive")
+        return gains
+
     if "kp" not in ctrl_kv:
         raise ParseError(path, 0, "[controller] must set kp")
-    kp = _gain_vector(path, ctrl_kv["kp"][1], ctrl_kv["kp"][0], n, "kp")
+    kp = _positive_gains("kp")
 
     ki = cost = None
     if kind == ctrlmod.P:
@@ -349,9 +357,9 @@ def load_scenario(path) -> Scenario:
         if "ki" in ctrl_kv and "cost_coeffs" in ctrl_kv:
             raise ParseError(path, ctrl_kv["cost_coeffs"][1], "give either ki or cost_coeffs, not both")
         if "ki" in ctrl_kv:
-            ki = _gain_vector(path, ctrl_kv["ki"][1], ctrl_kv["ki"][0], n, "ki")
+            ki = _positive_gains("ki")
         elif "cost_coeffs" in ctrl_kv:
-            cost = _gain_vector(path, ctrl_kv["cost_coeffs"][1], ctrl_kv["cost_coeffs"][0], n, "cost_coeffs")
+            cost = _positive_gains("cost_coeffs")
             ki = ctrlmod.gains_from_cost(cost)
         else:
             raise ParseError(path, 0, f"{kind} controller needs ki or cost_coeffs")

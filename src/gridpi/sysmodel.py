@@ -9,9 +9,8 @@ deviation coordinates throughout: the states x = [delta; w] hold delta in
 the frame rotating at omega_ref and w = omega - omega_ref, so the swing
 equation reads m_i w_i' = -sum_j k_ij (delta_i - delta_j) - d_i w_i + u_i
 + p_i - d_i omega_ref.  The measured output is y = w + eta (eta the
-measurement offset) and the reference is r = 0.  Traces, outputs and the
-loop forcing are all in these coordinates; callers add omega_ref back to
-report absolute frequencies.
+measurement offset).  Traces and the loop forcing are both in these
+coordinates; callers add omega_ref back to report absolute frequencies.
 """
 
 from __future__ import annotations
@@ -111,11 +110,11 @@ class PowerNetwork:
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """x' = a x + b u + d,  y = c x + eta, with constant reference r.
+    """x' = a x + b u + d,  y = c x + eta.
 
     blocks names meaningful slices of the state vector (the swing model uses
-    "delta" and "omega", in deviation coordinates with r = 0); generic
-    systems carry a single "x" block.
+    "delta" and "omega", in deviation coordinates); generic systems carry a
+    single "x" block.
     """
 
     a: np.ndarray
@@ -123,7 +122,6 @@ class LtiSystem:
     c: np.ndarray
     d: np.ndarray
     eta: np.ndarray
-    r: np.ndarray
     blocks: dict = None
 
     def __post_init__(self):
@@ -142,14 +140,11 @@ class LtiSystem:
             raise ValueError(f"b has {b.shape[1]} inputs but c has {m} outputs")
         d = np.asarray(self.d, dtype=float)
         eta = np.asarray(self.eta, dtype=float)
-        r = np.asarray(self.r, dtype=float)
         if d.shape != (n,):
             raise ValueError(f"d shape {d.shape}, expected ({n},)")
         if eta.shape != (m,):
             raise ValueError(f"eta shape {eta.shape}, expected ({m},)")
-        if r.shape != (m,):
-            raise ValueError(f"r shape {r.shape}, expected ({m},)")
-        for name, arr in (("a", a), ("b", b), ("c", c), ("d", d), ("eta", eta), ("r", r)):
+        for name, arr in (("a", a), ("b", b), ("c", c), ("d", d), ("eta", eta)):
             object.__setattr__(self, name, arr)
         if self.blocks is None:
             object.__setattr__(self, "blocks", {"x": slice(0, n)})
@@ -165,7 +160,7 @@ class LtiSystem:
 
 def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
     """LTI form of the swing network in deviation coordinates: y = omega -
-    omega_ref + eta, r = 0, and d carries the damping of omega_ref."""
+    omega_ref + eta, and d carries the damping of omega_ref."""
     n = net.n_buses
     minv = 1.0 / net.inertia  # accelerations scale with inverse inertia
     lap_k = net.coupling_laplacian()
@@ -183,7 +178,7 @@ def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
         eta = np.zeros(n)
     eta = np.asarray(eta, dtype=float)
     blocks = {"delta": slice(0, n), "omega": slice(n, 2 * n)}
-    return LtiSystem(a=a, b=b, c=c, d=d, eta=eta, r=np.zeros(n), blocks=blocks)
+    return LtiSystem(a=a, b=b, c=c, d=d, eta=eta, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +189,17 @@ def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
 class ClosedLoop:
     """Autonomous closed-loop system x' = system_matrix x + forcing_dev.
 
+    The control law is the affine map u = control_gain x + control_offset
+    of the loop state; the outputs are y = output_selector x + eta.
     forcing_dev is the affine term of the loop as written; for the swing
-    model it is in deviation coordinates, like the system itself.  Outputs
-    are y = output_selector x + system.eta.
+    model it is in deviation coordinates, like the system itself.
     """
 
-    system: LtiSystem
-    controller: ctrlmod.ControllerSpec
     system_matrix: np.ndarray
     forcing_dev: np.ndarray
     output_selector: np.ndarray
+    control_gain: np.ndarray
+    control_offset: np.ndarray
     state_layout: dict
 
     @property
@@ -214,47 +210,37 @@ class ClosedLoop:
 def close_loop(sys: LtiSystem, ctrl: ctrlmod.ControllerSpec) -> ClosedLoop:
     """Assemble the closed loop for any of the controller kinds.
 
-    P:        x' = (a - b Kp c) x + d + b Kp (r - eta)
-    DEC_PI:   [x; z]' = [[a - b Kp c, b Ki], [-c, 0]] [x; z]
-                        + [d; 0] + [b Kp; I] (r - eta)
-    DIST_PI:  same with the lower-right block -gamma * L_c.
+    The law u = -Kp y + Ki z with y = c x + eta is the affine map
+    u = [-Kp c, Ki] [x; z] - Kp eta (no Ki block for P); it enters the
+    plant rows as x' = a x + b u + d.  The integrator rows are
+    z' = -y (DEC_PI) or z' = -y - gamma L_c z (DIST_PI).
     """
     n, m = sys.n_states, sys.n_outputs
     if ctrl.n_nodes != m:
         raise ValueError(f"controller covers {ctrl.n_nodes} nodes but the plant has {m} outputs")
-    kp = np.diag(ctrl.kp)
-    a_fb = sys.a - sys.b @ kp @ sys.c
-    base_force = sys.d + sys.b @ (ctrl.kp * (sys.r - sys.eta))
-
-    if ctrl.kind == ctrlmod.P:
-        e = a_fb
-        forcing = base_force
-        c_ext = sys.c
-        layout = dict(sys.blocks)
-    else:
-        if ctrl.kind == ctrlmod.DIST_PI and ctrl.gamma is None:
-            raise ValueError("closing a distributed PI loop requires gamma")
-        e = np.zeros((n + m, n + m))
-        e[:n, :n] = a_fb
-        e[:n, n:] = sys.b * ctrl.ki[None, :]
-        e[n:, :n] = -sys.c
+    if ctrl.kind == ctrlmod.DIST_PI and ctrl.gamma is None:
+        raise ValueError("closing a distributed PI loop requires gamma")
+    dim = n + m if ctrl.has_integrator else n
+    gain = np.zeros((m, dim))
+    gain[:, :n] = -ctrl.kp[:, None] * sys.c
+    offset = -ctrl.kp * sys.eta
+    e = np.zeros((dim, dim))
+    forcing = np.zeros(dim)
+    layout = dict(sys.blocks)
+    if ctrl.has_integrator:
+        zs = slice(n, dim)
+        gain[:, zs] = np.diag(ctrl.ki)
+        e[zs, :n] = -sys.c
         if ctrl.kind == ctrlmod.DIST_PI:
-            lap_c = graphmod.laplacian(ctrl.comm)
-            e[n:, n:] = -ctrl.gamma * lap_c
-        forcing = np.concatenate([base_force, sys.r - sys.eta])
-        c_ext = np.zeros((m, n + m))
-        c_ext[:, :n] = sys.c
-        layout = dict(sys.blocks)
-        layout["z"] = slice(n, n + m)
-
-    return ClosedLoop(
-        system=sys,
-        controller=ctrl,
-        system_matrix=e,
-        forcing_dev=forcing,
-        output_selector=c_ext,
-        state_layout=layout,
-    )
+            e[zs, zs] = -ctrl.gamma * graphmod.laplacian(ctrl.comm)
+        forcing[zs] = -sys.eta
+        layout["z"] = zs
+    e[:n, :n] = sys.a
+    e[:n] += sys.b @ gain
+    forcing[:n] = sys.d + sys.b @ offset
+    return ClosedLoop(system_matrix=e, forcing_dev=forcing,
+                      output_selector=np.pad(sys.c, ((0, 0), (0, dim - n))),
+                      control_gain=gain, control_offset=offset, state_layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +252,14 @@ class SimulationTrace:
     """Sampled closed-loop run.
 
     states are the loop's coordinates (for the swing model: rotating-frame
-    delta, omega - omega_ref, integrator z); outputs are the measured
-    outputs y = c x + eta in the same coordinates; controls are
-    reconstructed from the control law.
+    delta, omega - omega_ref, integrator z); controls are the control law
+    applied to them.
     """
 
     times: np.ndarray     # (k,)
     states: np.ndarray    # (k, dim)
-    outputs: np.ndarray   # (k, m)
     controls: np.ndarray  # (k, m)
     diverged: bool
-
-
-def _reconstruct(cl: ClosedLoop, states: np.ndarray):
-    """Outputs and controls along a trace, by the measurement and control laws."""
-    y = states @ cl.output_selector.T + cl.system.eta[None, :]
-    z = states[:, cl.state_layout["z"]] if cl.controller.has_integrator else None
-    return y, ctrlmod.control_output(cl.controller, cl.system.r, y, z)
 
 
 def simulate(cl: ClosedLoop, t_end: float, h: float = DEFAULT_STEP, x0=None) -> SimulationTrace:
@@ -290,26 +267,15 @@ def simulate(cl: ClosedLoop, t_end: float, h: float = DEFAULT_STEP, x0=None) -> 
     return simulate_schedule([(0.0, cl)], t_end, h=h, x0=x0)
 
 
-def _shares_loop(cl: ClosedLoop, other: ClosedLoop) -> bool:
-    """Same loop matrix, output map, eta, reference and controller: only the forcing may differ."""
-    return other.controller is cl.controller and all(
-        np.array_equal(a, b) for a, b in (
-            (cl.system_matrix, other.system_matrix),
-            (cl.output_selector, other.output_selector),
-            (cl.system.eta, other.system.eta),
-            (cl.system.r, other.system.r),
-        ))
-
-
 def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP, x0=None) -> SimulationTrace:
     """Integrate one closed loop under a piecewise-constant load schedule.
 
     segments is a list of (t_start, ClosedLoop) with t_start sorted and the
     first at 0.  The segments share one closed loop (loop matrix, output
-    map, eta, reference and controller) and differ only in their forcing, i.e.
-    the loads.  The integrator restarts at every switch time, so no step
-    straddles a forcing discontinuity; the state is continuous across
-    switches.  x0 defaults to all-zero deviations.
+    map and control law) and differ only in their forcing, i.e. the loads.
+    The integrator restarts at every switch time, so no step straddles a
+    forcing discontinuity; the state is continuous across switches.  x0
+    defaults to all-zero deviations.
     """
     if not segments:
         raise ValueError("schedule needs at least one segment")
@@ -321,18 +287,15 @@ def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP, x0=None) 
     if starts[-1] >= t_end:
         raise ValueError("last segment starts after t_end")
     cl = segments[0][1]
-    if not all(_shares_loop(cl, other) for _, other in segments[1:]):
+    shared = ("system_matrix", "output_selector", "control_gain", "control_offset")
+    if not all(np.array_equal(getattr(cl, f), getattr(other, f))
+               for _, other in segments[1:] for f in shared):
         raise ValueError("all segments must share one closed loop and differ only in forcing")
 
     if x0 is None:
         x0 = np.zeros(cl.dim)
     result = numerics.integrate_rk4(cl.system_matrix, x0,
                                     [(t, seg.forcing_dev) for t, seg in segments], t_end, h)
-    y, u = _reconstruct(cl, result.states)
-    return SimulationTrace(
-        times=result.times,
-        states=result.states,
-        outputs=y,
-        controls=u,
-        diverged=result.diverged,
-    )
+    controls = result.states @ cl.control_gain.T + cl.control_offset
+    return SimulationTrace(times=result.times, states=result.states, controls=controls,
+                           diverged=result.diverged)

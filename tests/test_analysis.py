@@ -36,7 +36,7 @@ from support import random_dist_controller, random_network, two_bus_network
 # ---------------------------------------------------------------------------
 
 def test_rank_test_passes_on_a_well_posed_scalar_system():
-    sys = LtiSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0], r=[0.0])
+    sys = LtiSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0])
     result = xi_rank_test(sys, ki=[2.0])
     assert result.dim == 2
     assert result.rank == 2
@@ -169,7 +169,7 @@ def test_unobservable_subspace_scale_argument_is_the_default_norm():
 
 
 def test_observable_unstable_mode_fails_the_check():
-    sys = LtiSystem(a=[[2.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0], r=[0.0])
+    sys = LtiSystem(a=[[2.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0])
     cl = close_loop(sys, ControllerSpec(kind=P, kp=np.array([0.5])))
     report = output_stability_check(cl)
     assert not report.output_stable

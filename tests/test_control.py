@@ -13,7 +13,6 @@ from gridpi import (
     LtiSystem,
     WeightedGraph,
     close_loop,
-    control_output,
     gains_from_cost,
     laplacian,
 )
@@ -86,28 +85,38 @@ def test_random_costs_always_validate():
 # control laws
 # ---------------------------------------------------------------------------
 
+def _plant(m, eta=None):
+    """Plant with c = I, so y = x + eta and the loop's z-rows read z' from x and z."""
+    eta = np.zeros(m) if eta is None else eta
+    return LtiSystem(a=-np.eye(m), b=np.eye(m), c=np.eye(m), d=np.zeros(m), eta=eta)
+
+
+def _law(ctrl, eta, x, z=None):
+    """u from the control law of the loop that close_loop assembles, for
+    the plant state x (so y = x + eta) and integrator state z."""
+    cl = close_loop(_plant(ctrl.n_nodes, eta), ctrl)
+    state = x if z is None else np.concatenate([x, z])
+    return cl.control_gain @ state + cl.control_offset
+
+
 def test_proportional_law():
+    # u = kp (r - y): a reference r enters as the measurement offset eta = -r
     ctrl = ControllerSpec(kind=P, kp=np.array([2.0, 3.0]))
     r = np.array([1.0, 1.0])
     y = np.array([0.5, 2.0])
-    assert_allclose(control_output(ctrl, r, y), [1.0, -3.0])
+    assert_allclose(_law(ctrl, -r, y), [1.0, -3.0])
 
 
 def test_pi_law_adds_weighted_integral_state():
     ctrl = ControllerSpec(kind=DEC_PI, kp=np.array([2.0, 3.0]), ki=np.array([0.5, 4.0]))
-    u = control_output(ctrl, np.ones(2), np.zeros(2), z=np.array([2.0, -1.0]))
+    u = _law(ctrl, -np.ones(2), np.zeros(2), z=np.array([2.0, -1.0]))
     assert_allclose(u, [2.0 + 1.0, 3.0 - 4.0])
 
 
-def _plant(m, r=None):
-    """Plant with y = x (c = I), so the loop's z-rows read z' from y and z."""
-    r = np.zeros(m) if r is None else r
-    return LtiSystem(a=-np.eye(m), b=np.eye(m), c=np.eye(m), d=np.zeros(m), eta=np.zeros(m), r=r)
-
-
 def _z_rate(ctrl, r, y, z):
-    """z' from the integrator rows of the loop that close_loop assembles."""
-    cl = close_loop(_plant(ctrl.n_nodes, r), ctrl)
+    """z' from the integrator rows of the loop that close_loop assembles;
+    a reference r enters as the measurement offset eta = -r."""
+    cl = close_loop(_plant(ctrl.n_nodes, -np.asarray(r, dtype=float)), ctrl)
     zs = cl.state_layout["z"]
     return cl.system_matrix[zs] @ np.concatenate([y, z]) + cl.forcing_dev[zs]
 
@@ -148,9 +157,6 @@ def test_averaging_preserves_the_integral_sum():
 
 
 def test_integrator_requires_state():
-    ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
-    with pytest.raises(ValueError):
-        control_output(ctrl, np.zeros(2), np.zeros(2))
     # the P loop carries no integrator states
     cl = close_loop(_plant(2), ControllerSpec(kind=P, kp=np.ones(2)))
     assert "z" not in cl.state_layout and cl.dim == 2

@@ -220,10 +220,14 @@ def test_bundled_scenarios_load():
      "bad.scn:8: cost_coeffs does not apply to the p kind"),
     ("comm_topology = edges", "comm_topology = same-as-grid",
      "bad.scn:12: [comm_edges] is read only with comm_topology = edges"),
+    ("kp = 1.0", "kp = -1.0", "bad.scn:7: kp: values must be strictly positive"),
+    ("ki = 4.0", "ki = 4.0 0.0 4.0", "bad.scn:8: ki: values must be strictly positive"),
+    ("ki = 4.0", "cost_coeffs = -1.0", "bad.scn:8: cost_coeffs: values must be strictly positive"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
         "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
         "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
-        "outputs-key", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges"])
+        "outputs-key", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges",
+        "negative-kp", "zero-ki", "negative-cost"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -474,7 +478,6 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     trace = gridpi.SimulationTrace(
         times=np.arange(rows, dtype=float),
         states=np.resize(special, (rows, loop.dim)),
-        outputs=result.trace.outputs,
         controls=np.resize(special[::-1], (rows, 3)),
         diverged=False,
     )
@@ -609,6 +612,21 @@ def test_cli_trace_too_large_to_allocate_exits_two(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: Unable to allocate 21.3 PiB")
+
+
+def test_cli_unwritable_trace_exits_two(tmp_path, capsys):
+    # the destination is a directory, so renaming the written file onto it fails
+    target = tmp_path / "out"
+    target.mkdir()
+    code = cli_main(["simulate", bundled("ring_share.scn"), "--horizon", "1",
+                     "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    # the temporary file is removed again
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_cli_warns_on_stderr_when_gamma_exceeds_the_bound(tmp_path):

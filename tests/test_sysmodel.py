@@ -81,10 +81,9 @@ def test_swing_lti_assembly():
     ])
     assert_allclose(sys.b, [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.25]])
     assert_allclose(sys.c, [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    # deviation coordinates: d = M^-1 (p - D omega_ref), r = 0
+    # deviation coordinates: d = M^-1 (p - D omega_ref)
     assert_allclose(sys.d, [0.0, 0.0, (10.0 - 0.5 * net.omega_ref) / 2.0,
                             (-6.0 - net.omega_ref) / 4.0])
-    assert_allclose(sys.r, np.zeros(2))
     assert sys.blocks["delta"] == slice(0, 2)
     assert sys.blocks["omega"] == slice(2, 4)
     assert_allclose(sys.eta, np.zeros(2))
@@ -158,7 +157,7 @@ def test_distributed_loop_reduces_to_decentralized_without_averaging():
 
 
 def test_generic_system_closes_without_swing_blocks():
-    sys = LtiSystem(a=[[2.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0], r=[0.0])
+    sys = LtiSystem(a=[[2.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0])
     cl = close_loop(sys, ControllerSpec(kind=P, kp=np.array([0.5])))
     # not stabilizable with this gain: 2 - 0.5 > 0
     assert_allclose(cl.system_matrix, [[1.5]])
@@ -179,10 +178,9 @@ def test_trace_outputs_and_controls_follow_the_laws():
     cl = close_loop(swing_to_lti(net, eta=eta), ctrl)
     tr = simulate(cl, 2.0, h=0.01)
     ow, zs = cl.state_layout["omega"], cl.state_layout["z"]
-    # measured output is the frequency deviation plus the constant offset
-    assert_allclose(tr.outputs, tr.states[:, ow] + eta, atol=1e-12)
-    # inputs reproduce the feedback law (reference 0) sample by sample
-    expected_u = ctrl.kp * -tr.outputs + ctrl.ki * tr.states[:, zs]
+    # inputs reproduce the feedback law on the measured output (frequency
+    # deviation plus the constant offset) sample by sample
+    expected_u = -ctrl.kp * (tr.states[:, ow] + eta) + ctrl.ki * tr.states[:, zs]
     assert_allclose(tr.controls, expected_u, atol=1e-9)
 
 
@@ -257,3 +255,6 @@ def test_schedule_validation():
     loops = [close_loop(swing_to_lti(net), replace(dist, gamma=g)) for g in (0.5, 0.8)]
     with pytest.raises(ValueError, match="share one closed loop"):
         simulate_schedule([(0.0, loops[0]), (0.5, loops[1])], 1.0)  # different gamma
+    offset = close_loop(swing_to_lti(net, eta=[0.0, 0.1]), ctrl)
+    with pytest.raises(ValueError, match="share one closed loop"):
+        simulate_schedule([(0.0, cl), (0.5, offset)], 1.0)  # different eta
