@@ -32,11 +32,7 @@ from .control import (
     gains_from_cost,
 )
 from .graph import WeightedGraph, is_connected, laplacian
-from .numerics import (
-    IntegrationResult,
-    integrate_rk4,
-    numerical_rank,
-)
+from .numerics import SimulationTrace, integrate_rk4, numerical_rank
 from .scenario import (
     LoadedNetwork,
     ParseError,
@@ -45,14 +41,12 @@ from .scenario import (
     analyze_scenario,
     load_network,
     load_scenario,
-    read_trace_csv,
     run_scenario,
 )
 from .sysmodel import (
     ClosedLoop,
     LtiSystem,
     PowerNetwork,
-    SimulationTrace,
     close_loop,
     simulate,
     simulate_schedule,
@@ -67,7 +61,6 @@ __all__ = [
     "DEC_PI",
     "DIST_PI",
     "GammaBound",
-    "IntegrationResult",
     "KINDS",
     "LoadedNetwork",
     "LtiSystem",
@@ -94,7 +87,6 @@ __all__ = [
     "numerical_rank",
     "output_stability_check",
     "predict_steady_state",
-    "read_trace_csv",
     "run_scenario",
     "simulate",
     "simulate_schedule",

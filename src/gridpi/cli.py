@@ -80,8 +80,8 @@ def _cmd_simulate(args):
     trace = result.trace
     print(f"simulated {trace.times[-1]:.6g} s in {trace.times.shape[0]} steps"
           + (" (diverged)" if trace.diverged else ""))
-    final_dev = np.max(np.abs(result.omega_hz[-1] - result.omega_hat_hz))
-    print(f"final frequencies: {_fmt_vec(result.omega_hz[-1], 'Hz')}")
+    final_dev = np.max(np.abs(result.final_omega_hz - result.omega_hat_hz))
+    print(f"final frequencies: {_fmt_vec(result.final_omega_hz, 'Hz')}")
     print(f"target {result.omega_hat_hz:.9g} Hz, worst deviation {final_dev:.3g} Hz")
     print(f"settled: {'yes' if result.settled else 'no'}")
     if result.csv_path:

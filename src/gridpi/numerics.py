@@ -1,4 +1,4 @@
-"""Numerical rank and the fixed-step RK4 integrator.
+"""Numerical rank, the fixed-step RK4 integrator and the trace it returns.
 
 Singular values go through LAPACK; the integrator is our own.  All
 arrays are float64.
@@ -21,9 +21,16 @@ _CHECK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
-class IntegrationResult:
+class SimulationTrace:
+    """An integrated run: the state at every step from t = 0.
+
+    For a closed loop, states are the loop's coordinates (for the swing
+    model: rotating-frame delta, omega - omega_ref, integrator z); inputs
+    and frequencies are computed from them where they are read.
+    """
+
     times: np.ndarray    # (k,)
-    states: np.ndarray   # (k, dim), one row per step including t = 0
+    states: np.ndarray   # (k, dim)
     diverged: bool
 
 
@@ -66,26 +73,24 @@ def _split(span: float, h: float):
     return n_full, (tail if tail > 1e-9 * h else 0.0)
 
 
-def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> IntegrationResult:
+def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> SimulationTrace:
     """Classical 4th-order fixed-step integration of x' = matrix @ x + offset
     with a piecewise-constant offset.
 
-    schedule is [(t_start, offset), ...] with the first start at 0; each
-    offset holds until the next start, the last one until t_end.  The step
-    grid restarts at every start, so no step straddles a switch: a segment
-    takes full steps of h and, when its length is not a multiple of h, one
-    shortened step landing exactly on its end.  The trace holds every step
-    from t = 0, each switch time once.  Each step is x -> phi @ x + g,
-    written in place into the preallocated trace.  Divergence (a
-    non-finite component or one beyond DIVERGENCE_LIMIT) is tested once
-    per block of rows rather than after every step; the first bad row
-    stops the run, sets the diverged flag and ends the truncated trace,
-    exactly as a per-step test would.
+    schedule is [(t_start, offset), ...] with the first start at 0 and
+    strictly increasing starts below t_end; each offset holds until the
+    next start, the last one until t_end.  The step grid restarts at every
+    start, so no step straddles a switch: a segment takes full steps of h
+    and, when its length is not a multiple of h, one shortened step landing
+    exactly on its end.  The trace holds every step from t = 0, each
+    switch time once.  Each step is x -> phi @ x + g, written in place into
+    the preallocated trace.  Divergence (a non-finite component or one
+    beyond DIVERGENCE_LIMIT) is tested once per block of rows rather than
+    after every step; the first bad row stops the run, sets the diverged
+    flag and ends the truncated trace, exactly as a per-step test would.
     """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
@@ -99,8 +104,9 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> IntegrationRe
         if off.shape != (n,):
             raise ValueError(f"offset shape {off.shape} does not match state dimension {n}")
     stops = starts[1:] + [float(t_end)]
-    if not starts or starts[0] != 0.0 or any(b < a for a, b in zip(starts, stops)):
-        raise ValueError("schedule must start at t = 0 with increasing times up to t_end")
+    if not starts or starts[0] != 0.0 or any(b <= a for a, b in zip(starts, stops)):
+        raise ValueError("schedule must start at t = 0 with strictly increasing times "
+                         "below t_end")
 
     plan = [_split(stop - start, h) for start, stop in zip(starts, stops)]
     rows = 1 + sum(n_full + (tail > 0.0) for n_full, tail in plan)
@@ -133,6 +139,6 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> IntegrationRe
                     bad = np.flatnonzero(~(np.max(np.abs(block), axis=1) <= DIVERGENCE_LIMIT))
                     if bad.size:
                         end = first + int(bad[0]) + 1
-                        return IntegrationResult(times=times[:end], states=out[:end], diverged=True)
+                        return SimulationTrace(times=times[:end], states=out[:end], diverged=True)
             k = last
-    return IntegrationResult(times=times, states=out, diverged=False)
+    return SimulationTrace(times=times, states=out, diverged=False)

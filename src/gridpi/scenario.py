@@ -384,6 +384,9 @@ def load_scenario(path) -> Scenario:
         elif topo == "edges":
             comm = _edge_rows(path, sections.get("comm_edges", []), loaded.bus_ids, "comm_edges",
                               "weight", lambda edges: graphmod.WeightedGraph(n, edges))
+            if not graphmod.is_connected(comm):
+                raise ParseError(path, topo_line, "comm_topology = edges: the [comm_edges] "
+                                 "graph must be connected")
         else:
             raise ParseError(path, topo_line, f"comm_topology must be same-as-grid or edges, got {topo!r}")
     else:
@@ -468,8 +471,8 @@ class AnalysisReport:
 @dataclass(frozen=True)
 class ScenarioResult:
     analysis: AnalysisReport
-    trace: sysmodel.SimulationTrace
-    omega_hz: np.ndarray      # (k, n) absolute frequencies
+    trace: numerics.SimulationTrace
+    final_omega_hz: np.ndarray  # (n,) absolute frequencies at the last row
     settled: bool
     omega_hat_hz: float
     csv_path: str = None
@@ -552,6 +555,7 @@ def _check_step(stability: analysismod.StabilityReport, h: float):
     stability check counts as decaying (Re lam < -STABILITY_TOL * scale)."""
     lam = stability.eigenvalues
     lam = lam[lam.real < -analysismod.STABILITY_TOL * stability.scale]
+    # this also covers a shortened tail step t*h: |R(z)| < 1 is star-shaped in Re z < 0
     mult = np.abs(numerics.rk4_multiplier(h * lam))
     if np.all(mult < 1.0):
         return
@@ -576,6 +580,9 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
     horizon = _override(horizon, scn.horizon, "horizon")
     settle_tol = _override(settle_tol_hz, scn.settle_tol_hz, "settle_tol_hz")
     h = _override(step, scn.step, "step")
+    destination = scn.trace_csv if csv_path is None else (csv_path or None)
+    if destination:
+        _check_destination(destination)
 
     report = analyze_scenario(scn)
     _check_step(report.stability, h)
@@ -590,22 +597,21 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
         segments.append((t_start, sysmodel.close_loop(stage_sys, ctrl)))
     trace = sysmodel.simulate_schedule(segments, horizon, h=h, x0=x0)
 
-    omega_slice = segments[0][1].state_layout["omega"]
-    omega_hz = (trace.states[:, omega_slice] + net.omega_ref) / TWO_PI
+    loop = segments[0][1]
+    final_omega_hz = (trace.states[-1, loop.state_layout["omega"]] + net.omega_ref) / TWO_PI
     omega_hat = net.omega_ref - float(np.mean(scn.eta))
     omega_hat_hz = omega_hat / TWO_PI
     settled = (not trace.diverged) and bool(
-        np.max(np.abs(omega_hz[-1] - omega_hat_hz)) < settle_tol
+        np.max(np.abs(final_omega_hz - omega_hat_hz)) < settle_tol
     )
 
-    destination = scn.trace_csv if csv_path is None else (csv_path or None)
     written = None
     if destination:
-        written = write_trace_csv(destination, scn, segments[0][1], trace, omega_hz, h)
+        written = write_trace_csv(destination, scn, loop, trace, h)
     return ScenarioResult(
         analysis=report,
         trace=trace,
-        omega_hz=omega_hz,
+        final_omega_hz=final_omega_hz,
         settled=settled,
         omega_hat_hz=omega_hat_hz,
         csv_path=written,
@@ -616,10 +622,22 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
 # CSV output
 # ---------------------------------------------------------------------------
 
+def _check_destination(path):
+    """Fail before any work, naming path, when a CSV cannot be written
+    there: path is a directory, or its directory cannot be made or written."""
+    if os.path.isdir(path) or path.endswith(os.sep):
+        raise IsADirectoryError(f"cannot write the trace to {path}: it names a directory")
+    try:
+        directory = os.path.dirname(os.path.abspath(path))
+        os.makedirs(directory, exist_ok=True)
+        with tempfile.TemporaryFile(dir=directory):
+            pass
+    except OSError as exc:
+        raise OSError(f"cannot write the trace to {path}: {exc.strerror}") from exc
+
+
 def _atomic_write(path, payload):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    handle, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    handle, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -631,14 +649,16 @@ def _atomic_write(path, payload):
 
 
 def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
-                    trace: sysmodel.SimulationTrace, omega_hz: np.ndarray, step: float) -> str:
-    """Write the trace of a run integrated with step `step`, one row per
-    output_every seconds; the final sample is always included.
+                    trace: numerics.SimulationTrace, step: float) -> str:
+    """Write the trace of a run of loop integrated with step `step`, one row
+    per output_every seconds; the final sample is always included.
 
     Columns: time, omega_<id>_hz per bus, u_<id>_w per bus, and z_<id> per
-    bus when the controller has integrators.  Values carry 17 significant
-    digits so a reread reproduces the binary floats exactly.  The file is
-    written to a temporary name and renamed into place.
+    bus when the controller has integrators.  Frequencies and the inputs
+    (the loop's law applied to the states) are computed for the written
+    rows only.  Values carry 17 significant digits so a reread reproduces
+    the binary floats exactly.  The file is written to a temporary name
+    and renamed into place.
     """
     stride = max(int(round(scn.output_every / step)), 1)
     picks = list(range(0, trace.times.shape[0], stride))
@@ -649,10 +669,13 @@ def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
     columns = ["time"]
     columns += [f"omega_{b}_hz" for b in ids]
     columns += [f"u_{b}_w" for b in ids]
-    blocks = [trace.times[picks, None], omega_hz[picks], trace.controls[picks]]
+    states = trace.states[picks]
+    omega_hz = (states[:, loop.state_layout["omega"]] + scn.network.net.omega_ref) / TWO_PI
+    inputs = states @ loop.control_gain.T + loop.control_offset
+    blocks = [trace.times[picks, None], omega_hz, inputs]
     if "z" in loop.state_layout:
         columns += [f"z_{b}" for b in ids]
-        blocks.append(trace.states[picks][:, loop.state_layout["z"]])
+        blocks.append(states[:, loop.state_layout["z"]])
     table = np.hstack(blocks)
 
     # one % per row; rows are boxed one at a time, since a whole-table
@@ -663,12 +686,3 @@ def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
     _atomic_write(path, "\n".join(rows) + "\n")
     return path
 
-
-def read_trace_csv(path):
-    """Read a trace CSV back: (column names, float64 array of shape (k, c))."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: header names {len(header)} columns but rows have {data.shape[1]}")
-    return header, data

@@ -247,45 +247,27 @@ def close_loop(sys: LtiSystem, ctrl: ctrlmod.ControllerSpec) -> ClosedLoop:
 # simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimulationTrace:
-    """Sampled closed-loop run.
-
-    states are the loop's coordinates (for the swing model: rotating-frame
-    delta, omega - omega_ref, integrator z); controls are the control law
-    applied to them.
-    """
-
-    times: np.ndarray     # (k,)
-    states: np.ndarray    # (k, dim)
-    controls: np.ndarray  # (k, m)
-    diverged: bool
-
-
-def simulate(cl: ClosedLoop, t_end: float, h: float = DEFAULT_STEP, x0=None) -> SimulationTrace:
+def simulate(cl: ClosedLoop, t_end: float, h: float = DEFAULT_STEP,
+             x0=None) -> numerics.SimulationTrace:
     """Integrate the closed loop from x0 (default: all-zero deviations)."""
     return simulate_schedule([(0.0, cl)], t_end, h=h, x0=x0)
 
 
-def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP, x0=None) -> SimulationTrace:
+def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP,
+                      x0=None) -> numerics.SimulationTrace:
     """Integrate one closed loop under a piecewise-constant load schedule.
 
-    segments is a list of (t_start, ClosedLoop) with t_start sorted and the
-    first at 0.  The segments share one closed loop (loop matrix, output
-    map and control law) and differ only in their forcing, i.e. the loads.
-    The integrator restarts at every switch time, so no step straddles a
+    segments is a list of (t_start, ClosedLoop); integrate_rk4 enforces the
+    time rules (first start at 0, strictly increasing, last below t_end).
+    The segments share one closed loop (loop matrix, output map and
+    control law) and differ only in their forcing, i.e. the loads.  The
+    integrator restarts at every switch time, so no step straddles a
     forcing discontinuity; the state is continuous across switches.  x0
-    defaults to all-zero deviations.
+    defaults to all-zero deviations.  The inputs of any row are
+    states @ control_gain.T + control_offset.
     """
     if not segments:
         raise ValueError("schedule needs at least one segment")
-    starts = [float(t) for t, _ in segments]
-    if starts[0] != 0.0:
-        raise ValueError(f"first segment must start at t = 0, got {starts[0]}")
-    if any(b <= a for a, b in zip(starts, starts[1:])):
-        raise ValueError("segment start times must be strictly increasing")
-    if starts[-1] >= t_end:
-        raise ValueError("last segment starts after t_end")
     cl = segments[0][1]
     shared = ("system_matrix", "output_selector", "control_gain", "control_offset")
     if not all(np.array_equal(getattr(cl, f), getattr(other, f))
@@ -294,8 +276,5 @@ def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP, x0=None) 
 
     if x0 is None:
         x0 = np.zeros(cl.dim)
-    result = numerics.integrate_rk4(cl.system_matrix, x0,
-                                    [(t, seg.forcing_dev) for t, seg in segments], t_end, h)
-    controls = result.states @ cl.control_gain.T + cl.control_offset
-    return SimulationTrace(times=result.times, states=result.states, controls=controls,
-                           diverged=result.diverged)
+    return numerics.integrate_rk4(cl.system_matrix, x0,
+                                  [(t, seg.forcing_dev) for t, seg in segments], t_end, h)

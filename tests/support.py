@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: bundled data paths, random systems."""
+"""Shared helpers for the test suite: bundled data paths, random systems,
+quantities read off a trace, and the trace CSV reader."""
 
 from importlib.resources import files
 
@@ -58,6 +59,34 @@ def two_bus_network(power=(0.0, 0.0)):
         power=np.asarray(power, dtype=float),
         lines=((0, 1, 1.0e-6),),
     )
+
+
+# ---------------------------------------------------------------------------
+# quantities read off a trace
+# ---------------------------------------------------------------------------
+
+def frequencies_hz(net, states):
+    """Absolute bus frequencies in Hz of swing-loop states (a row or rows)."""
+    n = net.n_buses
+    return (states[..., n:2 * n] + net.omega_ref) / (2.0 * np.pi)
+
+
+def scenario_inputs(scn, result, states):
+    """Inputs of a run_scenario result at states (a row or rows): the
+    control law u = control_gain x + control_offset of the scenario's loop."""
+    loop = gridpi.close_loop(gridpi.swing_to_lti(scn.network.net, eta=scn.eta),
+                             result.analysis.controller)
+    return states @ loop.control_gain.T + loop.control_offset
+
+
+def read_trace_csv(path):
+    """Read a trace CSV back: (column names, float64 array of shape (k, c))."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: header names {len(header)} columns but rows have {data.shape[1]}")
+    return header, data
 
 
 # ---------------------------------------------------------------------------

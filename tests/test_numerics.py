@@ -93,6 +93,12 @@ def test_ode_validation():
         integrate_rk4(np.eye(2), np.zeros(2), [(0.0, np.zeros(2)), (0.5, np.zeros(3))], 1.0, 0.1)
     with pytest.raises(ValueError):  # the schedule must start at 0
         integrate_rk4(np.eye(2), np.zeros(2), [(0.5, np.zeros(2))], 1.0, 0.1)
+    with pytest.raises(ValueError, match="strictly increasing"):  # equal starts
+        integrate_rk4(np.eye(2), np.zeros(2), [(0.0, np.zeros(2)), (0.0, np.ones(2))], 1.0, 0.1)
+    with pytest.raises(ValueError, match="below t_end"):  # a segment of length 0 at the end
+        integrate_rk4(np.eye(2), np.zeros(2), [(0.0, np.zeros(2)), (1.0, np.ones(2))], 1.0, 0.1)
+    with pytest.raises(ValueError, match="below t_end"):  # nothing to integrate
+        _rk4(np.eye(2), np.zeros(2), np.zeros(2), 0.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +251,16 @@ def test_rk4_multiplier_is_the_spectrum_of_the_step_map():
     phi, _ = _rk4_map(mat, 0.3)
     expected = np.sort_complex(rk4_multiplier(0.3 * np.linalg.eigvals(mat)))
     assert_allclose(np.sort_complex(np.linalg.eigvals(phi)), expected, atol=1e-12)
+
+
+def test_rk4_stability_region_is_star_shaped_in_the_left_half_plane():
+    # Along every ray z = r e^(i theta) with Re z < 0, |R(z)| < 1 holds on
+    # one interval 0 < r < r*(theta) and nowhere beyond it (up to |z| = 3.5,
+    # outside the whole region).  So if a full step h damps a mode, so does
+    # every shortened step t h, 0 < t <= 1: a step check needs only h.
+    theta = np.linspace(np.pi / 2, 3 * np.pi / 2, 4003)[1:-1]
+    radii = np.linspace(0.0, 3.5, 7002)[1:]
+    for rays in np.array_split(theta, 40):
+        inside = np.abs(rk4_multiplier(radii[None, :] * np.exp(1j * rays)[:, None])) < 1.0
+        assert inside[:, 0].all() and not inside[:, -1].any()
+        assert np.all(np.count_nonzero(inside[:, 1:] != inside[:, :-1], axis=1) == 1)

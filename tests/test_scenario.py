@@ -13,10 +13,10 @@ from numpy.testing import assert_allclose
 
 import gridpi
 from gridpi import scenario as scenario_mod
-from gridpi import ParseError, load_network, load_scenario, read_trace_csv, run_scenario
+from gridpi import ParseError, load_network, load_scenario, run_scenario
 from gridpi.cli import main as cli_main
-from support import (BUS_KEYS, bundled, random_network, write_network_file,
-                     write_scenario_file)
+from support import (BUS_KEYS, bundled, frequencies_hz, random_network, read_trace_csv,
+                     scenario_inputs, write_network_file, write_scenario_file)
 
 TWO_PI = 2.0 * np.pi
 GOLDEN = Path(__file__).parent / "golden"
@@ -223,11 +223,13 @@ def test_bundled_scenarios_load():
     ("kp = 1.0", "kp = -1.0", "bad.scn:7: kp: values must be strictly positive"),
     ("ki = 4.0", "ki = 4.0 0.0 4.0", "bad.scn:8: ki: values must be strictly positive"),
     ("ki = 4.0", "cost_coeffs = -1.0", "bad.scn:8: cost_coeffs: values must be strictly positive"),
+    ("\n2 3 0.5", "",
+     "bad.scn:10: comm_topology = edges: the [comm_edges] graph must be connected"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
         "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
         "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
         "outputs-key", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges",
-        "negative-kp", "zero-ki", "negative-cost"])
+        "negative-kp", "zero-ki", "negative-cost", "disconnected-comm"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -384,7 +386,8 @@ def test_quiet_scenario_stays_settled(tmp_path):
     assert result.analysis.positive
     assert result.csv_path is None
     # no disturbance, no noise: parked at 50 Hz throughout
-    assert np.max(np.abs(result.omega_hz - 50.0)) < 1e-9
+    omega_hz = frequencies_hz(scn.network.net, result.trace.states)
+    assert np.max(np.abs(omega_hz - 50.0)) < 1e-9
     assert result.omega_hat_hz == 50.0
 
 
@@ -417,7 +420,7 @@ def test_load_step_moves_the_operating_point(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path, gamma="0.5",
                                        extra="[disturbances]\n1.0 2 25.0\n"))
     result = run_scenario(scn, horizon=40.0)
-    u = result.trace.controls
+    u = scenario_inputs(scn, result, result.trace.states)
     # pre-step: damping compensation plus the 40 kW base load of bus 2
     net = scn.network.net
     comp = net.omega_ref * net.damping.sum()
@@ -444,8 +447,9 @@ def test_trace_round_trips_bit_exact(tmp_path):
     assert data.shape == (51, 10)
     picks = np.arange(0, 501, 10)
     assert np.array_equal(data[:, 0], result.trace.times[picks])
-    assert np.array_equal(data[:, 1:4], result.omega_hz[picks])
-    assert np.array_equal(data[:, 4:7], result.trace.controls[picks])
+    states = result.trace.states[picks]
+    assert np.array_equal(data[:, 1:4], frequencies_hz(scn.network.net, states))
+    assert np.array_equal(data[:, 4:7], scenario_inputs(scn, result, states))
 
 
 def test_trace_always_includes_the_endpoint(tmp_path):
@@ -478,15 +482,14 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     trace = gridpi.SimulationTrace(
         times=np.arange(rows, dtype=float),
         states=np.resize(special, (rows, loop.dim)),
-        controls=np.resize(special[::-1], (rows, 3)),
         diverged=False,
     )
-    omega_hz = np.resize(np.roll(special, 5), (rows, 3))
     out = tmp_path / "special.csv"
     # a step equal to output_every writes every row
-    scenario_mod.write_trace_csv(str(out), scn, loop, trace, omega_hz, scn.output_every)
-    table = np.hstack([trace.times[:, None], omega_hz, trace.controls,
-                       trace.states[:, loop.state_layout["z"]]])
+    scenario_mod.write_trace_csv(str(out), scn, loop, trace, scn.output_every)
+    inputs = trace.states @ loop.control_gain.T + loop.control_offset
+    table = np.hstack([trace.times[:, None], frequencies_hz(scn.network.net, trace.states),
+                       inputs, trace.states[:, loop.state_layout["z"]]])
     header = out.read_text(encoding="utf-8").split("\n", 1)[0]
     expected = [header] + [",".join("%.17g" % value for value in row) for row in table]
     assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
@@ -516,7 +519,7 @@ def test_cli_simulate_quiet(tmp_path, capsys):
 
 def test_cli_simulate_writes_requested_trace(tmp_path, capsys):
     scn_path = quiet_scenario(tmp_path)
-    target = tmp_path / "cli_trace.csv"
+    target = tmp_path / "runs" / "cli_trace.csv"  # a missing directory is made
     code = cli_main(["simulate", scn_path, "--output", str(target), "--horizon", "1.0"])
     assert code == 0
     assert target.exists()
@@ -596,7 +599,7 @@ def test_step_outside_the_rk4_stability_region_is_refused(capsys):
     coarse = run_scenario(scn, step=0.015625, horizon=20.0, csv_path="")
     fine = run_scenario(scn, horizon=20.0, csv_path="")
     assert not coarse.trace.diverged
-    assert_allclose(coarse.omega_hz[-1], fine.omega_hz[-1], atol=1e-6)
+    assert_allclose(coarse.final_omega_hz, fine.final_omega_hz, atol=1e-6)
 
     assert cli_main(["simulate", bundled("ring_share.scn"), "--step", "0.5", "--output", ""]) == 2
     captured = capsys.readouterr()
@@ -614,19 +617,30 @@ def test_cli_trace_too_large_to_allocate_exits_two(capsys):
     assert captured.err.startswith("error: Unable to allocate 21.3 PiB")
 
 
-def test_cli_unwritable_trace_exits_two(tmp_path, capsys):
-    # the destination is a directory, so renaming the written file onto it fails
-    target = tmp_path / "out"
-    target.mkdir()
-    code = cli_main(["simulate", bundled("ring_share.scn"), "--horizon", "1",
-                     "--output", str(target)])
+@pytest.mark.parametrize("target, reason", [
+    ("out", "it names a directory"),
+    (".", "it names a directory"),
+    ("new/", "it names a directory"),
+    ("notes.txt/trace.csv", "File exists"),
+], ids=["directory", "working-directory", "trailing-separator", "under-a-file"])
+def test_cli_unwritable_trace_exits_two(tmp_path, monkeypatch, capsys, target, reason):
+    # the destination is probed before the run, so the error names it
+    # rather than a temporary file, and comes before the integration
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated although the trace cannot be written")
+
+    monkeypatch.setattr(gridpi.numerics, "integrate_rk4", no_integration)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "notes.txt").write_text("", encoding="utf-8")
+    code = cli_main(["simulate", bundled("ring_share.scn"), "--output", target])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and str(target) in captured.err
-    # the temporary file is removed again
-    assert list(tmp_path.iterdir()) == [target]
-    assert list(target.iterdir()) == []
+    assert captured.err == f"error: cannot write the trace to {target}: {reason}\n"
+    assert ".tmp" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt", "out"]
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cli_warns_on_stderr_when_gamma_exceeds_the_bound(tmp_path):

@@ -181,7 +181,7 @@ def test_trace_outputs_and_controls_follow_the_laws():
     # inputs reproduce the feedback law on the measured output (frequency
     # deviation plus the constant offset) sample by sample
     expected_u = -ctrl.kp * (tr.states[:, ow] + eta) + ctrl.ki * tr.states[:, zs]
-    assert_allclose(tr.controls, expected_u, atol=1e-9)
+    assert_allclose(tr.states @ cl.control_gain.T + cl.control_offset, expected_u, atol=1e-9)
 
 
 def test_simulation_matches_matrix_exponential():
