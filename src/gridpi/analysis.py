@@ -32,7 +32,7 @@ from . import sysmodel
 
 # Decay margin and zero-mode band of the stability check (relative to the matrix scale).
 STABILITY_TOL = 1.0e-8
-# gamma_star_search: doublings before giving up, and the bisection's relative width.
+# gamma_star_search: doublings before giving up, and the bracket's final relative width.
 _MAX_DOUBLINGS = 80
 _SEARCH_REL_TOL = 1.0e-6
 # How negative lambda_min(sym(Lk Lc)) may be before the bound's precondition
@@ -144,6 +144,12 @@ def unobservable_subspace(a: np.ndarray, c: np.ndarray, *, scale: float = None):
     return basis, comp
 
 
+def _observable_margin(seen: np.ndarray, scale: float) -> float:
+    """max Re(seen) + STABILITY_TOL * scale; in IEEE arithmetic it is < 0
+    exactly when all(seen.real < -STABILITY_TOL * scale), the stability rule."""
+    return float(np.max(seen.real, initial=-math.inf)) + STABILITY_TOL * scale
+
+
 def output_stability_check(cl: sysmodel.ClosedLoop) -> StabilityReport:
     """Eigenvalue test: stable iff every observable mode decays.
 
@@ -167,7 +173,7 @@ def output_stability_check(cl: sysmodel.ClosedLoop) -> StabilityReport:
     return StabilityReport(
         eigenvalues=lam,
         zero_modes=tuple(ZeroMode(complex(z), bool(o)) for z, o in zip(lam[zero], observable[zero])),
-        output_stable=bool(np.all(seen.real < -STABILITY_TOL * scale)),
+        output_stable=_observable_margin(seen, scale) < 0.0,
         max_real_part_excluding_zero_modes=float(np.max(lam.real[~zero], initial=-math.inf)),
         scale=scale,
     )
@@ -300,13 +306,17 @@ def stability_cubic(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
 
 
 def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> float:
-    """Empirical stability threshold in gamma by doubling plus bisection.
+    """Empirical stability threshold in gamma by doubling plus a bracketed secant.
 
     Comparison tool only: assumes a single stable-to-unstable crossing.
-    Starts at gamma_bar (at 1 when gamma_bar is inf), doubles until the
-    eigenvalue check fails and bisects to _SEARCH_REL_TOL relative width.
-    Returns the largest gamma found to pass the check (inf if no
-    instability shows up within _MAX_DOUBLINGS doublings).
+    Doubles gamma from gamma_bar (from 1 when gamma_bar is inf) until the
+    eigenvalue check fails, then narrows the bracket to _SEARCH_REL_TOL
+    relative width by an Illinois secant on log gamma over the check's
+    margin, bisecting where a step leaves the bracket.  Returns the largest
+    gamma found to pass (inf if none fails within _MAX_DOUBLINGS doublings).
+    Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G on
+    one split [B W], redone only where ||W^T E(gamma) B||_2 > RANK_REL_TOL *
+    scale; for the swing loop B is the uniform-angle vector, always invariant.
 
     Loops that stay stable for every gamma eventually defeat the
     classifier: once gamma dwarfs the machine dynamics, the norm-relative
@@ -314,32 +324,51 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     numerical breakdown rather than a real one.  Treat large answers as
     "no threshold below this" instead of as a threshold.
     """
-    sys = sysmodel.swing_to_lti(net)
+    cl = sysmodel.close_loop(sysmodel.swing_to_lti(net), replace(ctrl, gamma=1.0))
+    zs = cl.state_layout["z"]
+    g = np.zeros_like(cl.system_matrix)
+    g[zs, zs] = -cl.system_matrix[zs, zs]
+    e0 = cl.system_matrix + g  # e0 - gamma * g has close_loop's bits at every gamma
+    split = []  # W^T E0 W, W^T G W, W^T E0 B, W^T G B
 
-    def _stable(gamma):
-        cl = sysmodel.close_loop(sys, replace(ctrl, gamma=float(gamma)))
-        return output_stability_check(cl).output_stable
+    def _margin(gamma):
+        e = e0 - gamma * g
+        scale = max(np.linalg.norm(e, 2), 1.0)
+        if not split or (np.linalg.norm(split[2] - gamma * split[3], 2)
+                         > numerics.RANK_REL_TOL * scale):
+            basis, comp = unobservable_subspace(e, cl.output_selector, scale=scale)
+            split[:] = [comp.T @ m @ v for v in (comp, basis) for m in (e0, g)]
+        return _observable_margin(np.linalg.eigvals(split[0] - gamma * split[1]), scale)
 
     gb = gamma_bar(net, ctrl).gamma_bar
     lo = gb if math.isfinite(gb) else 1.0
-    if not _stable(lo):
+    f_lo = _margin(lo)
+    if not f_lo < 0.0:
         raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {lo}")
-    hi = None
     probe = lo
     for _ in range(_MAX_DOUBLINGS):
         probe *= 2.0
-        if not _stable(probe):
-            hi = probe
+        f = _margin(probe)
+        if not f < 0.0:
+            hi, f_hi = probe, f
             break
-        lo = probe
-    if hi is None:
+        lo, f_lo = probe, f
+    else:
         return math.inf
+    moved = None  # the end that the last step replaced
     while hi - lo > _SEARCH_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if _stable(mid):
-            lo = mid
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        x = (x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo)
+        gamma = math.exp(x) if x_lo < x < x_hi else math.nan
+        if not lo < gamma < hi:  # the secant step left the bracket: bisect
+            gamma = 0.5 * (lo + hi)
+        f = _margin(gamma)
+        if f < 0.0:  # Illinois: an end kept twice in a row has its margin halved
+            f_hi *= 0.5 if moved == "lo" else 1.0
+            lo, f_lo, moved = gamma, f, "lo"
         else:
-            hi = mid
+            f_lo *= 0.5 if moved == "hi" else 1.0
+            hi, f_hi, moved = gamma, f, "hi"
     return lo
 
 

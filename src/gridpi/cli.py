@@ -125,7 +125,7 @@ def _cmd_gamma_bound(args):
     if args.spectral:
         gamma_star = analysismod.gamma_star_search(loaded.net, ctrl)
         print(f"eigenvalue-based threshold ~= {gamma_star:.9g}")
-        if math.isfinite(bound.gamma_bar) and gamma_star > 0.0:
+        if math.isfinite(bound.gamma_bar) and math.isfinite(gamma_star):
             print(f"bound / threshold = {bound.gamma_bar / gamma_star:.3g}")
     return EXIT_OK
 
@@ -164,7 +164,7 @@ def build_parser():
     p_gb.add_argument("--kp", required=True, help="proportional gains")
     p_gb.add_argument("--ki", required=True, help="integral gains")
     p_gb.add_argument("--spectral", action="store_true",
-                      help="also bisect the actual stability threshold")
+                      help="also search the eigenvalue-based stability threshold")
     p_gb.set_defaults(func=_cmd_gamma_bound)
     return parser
 

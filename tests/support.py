@@ -1,11 +1,15 @@
 """Shared helpers for the test suite: bundled data paths, random systems,
-quantities read off a trace, and the trace CSV reader."""
+the reference gamma search, quantities read off a trace, and the trace CSV
+reader."""
 
+import math
+from dataclasses import replace
 from importlib.resources import files
 
 import numpy as np
 
 import gridpi
+from gridpi.analysis import _MAX_DOUBLINGS, _SEARCH_REL_TOL
 
 
 def bundled(name):
@@ -59,6 +63,39 @@ def two_bus_network(power=(0.0, 0.0)):
         power=np.asarray(power, dtype=float),
         lines=((0, 1, 1.0e-6),),
     )
+
+
+def reference_gamma_star_search(net, ctrl):
+    """gamma_star_search as doubling plus plain bisection, with a closed
+    loop and a full output_stability_check per probe: the reference for
+    the single-split secant search."""
+    sys = gridpi.swing_to_lti(net)
+
+    def _stable(gamma):
+        cl = gridpi.close_loop(sys, replace(ctrl, gamma=float(gamma)))
+        return gridpi.output_stability_check(cl).output_stable
+
+    gb = gridpi.gamma_bar(net, ctrl).gamma_bar
+    lo = gb if math.isfinite(gb) else 1.0
+    if not _stable(lo):
+        raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {lo}")
+    hi = None
+    probe = lo
+    for _ in range(_MAX_DOUBLINGS):
+        probe *= 2.0
+        if not _stable(probe):
+            hi = probe
+            break
+        lo = probe
+    if hi is None:
+        return math.inf
+    while hi - lo > _SEARCH_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if _stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------

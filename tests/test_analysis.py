@@ -1,6 +1,7 @@
 """Feasibility, stability, gain bounds, and steady-state predictions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from gridpi import (
     swing_to_lti,
     xi_rank_test,
 )
-from gridpi.analysis import STABILITY_TOL, unobservable_subspace
-from support import random_dist_controller, random_network, two_bus_network
+from gridpi.analysis import _SEARCH_REL_TOL, STABILITY_TOL, unobservable_subspace
+from gridpi.numerics import RANK_REL_TOL
+from support import (random_dist_controller, random_network, reference_gamma_star_search,
+                     two_bus_network)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +401,48 @@ def test_gamma_bar_requires_distributed_kind():
 
 
 def test_empirical_threshold_sits_above_the_bound():
+    # The crossing here, near 5e7 = 1e8 * gamma_bar, is the zero-mode band
+    # of the check overtaking a stable mode, and the verdict is noisy next
+    # to it: it also flips at 4.99984e7, 4.99991e7 and 4.99994e7.  The
+    # secant search and plain bisection therefore land on different flips
+    # (49999996.8 against 49999904, 1.9e-6 apart), outside _SEARCH_REL_TOL.
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=None, comm=net.coupling_graph())
     bound = gamma_bar(net, ctrl)
     threshold = gamma_star_search(net, ctrl)
     assert threshold > bound.gamma_bar
+
+
+def test_one_split_serves_every_gamma_of_the_search():
+    # gamma_star_search splits once: B, the uniform-angle direction, must
+    # stay the whole unobservable subspace and stay invariant as gamma grows
+    rng = np.random.default_rng(64)
+    for _ in range(8):
+        net = random_network(rng)
+        ctrl = random_dist_controller(rng, net)
+        bound = gamma_bar(net, ctrl).gamma_bar
+        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=bound))
+        basis, comp = unobservable_subspace(cl.system_matrix, cl.output_selector)
+        assert basis.shape[1] == 1
+        for factor in (1.0, 1e2, 1e4, 1e6):
+            cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=factor * bound))
+            e = cl.system_matrix
+            scale = max(np.linalg.norm(e, 2), 1.0)
+            assert unobservable_subspace(e, cl.output_selector)[0].shape[1] == 1
+            assert np.linalg.norm(comp.T @ e @ basis, 2) <= RANK_REL_TOL * scale
+
+
+def test_gamma_star_search_agrees_with_bisection_on_full_checks():
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        net = random_network(rng)
+        ctrl = random_dist_controller(rng, net)
+        reference = reference_gamma_star_search(net, ctrl)
+        threshold = gamma_star_search(net, ctrl)
+        assert abs(threshold - reference) <= _SEARCH_REL_TOL * reference
+        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=threshold))
+        assert output_stability_check(cl).output_stable
 
 
 # ---------------------------------------------------------------------------

@@ -571,6 +571,32 @@ def test_cli_gamma_bound(capsys):
     assert "gamma_bar = 0.5" in out
 
 
+def _spectral_lines(capsys, *args):
+    code = cli_main(["gamma-bound", *args, "--spectral"])
+    assert code == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("grid, kp, ki, threshold", [
+    ("net30.grid", "1", "1", 0.0499495646),
+    ("net5ring.grid", "100", "5000", 390006.188),  # the README example
+])
+def test_cli_spectral_threshold_is_pinned(capsys, grid, kp, ki, threshold):
+    lines = _spectral_lines(capsys, bundled(grid), "--kp", kp, "--ki", ki)
+    label, value = lines[-2].split(" ~= ")
+    assert label == "eigenvalue-based threshold"
+    assert_allclose(float(value), threshold, rtol=1e-6)
+    assert lines[-1].startswith("bound / threshold = ")
+
+
+def test_cli_spectral_without_a_crossing_prints_no_ratio(capsys):
+    # no loss of stability within 2**80 gamma_bar: "inf" is no threshold,
+    # so there is no conservatism ratio to print
+    lines = _spectral_lines(capsys, bundled("net5ring.grid"), "--kp", "1e300", "--ki", "1e-300")
+    assert lines[-1] == "eigenvalue-based threshold ~= inf"
+    assert not any(line.startswith("bound / threshold") for line in lines)
+
+
 def test_cli_parse_failure_exits_two(tmp_path, capsys):
     bad = write(tmp_path / "bad.scn", "schema = 3\n")
     code = cli_main(["simulate", bad])
