@@ -433,19 +433,18 @@ def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -
     """Deviation-coordinate stationary state for a disturbance-free loop.
 
     Used as the scenario initial condition: angles from the pinned force
-    balance, omega at the reference, and (for PI kinds) the integrator on
-    consensus absorbing the damping compensation.  For the plain P
-    controller the frequency offset is the uniform value the droop settles
-    at; since that offset is nonzero in general, the returned point is
+    balance [Lk, border][delta; k] = p - D omega_ref 1.  For PI kinds the
+    border is -Ki and the multiplier k is the integrators' consensus, with
+    omega at the reference.  For the plain P controller the border is
+    D + Kp and k is the uniform frequency offset the droop settles at;
+    since that offset is nonzero in general, the returned point is
     stationary only up to the ever-growing uniform angle ramp along the
     marginal direction (frequencies, flows, and inputs are constant).
     """
     n = net.n_buses
-    lap_k = net.coupling_laplacian()
-    rhs = net.power - net.damping * net.omega_ref
-    if ctrl.has_integrator:
-        delta, consensus = _bordered_solve(lap_k, -ctrl.ki, rhs)
-        return np.concatenate([delta, np.zeros(n), consensus * np.ones(n)])
-    offset = float(np.sum(rhs) / np.sum(net.damping + ctrl.kp))
-    delta, _ = _bordered_solve(lap_k, np.ones(n), rhs - (net.damping + ctrl.kp) * offset)
-    return np.concatenate([delta, offset * np.ones(n)])
+    border = -ctrl.ki if ctrl.has_integrator else net.damping + ctrl.kp
+    delta, k = _bordered_solve(net.coupling_laplacian(), border,
+                               net.power - net.damping * net.omega_ref)
+    # PI: omega at the reference and the integrators at k; P: omega at k
+    blocks = [delta, np.zeros(n)] if ctrl.has_integrator else [delta]
+    return np.concatenate(blocks + [k * np.ones(n)])

@@ -69,8 +69,6 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 
 def is_connected(g: WeightedGraph) -> bool:
     """Breadth-first reachability of every node from node 0."""
-    if g.n_nodes == 1:
-        return True
     adjacency = [[] for _ in range(g.n_nodes)]
     for i, j, _ in g.edges:
         adjacency[i].append(j)

@@ -40,8 +40,6 @@ def numerical_rank(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
     sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
     return int(np.count_nonzero(sigma > RANK_REL_TOL * sigma[0]))
 
 

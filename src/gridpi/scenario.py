@@ -126,14 +126,25 @@ def _kv_lines(path, entries, known, what):
     return out
 
 
-def _float(path, lineno, token, what):
+# file unit -> model unit: (factor, the factor as a message writes it, model unit)
+_AS_WRITTEN = (1.0, "1", "")
+_KW_TO_W = (1.0e3, "1e3", "W")
+_KV_TO_V = (1.0e3, "1e3", "V")
+_HZ_TO_RAD_S = (TWO_PI, "2*pi", "rad/s")
+
+
+def _float(path, lineno, token, what, unit=_AS_WRITTEN):
+    """The number in token times unit's factor; both must be finite."""
     try:
         value = float(token)
     except ValueError:
         raise ParseError(path, lineno, f"{what}: expected a number, got {token!r}") from None
     if not math.isfinite(value):
         raise ParseError(path, lineno, f"{what}: expected a finite number, got {token!r}")
-    return value
+    factor, written, model = unit
+    if not math.isfinite(value * factor):
+        raise ParseError(path, lineno, f"{what}: {written}*{token} {model} is not finite")
+    return value * factor
 
 
 def _int(path, lineno, token, what):
@@ -177,6 +188,7 @@ def _edge_rows(path, entries, bus_ids, what, weight, build):
 # ---------------------------------------------------------------------------
 
 _BUS_KEYS = ("inertia", "damping", "voltage_kv", "load_kw")
+_BUS_UNITS = {"voltage_kv": _KV_TO_V, "load_kw": _KW_TO_W}
 
 
 @dataclass(frozen=True)
@@ -195,20 +207,21 @@ def load_network(path) -> LoadedNetwork:
             raise ParseError(path, 0, f"unknown section [{name}] in network file")
 
     meta = _kv_lines(path, sections.get("network", []), ("frequency_hz",), "[network] key")
-    freq_hz = 50.0
+    omega_ref = TWO_PI * 50.0
     if "frequency_hz" in meta:
         value, lineno = meta["frequency_hz"]
-        freq_hz = _float(path, lineno, value, "frequency_hz")
-        if freq_hz <= 0.0:
+        omega_ref = _float(path, lineno, value, "frequency_hz", _HZ_TO_RAD_S)
+        if omega_ref <= 0.0:
             raise ParseError(path, lineno, "frequency_hz must be positive")
-        if not math.isfinite(TWO_PI * freq_hz):
-            raise ParseError(path, lineno, f"frequency_hz: 2*pi*{value} rad/s is not finite")
 
-    # bus values are kept as (value, lineno) so that a rejected one can be located
-    defaults = {"load_kw": (0.0, 0)}
+    # bus values are kept as (token, lineno) until each bus reads them, then
+    # as (value in model units, lineno, token), so that a rejected one is
+    # located by its line, its key and the bus id
+    defaults = {"load_kw": ("0.0", 0)}
     for key, (value, lineno) in _kv_lines(path, sections.get("defaults", []), _BUS_KEYS,
                                           "default").items():
-        defaults[key] = (_float(path, lineno, value, key), lineno)
+        _float(path, lineno, value, key)  # a malformed default fails even if every bus overrides it
+        defaults[key] = (value, lineno)
 
     if "buses" not in sections or not sections["buses"]:
         raise ParseError(path, 0, "network file needs a non-empty [buses] section")
@@ -225,10 +238,13 @@ def load_network(path) -> LoadedNetwork:
             key, value = token.split("=", 1)
             if key not in _BUS_KEYS:
                 raise ParseError(path, lineno, f"unknown bus field {key!r}")
-            values[key] = (_float(path, lineno, value, key), lineno)
+            values[key] = (value, lineno)
         for key in _BUS_KEYS:
             if key not in values:
                 raise ParseError(path, lineno, f"bus {bus_id} is missing {key!r} (no default given)")
+            token, at = values[key]
+            values[key] = (_float(path, at, token, f"{key} of bus {bus_id}",
+                                  _BUS_UNITS.get(key, _AS_WRITTEN)), at, token)
         bus_ids.append(bus_id)
         rows.append(values)
 
@@ -236,10 +252,10 @@ def load_network(path) -> LoadedNetwork:
         return sysmodel.PowerNetwork(
             inertia=np.array([row["inertia"][0] for row in rows]),
             damping=np.array([row["damping"][0] for row in rows]),
-            voltage=np.array([1.0e3 * row["voltage_kv"][0] for row in rows]),
-            power=np.array([-1.0e3 * row["load_kw"][0] for row in rows]),
+            voltage=np.array([row["voltage_kv"][0] for row in rows]),
+            power=np.array([-row["load_kw"][0] for row in rows]),  # consumption -> injection
             lines=lines,
-            omega_ref=TWO_PI * freq_hz,
+            omega_ref=omega_ref,
         )
 
     try:
@@ -248,9 +264,9 @@ def load_network(path) -> LoadedNetwork:
         raise  # a [lines] row, already at its line
     except sysmodel.BusValueError as exc:
         key = "voltage_kv" if exc.name == "voltage" else exc.name
-        value, lineno = rows[exc.index][key]
+        _, lineno, token = rows[exc.index][key]
         raise ParseError(path, lineno, f"{key} of bus {bus_ids[exc.index]} must be "
-                         f"strictly positive, got {value:g}") from exc
+                         f"strictly positive, got {token}") from exc
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
     return LoadedNetwork(net=net, bus_ids=tuple(bus_ids))
@@ -262,7 +278,6 @@ def load_network(path) -> LoadedNetwork:
 
 @dataclass(frozen=True)
 class Scenario:
-    path: str
     network: LoadedNetwork
     kind: str
     kp: np.ndarray
@@ -315,12 +330,12 @@ def load_scenario(path) -> Scenario:
     n = loaded.net.n_buses
     index = {bus_id: k for k, bus_id in enumerate(loaded.bus_ids)}
 
-    def _meta_float(key, default, positive=True):
+    def _meta_float(key, default):
         if key not in meta:
             return default
         value, lineno = meta[key]
         out = _float(path, lineno, value, key)
-        if positive and out <= 0.0:
+        if out <= 0.0:
             raise ParseError(path, lineno, f"{key} must be positive")
         return out
 
@@ -367,16 +382,13 @@ def load_scenario(path) -> Scenario:
     gamma_request = None
     comm = None
     if kind == ctrlmod.DIST_PI:
-        if "gamma" not in ctrl_kv:
+        value, lineno = ctrl_kv.get("gamma", ("auto", 0))
+        if value.strip() == "auto":
             gamma_request = "auto"
         else:
-            value, lineno = ctrl_kv["gamma"]
-            if value.strip() == "auto":
-                gamma_request = "auto"
-            else:
-                gamma_request = _float(path, lineno, value, "gamma")
-                if gamma_request <= 0.0:
-                    raise ParseError(path, lineno, "gamma must be positive (or 'auto')")
+            gamma_request = _float(path, lineno, value, "gamma")
+            if gamma_request <= 0.0:
+                raise ParseError(path, lineno, "gamma must be positive (or 'auto')")
         topo_value, topo_line = ctrl_kv.get("comm_topology", ("same-as-grid", 0))
         topo = topo_value.strip()
         if topo == "same-as-grid":
@@ -397,7 +409,7 @@ def load_scenario(path) -> Scenario:
     if orphan and ctrl_kv.get("comm_topology", ("",))[0] != "edges":
         raise ParseError(path, orphan[0][0], "[comm_edges] is read only with comm_topology = edges")
 
-    schedule = []
+    events = []
     for lineno, text in sections.get("disturbances", []):
         tokens = text.split()
         if len(tokens) != 3:
@@ -408,16 +420,27 @@ def load_scenario(path) -> Scenario:
         if t >= horizon:
             raise ParseError(path, lineno, f"disturbance at t = {t} is beyond the horizon {horizon}")
         bus = _bus_index(path, lineno, index, tokens[1], "disturbances")
-        delta_kw = _float(path, lineno, tokens[2], "load_delta_kw")
-        schedule.append((t, bus, -1.0e3 * delta_kw))  # consumption -> net injection
+        load_w = _float(path, lineno, tokens[2], "load_delta_kw", _KW_TO_W)
+        events.append((t, bus, -load_w, lineno))  # consumption -> net injection
+    events.sort(key=lambda ev: ev[0])  # stable, so equal times keep file order, as the stages do
+    injection = loaded.net.power.tolist()  # Python floats overflow to inf without a warning
+    for t, bus, delta_w, lineno in events:
+        injection[bus] += delta_w
+        if not math.isfinite(injection[bus]):
+            raise ParseError(path, lineno, f"disturbances: this step makes the net injection of "
+                             f"bus {loaded.bus_ids[bus]} non-finite at t = {t:g} s")
 
     eta = np.zeros(n)
+    noisy = set()
     for lineno, text in sections.get("noise", []):
         tokens = text.split()
         if len(tokens) != 2:
             raise ParseError(path, lineno, "expected: <bus id> <eta_hz>")
         bus = _bus_index(path, lineno, index, tokens[0], "noise")
-        eta[bus] = TWO_PI * _float(path, lineno, tokens[1], "eta_hz")
+        if bus in noisy:
+            raise ParseError(path, lineno, f"noise: duplicate bus id {loaded.bus_ids[bus]}")
+        noisy.add(bus)
+        eta[bus] = _float(path, lineno, tokens[1], "eta_hz", _HZ_TO_RAD_S)
 
     trace_csv = None
     out_kv = _kv_lines(path, sections.get("outputs", []), ("trace_csv",), "[outputs] key")
@@ -425,7 +448,6 @@ def load_scenario(path) -> Scenario:
         trace_csv = os.path.join(os.path.dirname(os.path.abspath(path)), out_kv["trace_csv"][0])
 
     return Scenario(
-        path=path,
         network=loaded,
         kind=kind,
         kp=kp,
@@ -433,7 +455,7 @@ def load_scenario(path) -> Scenario:
         cost=cost,
         gamma_request=gamma_request,
         comm=comm,
-        schedule=tuple(sorted(schedule, key=lambda ev: ev[0])),
+        schedule=tuple(ev[:3] for ev in events),
         eta=eta,
         horizon=horizon,
         step=step,
@@ -454,7 +476,10 @@ class AnalysisReport:
     rank: analysismod.XiRankResult        # None unless DEC_PI
     stability: analysismod.StabilityReport
     prediction: analysismod.SteadyStatePrediction  # None unless DIST_PI
-    positive: bool
+
+    @property
+    def positive(self):
+        return not self.verdict_reasons()
 
     def verdict_reasons(self):
         reasons = []
@@ -514,7 +539,7 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     net = scn.network.net
     ctrl, bound = _resolve_controller(scn)
     stages = _power_stages(scn)
-    final_net = net.with_power(stages[-1][1])
+    final_net = replace(net, power=stages[-1][1])
 
     # eta enters only the loop's forcing; the rank test reads a, b and c
     sys = sysmodel.swing_to_lti(net, eta=scn.eta)
@@ -529,14 +554,12 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     if ctrl.kind == ctrlmod.DIST_PI:
         prediction = analysismod.predict_steady_state(final_net, ctrl, eta=scn.eta)
 
-    positive = stability.output_stable and (rank is None or rank.full_rank)
     return AnalysisReport(
         controller=ctrl,
         gamma_bound=bound,
         rank=rank,
         stability=stability,
         prediction=prediction,
-        positive=positive,
     )
 
 
@@ -593,7 +616,7 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
     for t_start, power in _power_stages(scn):
         if t_start >= horizon:
             break
-        stage_sys = sysmodel.swing_to_lti(net.with_power(power), eta=scn.eta)
+        stage_sys = sysmodel.swing_to_lti(replace(net, power=power), eta=scn.eta)
         segments.append((t_start, sysmodel.close_loop(stage_sys, ctrl)))
     trace = sysmodel.simulate_schedule(segments, horizon, h=h, x0=x0)
 

@@ -15,7 +15,7 @@ coordinates; callers add omega_ref back to report absolute frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class PowerNetwork:
     inertia [kg m^2], damping [W s^2 / rad^2], voltage [V] are per bus and
     strictly positive; power [W] is the net injected power (negative for a
     consuming bus) and may have any sign; all are finite.  lines holds
-    (i, j, susceptance) with susceptance in siemens, positive and finite.
-    omega_ref is in rad/s.
+    (i, j, susceptance) with susceptance in siemens; it and the coupling
+    |V_i||V_j| susceptance are positive and finite.  omega_ref is in rad/s.
     """
 
     inertia: np.ndarray
@@ -80,11 +80,18 @@ class PowerNetwork:
         if not 0.0 < float(self.omega_ref) < np.inf:
             raise ValueError("omega_ref must be positive and finite")
         object.__setattr__(self, "omega_ref", float(self.omega_ref))
-        # WeightedGraph validates endpoints, susceptances and duplicates.
+        # WeightedGraph validates endpoints, susceptances and duplicates, and
+        # through the coupling graph each k_ij = |V_i||V_j| b_ij
         topology = graphmod.WeightedGraph(n, tuple(self.lines))
         if not graphmod.is_connected(topology):
             raise ValueError("transmission network must be connected")
         object.__setattr__(self, "lines", topology.edges)
+        try:
+            self.coupling_graph()
+        except graphmod.EdgeError as exc:
+            i, j, _ = topology.edges[exc.index]
+            raise graphmod.EdgeError(exc.index, i, j, f"gives a coupling |V_i||V_j| b that "
+                                     f"{exc.reason}") from exc
 
     @property
     def n_buses(self):
@@ -92,16 +99,12 @@ class PowerNetwork:
 
     def coupling_graph(self) -> graphmod.WeightedGraph:
         """Graph weighted by the electrical stiffness k_ij = |V_i||V_j| b_ij."""
-        v = self.voltage
+        v = self.voltage.tolist()  # Python floats: an overflow gives inf without a warning
         return graphmod.WeightedGraph(self.n_buses,
                                       tuple((i, j, v[i] * v[j] * b) for i, j, b in self.lines))
 
     def coupling_laplacian(self) -> np.ndarray:
         return graphmod.laplacian(self.coupling_graph())
-
-    def with_power(self, power) -> "PowerNetwork":
-        """Copy with a different net injected power vector."""
-        return replace(self, power=np.asarray(power, dtype=float))
 
 
 # ---------------------------------------------------------------------------

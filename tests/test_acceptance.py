@@ -6,6 +6,7 @@ lines bypass pytest's capture so the verdict list is always visible).
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ def test_criterion_8_cost_weighted_sharing_in_prediction_and_simulation(report):
     net = load_network(bundled("net5ring.grid")).net
     n = net.n_buses
     rng = np.random.default_rng(808)
-    stepped = net.with_power(net.power + np.array([0.0, 100.0e3, 0.0, 0.0, 0.0]))
+    stepped = replace(net, power=net.power + np.array([0.0, 100.0e3, 0.0, 0.0, 0.0]))
     worst_pred = worst_sim = 0.0
     for _ in range(3):
         cost = rng.uniform(1.0e-4, 5.0e-4, n)

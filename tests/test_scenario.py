@@ -132,6 +132,19 @@ def test_parse_errors_carry_file_and_line(tmp_path):
      "bad.grid:2: unknown key 'frequency_hz' before the first section"),
     ("frequency_hz = 50.0", "frequency_hz = 1e308",
      "bad.grid:3: frequency_hz: 2*pi*1e308 rad/s is not finite"),
+    # values that overflow in model units, at the line that sets them
+    ("load_kw = 0.0", "load_kw = 1e306", "bad.grid:8: load_kw of bus 1: 1e3*1e306 W is not finite"),
+    ("voltage_kv = 10.0", "voltage_kv = 1e306",
+     "bad.grid:7: voltage_kv of bus 1: 1e3*1e306 V is not finite"),
+    ("3 inertia=4.0", "3 inertia=4.0 load_kw=-1e306",
+     "bad.grid:12: load_kw of bus 3: 1e3*-1e306 W is not finite"),
+    # couplings |V_i||V_j| b that overflow or underflow, at their [lines] row
+    ("voltage_kv = 10.0", "voltage_kv = 1e200",
+     "bad.grid:14: lines: edge 1 2 gives a coupling |V_i||V_j| b that needs a positive "
+     "finite weight, got inf"),
+    ("voltage_kv = 10.0", "voltage_kv = 1e-200",
+     "bad.grid:14: lines: edge 1 2 gives a coupling |V_i||V_j| b that needs a positive "
+     "finite weight, got 0.0"),
 ])
 def test_network_diagnostics(tmp_path, before, after, needle):
     with pytest.raises(ParseError) as err:
@@ -225,11 +238,18 @@ def test_bundled_scenarios_load():
     ("ki = 4.0", "cost_coeffs = -1.0", "bad.scn:8: cost_coeffs: values must be strictly positive"),
     ("\n2 3 0.5", "",
      "bad.scn:10: comm_topology = edges: the [comm_edges] graph must be connected"),
+    ("2 0.01", "2 1e308", "bad.scn:17: eta_hz: 2*pi*1e308 rad/s is not finite"),
+    ("4.0 3 -12.5", "4.0 3 1e306", "bad.scn:15: load_delta_kw: 1e3*1e306 W is not finite"),
+    # the steps apply in time order, so the later line 15 is the one that overflows
+    ("4.0 3 -12.5", "4.0 3 1e305\n2.0 3 1e305",
+     "bad.scn:15: disturbances: this step makes the net injection of bus 3 non-finite at t = 4 s"),
+    ("2 0.01", "2 0.01\n2 0.02", "bad.scn:18: noise: duplicate bus id 2"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
         "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
         "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
         "outputs-key", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges",
-        "negative-kp", "zero-ki", "negative-cost", "disconnected-comm"])
+        "negative-kp", "zero-ki", "negative-cost", "disconnected-comm", "noise-overflow",
+        "load-overflow", "summed-load-overflow", "noise-duplicate"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -602,6 +622,21 @@ def test_cli_parse_failure_exits_two(tmp_path, capsys):
     code = cli_main(["simulate", bad])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_cli_overflowing_noise_exits_two_at_its_line(tmp_path, capsys, command):
+    # 2*pi*1e308 rad/s is not finite: analyze printed a -inf Hz prediction,
+    # NaN inputs and a positive verdict, simulate NaN frequencies
+    shutil.copy(bundled("net5ring.grid"), tmp_path)
+    text = Path(bundled("ring_share.scn")).read_text(encoding="utf-8").rstrip("\n")
+    scn = write(tmp_path / "ring_share.scn", text + "\n[noise]\n1 1e308\n")
+    lineno = len(text.splitlines()) + 2
+    code = cli_main([command, scn] + (["--output", ""] if command == "simulate" else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {scn}:{lineno}: eta_hz: 2*pi*1e308 rad/s is not finite\n"
 
 
 def test_cli_rejects_an_infinite_horizon_override(tmp_path, capsys):

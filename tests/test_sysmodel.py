@@ -29,7 +29,7 @@ from support import random_dist_controller, random_network, two_bus_network
 
 def test_network_validation():
     with pytest.raises(ValueError):
-        two_bus_network().with_power([1.0])  # wrong length
+        replace(two_bus_network(), power=[1.0])  # wrong length
     with pytest.raises(ValueError):
         PowerNetwork(inertia=np.array([1.0, -1.0]), damping=np.ones(2),
                      voltage=np.full(2, 1e3), power=np.zeros(2),
@@ -222,7 +222,7 @@ def test_schedule_split_at_a_grid_point_is_seamless():
 def test_schedule_applies_a_load_step_exactly():
     rng = np.random.default_rng(24)
     net = two_bus_network(power=(20.0, -20.0))
-    stepped = net.with_power([220.0, -20.0])
+    stepped = replace(net, power=[220.0, -20.0])
     ctrl = random_dist_controller(rng, net, gamma=0.3)
     cl0 = close_loop(swing_to_lti(net), ctrl)
     cl1 = close_loop(swing_to_lti(stepped), ctrl)
