@@ -227,10 +227,16 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     lambda_min(sym(Lk Lc)) >= -PRECONDITION_REL_TOL * scale; choosing the
     communication Laplacian proportional to the electrical one satisfies
     it.  The returned gamma_bar is verified on a 100-point grid (with
-    GammaBound.evaluate) before being handed back.
+    GammaBound.evaluate) before being handed back.  A product Lk Lc
+    that overflows raises OverflowError.
     """
     lap_k, lap_c = _laplacians(net, ctrl)
-    prod_sym = _sym(lap_k @ lap_c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = lap_k @ lap_c
+    if not np.isfinite(prod).all():
+        raise OverflowError("the product Lk Lc of the coupling and communication Laplacians "
+                            "overflows; the couplings are too large for the averaging-gain bound")
+    prod_sym = _sym(prod)
     prod_eigs = np.linalg.eigvalsh(prod_sym)
     prod_scale = max(abs(prod_eigs[0]), abs(prod_eigs[-1]), 1.0)
     if prod_eigs[0] < -PRECONDITION_REL_TOL * prod_scale:

@@ -195,6 +195,7 @@ _BUS_UNITS = {"voltage_kv": _KV_TO_V, "load_kw": _KW_TO_W}
 class LoadedNetwork:
     net: sysmodel.PowerNetwork
     bus_ids: tuple  # file-facing bus ids, in order of appearance
+    path: str       # the network file
 
 
 def load_network(path) -> LoadedNetwork:
@@ -269,7 +270,7 @@ def load_network(path) -> LoadedNetwork:
                          f"strictly positive, got {token}") from exc
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
-    return LoadedNetwork(net=net, bus_ids=tuple(bus_ids))
+    return LoadedNetwork(net=net, bus_ids=tuple(bus_ids), path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +504,14 @@ class ScenarioResult:
     csv_path: str = None
 
 
+def network_gamma_bar(loaded: LoadedNetwork, ctrl: ctrlmod.ControllerSpec):
+    """analysis.gamma_bar of a loaded network; an overflow is refused naming its file."""
+    try:
+        return analysismod.gamma_bar(loaded.net, ctrl)
+    except OverflowError as exc:
+        raise ParseError(loaded.path, 0, str(exc)) from exc
+
+
 def _resolve_controller(scn: Scenario):
     """The concrete ControllerSpec with gamma = auto resolved, and the
     gamma_bar bound (None unless DIST_PI)."""
@@ -510,7 +519,7 @@ def _resolve_controller(scn: Scenario):
                                   cost=scn.cost)
     if ctrl.kind != ctrlmod.DIST_PI:
         return ctrl, None
-    bound = analysismod.gamma_bar(scn.network.net, ctrl)
+    bound = network_gamma_bar(scn.network, ctrl)
     if scn.gamma_request == "auto":
         gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
     else:

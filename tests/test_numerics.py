@@ -6,7 +6,8 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from gridpi import integrate_rk4, numerical_rank
-from gridpi.numerics import _CHECK_BLOCK, DIVERGENCE_LIMIT, _rk4_map, rk4_multiplier
+from gridpi.numerics import (_CHECK_BLOCK, DIVERGENCE_LIMIT, _block_rows, _power_stack, _rk4_map,
+                             rk4_multiplier)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +122,13 @@ def _plain_rk4(mat, offset, x0, times):
     return np.array(states)
 
 
-def test_integrator_matches_a_plain_stage_loop():
-    def _close(states, plain):
-        # relative to each sample's largest component
-        scale = np.abs(plain).max(axis=1, keepdims=True)
-        assert np.all(np.abs(states - plain) <= 1e-12 * scale)
+def _close(states, plain):
+    # relative to each sample's largest component
+    scale = np.abs(plain).max(axis=1, keepdims=True)
+    assert np.all(np.abs(states - plain) <= 1e-12 * scale)
 
+
+def test_integrator_matches_a_plain_stage_loop():
     # random 7-state system whose horizon ends in a shortened tail step
     rng = np.random.default_rng(6)
     n = 7
@@ -229,20 +231,75 @@ def test_integrator_matches_a_plain_stage_loop():
 
 
 def test_integrator_is_the_step_map_loop():
-    # several blocks without divergence: bit-identical to x -> phi @ x + g
+    # Rows come in blocks of m from a stack of step-map powers; they agree
+    # with the sequential loop x -> phi @ x + g to rounding.  Segment
+    # lengths around one and two blocks, and several check blocks, each
+    # alone and followed by a shortened tail step, then all chained.
     rng = np.random.default_rng(7)
-    n, h, steps = 6, 0.01, 2 * _CHECK_BLOCK + 300
+    n, h = 6, 0.01
+    m = _block_rows(n)
     mat = rng.normal(size=(n, n)) - 3.0 * np.eye(n)
-    offset, x = rng.normal(size=n), rng.normal(size=n)
-    out = _rk4(mat, offset, x, steps * h, h)
-    assert not out.diverged and out.states.shape == (steps + 1, n)
+    offsets, x0 = rng.normal(size=(2, n)), rng.normal(size=n)
     phi, s = _rk4_map(mat, h)
-    g = h * (s @ offset)
-    loop = [x]
-    for _ in range(steps):
-        x = phi @ x + g
-        loop.append(x)
-    assert np.array_equal(out.states, np.array(loop))
+
+    def loop(x, offset, steps, tail):
+        rows = [x]
+        for _ in range(steps):
+            rows.append(phi @ rows[-1] + h * (s @ offset))
+        if tail:
+            phi_t, s_t = _rk4_map(mat, tail)
+            rows.append(phi_t @ rows[-1] + tail * (s_t @ offset))
+        return rows
+
+    lengths = (1, m - 1, m, m + 1, 2 * m + 1, 2 * _CHECK_BLOCK + 300)
+    for steps in lengths:
+        for t_end in (steps * h, steps * h + h / 2):
+            out = _rk4(mat, offsets[0], x0, t_end, h)
+            tail = t_end - steps * h  # the shortened step the integrator takes
+            expected = loop(x0, offsets[0], steps, tail)
+            assert not out.diverged and out.states.shape == (len(expected), n)
+            _close(out.states, np.array(expected))
+
+    schedule, expected, start = [], [x0], 0.0
+    for k, steps in enumerate(lengths[:-1]):
+        schedule.append((start, offsets[k % 2]))
+        span = steps * h + h / 2
+        expected.extend(loop(expected[-1], offsets[k % 2], steps, span - steps * h)[1:])
+        start += span
+    out = integrate_rk4(mat, x0, schedule, start, h)
+    assert not out.diverged and out.states.shape == (len(expected), n)
+    _close(out.states, np.array(expected))
+
+
+def test_blocked_propagation_truncates_at_the_first_bad_row():
+    # x' = lam x as in the divergence cases above: the first crossing of
+    # DIVERGENCE_LIMIT lands on a block's anchor row (a multiple of m) or
+    # inside a block, and the trace ends there
+    lam, h = 2.0, 1.0 / 128.0
+    mat, zero = np.array([[lam]]), np.zeros(1)
+    grow = rk4_multiplier(h * lam)
+    m = _block_rows(1)
+    for row in (1, m - 1, m, m + 1, 3 * m, 3 * m + m // 2):
+        x0 = np.array([DIVERGENCE_LIMIT / grow ** (row - 0.5)])
+        out = _rk4(mat, zero, x0, 3 * _CHECK_BLOCK * h, h)
+        plain = _plain_rk4(mat, zero, x0, np.arange(3 * _CHECK_BLOCK + 1) * h)
+        assert out.diverged and plain.shape == (row + 1, 1)
+        assert out.states.shape == plain.shape
+        _close(out.states, plain)
+
+    # a step map growing 1e40 per step: phi^8 overflows, so the stack holds
+    # seven powers and blocks are seven rows; the first bad row (8) is the
+    # first row after an anchor
+    lam = 2.2e10 / h
+    phi, _ = _rk4_map(np.array([[lam]]), h)
+    assert 1e39 < phi[0, 0] < 1e41
+    assert _power_stack(phi, m).shape == (7, 1)
+    x0 = np.array([1e-300])
+    out = _rk4(np.array([[lam]]), zero, x0, 100 * h, h)
+    plain = _plain_rk4(np.array([[lam]]), zero, x0, np.arange(101) * h)
+    assert out.diverged and plain.shape == (9, 1)
+    assert out.states.shape == plain.shape
+    _close(out.states, plain)
 
 
 def test_rk4_multiplier_is_the_spectrum_of_the_step_map():

@@ -639,6 +639,26 @@ def test_cli_overflowing_noise_exits_two_at_its_line(tmp_path, capsys, command):
     assert captured.err == f"error: {scn}:{lineno}: eta_hz: 2*pi*1e308 rad/s is not finite\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "gamma-bound"])
+def test_cli_overflowing_coupling_product_exits_two_naming_the_grid(tmp_path, capsys, command):
+    # voltage_kv = 1e150 keeps every coupling finite (near 2e299 W/rad), but
+    # gamma_bar's Lk Lc overflowed: a RuntimeWarning, then "error: Eigenvalues
+    # did not converge" with no file
+    text = Path(bundled("net5ring.grid")).read_text(encoding="utf-8")
+    assert "voltage_kv = 10.0" in text
+    grid = write(tmp_path / "net5ring.grid", text.replace("voltage_kv = 10.0", "voltage_kv = 1e150"))
+    scn = shutil.copy(bundled("ring_share.scn"), tmp_path)
+    args = {"analyze": [scn], "simulate": [scn, "--output", ""],
+            "gamma-bound": [grid, "--kp", "1", "--ki", "1"]}[command]
+    code = cli_main([command, *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {grid}: the product Lk Lc of the coupling and communication "
+                            "Laplacians overflows; the couplings are too large for the "
+                            "averaging-gain bound\n")
+
+
 def test_cli_rejects_an_infinite_horizon_override(tmp_path, capsys):
     code = cli_main(["simulate", quiet_scenario(tmp_path), "--horizon", "inf"])
     assert code == 2
