@@ -29,7 +29,6 @@ from .control import (
     KINDS,
     P,
     ControllerSpec,
-    gains_from_cost,
 )
 from .graph import WeightedGraph, is_connected, laplacian
 from .numerics import SimulationTrace, integrate_rk4, numerical_rank
@@ -76,7 +75,6 @@ __all__ = [
     "XiRankResult",
     "analyze_scenario",
     "close_loop",
-    "gains_from_cost",
     "gamma_bar",
     "gamma_star_search",
     "integrate_rk4",

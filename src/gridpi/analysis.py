@@ -315,10 +315,10 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     """Empirical stability threshold in gamma by doubling plus a bracketed secant.
 
     Comparison tool only: assumes a single stable-to-unstable crossing.
-    Doubles gamma from gamma_bar (from 1 when gamma_bar is inf) until the
-    eigenvalue check fails, then narrows the bracket to _SEARCH_REL_TOL
-    relative width by an Illinois secant on log gamma over the check's
-    margin, bisecting where a step leaves the bracket.  Returns the largest
+    Doubles gamma from gamma_bar (from 1 unless gamma_bar is positive and
+    finite) until the eigenvalue check fails, then narrows the bracket to
+    _SEARCH_REL_TOL relative width by an Illinois secant on log gamma over
+    the check's margin, bisecting where a step leaves the bracket.  Returns the largest
     gamma found to pass (inf if none fails within _MAX_DOUBLINGS doublings).
     Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G on
     one split [B W], redone only where ||W^T E(gamma) B||_2 > RANK_REL_TOL *
@@ -347,7 +347,7 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
         return _observable_margin(np.linalg.eigvals(split[0] - gamma * split[1]), scale)
 
     gb = gamma_bar(net, ctrl).gamma_bar
-    lo = gb if math.isfinite(gb) else 1.0
+    lo = gb if 0.0 < gb < math.inf else 1.0  # a gamma_bar of 0 would never double
     f_lo = _margin(lo)
     if not f_lo < 0.0:
         raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {lo}")

@@ -69,13 +69,8 @@ def _print_analysis(report):
 
 def _cmd_simulate(args):
     scn = scenariomod.load_scenario(args.scenario)
-    result = scenariomod.run_scenario(
-        scn,
-        horizon=args.horizon,
-        settle_tol_hz=args.settle_tol,
-        csv_path=args.output,
-        step=args.step,
-    )
+    result = scenariomod.run_scenario(scn, horizon=args.horizon, csv_path=args.output,
+                                      step=args.step)
     _print_analysis(result.analysis)
     trace = result.trace
     print(f"simulated {trace.times[-1]:.6g} s in {trace.times.shape[0]} steps"
@@ -143,8 +138,6 @@ def build_parser():
                        help="write the trace here (overrides the scenario; '' disables)")
     p_sim.add_argument("--horizon", type=float, default=None, metavar="S",
                        help="override the simulation horizon in seconds")
-    p_sim.add_argument("--settle-tol", type=float, default=None, metavar="HZ",
-                       help="override the settling tolerance in Hz")
     p_sim.add_argument("--step", type=float, default=None, metavar="S",
                        help="override the integration step in seconds")
     p_sim.set_defaults(func=_cmd_simulate)

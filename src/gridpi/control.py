@@ -109,11 +109,3 @@ class ControllerSpec:
     def has_integrator(self):
         return self.kind != P
 
-
-def gains_from_cost(cost) -> np.ndarray:
-    """Integral gains K_i = 1 / cost_i (exact reciprocal, no rounding games)."""
-    cost = np.atleast_1d(np.asarray(cost, dtype=float))
-    if not np.all(cost > 0.0):
-        raise ValueError("cost coefficients must be strictly positive")
-    return 1.0 / cost
-

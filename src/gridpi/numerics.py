@@ -64,6 +64,21 @@ def _rk4_map(mat: np.ndarray, h: float):
     return eye + ha @ s, s
 
 
+def _step_map(mat: np.ndarray, h: float, starts, offsets):
+    """phi and the forcing terms g = h * (s @ offset) of _rk4_map(mat, h),
+    one g per segment (start, offset); ValueError naming the step unless
+    phi, s and every g are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, s = _rk4_map(mat, h)
+        forcing = [h * (s @ offset) for offset in offsets]
+    if not (np.isfinite(phi).all() and np.isfinite(s).all()):
+        raise ValueError(f"step {h:g} s: the RK4 step map is not finite")
+    for start, g in zip(starts, forcing):
+        if not np.isfinite(g).all():
+            raise ValueError(f"step {h:g} s: the RK4 forcing term from t = {start:g} s is not finite")
+    return phi, forcing
+
+
 def rk4_multiplier(z):
     """Growth factor R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of one RK4 step
     on the mode x' = lam x, z = h lam; the step damps the mode iff |R(z)| < 1.
@@ -153,7 +168,10 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> SimulationTra
     computed a block at a time from powers of phi stacked once per step
     size (see _propagate); they agree with the step-by-step map to
     rounding, within 1e-12 of each row's largest component in the tests.
-    A shortened step is a one-row run through the same path.  Divergence
+    A shortened step is a one-row run through the same path.  A step map
+    or forcing term that is not finite raises ValueError naming the step:
+    the full step's map and forcing terms are checked before any row is
+    written, a shortened step's before its row.  Divergence
     (a non-finite component or one beyond DIVERGENCE_LIMIT) is tested once
     per _CHECK_BLOCK rows rather than after every step; the first bad row
     stops the run, sets the diverged flag and ends the truncated trace,
@@ -185,15 +203,15 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> SimulationTra
     times = np.empty(rows)
     times[0] = 0.0
 
-    phi, s = _rk4_map(mat, h)
+    phi, forcing = _step_map(mat, h, starts, offsets)
     stack = _power_stack(phi, min(_block_rows(n), max(n_full for n_full, _ in plan)))
     k = 0
-    for start, stop, offset, (n_full, tail) in zip(starts, stops, offsets, plan):
+    for start, stop, offset, g, (n_full, tail) in zip(starts, stops, offsets, forcing, plan):
         times[k + 1: k + n_full + 1] = np.arange(1, n_full + 1) * h + start
-        runs = [(stack, h * (s @ offset), n_full)]
+        runs = [(stack, g, n_full)]
         if tail > 0.0:
-            phi_tail, s_tail = _rk4_map(mat, tail)
-            runs.append((phi_tail, tail * (s_tail @ offset), 1))
+            phi_tail, (g_tail,) = _step_map(mat, tail, [start], [offset])
+            runs.append((phi_tail, g_tail, 1))
             times[k + n_full + 1] = (stop - start) + start
         for powers, g, steps in runs:
             end = _propagate(out, k, powers, g, steps) if steps else None

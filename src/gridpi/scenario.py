@@ -61,12 +61,11 @@ class ParseError(ValueError):
 # low-level reader
 # ---------------------------------------------------------------------------
 
-def _read_sections(path):
-    """Split a file into (top_level, sections) keeping line numbers.
+def _read_sections(path, known, kind):
+    """The sections of a `kind` file, each a list of (lineno, text) in order.
 
-    top_level is a dict of key -> (value, lineno) for lines before any
-    section header; sections maps a name to a list of (lineno, text) in
-    order.  Comments (#) and blank lines are dropped.
+    Only `schema = 1` goes before the first section, and every section
+    must be one of known.  Comments (#) and blank lines are dropped.
     """
     top = {}
     sections = {}
@@ -95,10 +94,6 @@ def _read_sections(path):
             top[key] = (value, lineno)
         else:
             sections[current].append((lineno, text))
-    return top, sections
-
-
-def _check_schema(path, top):
     for key, (_, lineno) in top.items():
         if key != "schema":
             raise ParseError(path, lineno, f"unknown key {key!r} before the first section "
@@ -108,6 +103,10 @@ def _check_schema(path, top):
     value, lineno = top["schema"]
     if value.strip() != str(SCHEMA_VERSION):
         raise ParseError(path, lineno, f"unsupported schema version {value!r} (this build reads {SCHEMA_VERSION})")
+    for name in sections:
+        if name not in known:
+            raise ParseError(path, 0, f"unknown section [{name}] in {kind} file")
+    return sections
 
 
 def _kv_lines(path, entries, known, what):
@@ -201,11 +200,7 @@ class LoadedNetwork:
 def load_network(path) -> LoadedNetwork:
     """Parse a network file into a PowerNetwork plus its bus-id mapping."""
     path = os.fspath(path)
-    top, sections = _read_sections(path)
-    _check_schema(path, top)
-    for name in sections:
-        if name not in ("network", "defaults", "buses", "lines"):
-            raise ParseError(path, 0, f"unknown section [{name}] in network file")
+    sections = _read_sections(path, ("network", "defaults", "buses", "lines"), "network")
 
     meta = _kv_lines(path, sections.get("network", []), ("frequency_hz",), "[network] key")
     omega_ref = TWO_PI * 50.0
@@ -293,14 +288,18 @@ class Scenario:
     settle_tol_hz: float
     output_every: float
     trace_csv: str = None
+    gamma_source: tuple = (None, 0)  # (file, line) of the gamma request; line 0 if defaulted
 
 
 def _gain_vector(path, lineno, value, n, what):
-    """One finite number per bus from a comma/space list; a single value broadcasts."""
+    """One strictly positive finite number per bus from a comma/space list;
+    a single value broadcasts."""
     tokens = value.replace(",", " ").split()
     if not tokens:
         raise ParseError(path, lineno, f"{what}: empty value")
     values = np.array([_float(path, lineno, t, what) for t in tokens])
+    if not np.all(values > 0.0):
+        raise ParseError(path, lineno, f"{what}: values must be strictly positive")
     if values.shape[0] == 1:
         return np.full(n, values[0])
     if values.shape[0] != n:
@@ -315,12 +314,8 @@ _CONTROLLER_KEYS = ("kind", "kp", "ki", "cost_coeffs", "gamma", "comm_topology")
 def load_scenario(path) -> Scenario:
     """Parse and cross-validate a scenario file (loads its network too)."""
     path = os.fspath(path)
-    top, sections = _read_sections(path)
-    _check_schema(path, top)
-    known = ("scenario", "controller", "comm_edges", "disturbances", "noise", "outputs")
-    for name in sections:
-        if name not in known:
-            raise ParseError(path, 0, f"unknown section [{name}] in scenario file")
+    sections = _read_sections(path, ("scenario", "controller", "comm_edges", "disturbances",
+                                     "noise", "outputs"), "scenario")
 
     meta = _kv_lines(path, sections.get("scenario", []), _SCENARIO_KEYS, "[scenario] key")
     if "network" not in meta:
@@ -353,16 +348,13 @@ def load_scenario(path) -> Scenario:
     if kind not in ctrlmod.KINDS:
         raise ParseError(path, kind_line, f"unknown controller kind {kind!r} (expected {ctrlmod.KINDS})")
 
-    def _positive_gains(key):
+    def _gains(key):
         value, lineno = ctrl_kv[key]
-        gains = _gain_vector(path, lineno, value, n, key)
-        if not np.all(gains > 0.0):
-            raise ParseError(path, lineno, f"{key}: values must be strictly positive")
-        return gains
+        return _gain_vector(path, lineno, value, n, key)
 
     if "kp" not in ctrl_kv:
         raise ParseError(path, 0, "[controller] must set kp")
-    kp = _positive_gains("kp")
+    kp = _gains("kp")
 
     ki = cost = None
     if kind == ctrlmod.P:
@@ -373,23 +365,27 @@ def load_scenario(path) -> Scenario:
         if "ki" in ctrl_kv and "cost_coeffs" in ctrl_kv:
             raise ParseError(path, ctrl_kv["cost_coeffs"][1], "give either ki or cost_coeffs, not both")
         if "ki" in ctrl_kv:
-            ki = _positive_gains("ki")
+            ki = _gains("ki")
         elif "cost_coeffs" in ctrl_kv:
-            cost = _positive_gains("cost_coeffs")
-            ki = ctrlmod.gains_from_cost(cost)
+            cost = _gains("cost_coeffs")
+            for c in cost.tolist():  # Python floats overflow to inf without a warning
+                if not math.isfinite(1.0 / c):
+                    raise ParseError(path, ctrl_kv["cost_coeffs"][1], f"cost_coeffs: 1/{c!r} is not finite")
+            ki = 1.0 / cost
         else:
             raise ParseError(path, 0, f"{kind} controller needs ki or cost_coeffs")
 
     gamma_request = None
     comm = None
+    gamma_line = 0
     if kind == ctrlmod.DIST_PI:
-        value, lineno = ctrl_kv.get("gamma", ("auto", 0))
+        value, gamma_line = ctrl_kv.get("gamma", ("auto", 0))
         if value.strip() == "auto":
             gamma_request = "auto"
         else:
-            gamma_request = _float(path, lineno, value, "gamma")
+            gamma_request = _float(path, gamma_line, value, "gamma")
             if gamma_request <= 0.0:
-                raise ParseError(path, lineno, "gamma must be positive (or 'auto')")
+                raise ParseError(path, gamma_line, "gamma must be positive (or 'auto')")
         topo_value, topo_line = ctrl_kv.get("comm_topology", ("same-as-grid", 0))
         topo = topo_value.strip()
         if topo == "same-as-grid":
@@ -463,6 +459,7 @@ def load_scenario(path) -> Scenario:
         settle_tol_hz=settle_tol,
         output_every=output_every,
         trace_csv=trace_csv,
+        gamma_source=(path, gamma_line),
     )
 
 
@@ -522,6 +519,9 @@ def _resolve_controller(scn: Scenario):
     bound = network_gamma_bar(scn.network, ctrl)
     if scn.gamma_request == "auto":
         gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
+        if not gamma > 0.0:
+            raise ParseError(*scn.gamma_source, f"gamma = auto: gamma_bar = "
+                             f"{bound.gamma_bar:.6g} certifies no positive gamma")
     else:
         gamma = float(scn.gamma_request)
         if math.isfinite(bound.gamma_bar) and gamma > bound.gamma_bar:
@@ -601,16 +601,29 @@ def _check_step(stability: analysismod.StabilityReport, h: float):
                      f"a step of {ok:g} s passes")
 
 
-def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
-                 step=None) -> ScenarioResult:
+def _range_error(trace, loop, bus_ids):
+    """Where a trace that diverged left the integrator's range: its last
+    row is the first one with a component beyond DIVERGENCE_LIMIT."""
+    row = trace.states[-1]
+    worst = int(np.argmax(np.nan_to_num(np.abs(row), nan=np.inf)))
+    block, at = next((name, cut) for name, cut in loop.state_layout.items()
+                     if cut.start <= worst < cut.stop)
+    return (f"the output-stable loop left the integrator's range at t = {trace.times[-1]:.6g} s: "
+            f"{block} of bus {bus_ids[worst - at.start]} is {row[worst]:.6g}, beyond "
+            f"DIVERGENCE_LIMIT = {numerics.DIVERGENCE_LIMIT:g}")
+
+
+def run_scenario(scn: Scenario, horizon=None, csv_path=None, step=None) -> ScenarioResult:
     """Simulate the scenario and check settling against the predicted target.
 
     Keyword arguments override the scenario-file values; csv_path replaces
-    the file's trace output destination (pass "" to suppress writing).
+    the file's trace output destination (pass "" to suppress writing).  A
+    run that crosses numerics.DIVERGENCE_LIMIT although the analysis calls
+    the loop output-stable raises ValueError naming the time and the state
+    component; an output-unstable loop's divergence ends as not settled.
     """
     net = scn.network.net
     horizon = _override(horizon, scn.horizon, "horizon")
-    settle_tol = _override(settle_tol_hz, scn.settle_tol_hz, "settle_tol_hz")
     h = _override(step, scn.step, "step")
     destination = scn.trace_csv if csv_path is None else (csv_path or None)
     if destination:
@@ -628,13 +641,15 @@ def run_scenario(scn: Scenario, horizon=None, settle_tol_hz=None, csv_path=None,
         stage_sys = sysmodel.swing_to_lti(replace(net, power=power), eta=scn.eta)
         segments.append((t_start, sysmodel.close_loop(stage_sys, ctrl)))
     trace = sysmodel.simulate_schedule(segments, horizon, h=h, x0=x0)
-
     loop = segments[0][1]
+    if trace.diverged and report.stability.output_stable:
+        raise ValueError(_range_error(trace, loop, scn.network.bus_ids))
+
     final_omega_hz = (trace.states[-1, loop.state_layout["omega"]] + net.omega_ref) / TWO_PI
     omega_hat = net.omega_ref - float(np.mean(scn.eta))
     omega_hat_hz = omega_hat / TWO_PI
     settled = (not trace.diverged) and bool(
-        np.max(np.abs(final_omega_hz - omega_hat_hz)) < settle_tol
+        np.max(np.abs(final_omega_hz - omega_hat_hz)) < scn.settle_tol_hz
     )
 
     written = None

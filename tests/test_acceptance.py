@@ -254,7 +254,7 @@ def test_criterion_8_cost_weighted_sharing_in_prediction_and_simulation(report):
     worst_pred = worst_sim = 0.0
     for _ in range(3):
         cost = rng.uniform(1.0e-4, 5.0e-4, n)
-        ki = gridpi.gains_from_cost(cost)
+        ki = 1.0 / cost
         probe = ControllerSpec(kind=DIST_PI, kp=np.full(n, 100.0), ki=ki,
                                gamma=None, comm=net.coupling_graph(), cost=cost)
         gamma = gamma_bar(net, probe).gamma_bar / 2.0

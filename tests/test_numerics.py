@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from gridpi import integrate_rk4, numerical_rank
+from gridpi import integrate_rk4, numerical_rank, numerics
 from gridpi.numerics import (_CHECK_BLOCK, DIVERGENCE_LIMIT, _block_rows, _power_stack, _rk4_map,
                              rk4_multiplier)
 
@@ -300,6 +300,24 @@ def test_blocked_propagation_truncates_at_the_first_bad_row():
     assert out.diverged and plain.shape == (9, 1)
     assert out.states.shape == plain.shape
     _close(out.states, plain)
+
+
+def test_non_finite_step_map_or_forcing_is_refused_before_any_row(monkeypatch):
+    # an overflowing step map leaked RuntimeWarnings and gave NaN rows
+    def no_rows(*args):
+        raise AssertionError("propagated a non-finite step map")
+
+    monkeypatch.setattr(numerics, "_propagate", no_rows)
+    huge = np.array([[-1e200, 1e200], [1e200, -1e200]])
+    with pytest.raises(ValueError, match=r"^step 0\.002 s: the RK4 step map is not finite$"):
+        _rk4(huge, np.zeros(2), np.zeros(2), 1.0, 0.002)
+    # a finite map whose forcing term h * (s @ offset) overflows, named by
+    # its segment's start (s = 0.99 here, so h = 2 doubles the offset)
+    mat, x0 = -0.01 * np.eye(2), np.zeros(2)
+    schedule = [(0.0, np.ones(2)), (4.0, np.array([1.0, 1.7e308]))]
+    with pytest.raises(ValueError,
+                       match=r"^step 2 s: the RK4 forcing term from t = 4 s is not finite$"):
+        integrate_rk4(mat, x0, schedule, 10.0, 2.0)
 
 
 def test_rk4_multiplier_is_the_spectrum_of_the_step_map():

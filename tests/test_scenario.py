@@ -234,8 +234,11 @@ def test_bundled_scenarios_load():
     ("comm_topology = edges", "comm_topology = same-as-grid",
      "bad.scn:12: [comm_edges] is read only with comm_topology = edges"),
     ("kp = 1.0", "kp = -1.0", "bad.scn:7: kp: values must be strictly positive"),
+    ("kp = 1.0", "kp = 1.0 0 1.0", "bad.scn:7: kp: values must be strictly positive"),
     ("ki = 4.0", "ki = 4.0 0.0 4.0", "bad.scn:8: ki: values must be strictly positive"),
+    ("ki = 4.0", "ki = -4.0", "bad.scn:8: ki: values must be strictly positive"),
     ("ki = 4.0", "cost_coeffs = -1.0", "bad.scn:8: cost_coeffs: values must be strictly positive"),
+    ("ki = 4.0", "cost_coeffs = 0.25 0 0.25", "bad.scn:8: cost_coeffs: values must be strictly positive"),
     ("\n2 3 0.5", "",
      "bad.scn:10: comm_topology = edges: the [comm_edges] graph must be connected"),
     ("2 0.01", "2 1e308", "bad.scn:17: eta_hz: 2*pi*1e308 rad/s is not finite"),
@@ -244,12 +247,14 @@ def test_bundled_scenarios_load():
     ("4.0 3 -12.5", "4.0 3 1e305\n2.0 3 1e305",
      "bad.scn:15: disturbances: this step makes the net injection of bus 3 non-finite at t = 4 s"),
     ("2 0.01", "2 0.01\n2 0.02", "bad.scn:18: noise: duplicate bus id 2"),
+    # a cost whose reciprocal gain overflows, quoted as the reciprocal it takes
+    ("ki = 4.0", "cost_coeffs = 0.25 1e-320 0.25", "bad.scn:8: cost_coeffs: 1/1e-320 is not finite"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
         "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
         "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
         "outputs-key", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges",
-        "negative-kp", "zero-ki", "negative-cost", "disconnected-comm", "noise-overflow",
-        "load-overflow", "summed-load-overflow", "noise-duplicate"])
+        "negative-kp", "zero-kp", "zero-ki", "negative-ki", "negative-cost", "zero-cost", "disconnected-comm", "noise-overflow",
+        "load-overflow", "summed-load-overflow", "noise-duplicate", "cost-reciprocal-overflow"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -365,7 +370,7 @@ def test_random_scenarios_round_trip_through_the_file_format(tmp_path):
         assert np.array_equal(scn.kp, kp)
         if cost is not None:
             assert np.array_equal(scn.cost, cost)
-            assert np.array_equal(scn.ki, gridpi.gains_from_cost(cost))
+            assert np.array_equal(scn.ki, 1.0 / cost)
         elif ki is not None:
             assert np.array_equal(scn.ki, ki) and scn.cost is None
         else:
@@ -600,6 +605,9 @@ def _spectral_lines(capsys, *args):
 @pytest.mark.parametrize("grid, kp, ki, threshold", [
     ("net30.grid", "1", "1", 0.0499495646),
     ("net5ring.grid", "100", "5000", 390006.188),  # the README example
+    # gamma_bar underflows to 0 at ki = 1e-320, and doubling 0 never moves:
+    # the search made 81 probes at gamma = 0 and printed inf
+    ("net5ring.grid", "1", "1e-320", 127370.139),
 ])
 def test_cli_spectral_threshold_is_pinned(capsys, grid, kp, ki, threshold):
     lines = _spectral_lines(capsys, bundled(grid), "--kp", kp, "--ki", ki)
@@ -615,6 +623,93 @@ def test_cli_spectral_without_a_crossing_prints_no_ratio(capsys):
     lines = _spectral_lines(capsys, bundled("net5ring.grid"), "--kp", "1e300", "--ki", "1e-300")
     assert lines[-1] == "eigenvalue-based threshold ~= inf"
     assert not any(line.startswith("bound / threshold") for line in lines)
+
+
+def ring_copy(tmp_path, replacements, grid_replacements=()):
+    """ring_share.scn and net5ring.grid copied into tmp_path with text replaced."""
+    for name, pairs in (("ring_share.scn", replacements), ("net5ring.grid", grid_replacements)):
+        text = Path(bundled(name)).read_text(encoding="utf-8")
+        for before, after in pairs:
+            assert before in text
+            text = text.replace(before, after)
+        write(tmp_path / name, text)
+    return str(tmp_path / "ring_share.scn")
+
+
+@pytest.mark.parametrize("gamma_line, lineno", [("gamma = auto\n", 17), ("", 0)],
+                         ids=["explicit", "defaulted"])
+def test_cli_auto_gamma_without_a_positive_bound_exits_two_at_the_gamma_line(
+        tmp_path, capsys, gamma_line, lineno):
+    # gamma_bar underflows to 0 at ki = 1e-320, and half of it is no gamma:
+    # the run failed with ControllerSpec's unlocated "must be positive, got 0.0"
+    scn = ring_copy(tmp_path, [("kp = 100.0", "kp = 1.0"),
+                               ("cost_coeffs = 2.0e-4 1.0e-4 2.5e-4 1.25e-4 5.0e-4", "ki = 1e-320"),
+                               ("gamma = auto\n", gamma_line)])
+    where = f"{scn}:{lineno}" if lineno else scn
+    for command in (["analyze", scn], ["simulate", scn, "--output", ""]):
+        code = cli_main(command)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: {where}: gamma = auto: gamma_bar = 0 certifies no "
+                                "positive gamma\n")
+
+
+def test_cli_non_finite_step_map_exits_two(tmp_path, capsys):
+    # the P kind skips gamma_bar, so couplings near 2e299 W/rad reach the
+    # integrator: the step map overflowed with four RuntimeWarnings, and the
+    # run printed NaN frequencies after 2 steps with exit 1
+    scn = ring_copy(tmp_path, [("kind = dist_pi", "kind = p"),
+                               ("cost_coeffs = 2.0e-4 1.0e-4 2.5e-4 1.25e-4 5.0e-4\n", ""),
+                               ("gamma = auto\n", ""), ("comm_topology = same-as-grid\n", "")],
+                    [("voltage_kv = 10.0", "voltage_kv = 1e150")])
+    code = cli_main(["simulate", scn, "--output", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: step 0.002 s: the RK4 step map is not finite\n"
+
+
+@pytest.mark.parametrize("replacement, message", [
+    (("1.0 2 100.0", "1.0 2 1e12"),
+     "t = 1.012 s: omega of bus 2 is -1.10769e+12"),
+    (("1.0 2 100.0", "1.0 2 100.0\n[noise]\n1 1e300"),
+     "t = 0.002 s: omega of bus 1 is -1.30322e+299"),
+], ids=["load", "noise"])
+def test_cli_output_stable_run_that_leaves_the_range_exits_two(tmp_path, capsys, replacement,
+                                                                message):
+    # both loops pass the analysis (output stable, verdict positive); their
+    # runs ended as "(diverged)", "settled: no" and exit 1
+    scn = ring_copy(tmp_path, [replacement])
+    assert cli_main(["analyze", scn]) == 0
+    capsys.readouterr()
+    code = cli_main(["simulate", scn, "--output", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: the output-stable loop left the integrator's range at "
+                            f"{message}, beyond DIVERGENCE_LIMIT = 1e+12\n")
+
+
+def test_output_unstable_run_that_diverges_is_not_settled(tmp_path, monkeypatch, capsys):
+    # Swing loops with positive gains and a symmetric L_c are stable, and the
+    # loops the check calls unstable (its tolerance band) stay bounded, so the
+    # verdict is forced here: told the loop is output-unstable, the diverging
+    # run of the 1e12 kW step keeps its verdict instead of an error
+    def unstable(loop):
+        return replace(check(loop), output_stable=False)
+
+    check = scenario_mod.analysismod.output_stability_check
+    monkeypatch.setattr(scenario_mod.analysismod, "output_stability_check", unstable)
+    scn = ring_copy(tmp_path, [("1.0 2 100.0", "1.0 2 1e12")])
+    result = run_scenario(load_scenario(scn), csv_path="")
+    assert result.trace.diverged and not result.settled
+    assert result.trace.times[-1] == pytest.approx(1.012)
+    assert cli_main(["simulate", scn, "--output", ""]) == 1
+    out = capsys.readouterr().out
+    assert "output stable: no" in out
+    assert "simulated 1.012 s in 507 steps (diverged)" in out
+    assert out.endswith("settled: no\n")
 
 
 def test_cli_parse_failure_exits_two(tmp_path, capsys):
@@ -754,9 +849,16 @@ def test_cli_bad_gain_string_exits_two(capsys):
         (["gamma-bound", bundled("net2.grid"), "--kp", "inf", "--ki", "1"],
          "--kp: expected a finite number"),
         (["gamma-bound", bundled("net2.grid"), "--kp", "1", "--ki", " , "], "--ki: empty value"),
-        (["rank-test", bundled("net2.grid"), "--ki", "0"], "integral gains must be strictly positive"),
+        (["rank-test", bundled("net2.grid"), "--ki", "0"], "--ki: values must be strictly positive"),
         (["gamma-bound", bundled("net2.grid"), "--kp", "-1", "--ki", "1"],
-         "all proportional gains must be strictly positive"),
+         "--kp: values must be strictly positive"),
+        (["rank-test", bundled("net2.grid"), "--ki", "1, -2"], "--ki: values must be strictly positive"),
+        (["gamma-bound", bundled("net2.grid"), "--kp", "0", "--ki", "1"],
+         "--kp: values must be strictly positive"),
+        (["gamma-bound", bundled("net2.grid"), "--kp", "1", "--ki", "0"],
+         "--ki: values must be strictly positive"),
+        (["gamma-bound", bundled("net2.grid"), "--kp", "1", "--ki", "-1"],
+         "--ki: values must be strictly positive"),
     ]
     for argv, needle in cases:
         code = cli_main(argv)
