@@ -21,7 +21,8 @@ Three independent tools:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,12 +49,17 @@ def _sym(a: np.ndarray) -> np.ndarray:
 # integral-action feasibility (rank test)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XiRankResult:
+class XiRankResult(NamedTuple):
     dim: int          # size of the square test matrix (n_states + n_outputs)
     rank: int
-    deficiency: int
-    full_rank: bool
+
+    @property
+    def deficiency(self):
+        return self.dim - self.rank
+
+    @property
+    def full_rank(self):
+        return self.rank == self.dim
 
 
 def xi_rank_test(sys: sysmodel.LtiSystem, ki) -> XiRankResult:
@@ -75,21 +81,19 @@ def xi_rank_test(sys: sysmodel.LtiSystem, ki) -> XiRankResult:
     xi[:n, n:] = sys.b * ki[None, :]
     xi[n:, :n] = sys.c
     rank = numerics.numerical_rank(xi)
-    return XiRankResult(dim=n + m, rank=rank, deficiency=n + m - rank, full_rank=rank == n + m)
+    return XiRankResult(dim=n + m, rank=rank)
 
 
 # ---------------------------------------------------------------------------
 # output stability (eigenvalues modulo unobservable modes)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroMode:
+class ZeroMode(NamedTuple):
     eigenvalue: complex
     observable: bool
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Outcome of output_stability_check.  eigenvalues is the spectrum of
     the loop matrix from its unobservable and observable blocks, sorted by
     real part descending, then imaginary part descending; zero_modes are
@@ -183,8 +187,7 @@ def output_stability_check(cl: sysmodel.ClosedLoop) -> StabilityReport:
 # sufficient bound on the averaging gain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GammaBound:
+class GammaBound(NamedTuple):
     """Largest gamma for which the coefficient conditions provably hold.
 
     evaluate() gives the coefficient bounds (a1_lower, a2_lower,
@@ -226,8 +229,10 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     Precondition: x^T Lk Lc x >= 0 for all x, checked as
     lambda_min(sym(Lk Lc)) >= -PRECONDITION_REL_TOL * scale; choosing the
     communication Laplacian proportional to the electrical one satisfies
-    it.  The returned gamma_bar is verified on a 100-point grid (with
-    GammaBound.evaluate) before being handed back.  A product Lk Lc
+    it.  A bound below the smallest normal float is reported as 0, which
+    certifies no gamma: a subnormal one keeps too few significant bits to
+    verify.  A positive finite gamma_bar is verified on a 100-point grid
+    (with GammaBound.evaluate) before being handed back.  A product Lk Lc
     that overflows raises OverflowError.
     """
     lap_k, lap_c = _laplacians(net, ctrl)
@@ -274,15 +279,16 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     elif qb < 0.0:
         candidates.append(-qc / qb)
 
+    bar = float(min(candidates)) if candidates else math.inf
     result = GammaBound(
-        gamma_bar=float(min(candidates)) if candidates else math.inf,
+        gamma_bar=bar if bar >= np.finfo(float).tiny else 0.0,
         alpha=alpha,
         beta=beta,
         sigma=sigma,
         kappa1=kappa1,
         kappa2=kappa2,
     )
-    if math.isfinite(result.gamma_bar):
+    if 0.0 < result.gamma_bar < math.inf:
         a1g, a2g, a0a3g = result.evaluate(result.gamma_bar * np.arange(1, 101) / 101.0)
         if not (np.all(a1g > 0.0) and np.all(a2g > 0.0) and np.all(a0a3g < a1g * a2g)):
             raise RuntimeError("gamma_bar failed its own grid verification")
@@ -382,8 +388,7 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
 # steady state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SteadyStatePrediction:
+class SteadyStatePrediction(NamedTuple):
     omega_hat: float          # settled frequency, rad/s
     u_stationary: np.ndarray  # control effort per bus, W
 

@@ -44,15 +44,18 @@ def _print_stability(report):
 
 
 def _print_analysis(report):
-    ctrl = report.controller
+    ctrl, bound = report.controller, report.gamma_bound
+    if bound is not None and math.isfinite(bound.gamma_bar) and ctrl.gamma > bound.gamma_bar:
+        print(f"gamma = {ctrl.gamma:.6g} exceeds the sufficient bound {bound.gamma_bar:.6g}; "
+              "relying on the eigenvalue check alone", file=sys.stderr)
     bits = [f"kind={ctrl.kind}", f"kp={_fmt_vec(ctrl.kp)}"]
     if ctrl.ki is not None:
         bits.append(f"ki={_fmt_vec(ctrl.ki)}")
     if ctrl.gamma is not None:
         bits.append(f"gamma={ctrl.gamma:.6g}")
     print("controller: " + "  ".join(bits))
-    if report.gamma_bound is not None:
-        print(f"gamma_bar = {report.gamma_bound.gamma_bar:.6g}")
+    if bound is not None:
+        print(f"gamma_bar = {bound.gamma_bar:.6g}")
     if report.rank is not None:
         r = report.rank
         print(f"rank test: rank {r.rank} of {r.dim} "

@@ -6,7 +6,7 @@ arrays are float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ _POWER_STACK_BUDGET = 2 ** 17
 _MAX_BLOCK_ROWS = 64
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     """An integrated run: the state at every step from t = 0.
 
     For a closed loop, states are the loop's coordinates (for the swing

@@ -16,11 +16,11 @@ scenario tolerance.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from . import control as ctrlmod
 from . import graph as graphmod
 from . import numerics
 from . import sysmodel
-
-log = logging.getLogger("gridpi.scenario")
 
 SCHEMA_VERSION = 1
 TWO_PI = 2.0 * np.pi
@@ -190,8 +188,7 @@ _BUS_KEYS = ("inertia", "damping", "voltage_kv", "load_kw")
 _BUS_UNITS = {"voltage_kv": _KV_TO_V, "load_kw": _KW_TO_W}
 
 
-@dataclass(frozen=True)
-class LoadedNetwork:
+class LoadedNetwork(NamedTuple):
     net: sysmodel.PowerNetwork
     bus_ids: tuple  # file-facing bus ids, in order of appearance
     path: str       # the network file
@@ -272,8 +269,7 @@ def load_network(path) -> LoadedNetwork:
 # scenario files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     network: LoadedNetwork
     kind: str
     kp: np.ndarray
@@ -438,6 +434,11 @@ def load_scenario(path) -> Scenario:
             raise ParseError(path, lineno, f"noise: duplicate bus id {loaded.bus_ids[bus]}")
         noisy.add(bus)
         eta[bus] = _float(path, lineno, tokens[1], "eta_hz", _HZ_TO_RAD_S)
+        # a bias as large as the nominal frequency is no measurement error: at nominal
+        # operation the bus would read 0 Hz or less, or twice the nominal or more
+        if not abs(eta[bus]) < loaded.net.omega_ref:
+            raise ParseError(path, lineno, f"eta_hz: |{tokens[1]}| Hz is not below the nominal "
+                             f"frequency {loaded.net.omega_ref / TWO_PI:g} Hz")
 
     trace_csv = None
     out_kv = _kv_lines(path, sections.get("outputs", []), ("trace_csv",), "[outputs] key")
@@ -467,8 +468,7 @@ def load_scenario(path) -> Scenario:
 # orchestration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     controller: ctrlmod.ControllerSpec
     gamma_bound: analysismod.GammaBound   # None unless DIST_PI
     rank: analysismod.XiRankResult        # None unless DEC_PI
@@ -491,8 +491,7 @@ class AnalysisReport:
         return reasons
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     analysis: AnalysisReport
     trace: numerics.SimulationTrace
     final_omega_hz: np.ndarray  # (n,) absolute frequencies at the last row
@@ -524,9 +523,6 @@ def _resolve_controller(scn: Scenario):
                              f"{bound.gamma_bar:.6g} certifies no positive gamma")
     else:
         gamma = float(scn.gamma_request)
-        if math.isfinite(bound.gamma_bar) and gamma > bound.gamma_bar:
-            log.warning("gamma = %.6g exceeds the sufficient bound %.6g; "
-                        "relying on the eigenvalue check alone", gamma, bound.gamma_bar)
     return replace(ctrl, gamma=gamma), bound
 
 

@@ -16,6 +16,7 @@ coordinates; callers add omega_ref back to report absolute frequencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,8 +189,7 @@ def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
 # closed loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosedLoop:
+class ClosedLoop(NamedTuple):
     """Autonomous closed-loop system x' = system_matrix x + forcing_dev.
 
     The control law is the affine map u = control_gain x + control_offset

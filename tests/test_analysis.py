@@ -47,6 +47,13 @@ def test_rank_test_passes_on_a_well_posed_scalar_system():
     assert result.full_rank
 
 
+def test_rank_result_derives_deficiency_and_full_rank():
+    result = gridpi.XiRankResult(dim=5, rank=3)
+    assert result.deficiency == 2
+    assert not result.full_rank
+    assert gridpi.XiRankResult(dim=4, rank=4).full_rank
+
+
 def test_rank_test_sees_swing_degeneracy():
     # frequency rows duplicate the measurement rows: deficiency is always n
     rng = np.random.default_rng(31)
@@ -381,6 +388,17 @@ def test_gamma_bar_margins_positive_inside_and_zero_at_the_edge():
         margin = min(a1, a2, a1 * a2 - a0a3)
         reference = bound.kappa1 * bound.kappa2
         assert abs(margin) < 1e-9 * reference  # the edge is an exact root
+
+
+def test_gamma_bar_below_the_smallest_normal_float_is_zero():
+    # the bound is kappa1 kappa2 / sigma on the unit pair; a subnormal one
+    # keeps too few significant bits to verify (one near 7.6e-324 failed its
+    # own grid check), and it certifies no usable gamma anyway
+    net = two_bus_network()
+    for ki, expected in ((1e-320, 0.0), (1e-310, 0.0), (1e-290, 5e-291)):
+        ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.full(2, ki),
+                              gamma=None, comm=net.coupling_graph())
+        assert_allclose(gamma_bar(net, ctrl).gamma_bar, expected, rtol=1e-12, atol=0.0)
 
 
 def test_gamma_bar_rejects_mismatched_communication_weights():

@@ -1,5 +1,11 @@
 """The public surface of the package."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import gridpi
 
 PUBLIC_NAMES = [
@@ -22,3 +28,26 @@ def test_all_lists_exactly_the_public_names_and_each_resolves():
     assert len(set(gridpi.__all__)) == len(PUBLIC_NAMES) == 37
     for name in PUBLIC_NAMES:
         assert getattr(gridpi, name) is not None, name
+
+
+def test_only_the_validated_inputs_are_dataclasses():
+    # the four types whose __post_init__ validates stay dataclasses (callers
+    # dataclasses.replace them); every other public record is a named tuple
+    public = [getattr(gridpi, name) for name in PUBLIC_NAMES]
+    types = [t for t in public if isinstance(t, type) and not issubclass(t, Exception)]
+    validated = sorted(t.__name__ for t in types if dataclasses.is_dataclass(t))
+    assert validated == ["ControllerSpec", "LtiSystem", "PowerNetwork", "WeightedGraph"]
+    records = [t for t in types if not dataclasses.is_dataclass(t)]
+    records += [gridpi.analysis.ZeroMode, gridpi.scenario.AnalysisReport]  # reached as fields
+    assert len(records) == 11
+    for record in records:
+        assert issubclass(record, tuple), record.__name__
+
+
+def test_importing_the_cli_leaves_logging_out():
+    code = "import sys, gridpi.cli; print('logging' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(gridpi.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

@@ -242,6 +242,12 @@ def test_bundled_scenarios_load():
     ("\n2 3 0.5", "",
      "bad.scn:10: comm_topology = edges: the [comm_edges] graph must be connected"),
     ("2 0.01", "2 1e308", "bad.scn:17: eta_hz: 2*pi*1e308 rad/s is not finite"),
+    # an offset of the nominal frequency or more: 1e300 Hz was analyzed as a
+    # positive verdict at -2e+299 Hz, and its run left the integrator's range
+    ("2 0.01", "2 1e300",
+     "bad.scn:17: eta_hz: |1e300| Hz is not below the nominal frequency 50 Hz"),
+    ("2 0.01", "2 50", "bad.scn:17: eta_hz: |50| Hz is not below the nominal frequency 50 Hz"),
+    ("2 0.01", "2 -50", "bad.scn:17: eta_hz: |-50| Hz is not below the nominal frequency 50 Hz"),
     ("4.0 3 -12.5", "4.0 3 1e306", "bad.scn:15: load_delta_kw: 1e3*1e306 W is not finite"),
     # the steps apply in time order, so the later line 15 is the one that overflows
     ("4.0 3 -12.5", "4.0 3 1e305\n2.0 3 1e305",
@@ -254,6 +260,7 @@ def test_bundled_scenarios_load():
         "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
         "outputs-key", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges",
         "negative-kp", "zero-kp", "zero-ki", "negative-ki", "negative-cost", "zero-cost", "disconnected-comm", "noise-overflow",
+        "noise-beyond-nominal", "noise-at-nominal", "noise-at-minus-nominal",
         "load-overflow", "summed-load-overflow", "noise-duplicate", "cost-reciprocal-overflow"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
@@ -673,13 +680,11 @@ def test_cli_non_finite_step_map_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("replacement, message", [
     (("1.0 2 100.0", "1.0 2 1e12"),
      "t = 1.012 s: omega of bus 2 is -1.10769e+12"),
-    (("1.0 2 100.0", "1.0 2 100.0\n[noise]\n1 1e300"),
-     "t = 0.002 s: omega of bus 1 is -1.30322e+299"),
-], ids=["load", "noise"])
+], ids=["load"])
 def test_cli_output_stable_run_that_leaves_the_range_exits_two(tmp_path, capsys, replacement,
                                                                 message):
-    # both loops pass the analysis (output stable, verdict positive); their
-    # runs ended as "(diverged)", "settled: no" and exit 1
+    # the loop passes the analysis (output stable, verdict positive); its
+    # run ended as "(diverged)", "settled: no" and exit 1
     scn = ring_copy(tmp_path, [replacement])
     assert cli_main(["analyze", scn]) == 0
     capsys.readouterr()
@@ -697,7 +702,7 @@ def test_output_unstable_run_that_diverges_is_not_settled(tmp_path, monkeypatch,
     # verdict is forced here: told the loop is output-unstable, the diverging
     # run of the 1e12 kW step keeps its verdict instead of an error
     def unstable(loop):
-        return replace(check(loop), output_stable=False)
+        return check(loop)._replace(output_stable=False)
 
     check = scenario_mod.analysismod.output_stability_check
     monkeypatch.setattr(scenario_mod.analysismod, "output_stability_check", unstable)
@@ -819,20 +824,55 @@ def test_cli_unwritable_trace_exits_two(tmp_path, monkeypatch, capsys, target, r
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_cli_warns_on_stderr_when_gamma_exceeds_the_bound(tmp_path):
-    # a child process, so that the warning goes through the logging setup
-    # of a plain `python -m gridpi.cli` run and not through pytest's capture
+def _child_cli_above_the_bound(tmp_path, command, *options):
+    """`python -m gridpi.cli command ring_share.scn *options` on a copy with
+    gamma = 1e9, above its gamma_bar of 3.27708, in a child process, so that
+    stderr is that of a plain run and not pytest's capture."""
     text = Path(bundled("ring_share.scn")).read_text(encoding="utf-8")
     assert "gamma = auto\n" in text
     write(tmp_path / "ring_share.scn", text.replace("gamma = auto\n", "gamma = 1.0e9\n"))
     shutil.copy(bundled("net5ring.grid"), tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(gridpi.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "gridpi.cli", "analyze", "ring_share.scn"],
-                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert res.returncode == 1
+    return subprocess.run([sys.executable, "-m", "gridpi.cli", command, "ring_share.scn",
+                           *options],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command, code", [
+    (["analyze"], 1),
+    # at gamma = 1e9 the 2 ms step is outside the RK4 stability region, so
+    # the run takes 100 steps of 1e-11 s, a step that the check passes
+    (["simulate", "--horizon", "1e-9", "--step", "1e-11", "--output", ""], 0),
+], ids=["analyze", "simulate"])
+def test_cli_warns_on_stderr_when_gamma_exceeds_the_bound(tmp_path, command, code):
+    res = _child_cli_above_the_bound(tmp_path, *command)
+    assert res.returncode == code
     assert res.stderr == ("gamma = 1e+09 exceeds the sufficient bound 3.27708; "
                           "relying on the eigenvalue check alone\n")
     assert "gamma=1e+09" in res.stdout
+
+
+def test_cli_run_refused_after_the_analysis_prints_no_gamma_warning(tmp_path):
+    # the CLI prints the warning with the analysis, so a run that exits 2
+    # (here: the 2 ms step at gamma = 1e9) shows only its error
+    res = _child_cli_above_the_bound(tmp_path, "simulate", "--horizon", "1", "--output", "")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: step 0.002 s is outside the RK4 stability region")
+    assert len(res.stderr.splitlines()) == 1
+
+
+def test_cli_gamma_bar_below_the_smallest_normal_float_is_zero(tmp_path, capsys):
+    # the bound near 7.6e-324 at ki = 1e-320 failed its own grid verification
+    # (exit 2, no file), and 7.6e-314 at ki = 1e-310 started the spectral
+    # search so low that 80 doublings found no crossing
+    grid = write(tmp_path / "net.grid", MINIMAL_GRID)
+    for ki in ("1e-320", "1e-310"):
+        code = cli_main(["gamma-bound", grid, "--kp", "5", "--ki", ki, "--spectral"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[1] == "gamma_bar = 0"
+        assert lines[4] == "eigenvalue-based threshold ~= 1697031.29"
 
 
 def test_cli_missing_file_exits_two(tmp_path, capsys):
