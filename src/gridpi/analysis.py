@@ -33,7 +33,7 @@ from . import sysmodel
 
 # Decay margin and zero-mode band of the stability check (relative to the matrix scale).
 STABILITY_TOL = 1.0e-8
-# gamma_star_search: doublings before giving up, and the bracket's final relative width.
+# gamma_star_search: largest exponent k of a probe start * 2**k; final relative bracket width.
 _MAX_DOUBLINGS = 80
 _SEARCH_REL_TOL = 1.0e-6
 # How negative lambda_min(sym(Lk Lc)) may be before the bound's precondition
@@ -318,14 +318,17 @@ def stability_cubic(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
 
 
 def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> float:
-    """Empirical stability threshold in gamma by doubling plus a bracketed secant.
+    """Empirical stability threshold in gamma by a doubling bracket plus a secant.
 
     Comparison tool only: assumes a single stable-to-unstable crossing.
-    Doubles gamma from gamma_bar (from 1 unless gamma_bar is positive and
-    finite) until the eigenvalue check fails, then narrows the bracket to
-    _SEARCH_REL_TOL relative width by an Illinois secant on log gamma over
-    the check's margin, bisecting where a step leaves the bracket.  Returns the largest
-    gamma found to pass (inf if none fails within _MAX_DOUBLINGS doublings).
+    Probes gamma = start * 2**k from start = gamma_bar (1 unless gamma_bar
+    is positive and finite), growing k by 1, 2, 4, ... (k = 1, 3, 7, ...,
+    at most _MAX_DOUBLINGS) until the eigenvalue check fails, and bisects
+    k down to one doubling; on a monotone verdict that is the doubling
+    that first fails.  An Illinois secant on log gamma over the check's
+    margin then narrows it to _SEARCH_REL_TOL relative width, bisecting
+    where a step leaves the bracket.  Returns the largest gamma found to
+    pass (inf if start * 2**_MAX_DOUBLINGS passes).
     Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G on
     one split [B W], redone only where ||W^T E(gamma) B||_2 > RANK_REL_TOL *
     scale; for the swing loop B is the uniform-angle vector, always invariant.
@@ -353,20 +356,21 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
         return _observable_margin(np.linalg.eigvals(split[0] - gamma * split[1]), scale)
 
     gb = gamma_bar(net, ctrl).gamma_bar
-    lo = gb if 0.0 < gb < math.inf else 1.0  # a gamma_bar of 0 would never double
-    f_lo = _margin(lo)
+    start = gb if 0.0 < gb < math.inf else 1.0  # a gamma_bar of 0 would never grow
+    f_lo = _margin(start)
     if not f_lo < 0.0:
-        raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {lo}")
-    probe = lo
-    for _ in range(_MAX_DOUBLINGS):
-        probe *= 2.0
-        f = _margin(probe)
-        if not f < 0.0:
-            hi, f_hi = probe, f
-            break
-        lo, f_lo = probe, f
-    else:
+        raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {start}")
+    k_lo, k_hi = 0, _MAX_DOUBLINGS + 1  # start * 2**k passes at k_lo; k_hi fails, if probed
+    while k_hi - k_lo > 1:  # grow k by 1, 2, 4, ... until a probe fails, then bisect k
+        k = min(2 * k_lo + 1, _MAX_DOUBLINGS) if k_hi > _MAX_DOUBLINGS else (k_lo + k_hi) // 2
+        f = _margin(math.ldexp(start, k))
+        if f < 0.0:
+            k_lo, f_lo = k, f
+        else:
+            k_hi, f_hi = k, f
+    if k_hi > _MAX_DOUBLINGS:
         return math.inf
+    lo, hi = math.ldexp(start, k_lo), math.ldexp(start, k_hi)
     moved = None  # the end that the last step replaced
     while hi - lo > _SEARCH_REL_TOL * hi:
         x_lo, x_hi = math.log(lo), math.log(hi)

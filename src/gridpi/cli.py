@@ -123,7 +123,7 @@ def _cmd_gamma_bound(args):
     if args.spectral:
         gamma_star = analysismod.gamma_star_search(loaded.net, ctrl)
         print(f"eigenvalue-based threshold ~= {gamma_star:.9g}")
-        if math.isfinite(bound.gamma_bar) and math.isfinite(gamma_star):
+        if 0.0 < bound.gamma_bar < math.inf and math.isfinite(gamma_star):
             print(f"bound / threshold = {bound.gamma_bar / gamma_star:.3g}")
     return EXIT_OK
 

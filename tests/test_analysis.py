@@ -463,6 +463,60 @@ def test_gamma_star_search_agrees_with_bisection_on_full_checks():
         assert output_stability_check(cl).output_stable
 
 
+def _record_probes(monkeypatch, margin=None):
+    """Wrap the search's probe rule; returns the list of each probe's scale."""
+    scales, real = [], gridpi.analysis._observable_margin
+
+    def probe(seen, scale):
+        scales.append(scale)
+        return (margin or real)(seen, scale)
+
+    monkeypatch.setattr(gridpi.analysis, "_observable_margin", probe)
+    return scales
+
+
+def test_gamma_star_search_takes_at_most_17_probes(monkeypatch):
+    # about 10 probes bracket the crossing within one doubling, 6 or 7 narrow it
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        net = random_network(rng)
+        ctrl = random_dist_controller(rng, net)
+        scales = _record_probes(monkeypatch)
+        assert math.isfinite(gamma_star_search(net, ctrl))
+        assert len(scales) <= 17
+
+
+def test_gamma_star_search_without_a_crossing_takes_8_probes(monkeypatch):
+    # start * 2**k for k = 0, 1, 3, 7, 15, 31, 63, 80, and no crossing
+    net = two_bus_network()
+    ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
+                          gamma=None, comm=net.coupling_graph())
+    scales = _record_probes(monkeypatch, lambda seen, scale: -1.0)
+    assert gamma_star_search(net, ctrl) == math.inf
+    assert len(scales) == 8
+
+
+def test_gamma_star_search_caps_the_exponent_and_bisects_it(monkeypatch):
+    # a crossing between start * 2**69 and start * 2**70: the step from 63
+    # overshoots 80, so the search probes k = 80 and bisects k in (63, 80]
+    net = two_bus_network()
+    ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
+                          gamma=None, comm=net.coupling_graph())
+    start = gamma_bar(net, ctrl).gamma_bar
+
+    def scale_at(k):
+        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=math.ldexp(start, k)))
+        return max(np.linalg.norm(cl.system_matrix, 2), 1.0)
+
+    crossing = scale_at(70)
+    scales = _record_probes(monkeypatch, lambda seen, scale: -1.0 if scale < crossing else 1.0)
+    threshold = gamma_star_search(net, ctrl)
+    assert math.ldexp(start, 69) <= threshold < math.ldexp(start, 70)
+    exponents = (0, 1, 3, 7, 15, 31, 63, 80, 71, 67, 69, 70)
+    assert scales[:len(exponents)] == [scale_at(k) for k in exponents]
+    assert max(scales) == scale_at(80)
+
+
 # ---------------------------------------------------------------------------
 # the per-direction cubic
 # ---------------------------------------------------------------------------

@@ -618,10 +618,11 @@ def _spectral_lines(capsys, *args):
 ])
 def test_cli_spectral_threshold_is_pinned(capsys, grid, kp, ki, threshold):
     lines = _spectral_lines(capsys, bundled(grid), "--kp", kp, "--ki", ki)
-    label, value = lines[-2].split(" ~= ")
+    label, value = lines[4].split(" ~= ")
     assert label == "eigenvalue-based threshold"
     assert_allclose(float(value), threshold, rtol=1e-6)
-    assert lines[-1].startswith("bound / threshold = ")
+    # a bound of 0 certifies nothing, so it gets no conservatism ratio
+    assert lines[-1].startswith("bound / threshold = ") == (lines[1] != "gamma_bar = 0")
 
 
 def test_cli_spectral_without_a_crossing_prints_no_ratio(capsys):
@@ -873,6 +874,7 @@ def test_cli_gamma_bar_below_the_smallest_normal_float_is_zero(tmp_path, capsys)
         assert code == 0
         assert lines[1] == "gamma_bar = 0"
         assert lines[4] == "eigenvalue-based threshold ~= 1697031.29"
+        assert not any(line.startswith("bound / threshold") for line in lines)
 
 
 def test_cli_missing_file_exits_two(tmp_path, capsys):
