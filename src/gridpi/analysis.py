@@ -331,7 +331,10 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     pass (inf if start * 2**_MAX_DOUBLINGS passes).
     Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G on
     one split [B W], redone only where ||W^T E(gamma) B||_2 > RANK_REL_TOL *
-    scale; for the swing loop B is the uniform-angle vector, always invariant.
+    scale.  B is usually the uniform-angle vector and one split serves the
+    search; when gamma L_c starts below the rank cutoff (net30.grid at
+    kp = ki = 1), the first B also holds the integrator directions, stops
+    being invariant as gamma grows, and the search splits again.
 
     Loops that stay stable for every gamma eventually defeat the
     classifier: once gamma dwarfs the machine dynamics, the norm-relative

@@ -72,8 +72,11 @@ def _print_analysis(report):
 
 def _cmd_simulate(args):
     scn = scenariomod.load_scenario(args.scenario)
-    result = scenariomod.run_scenario(scn, horizon=args.horizon, csv_path=args.output,
-                                      step=args.step)
+    if args.horizon is not None:
+        scn = scn._replace(horizon=scenariomod._positive(None, 0, args.horizon, "--horizon"))
+    if args.step is not None:
+        scn = scn._replace(step=scenariomod._positive(None, 0, args.step, "--step"))
+    result = scenariomod.run_scenario(scn, csv_path=args.output)
     _print_analysis(result.analysis)
     trace = result.trace
     print(f"simulated {trace.times[-1]:.6g} s in {trace.times.shape[0]} steps"
@@ -82,8 +85,8 @@ def _cmd_simulate(args):
     print(f"final frequencies: {_fmt_vec(result.final_omega_hz, 'Hz')}")
     print(f"target {result.omega_hat_hz:.9g} Hz, worst deviation {final_dev:.3g} Hz")
     print(f"settled: {'yes' if result.settled else 'no'}")
-    if result.csv_path:
-        print(f"trace written to {result.csv_path}")
+    if args.output:
+        print(f"trace written to {args.output}")
     return EXIT_OK if result.settled else EXIT_NEGATIVE
 
 
@@ -138,10 +141,10 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="run a scenario file")
     p_sim.add_argument("scenario", help="path to a .scn scenario file")
     p_sim.add_argument("--output", default=None, metavar="CSV",
-                       help="write the trace here (overrides the scenario; '' disables)")
-    p_sim.add_argument("--horizon", type=float, default=None, metavar="S",
+                       help="write the trace here ('' or no flag writes none)")
+    p_sim.add_argument("--horizon", default=None, metavar="S",
                        help="override the simulation horizon in seconds")
-    p_sim.add_argument("--step", type=float, default=None, metavar="S",
+    p_sim.add_argument("--step", default=None, metavar="S",
                        help="override the integration step in seconds")
     p_sim.set_defaults(func=_cmd_simulate)
 

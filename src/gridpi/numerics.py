@@ -92,8 +92,12 @@ def _block_rows(n: int) -> int:
 
 
 def _split(span: float, h: float):
-    """Full steps of h in span, plus the length of a shortened tail step (0 if none)."""
-    n_full = int(np.floor(span / h + 1e-9))
+    """Full steps of h in span, plus the length of a shortened tail step (0 if
+    none); ValueError naming the step when span / h is not finite."""
+    steps = span / h
+    if not np.isfinite(steps):
+        raise ValueError(f"step {h:g} s: a segment of {span:g} s takes a non-finite number of steps")
+    n_full = int(np.floor(steps + 1e-9))
     tail = span - n_full * h
     return n_full, (tail if tail > 1e-9 * h else 0.0)
 
@@ -167,10 +171,12 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> SimulationTra
     computed a block at a time from powers of phi stacked once per step
     size (see _propagate); they agree with the step-by-step map to
     rounding, within 1e-12 of each row's largest component in the tests.
-    A shortened step is a one-row run through the same path.  A step map
-    or forcing term that is not finite raises ValueError naming the step:
-    the full step's map and forcing terms are checked before any row is
-    written, a shortened step's before its row.  Divergence
+    A shortened step is a one-row run through the same path.  A segment
+    whose length over h is not finite raises ValueError naming the step
+    before anything is allocated.  A step map or forcing term that is not
+    finite raises ValueError naming the step: the full step's map and
+    forcing terms are checked before any row is written, a shortened
+    step's before its row.  Divergence
     (a non-finite component or one beyond DIVERGENCE_LIMIT) is tested once
     per _CHECK_BLOCK rows rather than after every step; the first bad row
     stops the run, sets the diverged flag and ends the truncated trace,

@@ -144,6 +144,14 @@ def _float(path, lineno, token, what, unit=_AS_WRITTEN):
     return value * factor
 
 
+def _positive(path, lineno, token, what, unit=_AS_WRITTEN):
+    """_float, refusing a value that is not above 0."""
+    value = _float(path, lineno, token, what, unit)
+    if value <= 0.0:
+        raise ParseError(path, lineno, f"{what} must be positive")
+    return value
+
+
 def _int(path, lineno, token, what):
     try:
         return int(token)
@@ -203,9 +211,7 @@ def load_network(path) -> LoadedNetwork:
     omega_ref = TWO_PI * 50.0
     if "frequency_hz" in meta:
         value, lineno = meta["frequency_hz"]
-        omega_ref = _float(path, lineno, value, "frequency_hz", _HZ_TO_RAD_S)
-        if omega_ref <= 0.0:
-            raise ParseError(path, lineno, "frequency_hz must be positive")
+        omega_ref = _positive(path, lineno, value, "frequency_hz", _HZ_TO_RAD_S)
 
     # bus values are kept as (token, lineno) until each bus reads them, then
     # as (value in model units, lineno, token), so that a rejected one is
@@ -283,7 +289,6 @@ class Scenario(NamedTuple):
     step: float
     settle_tol_hz: float
     output_every: float
-    trace_csv: str = None
     gamma_source: tuple = (None, 0)  # (file, line) of the gamma request; line 0 if defaulted
 
 
@@ -310,8 +315,8 @@ _CONTROLLER_KEYS = ("kind", "kp", "ki", "cost_coeffs", "gamma", "comm_topology")
 def load_scenario(path) -> Scenario:
     """Parse and cross-validate a scenario file (loads its network too)."""
     path = os.fspath(path)
-    sections = _read_sections(path, ("scenario", "controller", "comm_edges", "disturbances",
-                                     "noise", "outputs"), "scenario")
+    sections = _read_sections(path, ("scenario", "controller", "comm_edges", "disturbances", "noise"),
+                              "scenario")
 
     meta = _kv_lines(path, sections.get("scenario", []), _SCENARIO_KEYS, "[scenario] key")
     if "network" not in meta:
@@ -322,19 +327,10 @@ def load_scenario(path) -> Scenario:
     n = loaded.net.n_buses
     index = {bus_id: k for k, bus_id in enumerate(loaded.bus_ids)}
 
-    def _meta_float(key, default):
-        if key not in meta:
-            return default
-        value, lineno = meta[key]
-        out = _float(path, lineno, value, key)
-        if out <= 0.0:
-            raise ParseError(path, lineno, f"{key} must be positive")
-        return out
-
-    horizon = _meta_float("horizon_s", DEFAULT_HORIZON)
-    step = _meta_float("step_s", sysmodel.DEFAULT_STEP)
-    settle_tol = _meta_float("settle_tol_hz", DEFAULT_SETTLE_TOL)
-    output_every = _meta_float("output_every_s", DEFAULT_OUTPUT_EVERY)
+    # every [scenario] key but network is a positive number
+    numbers = {key: _positive(path, lineno, token, key)
+               for key, (token, lineno) in meta.items() if key != "network"}
+    horizon = numbers.get("horizon_s", DEFAULT_HORIZON)
 
     ctrl_kv = _kv_lines(path, sections.get("controller", []), _CONTROLLER_KEYS, "[controller] key")
     if "kind" not in ctrl_kv:
@@ -440,11 +436,6 @@ def load_scenario(path) -> Scenario:
             raise ParseError(path, lineno, f"eta_hz: |{tokens[1]}| Hz is not below the nominal "
                              f"frequency {loaded.net.omega_ref / TWO_PI:g} Hz")
 
-    trace_csv = None
-    out_kv = _kv_lines(path, sections.get("outputs", []), ("trace_csv",), "[outputs] key")
-    if "trace_csv" in out_kv:
-        trace_csv = os.path.join(os.path.dirname(os.path.abspath(path)), out_kv["trace_csv"][0])
-
     return Scenario(
         network=loaded,
         kind=kind,
@@ -456,10 +447,9 @@ def load_scenario(path) -> Scenario:
         schedule=tuple(ev[:3] for ev in events),
         eta=eta,
         horizon=horizon,
-        step=step,
-        settle_tol_hz=settle_tol,
-        output_every=output_every,
-        trace_csv=trace_csv,
+        step=numbers.get("step_s", sysmodel.DEFAULT_STEP),
+        settle_tol_hz=numbers.get("settle_tol_hz", DEFAULT_SETTLE_TOL),
+        output_every=numbers.get("output_every_s", DEFAULT_OUTPUT_EVERY),
         gamma_source=(path, gamma_line),
     )
 
@@ -497,7 +487,6 @@ class ScenarioResult(NamedTuple):
     final_omega_hz: np.ndarray  # (n,) absolute frequencies at the last row
     settled: bool
     omega_hat_hz: float
-    csv_path: str = None
 
 
 def network_gamma_bar(loaded: LoadedNetwork, ctrl: ctrlmod.ControllerSpec):
@@ -568,16 +557,6 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     )
 
 
-def _override(value, default, what):
-    """A positive finite override, or the scenario's own value when None."""
-    if value is None:
-        return default
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{what} must be a positive finite number, got {value}")
-    return value
-
-
 def _check_step(stability: analysismod.StabilityReport, h: float):
     """Refuse a step at which RK4 does not damp every mode that the
     stability check counts as decaying (Re lam < -STABILITY_TOL * scale)."""
@@ -587,14 +566,19 @@ def _check_step(stability: analysismod.StabilityReport, h: float):
     mult = np.abs(numerics.rk4_multiplier(h * lam))
     if np.all(mult < 1.0):
         return
+    worst = int(np.argmax(mult))
+    mode = f"mode lambda = {complex(lam[worst]):.6g} 1/s has |R(h lambda)|"
+    if mult[worst] == 1.0:  # h lam so small that R rounds to 1: halving h cannot help
+        raise ValueError(f"step {h:g} s is too small for float64: {mode} rounding to 1, "
+                         "so RK4 does not damp that mode")
     ok = h / 2.0
-    # ends: a small enough step damps every mode with Re lam < 0
+    # ends by the first ok with ok * max|lam| < 2.6: |R(z)| < 1 on the left
+    # half-disk of that radius, and there Re(ok lam) < -STABILITY_TOL * ok * scale
+    # is below -1.3e-8, too far from 0 for |R| to round to 1
     while np.any(np.abs(numerics.rk4_multiplier(ok * lam)) >= 1.0):
         ok /= 2.0
-    worst = int(np.argmax(mult))
-    raise ValueError(f"step {h:g} s is outside the RK4 stability region: mode lambda = "
-                     f"{complex(lam[worst]):.6g} 1/s has |R(h lambda)| = {mult[worst]:.6g} >= 1; "
-                     f"a step of {ok:g} s passes")
+    raise ValueError(f"step {h:g} s is outside the RK4 stability region: {mode} = "
+                     f"{mult[worst]:.6g} >= 1; a step of {ok:g} s passes")
 
 
 def _range_error(trace, loop, bus_ids):
@@ -609,34 +593,33 @@ def _range_error(trace, loop, bus_ids):
             f"DIVERGENCE_LIMIT = {numerics.DIVERGENCE_LIMIT:g}")
 
 
-def run_scenario(scn: Scenario, horizon=None, csv_path=None, step=None) -> ScenarioResult:
-    """Simulate the scenario and check settling against the predicted target.
+def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
+    """Simulate the scenario for scn.horizon seconds at step scn.step and
+    check settling against the predicted target.
 
-    Keyword arguments override the scenario-file values; csv_path replaces
-    the file's trace output destination (pass "" to suppress writing).  A
-    run that crosses numerics.DIVERGENCE_LIMIT although the analysis calls
-    the loop output-stable raises ValueError naming the time and the state
+    A shorter or finer run is run_scenario(scn._replace(horizon=..., step=...)).
+    The trace is written to csv_path (see write_trace_csv) when it is
+    non-empty, and nowhere otherwise.  A run that crosses
+    numerics.DIVERGENCE_LIMIT although the analysis calls the loop
+    output-stable raises ValueError naming the time and the state
     component; an output-unstable loop's divergence ends as not settled.
     """
     net = scn.network.net
-    horizon = _override(horizon, scn.horizon, "horizon")
-    h = _override(step, scn.step, "step")
-    destination = scn.trace_csv if csv_path is None else (csv_path or None)
-    if destination:
-        _check_destination(destination)
+    if csv_path:
+        _check_destination(csv_path)
 
     report = analyze_scenario(scn)
-    _check_step(report.stability, h)
+    _check_step(report.stability, scn.step)
     ctrl = report.controller
 
     x0 = analysismod.stationary_state(net, ctrl)
     segments = []
     for t_start, power in _power_stages(scn):
-        if t_start >= horizon:
+        if t_start >= scn.horizon:  # a horizon shortened by _replace can end before a step
             break
         stage_sys = sysmodel.swing_to_lti(replace(net, power=power), eta=scn.eta)
         segments.append((t_start, sysmodel.close_loop(stage_sys, ctrl)))
-    trace = sysmodel.simulate_schedule(segments, horizon, h=h, x0=x0)
+    trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)
     loop = segments[0][1]
     if trace.diverged and report.stability.output_stable:
         raise ValueError(_range_error(trace, loop, scn.network.bus_ids))
@@ -648,16 +631,14 @@ def run_scenario(scn: Scenario, horizon=None, csv_path=None, step=None) -> Scena
         np.max(np.abs(final_omega_hz - omega_hat_hz)) < scn.settle_tol_hz
     )
 
-    written = None
-    if destination:
-        written = write_trace_csv(destination, scn, loop, trace, h)
+    if csv_path:
+        write_trace_csv(csv_path, scn, loop, trace)
     return ScenarioResult(
         analysis=report,
         trace=trace,
         final_omega_hz=final_omega_hz,
         settled=settled,
         omega_hat_hz=omega_hat_hz,
-        csv_path=written,
     )
 
 
@@ -692,9 +673,10 @@ def _atomic_write(path, payload):
 
 
 def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
-                    trace: numerics.SimulationTrace, step: float) -> str:
-    """Write the trace of a run of loop integrated with step `step`, one row
-    per output_every seconds; the final sample is always included.
+                    trace: numerics.SimulationTrace) -> str:
+    """Write the trace of a run of loop integrated at step scn.step to path,
+    one row per scn.output_every seconds; the final sample is always
+    included.  Returns path.
 
     Columns: time, omega_<id>_hz per bus, u_<id>_w per bus, and z_<id> per
     bus when the controller has integrators.  Frequencies and the inputs
@@ -703,7 +685,7 @@ def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
     the binary floats exactly.  The file is written to a temporary name
     and renamed into place.
     """
-    stride = max(int(round(scn.output_every / step)), 1)
+    stride = max(int(round(scn.output_every / scn.step)), 1)
     picks = list(range(0, trace.times.shape[0], stride))
     if picks[-1] != trace.times.shape[0] - 1:
         picks.append(trace.times.shape[0] - 1)

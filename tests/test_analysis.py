@@ -30,8 +30,8 @@ from gridpi import (
 )
 from gridpi.analysis import _SEARCH_REL_TOL, STABILITY_TOL, unobservable_subspace
 from gridpi.numerics import RANK_REL_TOL
-from support import (random_dist_controller, random_network, reference_gamma_star_search,
-                     two_bus_network)
+from support import (bundled, random_dist_controller, random_network,
+                     reference_gamma_star_search, two_bus_network)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +449,30 @@ def test_one_split_serves_every_gamma_of_the_search():
             scale = max(np.linalg.norm(e, 2), 1.0)
             assert unobservable_subspace(e, cl.output_selector)[0].shape[1] == 1
             assert np.linalg.norm(comp.T @ e @ basis, 2) <= RANK_REL_TOL * scale
+
+
+def test_gamma_star_search_splits_again_when_the_first_split_is_not_invariant(monkeypatch):
+    # on net30.grid at kp = ki = 1, gamma_bar = 5e-14 puts gamma * L_c below
+    # the rank cutoff: the first split sees 30 unobservable directions, which
+    # stop being invariant as gamma grows, and the search splits again, to 1
+    net = gridpi.load_network(bundled("net30.grid")).net
+    n = net.n_buses
+    ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(n), ki=np.ones(n), gamma=None,
+                          comm=net.coupling_graph())
+    columns = []
+
+    def split(*args, **kwargs):
+        basis, comp = unobservable_subspace(*args, **kwargs)
+        columns.append(basis.shape[1])
+        return basis, comp
+
+    monkeypatch.setattr(gridpi.analysis, "unobservable_subspace", split)
+    threshold = gamma_star_search(net, ctrl)
+    monkeypatch.undo()
+    assert columns == [30, 1]
+    for factor, stable in ((1.0, True), (1.0 + 2e-6, False)):
+        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=factor * threshold))
+        assert output_stability_check(cl).output_stable == stable
 
 
 def test_gamma_star_search_agrees_with_bisection_on_full_checks():

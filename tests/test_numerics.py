@@ -320,6 +320,14 @@ def test_non_finite_step_map_or_forcing_is_refused_before_any_row(monkeypatch):
         integrate_rk4(mat, x0, schedule, 10.0, 2.0)
 
 
+def test_a_non_finite_step_count_is_refused_naming_the_step():
+    # 1e300 s at a 1e-10 s step ended in an OverflowError from int(inf)
+    schedule = [(0.0, np.zeros(2)), (1.0, np.ones(2))]
+    with pytest.raises(ValueError, match=r"^step 1e-10 s: a segment of 1e\+300 s takes a "
+                                         r"non-finite number of steps$"):
+        integrate_rk4(-np.eye(2), np.zeros(2), schedule, 1e300, 1e-10)
+
+
 def test_rk4_multiplier_is_the_spectrum_of_the_step_map():
     rng = np.random.default_rng(8)
     mat = rng.normal(size=(5, 5))

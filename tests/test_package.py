@@ -1,6 +1,7 @@
 """The public surface of the package."""
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -42,6 +43,14 @@ def test_only_the_validated_inputs_are_dataclasses():
     assert len(records) == 11
     for record in records:
         assert issubclass(record, tuple), record.__name__
+
+
+def test_a_run_takes_its_settings_from_the_scenario_record_alone():
+    # a shorter or finer run is run_scenario(scn._replace(horizon=..., step=...));
+    # the CSV destination is the caller's argument and is not echoed back
+    assert list(inspect.signature(gridpi.run_scenario).parameters) == ["scn", "csv_path"]
+    assert "trace_csv" not in gridpi.Scenario._fields
+    assert "csv_path" not in gridpi.ScenarioResult._fields
 
 
 def test_importing_the_cli_leaves_logging_out():

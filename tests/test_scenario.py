@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -186,8 +187,6 @@ comm_topology = edges
 1.0 2 30.0
 [noise]
 2 0.01
-[outputs]
-trace_csv = out/run.csv
 """))
     assert scn.kind == gridpi.DIST_PI
     assert_allclose(scn.kp, [1.0, 2.0, 3.0])
@@ -198,7 +197,6 @@ trace_csv = out/run.csv
     assert scn.schedule == ((1.0, 1, -30.0e3), (4.0, 2, 12.5e3))
     assert_allclose(scn.eta, [0.0, TWO_PI * 0.01, 0.0])
     assert scn.horizon == 20.0
-    assert scn.trace_csv.endswith("out/run.csv")
 
 
 def test_bundled_scenarios_load():
@@ -225,7 +223,7 @@ def test_bundled_scenarios_load():
     ("2 3 0.5", "3 3 0.5", "bad.scn:13: comm_edges: edge 3 3 is a self-loop"),
     ("horizon_s = 20.0", "horizon = 200.0", "bad.scn:4: unknown [scenario] key 'horizon'"),
     ("gamma = 0.7", "gama = auto", "bad.scn:9: unknown [controller] key 'gama'"),
-    ("2 0.01", "2 0.01\n[outputs]\ntrace = run.csv", "bad.scn:19: unknown [outputs] key 'trace'"),
+    ("2 0.01", "2 0.01\n[outputs]\ntrace_csv = run.csv", "bad.scn: unknown section [outputs] in scenario file"),
     ("schema = 1\n", "schema = 1\nnetwork = net.grid\n",
      "bad.scn:2: unknown key 'network' before the first section"),
     ("kind = dist_pi", "kind = p", "bad.scn:8: ki does not apply to the p kind"),
@@ -258,7 +256,7 @@ def test_bundled_scenarios_load():
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
         "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
         "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
-        "outputs-key", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges",
+        "outputs-section", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges",
         "negative-kp", "zero-kp", "zero-ki", "negative-ki", "negative-cost", "zero-cost", "disconnected-comm", "noise-overflow",
         "noise-beyond-nominal", "noise-at-nominal", "noise-at-minus-nominal",
         "load-overflow", "summed-load-overflow", "noise-duplicate", "cost-reciprocal-overflow"])
@@ -416,7 +414,6 @@ def test_quiet_scenario_stays_settled(tmp_path):
     assert result.settled
     assert not result.trace.diverged
     assert result.analysis.positive
-    assert result.csv_path is None
     # no disturbance, no noise: parked at 50 Hz throughout
     omega_hz = frequencies_hz(scn.network.net, result.trace.states)
     assert np.max(np.abs(omega_hz - 50.0)) < 1e-9
@@ -430,9 +427,9 @@ def test_gamma_auto_uses_half_the_bound(tmp_path):
                     result.analysis.gamma_bound.gamma_bar / 2.0, rtol=1e-12)
 
 
-def test_horizon_and_tolerance_overrides(tmp_path):
+def test_replaced_horizon_ends_the_run(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path))
-    result = run_scenario(scn, horizon=1.0)
+    result = run_scenario(scn._replace(horizon=1.0))
     assert result.trace.times[-1] == 1.0
 
 
@@ -451,7 +448,7 @@ def test_load_step_moves_the_operating_point(tmp_path):
     # to settle well inside the shortened horizon
     scn = load_scenario(quiet_scenario(tmp_path, gamma="0.5",
                                        extra="[disturbances]\n1.0 2 25.0\n"))
-    result = run_scenario(scn, horizon=40.0)
+    result = run_scenario(scn._replace(horizon=40.0))
     u = scenario_inputs(scn, result, result.trace.states)
     # pre-step: damping compensation plus the 40 kW base load of bus 2
     net = scn.network.net
@@ -469,7 +466,7 @@ def test_trace_round_trips_bit_exact(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path, extra="[noise]\n1 0.02\n"))
     out = tmp_path / "trace.csv"
     result = run_scenario(scn, csv_path=str(out))
-    assert result.csv_path == str(out)
+    assert out.is_file()
     header, data = read_trace_csv(str(out))
     assert header[0] == "time"
     assert header[1:4] == ["omega_1_hz", "omega_2_hz", "omega_3_hz"]
@@ -487,7 +484,7 @@ def test_trace_round_trips_bit_exact(tmp_path):
 def test_trace_always_includes_the_endpoint(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path))
     out = tmp_path / "t.csv"
-    run_scenario(scn, horizon=0.55, csv_path=str(out))
+    run_scenario(scn._replace(horizon=0.55), csv_path=str(out))
     _, data = read_trace_csv(str(out))
     assert data[-1, 0] == 0.55
 
@@ -495,7 +492,7 @@ def test_trace_always_includes_the_endpoint(tmp_path):
 def test_step_override_keeps_the_output_spacing(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path))
     out = tmp_path / "fine.csv"
-    result = run_scenario(scn, horizon=1.0, step=scn.step / 4, csv_path=str(out))
+    result = run_scenario(scn._replace(horizon=1.0, step=scn.step / 4), csv_path=str(out))
     _, data = read_trace_csv(str(out))
     # 0.1 s apart at a 0.0025 s step: rows 0, 40, ..., 400
     assert result.trace.times.shape[0] == 401
@@ -505,7 +502,7 @@ def test_step_override_keeps_the_output_spacing(tmp_path):
 
 def test_csv_rows_match_per_value_formatting(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path))
-    result = run_scenario(scn, horizon=0.1, csv_path="")
+    result = run_scenario(scn._replace(horizon=0.1), csv_path="")
     loop = gridpi.close_loop(gridpi.swing_to_lti(scn.network.net), result.analysis.controller)
     # subnormal, signed zero, negative, integer-valued and 17-digit values
     special = np.array([5e-324, -2.5e-310, -0.0, 0.0, 3.0, -7.0, 2.0 ** 53,
@@ -518,7 +515,7 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     )
     out = tmp_path / "special.csv"
     # a step equal to output_every writes every row
-    scenario_mod.write_trace_csv(str(out), scn, loop, trace, scn.output_every)
+    scenario_mod.write_trace_csv(str(out), scn._replace(step=scn.output_every), loop, trace)
     inputs = trace.states @ loop.control_gain.T + loop.control_offset
     table = np.hstack([trace.times[:, None], frequencies_hz(scn.network.net, trace.states),
                        inputs, trace.states[:, loop.state_layout["z"]]])
@@ -763,7 +760,7 @@ def test_cli_overflowing_coupling_product_exits_two_naming_the_grid(tmp_path, ca
 def test_cli_rejects_an_infinite_horizon_override(tmp_path, capsys):
     code = cli_main(["simulate", quiet_scenario(tmp_path), "--horizon", "inf"])
     assert code == 2
-    assert "horizon must be a positive finite number" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --horizon: expected a finite number, got 'inf'\n"
 
 
 def test_step_outside_the_rk4_stability_region_is_refused(capsys):
@@ -771,15 +768,15 @@ def test_step_outside_the_rk4_stability_region_is_refused(capsys):
     # anyway, the run reached 7e16 Hz in 6 steps and ended as "not settled"
     scn = load_scenario(bundled("ring_share.scn"))
     with pytest.raises(ValueError, match="outside the RK4 stability region") as err:
-        run_scenario(scn, step=0.5, csv_path="")
+        run_scenario(scn._replace(step=0.5), csv_path="")
     assert ("mode lambda = -124.572+0j 1/s has |R(h lambda)| = 588728 >= 1; "
             "a step of 0.015625 s passes") in str(err.value)
     # the suggested step is the largest halving that passes ...
     with pytest.raises(ValueError, match="outside the RK4 stability region"):
-        run_scenario(scn, step=0.03125, csv_path="")
+        run_scenario(scn._replace(step=0.03125), csv_path="")
     # ... and tracks the scenario's own 2 ms step
-    coarse = run_scenario(scn, step=0.015625, horizon=20.0, csv_path="")
-    fine = run_scenario(scn, horizon=20.0, csv_path="")
+    coarse = run_scenario(scn._replace(step=0.015625, horizon=20.0), csv_path="")
+    fine = run_scenario(scn._replace(horizon=20.0), csv_path="")
     assert not coarse.trace.diverged
     assert_allclose(coarse.final_omega_hz, fine.final_omega_hz, atol=1e-6)
 
@@ -787,6 +784,46 @@ def test_step_outside_the_rk4_stability_region_is_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "a step of 0.015625 s passes" in captured.err
+
+
+def test_step_whose_multiplier_rounds_to_one_is_refused_in_bounded_time(capsys):
+    # at 1e-16 s R(h lambda) of the slowest decaying mode rounds to 1.0, and
+    # the search for a passing step halved it down to 0 and never returned
+    def hung(signum, frame):
+        raise TimeoutError("the step check did not return")
+
+    scn = load_scenario(bundled("ring_share.scn"))
+    stability = scenario_mod.analyze_scenario(scn).stability
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ValueError) as err:
+            scenario_mod._check_step(stability, 1e-16)
+        code = cli_main(["simulate", bundled("ring_share.scn"), "--step", "1e-16",
+                         "--horizon", "1e-12", "--output", ""])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    message = ("step 1e-16 s is too small for float64: mode lambda = -0.119017+0j 1/s has "
+               "|R(h lambda)| rounding to 1, so RK4 does not damp that mode")
+    assert str(err.value) == message
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    # 1e-15 s still damps every mode
+    scenario_mod._check_step(stability, 1e-15)
+
+
+def test_cli_step_count_that_overflows_exits_two(capsys):
+    # 1e300 s at 1e-10 s printed an OverflowError traceback and exited 1
+    code = cli_main(["simulate", bundled("ring_share.scn"), "--step", "1e-10",
+                     "--horizon", "1e300", "--output", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: step 1e-10 s: a segment of 1e+300 s takes a non-finite "
+                            "number of steps\n")
 
 
 def test_cli_trace_too_large_to_allocate_exits_two(capsys):
