@@ -173,7 +173,8 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> SimulationTra
     rounding, within 1e-12 of each row's largest component in the tests.
     A shortened step is a one-row run through the same path.  A segment
     whose length over h is not finite raises ValueError naming the step
-    before anything is allocated.  A step map or forcing term that is not
+    before anything is allocated, and so does a trace that cannot be
+    allocated.  A step map or forcing term that is not
     finite raises ValueError naming the step: the full step's map and
     forcing terms are checked before any row is written, a shortened
     step's before its row.  Divergence
@@ -203,9 +204,13 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> SimulationTra
 
     plan = [_split(stop - start, h) for start, stop in zip(starts, stops)]
     rows = 1 + sum(n_full + (tail > 0.0) for n_full, tail in plan)
-    out = np.empty((rows, n))
+    try:
+        out = np.empty((rows, n))
+        times = np.empty(rows)
+    except (ValueError, MemoryError) as exc:  # beyond numpy's dimension limit or the address space
+        raise ValueError(f"step {h:g} s: a trace of {rows:.6g} rows of {n} states "
+                         "cannot be allocated") from exc
     out[0] = x0
-    times = np.empty(rows)
     times[0] = 0.0
 
     phi, forcing = _step_map(mat, h, starts, offsets)

@@ -213,9 +213,8 @@ def load_network(path) -> LoadedNetwork:
         value, lineno = meta["frequency_hz"]
         omega_ref = _positive(path, lineno, value, "frequency_hz", _HZ_TO_RAD_S)
 
-    # bus values are kept as (token, lineno) until each bus reads them, then
-    # as (value in model units, lineno, token), so that a rejected one is
-    # located by its line, its key and the bus id
+    # bus values are kept as (token, lineno) until each bus reads them, so
+    # that a rejected one is located by its line, its key and the bus id
     defaults = {"load_kw": ("0.0", 0)}
     for key, (value, lineno) in _kv_lines(path, sections.get("defaults", []), _BUS_KEYS,
                                           "default").items():
@@ -224,7 +223,7 @@ def load_network(path) -> LoadedNetwork:
 
     if "buses" not in sections or not sections["buses"]:
         raise ParseError(path, 0, "network file needs a non-empty [buses] section")
-    bus_ids, rows = [], []
+    bus_ids, columns = [], {key: [] for key in _BUS_KEYS}
     for lineno, text in sections["buses"]:
         tokens = text.split()
         bus_id = _int(path, lineno, tokens[0], "bus id")
@@ -242,17 +241,17 @@ def load_network(path) -> LoadedNetwork:
             if key not in values:
                 raise ParseError(path, lineno, f"bus {bus_id} is missing {key!r} (no default given)")
             token, at = values[key]
-            values[key] = (_float(path, at, token, f"{key} of bus {bus_id}",
-                                  _BUS_UNITS.get(key, _AS_WRITTEN)), at, token)
+            read = _float if key == "load_kw" else _positive  # a load may have either sign
+            columns[key].append(read(path, at, token, f"{key} of bus {bus_id}",
+                                     _BUS_UNITS.get(key, _AS_WRITTEN)))
         bus_ids.append(bus_id)
-        rows.append(values)
 
     def network(lines):
         return sysmodel.PowerNetwork(
-            inertia=np.array([row["inertia"][0] for row in rows]),
-            damping=np.array([row["damping"][0] for row in rows]),
-            voltage=np.array([row["voltage_kv"][0] for row in rows]),
-            power=np.array([-row["load_kw"][0] for row in rows]),  # consumption -> injection
+            inertia=np.array(columns["inertia"]),
+            damping=np.array(columns["damping"]),
+            voltage=np.array(columns["voltage_kv"]),
+            power=-np.array(columns["load_kw"]),  # consumption -> injection
             lines=lines,
             omega_ref=omega_ref,
         )
@@ -261,11 +260,6 @@ def load_network(path) -> LoadedNetwork:
         net = _edge_rows(path, sections.get("lines", []), bus_ids, "lines", "susceptance_s", network)
     except ParseError:
         raise  # a [lines] row, already at its line
-    except sysmodel.BusValueError as exc:
-        key = "voltage_kv" if exc.name == "voltage" else exc.name
-        _, lineno, token = rows[exc.index][key]
-        raise ParseError(path, lineno, f"{key} of bus {bus_ids[exc.index]} must be "
-                         f"strictly positive, got {token}") from exc
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
     return LoadedNetwork(net=net, bus_ids=tuple(bus_ids), path=path)
@@ -375,9 +369,7 @@ def load_scenario(path) -> Scenario:
         if value.strip() == "auto":
             gamma_request = "auto"
         else:
-            gamma_request = _float(path, gamma_line, value, "gamma")
-            if gamma_request <= 0.0:
-                raise ParseError(path, gamma_line, "gamma must be positive (or 'auto')")
+            gamma_request = _positive(path, gamma_line, value, "gamma")
         topo_value, topo_line = ctrl_kv.get("comm_topology", ("same-as-grid", 0))
         topo = topo_value.strip()
         if topo == "same-as-grid":
@@ -685,10 +677,12 @@ def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
     the binary floats exactly.  The file is written to a temporary name
     and renamed into place.
     """
-    stride = max(int(round(scn.output_every / scn.step)), 1)
-    picks = list(range(0, trace.times.shape[0], stride))
-    if picks[-1] != trace.times.shape[0] - 1:
-        picks.append(trace.times.shape[0] - 1)
+    rows = trace.times.shape[0]
+    # every stride of rows or more picks the same rows, the first and the last
+    stride = max(int(round(min(scn.output_every / scn.step, rows))), 1)
+    picks = list(range(0, rows, stride))
+    if picks[-1] != rows - 1:
+        picks.append(rows - 1)
 
     ids = scn.network.bus_ids
     columns = ["time"]

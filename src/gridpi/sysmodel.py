@@ -32,16 +32,6 @@ DEFAULT_STEP = 1.0e-3
 # network description
 # ---------------------------------------------------------------------------
 
-class BusValueError(ValueError):
-    """A non-positive per-bus parameter: name is the PowerNetwork field and
-    index the bus, so that a parser can name the file line and bus id."""
-
-    def __init__(self, name, index):
-        super().__init__(f"all {name} values must be strictly positive")
-        self.name = name
-        self.index = index
-
-
 @dataclass(frozen=True)
 class PowerNetwork:
     """Bus parameters plus transmission lines.
@@ -75,9 +65,8 @@ class PowerNetwork:
                 raise ValueError(f"all {name} values must be finite")
             object.__setattr__(self, name, arr)
         for name in ("inertia", "damping", "voltage"):
-            bad = np.flatnonzero(~(arrays[name] > 0.0))
-            if bad.size:
-                raise BusValueError(name, int(bad[0]))
+            if not np.all(arrays[name] > 0.0):
+                raise ValueError(f"all {name} values must be strictly positive")
         if not 0.0 < float(self.omega_ref) < np.inf:
             raise ValueError("omega_ref must be positive and finite")
         object.__setattr__(self, "omega_ref", float(self.omega_ref))

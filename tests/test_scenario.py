@@ -124,10 +124,10 @@ def test_parse_errors_carry_file_and_line(tmp_path):
     ("1 2 2.0e-7", "1 2", "expected: <bus id> <bus id> <susceptance_s>"),
     ("damping = 0.5", "dampening = 0.5", "unknown default"),
     ("2 3 2.0e-7", "2 1 2.0e-7", "bad.grid:15: lines: edge 2 1 duplicates an earlier edge"),
-    ("3 inertia=4.0", "3 inertia=-1.0", "bad.grid:12: inertia of bus 3 must be strictly positive, got -1"),
-    ("damping = 0.5", "damping = 0.0", "bad.grid:6: damping of bus 1 must be strictly positive, got 0"),
+    ("3 inertia=4.0", "3 inertia=-1.0", "bad.grid:12: inertia of bus 3 must be positive"),
+    ("damping = 0.5", "damping = 0.0", "bad.grid:6: damping of bus 1 must be positive"),
     ("voltage_kv = 10.0", "voltage_kv = -10.0",
-     "bad.grid:7: voltage_kv of bus 1 must be strictly positive, got -10"),
+     "bad.grid:7: voltage_kv of bus 1 must be positive"),
     ("frequency_hz = 50.0", "frequncy_hz = 60.0", "bad.grid:3: unknown [network] key 'frequncy_hz'"),
     ("schema = 1\n", "schema = 1\nfrequency_hz = 60.0\n",
      "bad.grid:2: unknown key 'frequency_hz' before the first section"),
@@ -146,6 +146,18 @@ def test_parse_errors_carry_file_and_line(tmp_path):
     ("voltage_kv = 10.0", "voltage_kv = 1e-200",
      "bad.grid:14: lines: edge 1 2 gives a coupling |V_i||V_j| b that needs a positive "
      "finite weight, got 0.0"),
+    ("[buses]", "[buses", "bad.grid:9: unterminated section header"),
+    ("[lines]", "[ ]", "bad.grid:13: empty section name"),
+    ("schema = 1\n", "schema = 1\ninertia\n",
+     "bad.grid:2: expected key = value before the first section"),
+    ("frequency_hz = 50.0", "frequency_hz 50.0",
+     "bad.grid:3: expected key = value, got 'frequency_hz 50.0'"),
+    ("damping = 0.5\n", "damping = 0.5\ndamping = 0.5\n", "bad.grid:7: duplicate key 'damping'"),
+    ("2 load_kw=40.0", "two load_kw=40.0", "bad.grid:11: bus id: expected an integer, got 'two'"),
+    ("1\n2 load_kw=40.0\n3 inertia=4.0\n", "",
+     "bad.grid: network file needs a non-empty [buses] section"),
+    ("2 load_kw=40.0", "2 load_kw", "bad.grid:11: expected key=value override, got 'load_kw'"),
+    ("2 3 2.0e-7\n", "", "bad.grid: transmission network must be connected"),
 ])
 def test_network_diagnostics(tmp_path, before, after, needle):
     with pytest.raises(ParseError) as err:
@@ -253,13 +265,22 @@ def test_bundled_scenarios_load():
     ("2 0.01", "2 0.01\n2 0.02", "bad.scn:18: noise: duplicate bus id 2"),
     # a cost whose reciprocal gain overflows, quoted as the reciprocal it takes
     ("ki = 4.0", "cost_coeffs = 0.25 1e-320 0.25", "bad.scn:8: cost_coeffs: 1/1e-320 is not finite"),
+    ("network = net.grid\n", "", "bad.scn: [scenario] must name a network file"),
+    ("kind = dist_pi\n", "", "bad.scn: [controller] must set kind"),
+    ("kp = 1.0\n", "", "bad.scn: [controller] must set kp"),
+    ("ki = 4.0\n", "", "bad.scn: dist_pi controller needs ki or cost_coeffs"),
+    ("4.0 3 -12.5", "4.0 3", "bad.scn:15: expected: <time_s> <bus id> <load_delta_kw>"),
+    ("2 0.01", "2", "bad.scn:17: expected: <bus id> <eta_hz>"),
+    ("horizon_s = 20.0", "horizon_s = 0", "bad.scn:4: horizon_s must be positive"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
         "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
         "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
         "outputs-section", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges",
         "negative-kp", "zero-kp", "zero-ki", "negative-ki", "negative-cost", "zero-cost", "disconnected-comm", "noise-overflow",
         "noise-beyond-nominal", "noise-at-nominal", "noise-at-minus-nominal",
-        "load-overflow", "summed-load-overflow", "noise-duplicate", "cost-reciprocal-overflow"])
+        "load-overflow", "summed-load-overflow", "noise-duplicate", "cost-reciprocal-overflow",
+        "no-network", "no-kind", "no-kp", "no-ki", "short-disturbance", "short-noise",
+        "zero-horizon"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -433,6 +454,15 @@ def test_replaced_horizon_ends_the_run(tmp_path):
     assert result.trace.times[-1] == 1.0
 
 
+def test_run_that_ends_before_the_first_load_step(tmp_path):
+    scn = load_scenario(bundled("dist30_step.scn"))
+    assert scn.schedule[0][0] == 1.0
+    result = run_scenario(scn._replace(horizon=0.5))
+    assert result.trace.times.shape[0] == 101
+    assert result.trace.times[-1] == 0.5
+    assert result.settled
+
+
 def test_decentralized_scenario_reports_failed_rank(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path, kind="dec_pi"))
     result = run_scenario(scn)
@@ -498,6 +528,17 @@ def test_step_override_keeps_the_output_spacing(tmp_path):
     assert result.trace.times.shape[0] == 401
     assert np.array_equal(data[:, 0], result.trace.times[::40])
     assert_allclose(np.diff(data[:, 0]), scn.output_every, rtol=1e-9)
+
+
+def test_output_spacing_beyond_the_run_writes_the_first_and_last_rows(tmp_path):
+    # 1e308 / 0.002 is inf, which int() refused with an OverflowError after the whole run
+    scn = load_scenario(bundled("ring_share.scn"))._replace(horizon=2.0, output_every=1e308)
+    out = tmp_path / "every.csv"
+    result = run_scenario(scn, csv_path=str(out))
+    header, data = read_trace_csv(str(out))
+    assert header[0] == "time"
+    assert data.shape == (2, len(header))
+    assert np.array_equal(data[:, 0], result.trace.times[[0, -1]])
 
 
 def test_csv_rows_match_per_value_formatting(tmp_path):
@@ -828,12 +869,26 @@ def test_cli_step_count_that_overflows_exits_two(capsys):
 
 def test_cli_trace_too_large_to_allocate_exits_two(capsys):
     # 2e14 steps of a 15-state loop is 21.3 PiB, beyond any address space,
-    # so the trace allocation fails on every machine
+    # so the trace allocation fails on every machine; numpy's bare
+    # "Unable to allocate 21.3 PiB" named neither the step nor the run
     code = cli_main(["simulate", bundled("ring_share.scn"), "--step", "1e-12", "--output", ""])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: Unable to allocate 21.3 PiB")
+    assert captured.err == ("error: step 1e-12 s: a trace of 2e+14 rows of 15 states "
+                            "cannot be allocated\n")
+
+
+def test_cli_trace_beyond_the_array_dimension_limit_exits_two(capsys):
+    # 1e300 rows is beyond numpy's dimension limit, so no memory is asked for;
+    # numpy's bare "Maximum allowed dimension exceeded" named neither the step nor the run
+    code = cli_main(["simulate", bundled("ring_share.scn"), "--step", "1e-10",
+                     "--horizon", "1e290", "--output", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: step 1e-10 s: a trace of 1e+300 rows of 15 states "
+                            "cannot be allocated\n")
 
 
 @pytest.mark.parametrize("target, reason", [
