@@ -222,6 +222,16 @@ def _laplacians(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec):
     return lap_k, lap_c
 
 
+def _finite_product(a: np.ndarray, b: np.ndarray, name: str, cause: str) -> np.ndarray:
+    """a @ b, or OverflowError naming the product when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = a @ b
+    if not np.isfinite(prod).all():
+        raise OverflowError(f"the product {name} overflows; {cause} too large for the "
+                            "averaging-gain bound")
+    return prod
+
+
 def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> GammaBound:
     """Sufficient stability bound for the averaging gain, from coefficient
     conditions on the quadratic forms of the characteristic polynomial.
@@ -232,15 +242,12 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     it.  A bound below the smallest normal float is reported as 0, which
     certifies no gamma: a subnormal one keeps too few significant bits to
     verify.  A positive finite gamma_bar is verified on a 100-point grid
-    (with GammaBound.evaluate) before being handed back.  A product Lk Lc
-    that overflows raises OverflowError.
+    (with GammaBound.evaluate) before being handed back.  A product Lk Lc,
+    (D + Kp) Lc or M^-1 Lc that overflows raises OverflowError.
     """
     lap_k, lap_c = _laplacians(net, ctrl)
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = lap_k @ lap_c
-    if not np.isfinite(prod).all():
-        raise OverflowError("the product Lk Lc of the coupling and communication Laplacians "
-                            "overflows; the couplings are too large for the averaging-gain bound")
+    prod = _finite_product(lap_k, lap_c, "Lk Lc of the coupling and communication Laplacians",
+                           "the couplings are")
     prod_sym = _sym(prod)
     prod_eigs = np.linalg.eigvalsh(prod_sym)
     prod_scale = max(abs(prod_eigs[0]), abs(prod_eigs[-1]), 1.0)
@@ -256,8 +263,11 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     minv = np.diag(net.inertia)  # inverse of M = diag(1/m_i)
     # Rayleigh bounds; both lambda_min terms are <= 0 because the all-ones
     # vector gives a zero quadratic form, so clamp numerical noise.
-    alpha = min(float(np.linalg.eigvalsh(_sym(np.diag(d_plus_kp) @ lap_c))[0]), 0.0)
-    beta = min(float(np.linalg.eigvalsh(_sym(minv @ lap_c))[0]), 0.0)
+    dkp_lap = _finite_product(np.diag(d_plus_kp), lap_c, "(D + Kp) Lc",
+                              "the damping and proportional gains are")
+    minv_lap = _finite_product(minv, lap_c, "M^-1 Lc", "the inertias are")
+    alpha = min(float(np.linalg.eigvalsh(_sym(dkp_lap))[0]), 0.0)
+    beta = min(float(np.linalg.eigvalsh(_sym(minv_lap))[0]), 0.0)
     sigma = float(np.min(net.inertia)) * max(float(prod_eigs[-1]), 0.0)
     kappa1 = float(np.min(ctrl.ki))
     kappa2 = float(np.min(d_plus_kp))
@@ -290,7 +300,9 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     )
     if 0.0 < result.gamma_bar < math.inf:
         a1g, a2g, a0a3g = result.evaluate(result.gamma_bar * np.arange(1, 101) / 101.0)
-        if not (np.all(a1g > 0.0) and np.all(a2g > 0.0) and np.all(a0a3g < a1g * a2g)):
+        with np.errstate(over="ignore"):  # a product that overflows to +inf still orders
+            a1a2g = a1g * a2g
+        if not (np.all(a1g > 0.0) and np.all(a2g > 0.0) and np.all(a0a3g < a1a2g)):
             raise RuntimeError("gamma_bar failed its own grid verification")
     return result
 
@@ -323,12 +335,17 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     Comparison tool only: assumes a single stable-to-unstable crossing.
     Probes gamma = start * 2**k from start = gamma_bar (1 unless gamma_bar
     is positive and finite), growing k by 1, 2, 4, ... (k = 1, 3, 7, ...,
-    at most _MAX_DOUBLINGS) until the eigenvalue check fails, and bisects
-    k down to one doubling; on a monotone verdict that is the doubling
-    that first fails.  An Illinois secant on log gamma over the check's
-    margin then narrows it to _SEARCH_REL_TOL relative width, bisecting
-    where a step leaves the bracket.  Returns the largest gamma found to
-    pass (inf if start * 2**_MAX_DOUBLINGS passes).
+    at most _MAX_DOUBLINGS) until the eigenvalue check fails.  An Illinois
+    secant on gamma over the check's margin, which is close to affine in
+    gamma near a crossing, then narrows that bracket to _SEARCH_REL_TOL
+    relative width, stepping to the geometric mean where a step leaves the
+    bracket; a probe whose margin is exactly 0 fails and ends the secant.
+    When the bracket's passing end lies within _SEARCH_REL_TOL / 2 of the
+    failing end, or the secant ended on a margin of 0, a final probe at
+    hi * (1 - _SEARCH_REL_TOL / 2) moves the answer out of the band where
+    the full check flips with rounding; it is returned if it passes.
+    Otherwise returns the largest gamma found to pass (inf if
+    start * 2**_MAX_DOUBLINGS passes).
     Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G on
     one split [B W], redone only where ||W^T E(gamma) B||_2 > RANK_REL_TOL *
     scale.  B is usually the uniform-angle vector and one split serves the
@@ -363,24 +380,17 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     f_lo = _margin(start)
     if not f_lo < 0.0:
         raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {start}")
-    k_lo, k_hi = 0, _MAX_DOUBLINGS + 1  # start * 2**k passes at k_lo; k_hi fails, if probed
-    while k_hi - k_lo > 1:  # grow k by 1, 2, 4, ... until a probe fails, then bisect k
-        k = min(2 * k_lo + 1, _MAX_DOUBLINGS) if k_hi > _MAX_DOUBLINGS else (k_lo + k_hi) // 2
-        f = _margin(math.ldexp(start, k))
-        if f < 0.0:
-            k_lo, f_lo = k, f
-        else:
-            k_hi, f_hi = k, f
-    if k_hi > _MAX_DOUBLINGS:
-        return math.inf
-    lo, hi = math.ldexp(start, k_lo), math.ldexp(start, k_hi)
+    k_lo, k = 0, 1
+    while (f := _margin(math.ldexp(start, k))) < 0.0:  # grow k by 1, 2, 4, ... until one fails
+        if k == _MAX_DOUBLINGS:
+            return math.inf
+        k_lo, f_lo, k = k, f, min(2 * k + 1, _MAX_DOUBLINGS)
+    lo, hi, f_hi = math.ldexp(start, k_lo), math.ldexp(start, k), f
     moved = None  # the end that the last step replaced
-    while hi - lo > _SEARCH_REL_TOL * hi:
-        x_lo, x_hi = math.log(lo), math.log(hi)
-        x = (x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo)
-        gamma = math.exp(x) if x_lo < x < x_hi else math.nan
-        if not lo < gamma < hi:  # the secant step left the bracket: bisect
-            gamma = 0.5 * (lo + hi)
+    while hi - lo > _SEARCH_REL_TOL * hi and f_hi != 0.0:
+        gamma = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < gamma < hi:  # the secant step left the bracket
+            gamma = math.sqrt(lo) * math.sqrt(hi)
         f = _margin(gamma)
         if f < 0.0:  # Illinois: an end kept twice in a row has its margin halved
             f_hi *= 0.5 if moved == "lo" else 1.0
@@ -388,6 +398,10 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
         else:
             f_lo *= 0.5 if moved == "hi" else 1.0
             hi, f_hi, moved = gamma, f, "hi"
+    # step back from the crossing, next to which the full check flips with rounding
+    gamma = hi * (1.0 - 0.5 * _SEARCH_REL_TOL)
+    if (f_hi == 0.0 or lo > gamma) and _margin(gamma) < 0.0:
+        return gamma
     return lo
 
 

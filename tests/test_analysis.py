@@ -423,7 +423,7 @@ def test_empirical_threshold_sits_above_the_bound():
     # of the check overtaking a stable mode, and the verdict is noisy next
     # to it: it also flips at 4.99984e7, 4.99991e7 and 4.99994e7.  The
     # secant search and plain bisection therefore land on different flips
-    # (49999996.8 against 49999904, 1.9e-6 apart), outside _SEARCH_REL_TOL.
+    # (49999975.2 against 49999904, 1.4e-6 apart), outside _SEARCH_REL_TOL.
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=None, comm=net.coupling_graph())
@@ -499,15 +499,15 @@ def _record_probes(monkeypatch, margin=None):
     return scales
 
 
-def test_gamma_star_search_takes_at_most_17_probes(monkeypatch):
-    # about 10 probes bracket the crossing within one doubling, 6 or 7 narrow it
+def test_gamma_star_search_takes_at_most_14_probes(monkeypatch):
+    # growth brackets these crossings in 6 probes; the secant on gamma needs 4 or 5 more
     rng = np.random.default_rng(2024)
     for _ in range(12):
         net = random_network(rng)
         ctrl = random_dist_controller(rng, net)
         scales = _record_probes(monkeypatch)
         assert math.isfinite(gamma_star_search(net, ctrl))
-        assert len(scales) <= 17
+        assert len(scales) <= 14
 
 
 def test_gamma_star_search_without_a_crossing_takes_8_probes(monkeypatch):
@@ -520,25 +520,55 @@ def test_gamma_star_search_without_a_crossing_takes_8_probes(monkeypatch):
     assert len(scales) == 8
 
 
-def test_gamma_star_search_caps_the_exponent_and_bisects_it(monkeypatch):
+def _scale_at(net, ctrl, gamma):
+    cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=gamma))
+    return max(np.linalg.norm(cl.system_matrix, 2), 1.0)
+
+
+def test_gamma_star_search_caps_the_exponent(monkeypatch):
     # a crossing between start * 2**69 and start * 2**70: the step from 63
-    # overshoots 80, so the search probes k = 80 and bisects k in (63, 80]
+    # overshoots 80, so the search probes k = 80 and narrows (2**63, 2**80]
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=None, comm=net.coupling_graph())
     start = gamma_bar(net, ctrl).gamma_bar
 
     def scale_at(k):
-        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=math.ldexp(start, k)))
-        return max(np.linalg.norm(cl.system_matrix, 2), 1.0)
+        return _scale_at(net, ctrl, math.ldexp(start, k))
 
     crossing = scale_at(70)
     scales = _record_probes(monkeypatch, lambda seen, scale: -1.0 if scale < crossing else 1.0)
     threshold = gamma_star_search(net, ctrl)
     assert math.ldexp(start, 69) <= threshold < math.ldexp(start, 70)
-    exponents = (0, 1, 3, 7, 15, 31, 63, 80, 71, 67, 69, 70)
+    exponents = (0, 1, 3, 7, 15, 31, 63, 80)
     assert scales[:len(exponents)] == [scale_at(k) for k in exponents]
     assert max(scales) == scale_at(80)
+
+
+@pytest.mark.parametrize("k", [9.3, 20.7, 45.2])
+def test_gamma_star_search_secant_lands_on_an_affine_crossing(monkeypatch, k):
+    # scale - scale_at(crossing) is affine in gamma once gamma L_c dominates
+    # E0, as the margin is near a band crossing, so the secant on gamma needs
+    # few steps after the doubling brackets the crossing.  At k = 45.2 the
+    # first step lands exactly on the crossing, a margin of 0 that fails:
+    # the search stops there and takes the final probe just below it.
+    net = two_bus_network()
+    ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
+                          gamma=None, comm=net.coupling_graph())
+    crossing = gamma_bar(net, ctrl).gamma_bar * 2.0 ** k
+    scale_at_crossing = _scale_at(net, ctrl, crossing)
+    margins = []
+
+    def margin(seen, scale):
+        margins.append(scale - scale_at_crossing)
+        return margins[-1]
+
+    _record_probes(monkeypatch, margin)
+    threshold = gamma_star_search(net, ctrl)
+    assert crossing * (1.0 - _SEARCH_REL_TOL) <= threshold < crossing
+    first_failure = next(i for i, f in enumerate(margins) if f >= 0.0)
+    assert len(margins) - first_failure - 1 <= 4
+    assert (0.0 in margins) == (k == 45.2)
 
 
 # ---------------------------------------------------------------------------

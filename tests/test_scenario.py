@@ -798,6 +798,41 @@ def test_cli_overflowing_coupling_product_exits_two_naming_the_grid(tmp_path, ca
                             "averaging-gain bound\n")
 
 
+KP_OVERFLOW = "(D + Kp) Lc overflows; the damping and proportional gains are"
+
+
+@pytest.mark.parametrize("command, kp, inertia, product", [
+    ("gamma-bound", "1e308", "10.0", KP_OVERFLOW),
+    ("analyze", "1e308", "10.0", KP_OVERFLOW),
+    ("gamma-bound", "1", "1.7e308", "M^-1 Lc overflows; the inertias are"),
+])
+def test_cli_overflowing_gain_products_exit_two_naming_the_grid(tmp_path, capsys, command, kp,
+                                                                 inertia, product):
+    # kp = 1e308 leaked "RuntimeWarning: overflow encountered in matmul" and
+    # then "error: Eigenvalues did not converge" with no file; inertia = 1.7e308
+    # leaked the same warning
+    scn = ring_copy(tmp_path, [("kp = 100.0", f"kp = {kp}")],
+                    [("inertia = 10.0", f"inertia = {inertia}")])
+    grid = str(tmp_path / "net5ring.grid")
+    code = cli_main([command, scn] if command == "analyze"
+                    else [command, grid, "--kp", kp, "--ki", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {grid}: the product {product} too large for the "
+                            "averaging-gain bound\n")
+
+
+def test_cli_gamma_bound_verifies_a_huge_integral_gain_without_a_warning(capsys):
+    # a1 * a2 on the verification grid overflows to +inf, which still orders
+    # correctly; it leaked "RuntimeWarning: overflow encountered in multiply"
+    code = cli_main(["gamma-bound", bundled("net5ring.grid"), "--kp", "1", "--ki", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "gamma_bar = 1.7592186e+13" in captured.out.splitlines()
+
+
 def test_cli_rejects_an_infinite_horizon_override(tmp_path, capsys):
     code = cli_main(["simulate", quiet_scenario(tmp_path), "--horizon", "inf"])
     assert code == 2
@@ -965,7 +1000,7 @@ def test_cli_gamma_bar_below_the_smallest_normal_float_is_zero(tmp_path, capsys)
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
         assert lines[1] == "gamma_bar = 0"
-        assert lines[4] == "eigenvalue-based threshold ~= 1697031.29"
+        assert lines[4] == "eigenvalue-based threshold ~= 1697030.48"
         assert not any(line.startswith("bound / threshold") for line in lines)
 
 
