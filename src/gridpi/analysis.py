@@ -242,10 +242,15 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     it.  A bound below the smallest normal float is reported as 0, which
     certifies no gamma: a subnormal one keeps too few significant bits to
     verify.  A positive finite gamma_bar is verified on a 100-point grid
-    (with GammaBound.evaluate) before being handed back.  A product Lk Lc,
-    (D + Kp) Lc or M^-1 Lc that overflows raises OverflowError.
+    (with GammaBound.evaluate) before being handed back.  A product
+    (D + Kp) Lc, Lk Lc or M^-1 Lc that overflows raises OverflowError,
+    checked in that order.
     """
     lap_k, lap_c = _laplacians(net, ctrl)
+    d_plus_kp = net.damping + ctrl.kp
+    # first, so that scenario.network_gamma_bar can tell an overflow that the gains cause
+    dkp_lap = _finite_product(np.diag(d_plus_kp), lap_c, "(D + Kp) Lc",
+                              "the damping and proportional gains are")
     prod = _finite_product(lap_k, lap_c, "Lk Lc of the coupling and communication Laplacians",
                            "the couplings are")
     prod_sym = _sym(prod)
@@ -259,12 +264,9 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
             "precondition"
         )
 
-    d_plus_kp = net.damping + ctrl.kp
     minv = np.diag(net.inertia)  # inverse of M = diag(1/m_i)
     # Rayleigh bounds; both lambda_min terms are <= 0 because the all-ones
     # vector gives a zero quadratic form, so clamp numerical noise.
-    dkp_lap = _finite_product(np.diag(d_plus_kp), lap_c, "(D + Kp) Lc",
-                              "the damping and proportional gains are")
     minv_lap = _finite_product(minv, lap_c, "M^-1 Lc", "the inertias are")
     alpha = min(float(np.linalg.eigvalsh(_sym(dkp_lap))[0]), 0.0)
     beta = min(float(np.linalg.eigvalsh(_sym(minv_lap))[0]), 0.0)

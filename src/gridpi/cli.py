@@ -118,7 +118,7 @@ def _cmd_gamma_bound(args):
         kind=ctrlmod.DIST_PI, kp=kp, ki=ki, gamma=None,
         comm=loaded.net.coupling_graph(),
     )
-    bound = scenariomod.network_gamma_bar(loaded, ctrl)
+    bound = scenariomod.network_gamma_bar(loaded, ctrl, (None, 0, "--kp"))
     print(f"network: {args.network} ({n} buses)")
     print(f"gamma_bar = {bound.gamma_bar:.9g}")
     print(f"  alpha = {bound.alpha:.6g}  beta = {bound.beta:.6g}  sigma = {bound.sigma:.6g}")

@@ -284,6 +284,7 @@ class Scenario(NamedTuple):
     settle_tol_hz: float
     output_every: float
     gamma_source: tuple = (None, 0)  # (file, line) of the gamma request; line 0 if defaulted
+    kp_source: tuple = (None, 0)     # (file, line) of kp
 
 
 def _gain_vector(path, lineno, value, n, what):
@@ -443,6 +444,7 @@ def load_scenario(path) -> Scenario:
         settle_tol_hz=numbers.get("settle_tol_hz", DEFAULT_SETTLE_TOL),
         output_every=numbers.get("output_every_s", DEFAULT_OUTPUT_EVERY),
         gamma_source=(path, gamma_line),
+        kp_source=(path, ctrl_kv["kp"][1]),
     )
 
 
@@ -481,11 +483,20 @@ class ScenarioResult(NamedTuple):
     omega_hat_hz: float
 
 
-def network_gamma_bar(loaded: LoadedNetwork, ctrl: ctrlmod.ControllerSpec):
-    """analysis.gamma_bar of a loaded network; an overflow is refused naming its file."""
+def network_gamma_bar(loaded: LoadedNetwork, ctrl: ctrlmod.ControllerSpec, kp_source):
+    """analysis.gamma_bar of a loaded network.  An overflow is refused naming
+    the network file, or kp_source = (file, line, name) of the gains when
+    D Lc is finite and only the gains make (D + Kp) Lc overflow."""
     try:
         return analysismod.gamma_bar(loaded.net, ctrl)
     except OverflowError as exc:
+        lap_c = graphmod.laplacian(ctrl.comm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            damping_finite = np.isfinite(loaded.net.damping[:, None] * lap_c).all()
+            gains_finite = np.isfinite((loaded.net.damping + ctrl.kp)[:, None] * lap_c).all()
+        if damping_finite and not gains_finite:
+            path, lineno, what = kp_source
+            raise ParseError(path, lineno, f"{what}: {exc}") from exc
         raise ParseError(loaded.path, 0, str(exc)) from exc
 
 
@@ -496,7 +507,7 @@ def _resolve_controller(scn: Scenario):
                                   cost=scn.cost)
     if ctrl.kind != ctrlmod.DIST_PI:
         return ctrl, None
-    bound = network_gamma_bar(scn.network, ctrl)
+    bound = network_gamma_bar(scn.network, ctrl, (*scn.kp_source, "kp"))
     if scn.gamma_request == "auto":
         gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
         if not gamma > 0.0:
@@ -504,6 +515,11 @@ def _resolve_controller(scn: Scenario):
                              f"{bound.gamma_bar:.6g} certifies no positive gamma")
     else:
         gamma = float(scn.gamma_request)
+    with np.errstate(over="ignore"):  # an infinite entry of the loop matrix breaks LAPACK
+        if not np.isfinite(gamma * graphmod.laplacian(scn.comm)).all():
+            raise ParseError(*scn.gamma_source, f"gamma = {gamma:g}: the product gamma Lc "
+                             "overflows; the averaging gain is too large for the communication "
+                             "weights")
     return replace(ctrl, gamma=gamma), bound
 
 
@@ -554,8 +570,15 @@ def _check_step(stability: analysismod.StabilityReport, h: float):
     stability check counts as decaying (Re lam < -STABILITY_TOL * scale)."""
     lam = stability.eigenvalues
     lam = lam[lam.real < -analysismod.STABILITY_TOL * stability.scale]
+
+    def damping(step):
+        # |R| overflows for a huge step or mode, and inf - inf is NaN: both are undamped
+        with np.errstate(over="ignore", invalid="ignore"):
+            mult = np.abs(numerics.rk4_multiplier(step * lam))
+        return np.where(np.isnan(mult), np.inf, mult)
+
     # this also covers a shortened tail step t*h: |R(z)| < 1 is star-shaped in Re z < 0
-    mult = np.abs(numerics.rk4_multiplier(h * lam))
+    mult = damping(h)
     if np.all(mult < 1.0):
         return
     worst = int(np.argmax(mult))
@@ -567,7 +590,7 @@ def _check_step(stability: analysismod.StabilityReport, h: float):
     # ends by the first ok with ok * max|lam| < 2.6: |R(z)| < 1 on the left
     # half-disk of that radius, and there Re(ok lam) < -STABILITY_TOL * ok * scale
     # is below -1.3e-8, too far from 0 for |R| to round to 1
-    while np.any(np.abs(numerics.rk4_multiplier(ok * lam)) >= 1.0):
+    while np.any(damping(ok) >= 1.0):
         ok /= 2.0
     raise ValueError(f"step {h:g} s is outside the RK4 stability region: {mode} = "
                      f"{mult[worst]:.6g} >= 1; a step of {ok:g} s passes")

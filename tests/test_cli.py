@@ -1,0 +1,227 @@
+"""The command-line cases as one table, run in process through cli.main
+and again as a child process of the `gridpi` console script when one is
+on PATH (CI installs the package; without a script those runs skip).
+
+A row is id, argv (split like a shell line; {data} is the directory of the
+bundled files), the exit status, stderr exactly ({line}: the line on which
+the row's last edit ends), a regular expression for the whole of stdout
+(re.DOTALL) or None, edits, and csv: (file, lines) of a trace the run
+writes.  A run starts in a scratch directory holding a copy of every
+bundled file; an edit (file, pattern, replacement) replaces the one match
+of a multiline regular expression in a copy (pattern None: a new file).
+Every row bans Traceback and Warning on stderr and must exit within 60 s,
+and an exit 2 prints nothing on stdout.
+"""
+
+import os
+import re
+import shlex
+import shutil
+import signal
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+from gridpi.cli import main as cli_main
+from support import bundled
+
+
+class Case(NamedTuple):
+    id: str
+    argv: str
+    status: int
+    err: str = ""
+    out: str = None
+    edits: tuple = ()
+    csv: tuple = None
+
+
+RING, NET2, NET5 = "{data}/ring_share.scn", "{data}/net2.grid", "{data}/net5ring.grid"
+RUN = "simulate ring_share.scn --output ''"
+
+
+def ring(pattern, replacement):
+    """The edit of the ring_share.scn copy."""
+    return (("ring_share.scn", pattern, replacement),)
+
+
+GAMMA_1E9 = ring(r"^gamma = auto$", "gamma = 1.0e9")
+ABOVE_THE_BOUND = ("gamma = 1e+09 exceeds the sufficient bound 3.27708; relying on the "
+                   "eigenvalue check alone\n")
+POSITIVE = "values must be strictly positive"
+BUS3 = (("bus3.grid", None, "schema = 1\n[defaults]\ninertia = 2.0\ndamping = 0.5\n"
+         "voltage_kv = 10.0\n[buses]\n1\n2\n3\n[lines]\n1 2 2.0e-7\n2 3 2.0e-7\n"),)
+
+CASES = [
+    *(Case(f"{command}-{name}", f"{command} {{data}}/{name}.scn{options}", status)
+      for name, status in [("ring_share", 0), ("dist30_step", 0), ("dec30_bias", 1)]
+      for command, options in [("analyze", ""), ("simulate", " --output ''")]),
+    # swing dynamics fail the rank test; the bound is reported either way
+    Case("rank-test-net30", "rank-test {data}/net30.grid --ki 1", 1),
+    Case("gamma-bound-net30", "gamma-bound {data}/net30.grid --kp 1 --ki 1", 0),
+    Case("spectral-readme-example", f"gamma-bound {NET5} --kp 100 --ki 5000 --spectral", 0),
+    # header plus 201 rows; 20 s is too short to settle
+    Case("csv-trace", f"simulate {RING} --horizon 20 --output trace.csv", 1,
+         csv=("trace.csv", 202)),
+    # an output spacing longer than the run writes the first and the last row
+    Case("csv-spacing-beyond-the-run", "simulate ring_share.scn --horizon 2 --output every.csv", 1,
+         edits=ring(r"^output_every_s = 0\.1$", "output_every_s = 1e308"), csv=("every.csv", 3)),
+    Case("csv-to-a-directory", f"simulate {RING} --horizon 1 --output .", 2,
+         "error: cannot write the trace to .: it names a directory\n"),
+    Case("noise-overflows", "analyze ring_share.scn", 2,
+         "error: ring_share.scn:{line}: eta_hz: 2*pi*1e308 rad/s is not finite\n",
+         edits=ring(r"\Z", "\n[noise]\n1 1e308\n")),
+    Case("noise-beyond-nominal", "analyze ring_share.scn", 2, "error: ring_share.scn:{line}: "
+         "eta_hz: |1e300| Hz is not below the nominal frequency 50 Hz\n",
+         edits=ring(r"\Z", "\n[noise]\n1 1e300\n")),
+    Case("cost-reciprocal-overflows", "analyze ring_share.scn", 2,
+         "error: ring_share.scn:{line}: cost_coeffs: 1/1e-320 is not finite\n",
+         edits=ring(r"5\.0e-4$", "1e-320")),
+    # above gamma_bar the command warns and the eigenvalue check decides; at
+    # 1e9 the 2 ms step is outside the RK4 stability region, but 1e-11 s is not
+    Case("gamma-above-the-bound-analyze", "analyze ring_share.scn", 1, ABOVE_THE_BOUND,
+         r".*  gamma=1e\+09\n.*", GAMMA_1E9),
+    Case("gamma-above-the-bound-simulate", f"{RUN} --horizon 1e-9 --step 1e-11", 0,
+         ABOVE_THE_BOUND, r".*  gamma=1e\+09\n.*", GAMMA_1E9),
+    # the warning comes with the analysis report, so a refused run shows only its error
+    Case("gamma-above-the-bound-refused-run", f"{RUN} --horizon 1", 2,
+         "error: step 0.002 s is outside the RK4 stability region: mode lambda = -7.85113e+10+0j "
+         "1/s has |R(h lambda)| = 2.53302e+31 >= 1; a step of 2.98023e-11 s passes\n",
+         edits=GAMMA_1E9),
+    # gamma Lc overflowed in the loop matrix: RuntimeWarnings, a LAPACK DLASCL
+    # message on stdout, then an unlocated "SVD did not converge"
+    *(Case(f"gamma-overflows-{argv.split()[0]}", argv, 2, "error: ring_share.scn:{line}: gamma = "
+           "1e+308: the product gamma Lc overflows; the averaging gain is too large for the "
+           "communication weights\n", edits=ring(r"^gamma = auto$", "gamma = 1e308"))
+      for argv in ("analyze ring_share.scn", RUN)),
+    # a gamma_bar below the smallest normal float is 0: a bound of 0 gets no
+    # conservatism ratio, so the threshold is the last line
+    *(Case(f"gamma-bar-subnormal-{ki}", f"gamma-bound bus3.grid --kp 5 --ki {ki} --spectral", 0,
+           out=r".*\ngamma_bar = 0\n.*\neigenvalue-based threshold ~= 2291665.52\n", edits=BUS3)
+      for ki in ("1e-320", "1e-310")),
+    # a gain product that overflows is the gains' fault when D Lc is finite
+    Case("kp-overflows-flag", f"gamma-bound {NET5} --kp 1e308 --ki 1", 2,
+         "error: --kp: the product (D + Kp) Lc overflows; the damping and proportional gains "
+         "are too large for the averaging-gain bound\n"),
+    Case("kp-overflows-line", "analyze ring_share.scn", 2,
+         "error: ring_share.scn:{line}: kp: the product (D + Kp) Lc overflows; the damping and "
+         "proportional gains are too large for the averaging-gain bound\n",
+         edits=ring(r"^kp = 100\.0$", "kp = 1e308")),
+    Case("ki-huge", f"gamma-bound {NET5} --kp 1 --ki 1e308", 0),
+    *(Case(id, f"{command} {NET2} {flags}", 2, f"error: {message}\n")
+      for id, command, flags, message in [
+          ("ki-abc", "rank-test", "--ki abc", "--ki: expected a number, got 'abc'"),
+          ("ki-inf", "rank-test", "--ki inf", "--ki: expected a finite number, got 'inf'"),
+          ("ki-nan", "rank-test", "--ki '1, nan'", "--ki: expected a finite number, got 'nan'"),
+          ("ki-empty", "rank-test", "--ki ''", "--ki: empty value"),
+          ("kp-inf", "gamma-bound", "--kp inf --ki 1", "--kp: expected a finite number, got 'inf'"),
+          ("ki-blank", "gamma-bound", "--kp 1 --ki ' , '", "--ki: empty value"),
+          ("ki-zero-rank-test", "rank-test", "--ki 0", f"--ki: {POSITIVE}"),
+          ("kp-negative", "gamma-bound", "--kp -1 --ki 1", f"--kp: {POSITIVE}"),
+          ("ki-negative-in-a-list", "rank-test", "--ki '1, -2'", f"--ki: {POSITIVE}"),
+          ("kp-zero", "gamma-bound", "--kp 0 --ki 1", f"--kp: {POSITIVE}"),
+          ("ki-zero", "gamma-bound", "--kp 1 --ki 0", f"--ki: {POSITIVE}"),
+          ("ki-negative", "gamma-bound", "--kp 1 --ki -1", f"--ki: {POSITIVE}")]),
+    Case("horizon-inf", f"simulate {RING} --horizon inf", 2,
+         "error: --horizon: expected a finite number, got 'inf'\n"),
+    # R(h lambda) rounds to 1: the search for a passing step never returned
+    *(Case(f"step-rounds-to-one-{where}", argv, 2, "error: step 1e-16 s is too small for float64: "
+           "mode lambda = -0.119017+0j 1/s has |R(h lambda)| rounding to 1, so RK4 does not damp "
+           "that mode\n", edits=edits)
+      for where, argv, edits in [
+          ("flags", f"simulate {RING} --step 1e-16 --horizon 1e-12 --output ''", ()),
+          ("file", RUN, ring(r"^step_s = 0\.002$", "step_s = 1e-16"))]),
+    # |R| overflowed with a RuntimeWarning, and NaN >= 1 ended the halving early
+    Case("step-huge", f"{RUN} --horizon 5", 2, "error: step 1e+300 s is outside the RK4 "
+         "stability region: mode lambda = -0.119017+0j 1/s has |R(h lambda)| = inf >= 1; a step "
+         "of 0.0116658 s passes\n", edits=ring(r"^step_s = 0\.002$", "step_s = 1e300")),
+    Case("step-huge-suggestion-passes", f"{RUN} --horizon 5 --step 0.0116658", 1,
+         edits=ring(r"^step_s = 0\.002$", "step_s = 1e300")),
+    Case("kp-huge-mode", f"{RUN} --horizon 5", 2, "error: step 0.002 s is outside the RK4 "
+         "stability region: mode lambda = -1e+199+0j 1/s has |R(h lambda)| = inf >= 1; a step "
+         "of 1.33777e-200 s passes\n", edits=ring(r"^kp = 100\.0$", "kp = 1e200")),
+    *(Case(f"step-count-overflows-{where}", argv, 2, "error: step 1e-10 s: a segment of 1e+300 "
+           "s takes a non-finite number of steps\n", edits=edits)
+      for where, argv, edits in [
+          ("flags", f"simulate {RING} --step 1e-10 --horizon 1e300 --output ''", ()),
+          ("file", RUN, ring(r"^step_s = 0\.002$", "step_s = 1e-10")
+           + ring(r"^horizon_s = 200\.0$", "horizon_s = 1e300"))]),
+    # 2e14 steps of a 15-state loop is 21.3 PiB, beyond any address space
+    Case("trace-too-large", f"simulate {RING} --step 1e-12 --output ''", 2,
+         "error: step 1e-12 s: a trace of 2e+14 rows of 15 states cannot be allocated\n"),
+]
+
+
+def edit_copies(case, data, tmp):
+    """Copy the bundled files into tmp, apply case.edits, return {line}."""
+    shutil.copytree(data, tmp, dirs_exist_ok=True)
+    line = None
+    for name, pattern, replacement in case.edits:
+        text = "" if pattern is None else (tmp / name).read_text(encoding="utf-8")
+        matches = [m.span() for m in re.finditer(pattern or r"\A", text, re.MULTILINE)]
+        assert len(matches) == 1, (name, pattern)
+        (start, stop), = matches
+        text = text[:start] + replacement + text[stop:]
+        (tmp / name).write_text(text, encoding="utf-8")
+        line = text.count("\n", 0, start + len(replacement) - 1) + 1
+    return line
+
+
+def in_process(argv, capfd):
+    """cli.main(argv) with its output captured at the file descriptors, so
+    that LAPACK's own messages count."""
+    def hung(signum, frame):
+        pytest.fail("no exit within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        status = cli_main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return (status, *capfd.readouterr())
+
+
+@pytest.fixture(scope="session")
+def installed(tmp_path_factory):
+    """The gridpi script on PATH, the environment of its runs (no PYTHONPATH,
+    overflow warnings as errors) and the data directory of its package."""
+    script = shutil.which("gridpi")
+    if script is None:
+        pytest.skip("no gridpi console script on PATH; install the package to run these rows")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    where = "from importlib.resources import files; print(files('gridpi') / 'data')"
+    data = subprocess.run([sys.executable, "-c", where], cwd=tmp_path_factory.mktemp("where"),
+                          env=env, capture_output=True, text=True, check=True).stdout.strip()
+    return script, env, Path(data)
+
+
+@pytest.mark.parametrize("mode", ["in-process", "installed"])
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_cli_case(case, mode, request, tmp_path, monkeypatch, capfd):
+    if mode == "installed":
+        script, env, data = request.getfixturevalue("installed")
+    else:
+        data = Path(bundled("net2.grid")).parent
+    line = edit_copies(case, data, tmp_path)
+    argv = [word.format(data=data) for word in shlex.split(case.argv)]
+    if mode == "installed":
+        res = subprocess.run([script, *argv], cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=60)
+        status, out, err = res.returncode, res.stdout, res.stderr
+    else:
+        monkeypatch.chdir(tmp_path)
+        status, out, err = in_process(argv, capfd)
+    assert "Traceback" not in err and "Warning" not in err
+    assert (status, err) == (case.status, case.err.format(data=data, line=line))
+    if status == 2:
+        assert out == ""
+    assert re.fullmatch(case.out or ".*", out, re.DOTALL), out
+    if case.csv is not None:
+        name, lines = case.csv
+        assert len((tmp_path / name).read_text(encoding="utf-8").splitlines()) == lines
