@@ -18,7 +18,6 @@ from .analysis import (
     gamma_bar,
     gamma_star_search,
     output_stability_check,
-    predict_steady_state,
     stability_cubic,
     stationary_state,
     xi_rank_test,
@@ -47,7 +46,6 @@ from .sysmodel import (
     LtiSystem,
     PowerNetwork,
     close_loop,
-    simulate,
     simulate_schedule,
     swing_to_lti,
 )
@@ -84,9 +82,7 @@ __all__ = [
     "load_scenario",
     "numerical_rank",
     "output_stability_check",
-    "predict_steady_state",
     "run_scenario",
-    "simulate",
     "simulate_schedule",
     "stability_cubic",
     "stationary_state",

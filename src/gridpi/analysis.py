@@ -13,8 +13,8 @@ Three independent tools:
 
 * a sufficient upper bound gamma_bar on the averaging gain, from
   Routh-Hurwitz conditions applied to the quadratic forms of the
-  closed-loop characteristic matrix polynomial, plus the steady-state
-  predictor (frequency restored to omega_ref minus the mean measurement
+  closed-loop characteristic matrix polynomial, plus the stationary point
+  of the loop (frequency restored to omega_ref minus the mean measurement
   offset; control effort shared proportionally to the integral gains).
 """
 
@@ -431,54 +431,43 @@ def _bordered_solve(lap: np.ndarray, border: np.ndarray, rhs: np.ndarray):
     return sol[:n], float(sol[n])
 
 
-def predict_steady_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
-                         eta=None) -> SteadyStatePrediction:
-    """Stationary point of the distributed-PI loop.
+def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
+                     eta=None) -> np.ndarray:
+    """Deviation-coordinate stationary state of the closed loop.
 
-    Frequency settles at omega_hat = omega_ref - mean(eta) regardless of
-    loads.  The control effort comes from the force-balance system
-    [Lk, -Ki 1][delta; k] = p - D omega_ref 1 (plus eta corrections), whose
-    consensus component k makes u = k * Ki at eta = 0: effort shared in
-    proportion to the integral gains.
-    """
-    if ctrl.kind != ctrlmod.DIST_PI:
-        raise ValueError("steady-state prediction applies to the distributed PI controller")
-    if ctrl.gamma is None:
-        raise ValueError("prediction needs gamma (the integrator filtering enters at eta != 0)")
-    n = net.n_buses
-    eta = np.zeros(n) if eta is None else np.asarray(eta, dtype=float)
-    if eta.shape != (n,):
-        raise ValueError(f"eta shape {eta.shape}, expected ({n},)")
-    lap_k, lap_c = _laplacians(net, ctrl)
+    Angles come from the pinned force balance [Lk, border][delta; k] =
+    p - D omega_ref 1 (plus the eta terms below).  For PI kinds the border
+    is -Ki and k is the integrators' consensus, with omega at the
+    reference.  For the plain P controller the border is D + Kp and k is
+    the uniform frequency offset the droop settles at, so the point is
+    stationary only up to the uniform angle ramp along the marginal
+    direction (frequencies, flows, and inputs are constant).
 
-    eta_mean = float(np.mean(eta))
-    omega_dev = -eta_mean * np.ones(n)          # omega - omega_ref at stationarity
-    # integrator stationarity: gamma Lc z = -omega_dev - eta
-    z_structure, _ = _bordered_solve(lap_c, np.ones(n), (-omega_dev - eta) / ctrl.gamma)
-    rhs = (net.power - net.damping * net.omega_ref
-           - (net.damping + ctrl.kp) * omega_dev - ctrl.kp * eta
-           + ctrl.ki * z_structure)
-    _, consensus = _bordered_solve(lap_k, -ctrl.ki, rhs)
-    u = ctrl.kp * (-omega_dev - eta) + ctrl.ki * (z_structure + consensus)
-    return SteadyStatePrediction(omega_hat=net.omega_ref - eta_mean, u_stationary=u)
-
-
-def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> np.ndarray:
-    """Deviation-coordinate stationary state for a disturbance-free loop.
-
-    Used as the scenario initial condition: angles from the pinned force
-    balance [Lk, border][delta; k] = p - D omega_ref 1.  For PI kinds the
-    border is -Ki and the multiplier k is the integrators' consensus, with
-    omega at the reference.  For the plain P controller the border is
-    D + Kp and k is the uniform frequency offset the droop settles at;
-    since that offset is nonzero in general, the returned point is
-    stationary only up to the ever-growing uniform angle ramp along the
-    marginal direction (frequencies, flows, and inputs are constant).
+    With the measurement offsets eta (distributed PI with gamma only),
+    omega settles at -mean(eta) whatever the loads (so the angles ramp as
+    under P), and the integrators spread around k by gamma Lc z =
+    mean(eta) - eta.  The loop's control law at this point gives the
+    stationary inputs; at eta = 0 they are k Ki, shared in proportion to
+    the integral gains.
     """
     n = net.n_buses
+    rhs = net.power - net.damping * net.omega_ref
+    omega = spread = np.zeros(n)
+    if eta is not None:
+        if ctrl.kind != ctrlmod.DIST_PI or ctrl.gamma is None:
+            raise ValueError("the stationary point under eta needs the distributed PI "
+                             "controller with gamma set")
+        eta = np.asarray(eta, dtype=float)
+        if eta.shape != (n,):
+            raise ValueError(f"eta shape {eta.shape}, expected ({n},)")
+        eta_mean = float(np.mean(eta))
+        omega = np.full(n, -eta_mean)
+        spread, _ = _bordered_solve(graphmod.laplacian(ctrl.comm), np.ones(n),
+                                    (-omega - eta) / ctrl.gamma)
+        rhs = rhs - (net.damping + ctrl.kp) * omega - ctrl.kp * eta + ctrl.ki * spread
     border = -ctrl.ki if ctrl.has_integrator else net.damping + ctrl.kp
-    delta, k = _bordered_solve(net.coupling_laplacian(), border,
-                               net.power - net.damping * net.omega_ref)
-    # PI: omega at the reference and the integrators at k; P: omega at k
-    blocks = [delta, np.zeros(n)] if ctrl.has_integrator else [delta]
-    return np.concatenate(blocks + [k * np.ones(n)])
+    delta, k = _bordered_solve(net.coupling_laplacian(), border, rhs)
+    # PI: omega at the reference less mean(eta), the integrators spread around k; P: omega at k
+    if ctrl.has_integrator:
+        return np.concatenate([delta, omega, spread + k])
+    return np.concatenate([delta, k * np.ones(n)])

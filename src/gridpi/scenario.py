@@ -66,7 +66,7 @@ def _read_sections(path, known, kind):
     must be one of known.  Comments (#) and blank lines are dropped.
     """
     top = {}
-    sections = {}
+    sections, headers = {}, {}
     current = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,6 +84,7 @@ def _read_sections(path, known, kind):
             if not current:
                 raise ParseError(path, lineno, "empty section name")
             sections.setdefault(current, [])
+            headers.setdefault(current, lineno)
             continue
         if current is None:
             if "=" not in text:
@@ -103,7 +104,7 @@ def _read_sections(path, known, kind):
         raise ParseError(path, lineno, f"unsupported schema version {value!r} (this build reads {SCHEMA_VERSION})")
     for name in sections:
         if name not in known:
-            raise ParseError(path, 0, f"unknown section [{name}] in {kind} file")
+            raise ParseError(path, headers[name], f"unknown section [{name}] in {kind} file")
     return sections
 
 
@@ -318,7 +319,13 @@ def load_scenario(path) -> Scenario:
         raise ParseError(path, 0, "[scenario] must name a network file")
     net_value, net_line = meta["network"]
     net_path = os.path.join(os.path.dirname(os.path.abspath(path)), net_value)
-    loaded = load_network(net_path)
+    try:
+        loaded = load_network(net_path)
+    except ParseError as exc:
+        if not isinstance(exc.__cause__, OSError):  # an error inside a readable network file
+            raise
+        raise ParseError(path, net_line, f"network: cannot read {net_value} "
+                         f"({exc.__cause__.strerror})") from exc
     n = loaded.net.n_buses
     index = {bus_id: k for k, bus_id in enumerate(loaded.bus_ids)}
 
@@ -553,8 +560,11 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     stability = analysismod.output_stability_check(loop)
 
     prediction = None
-    if ctrl.kind == ctrlmod.DIST_PI:
-        prediction = analysismod.predict_steady_state(final_net, ctrl, eta=scn.eta)
+    if ctrl.kind == ctrlmod.DIST_PI:  # the loop's law at the stationary point after the last step
+        x = analysismod.stationary_state(final_net, ctrl, eta=scn.eta)
+        prediction = analysismod.SteadyStatePrediction(
+            omega_hat=net.omega_ref + float(x[loop.state_layout["omega"]][0]),
+            u_stationary=loop.control_gain @ x + loop.control_offset)
 
     return AnalysisReport(
         controller=ctrl,

@@ -239,12 +239,6 @@ def close_loop(sys: LtiSystem, ctrl: ctrlmod.ControllerSpec) -> ClosedLoop:
 # simulation
 # ---------------------------------------------------------------------------
 
-def simulate(cl: ClosedLoop, t_end: float, h: float = DEFAULT_STEP,
-             x0=None) -> numerics.SimulationTrace:
-    """Integrate the closed loop from x0 (default: all-zero deviations)."""
-    return simulate_schedule([(0.0, cl)], t_end, h=h, x0=x0)
-
-
 def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP,
                       x0=None) -> numerics.SimulationTrace:
     """Integrate one closed loop under a piecewise-constant load schedule.

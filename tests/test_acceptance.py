@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import gridpi
 from gridpi import (
     ControllerSpec,
     DIST_PI,
@@ -21,7 +20,7 @@ from gridpi import (
     load_network,
     load_scenario,
     run_scenario,
-    simulate,
+    simulate_schedule,
     stability_cubic,
     stationary_state,
     swing_to_lti,
@@ -126,7 +125,7 @@ def test_criterion_4_steady_frequency_offset_equals_mean_bias(report):
     for _ in range(10):
         eta = rng.normal(0.0, TWO_PI * 0.05, n)
         loop = close_loop(swing_to_lti(net, eta=eta), ctrl)
-        trace = simulate(loop, 120.0, h=2.0e-3, x0=x0)
+        trace = simulate_schedule([(0.0, loop)], 120.0, h=2.0e-3, x0=x0)
         f_end = (trace.states[-1, loop.state_layout["omega"]] + net.omega_ref) / TWO_PI
         f_hat = (net.omega_ref - eta.mean()) / TWO_PI
         worst = max(worst, float(np.max(np.abs(f_end - f_hat))))
@@ -261,12 +260,13 @@ def test_criterion_8_cost_weighted_sharing_in_prediction_and_simulation(report):
         ctrl = ControllerSpec(kind=DIST_PI, kp=probe.kp, ki=ki,
                               gamma=gamma, comm=net.coupling_graph(), cost=cost)
 
-        pred = gridpi.predict_steady_state(stepped, ctrl)
-        weighted = cost * pred.u_stationary
+        # the prediction: the loop's control law at the stationary point after the step
+        loop = close_loop(swing_to_lti(stepped), ctrl)
+        x_hat = stationary_state(stepped, ctrl, eta=np.zeros(n))
+        weighted = cost * (loop.control_gain @ x_hat + loop.control_offset)
         worst_pred = max(worst_pred, float(np.ptp(weighted) / np.abs(weighted.mean())))
 
-        loop = close_loop(swing_to_lti(stepped), ctrl)
-        trace = simulate(loop, 200.0, h=2.0e-3, x0=stationary_state(net, ctrl))
+        trace = simulate_schedule([(0.0, loop)], 200.0, h=2.0e-3, x0=stationary_state(net, ctrl))
         weighted = cost * (trace.states[-1] @ loop.control_gain.T + loop.control_offset)
         worst_sim = max(worst_sim, float(np.ptp(weighted) / np.abs(weighted.mean())))
     ok = worst_pred <= 1.0e-6 and worst_sim <= 1.0e-6
@@ -290,7 +290,7 @@ def test_criterion_9_integrator_shows_fourth_order_convergence(report):
 
     errors = []
     for h in (0.05, 0.025, 0.0125, 0.00625):
-        trace = simulate(loop, 1.0, h=h)
+        trace = simulate_schedule([(0.0, loop)], 1.0, h=h)
         errors.append(np.linalg.norm(trace.states[-1] - exact))
     ratios = [errors[k] / errors[k + 1] for k in range(3)]
     ok = all(14.0 <= r <= 18.0 for r in ratios)

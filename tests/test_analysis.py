@@ -22,7 +22,7 @@ from gridpi import (
     gamma_bar,
     gamma_star_search,
     output_stability_check,
-    predict_steady_state,
+    simulate_schedule,
     stability_cubic,
     stationary_state,
     swing_to_lti,
@@ -657,19 +657,31 @@ def test_stationary_angles_are_mean_free():
     assert abs(np.sum(x0[cl.state_layout["delta"]])) < 1e-9
 
 
+def predict(net, ctrl, eta):
+    """omega_hat and the inputs as analyze_scenario predicts them: the loop's
+    control law at the stationary point under eta."""
+    loop = close_loop(swing_to_lti(net, eta=eta), ctrl)
+    x = stationary_state(net, ctrl, eta=eta)
+    omega_hat = net.omega_ref + x[loop.state_layout["omega"]][0]
+    return omega_hat, loop.control_gain @ x + loop.control_offset
+
+
 def test_prediction_matches_the_conservation_law():
     # sum of stationary inputs = omega_ref * sum(d) - sum(p)
     rng = np.random.default_rng(38)
     for _ in range(10):
         net = random_network(rng)
         ctrl = random_dist_controller(rng, net, gamma=0.6)
-        pred = predict_steady_state(net, ctrl)
+        omega_hat, u = predict(net, ctrl, np.zeros(net.n_buses))
         expected = net.omega_ref * net.damping.sum() - net.power.sum()
-        assert_allclose(pred.u_stationary.sum(), expected, rtol=1e-10)
-        assert_allclose(pred.omega_hat, net.omega_ref)
+        assert_allclose(u.sum(), expected, rtol=1e-10)
+        assert_allclose(omega_hat, net.omega_ref)
         # inputs split proportionally to the integral gains
-        share = pred.u_stationary / ctrl.ki
+        share = u / ctrl.ki
         assert np.ptp(share) < 1e-9 * max(abs(share[0]), 1.0)
+        # without offsets the point equals the run's initial state
+        assert np.array_equal(stationary_state(net, ctrl, eta=np.zeros(net.n_buses)),
+                              stationary_state(net, ctrl))
 
 
 def test_prediction_offset_under_measurement_bias():
@@ -677,8 +689,8 @@ def test_prediction_offset_under_measurement_bias():
     net = random_network(rng)
     eta = rng.normal(0.0, 0.5, net.n_buses)
     ctrl = random_dist_controller(rng, net, gamma=0.6)
-    pred = predict_steady_state(net, ctrl, eta=eta)
-    assert_allclose(pred.omega_hat, net.omega_ref - eta.mean(), rtol=1e-12)
+    omega_hat, _ = predict(net, ctrl, eta)
+    assert_allclose(omega_hat, net.omega_ref - eta.mean(), rtol=1e-12)
 
 
 def test_prediction_agrees_with_a_long_simulation():
@@ -686,21 +698,29 @@ def test_prediction_agrees_with_a_long_simulation():
     net = random_network(rng, n_max=5)
     eta = rng.normal(0.0, 0.3, net.n_buses)
     ctrl = random_dist_controller(rng, net, gamma=0.5)
-    pred = predict_steady_state(net, ctrl, eta=eta)
+    omega_hat, u = predict(net, ctrl, eta)
     cl = close_loop(swing_to_lti(net, eta=eta), ctrl)
-    tr = gridpi.simulate(cl, 150.0, h=0.005)
+    tr = simulate_schedule([(0.0, cl)], 150.0, h=0.005)
     assert not tr.diverged
-    assert_allclose(tr.states[-1] @ cl.control_gain.T + cl.control_offset, pred.u_stationary,
-                    atol=1e-6)
+    assert_allclose(tr.states[-1] @ cl.control_gain.T + cl.control_offset, u, atol=1e-6)
     omega = tr.states[-1, cl.state_layout["omega"]] + net.omega_ref
-    assert_allclose(omega, np.full(net.n_buses, pred.omega_hat), atol=1e-6)
+    assert_allclose(omega, np.full(net.n_buses, omega_hat), atol=1e-6)
+    # the simulated end point is the stationary point under eta, up to the
+    # uniform angle ramp at omega = -mean(eta)
+    end, x = tr.states[-1], stationary_state(net, ctrl, eta=eta)
+    ds = cl.state_layout["delta"]
+    assert_allclose(end[ds] - end[ds].mean(), x[ds], atol=1e-6)
+    assert_allclose(end[ds.stop:], x[ds.stop:], atol=1e-6)
 
 
 def test_prediction_requires_distributed_kind_and_gamma():
     net = two_bus_network()
+    eta = np.zeros(2)
     with pytest.raises(ValueError):
-        predict_steady_state(net, ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)))
+        stationary_state(net, ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)), eta=eta)
+    with pytest.raises(ValueError):
+        stationary_state(net, ControllerSpec(kind=P, kp=np.ones(2)), eta=eta)
     open_gamma = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                                 gamma=None, comm=net.coupling_graph())
     with pytest.raises(ValueError):
-        predict_steady_state(net, open_gamma)
+        stationary_state(net, open_gamma, eta=eta)

@@ -52,6 +52,8 @@ GAMMA_1E9 = ring(r"^gamma = auto$", "gamma = 1.0e9")
 ABOVE_THE_BOUND = ("gamma = 1e+09 exceeds the sufficient bound 3.27708; relying on the "
                    "eigenvalue check alone\n")
 POSITIVE = "values must be strictly positive"
+# every coupling near 2e299 W/rad: finite, but products of two of them overflow
+COUPLING_1E150 = (("net5ring.grid", r"^voltage_kv = 10\.0$", "voltage_kv = 1e150"),)
 BUS3 = (("bus3.grid", None, "schema = 1\n[defaults]\ninertia = 2.0\ndamping = 0.5\n"
          "voltage_kv = 10.0\n[buses]\n1\n2\n3\n[lines]\n1 2 2.0e-7\n2 3 2.0e-7\n"),)
 
@@ -63,6 +65,20 @@ CASES = [
     Case("rank-test-net30", "rank-test {data}/net30.grid --ki 1", 1),
     Case("gamma-bound-net30", "gamma-bound {data}/net30.grid --kp 1 --ki 1", 0),
     Case("spectral-readme-example", f"gamma-bound {NET5} --kp 100 --ki 5000 --spectral", 0),
+    # a missing file, a grid given as a scenario, a network that cannot be
+    # read (at the scenario line that names it) and an unsupported schema
+    Case("scenario-missing", "simulate nope.scn", 2,
+         "error: nope.scn: cannot read file (No such file or directory)\n"),
+    Case("grid-as-scenario", f"analyze {NET5}", 2,
+         "error: {data}/net5ring.grid:5: unknown section [network] in scenario file\n"),
+    *(Case(f"network-{what}", "analyze ring_share.scn", 2, f"error: ring_share.scn:{{line}}: "
+           f"network: cannot read {name} ({reason})\n",
+           edits=ring(r"^network = net5ring\.grid$", f"network = {name}"))
+      for what, name, reason in [("missing", "nope.grid", "No such file or directory"),
+                                 ("directory", ".", "Is a directory")]),
+    Case("schema-unsupported", "simulate bad.scn", 2,
+         "error: bad.scn:1: unsupported schema version '3' (this build reads 1)\n",
+         edits=(("bad.scn", None, "schema = 3\n"),)),
     # header plus 201 rows; 20 s is too short to settle
     Case("csv-trace", f"simulate {RING} --horizon 20 --output trace.csv", 1,
          csv=("trace.csv", 202)),
@@ -71,9 +87,12 @@ CASES = [
          edits=ring(r"^output_every_s = 0\.1$", "output_every_s = 1e308"), csv=("every.csv", 3)),
     Case("csv-to-a-directory", f"simulate {RING} --horizon 1 --output .", 2,
          "error: cannot write the trace to .: it names a directory\n"),
-    Case("noise-overflows", "analyze ring_share.scn", 2,
-         "error: ring_share.scn:{line}: eta_hz: 2*pi*1e308 rad/s is not finite\n",
-         edits=ring(r"\Z", "\n[noise]\n1 1e308\n")),
+    # analyze printed a -inf Hz prediction, NaN inputs and a positive verdict,
+    # simulate NaN frequencies
+    *(Case(id, argv, 2, "error: ring_share.scn:{line}: eta_hz: 2*pi*1e308 rad/s is not finite\n",
+           edits=ring(r"\Z", "\n[noise]\n1 1e308\n"))
+      for id, argv in [("noise-overflows", "analyze ring_share.scn"),
+                       ("noise-overflows-simulate", RUN)]),
     Case("noise-beyond-nominal", "analyze ring_share.scn", 2, "error: ring_share.scn:{line}: "
          "eta_hz: |1e300| Hz is not below the nominal frequency 50 Hz\n",
          edits=ring(r"\Z", "\n[noise]\n1 1e300\n")),
@@ -110,7 +129,16 @@ CASES = [
          "error: ring_share.scn:{line}: kp: the product (D + Kp) Lc overflows; the damping and "
          "proportional gains are too large for the averaging-gain bound\n",
          edits=ring(r"^kp = 100\.0$", "kp = 1e308")),
-    Case("ki-huge", f"gamma-bound {NET5} --kp 1 --ki 1e308", 0),
+    # a1 * a2 on the verification grid overflows to +inf, which still orders
+    # correctly; it leaked "RuntimeWarning: overflow encountered in multiply"
+    Case("ki-huge", f"gamma-bound {NET5} --kp 1 --ki 1e308", 0,
+         out=r".*\ngamma_bar = 1\.7592186e\+13\n.*"),
+    # gamma_bar's Lk Lc overflowed: a RuntimeWarning, then "error: Eigenvalues
+    # did not converge" with no file
+    Case("coupling-product-overflows", "gamma-bound net5ring.grid --kp 1 --ki 1", 2,
+         "error: net5ring.grid: the product Lk Lc of the coupling and communication Laplacians "
+         "overflows; the couplings are too large for the averaging-gain bound\n",
+         edits=COUPLING_1E150),
     *(Case(id, f"{command} {NET2} {flags}", 2, f"error: {message}\n")
       for id, command, flags, message in [
           ("ki-abc", "rank-test", "--ki abc", "--ki: expected a number, got 'abc'"),
@@ -152,6 +180,17 @@ CASES = [
     # 2e14 steps of a 15-state loop is 21.3 PiB, beyond any address space
     Case("trace-too-large", f"simulate {RING} --step 1e-12 --output ''", 2,
          "error: step 1e-12 s: a trace of 2e+14 rows of 15 states cannot be allocated\n"),
+    # 1e300 rows is beyond numpy's dimension limit, so no memory is asked for;
+    # numpy's bare "Maximum allowed dimension exceeded" named neither the step nor the run
+    Case("trace-beyond-the-dimension-limit",
+         f"simulate {RING} --step 1e-10 --horizon 1e290 --output ''", 2,
+         "error: step 1e-10 s: a trace of 1e+300 rows of 15 states cannot be allocated\n"),
+    # the P kind skips gamma_bar, so the couplings reach the integrator: the
+    # step map overflowed with four RuntimeWarnings, and the run printed NaN
+    # frequencies after 2 steps with exit 1
+    Case("step-map-not-finite", RUN, 2, "error: step 0.002 s: the RK4 step map is not finite\n",
+         edits=ring(r"^kind = dist_pi\n(.+\n){3}comm_topology = same-as-grid$",
+                    "kind = p\nkp = 100.0") + COUPLING_1E150),
 ]
 
 

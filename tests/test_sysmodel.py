@@ -16,7 +16,7 @@ from gridpi import (
     LtiSystem,
     PowerNetwork,
     close_loop,
-    simulate,
+    integrate_rk4,
     simulate_schedule,
     swing_to_lti,
 )
@@ -161,7 +161,7 @@ def test_generic_system_closes_without_swing_blocks():
     cl = close_loop(sys, ControllerSpec(kind=P, kp=np.array([0.5])))
     # not stabilizable with this gain: 2 - 0.5 > 0
     assert_allclose(cl.system_matrix, [[1.5]])
-    tr = simulate(cl, 100.0, h=0.01, x0=np.array([1.0]))
+    tr = simulate_schedule([(0.0, cl)], 100.0, h=0.01, x0=np.array([1.0]))
     assert tr.diverged
     assert np.all(np.isfinite(tr.states))
 
@@ -176,7 +176,7 @@ def test_trace_outputs_and_controls_follow_the_laws():
     eta = rng.normal(0.0, 0.1, net.n_buses)
     ctrl = random_dist_controller(rng, net, gamma=0.8)
     cl = close_loop(swing_to_lti(net, eta=eta), ctrl)
-    tr = simulate(cl, 2.0, h=0.01)
+    tr = simulate_schedule([(0.0, cl)], 2.0, h=0.01)
     ow, zs = cl.state_layout["omega"], cl.state_layout["z"]
     # inputs reproduce the feedback law on the measured output (frequency
     # deviation plus the constant offset) sample by sample
@@ -191,7 +191,7 @@ def test_simulation_matches_matrix_exponential():
         ctrl = random_dist_controller(rng, net, gamma=0.4)
         cl = close_loop(swing_to_lti(net), ctrl)
         x0 = rng.normal(size=cl.dim)
-        tr = simulate(cl, 1.0, h=0.002, x0=x0)
+        tr = simulate_schedule([(0.0, cl)], 1.0, h=0.002, x0=x0)
         aug = np.zeros((cl.dim + 1, cl.dim + 1))
         aug[:cl.dim, :cl.dim] = cl.system_matrix
         aug[:cl.dim, cl.dim] = cl.forcing_dev
@@ -203,7 +203,7 @@ def test_schedule_with_single_segment_equals_plain_simulation():
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
     cl = close_loop(swing_to_lti(net), ctrl)
-    direct = simulate(cl, 1.0, h=0.01)
+    direct = integrate_rk4(cl.system_matrix, np.zeros(cl.dim), [(0.0, cl.forcing_dev)], 1.0, 0.01)
     scheduled = simulate_schedule([(0.0, cl)], 1.0, h=0.01)
     assert_allclose(scheduled.times, direct.times)
     assert_allclose(scheduled.states, direct.states)
@@ -213,7 +213,7 @@ def test_schedule_split_at_a_grid_point_is_seamless():
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
     cl = close_loop(swing_to_lti(net), ctrl)
-    direct = simulate(cl, 2.0, h=0.01)
+    direct = simulate_schedule([(0.0, cl)], 2.0, h=0.01)
     split = simulate_schedule([(0.0, cl), (1.0, cl)], 2.0, h=0.01)
     assert_allclose(split.times, direct.times, atol=1e-12)
     assert_allclose(split.states, direct.states, atol=1e-12)
