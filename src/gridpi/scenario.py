@@ -333,6 +333,11 @@ def load_scenario(path) -> Scenario:
     numbers = {key: _positive(path, lineno, token, key)
                for key, (token, lineno) in meta.items() if key != "network"}
     horizon = numbers.get("horizon_s", DEFAULT_HORIZON)
+    # a band as wide as the nominal frequency would call a bus at 0 Hz settled
+    if not numbers.get("settle_tol_hz", 0.0) * TWO_PI < loaded.net.omega_ref:
+        token, lineno = meta["settle_tol_hz"]
+        raise ParseError(path, lineno, f"settle_tol_hz: {token} Hz is not below the nominal "
+                         f"frequency {loaded.net.omega_ref / TWO_PI:g} Hz")
 
     ctrl_kv = _kv_lines(path, sections.get("controller", []), _CONTROLLER_KEYS, "[controller] key")
     if "kind" not in ctrl_kv:
@@ -547,8 +552,6 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     """Feasibility/stability/steady-state analysis without simulating."""
     net = scn.network.net
     ctrl, bound = _resolve_controller(scn)
-    stages = _power_stages(scn)
-    final_net = replace(net, power=stages[-1][1])
 
     # eta enters only the loop's forcing; the rank test reads a, b and c
     sys = sysmodel.swing_to_lti(net, eta=scn.eta)
@@ -561,6 +564,7 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
 
     prediction = None
     if ctrl.kind == ctrlmod.DIST_PI:  # the loop's law at the stationary point after the last step
+        final_net = replace(net, power=_power_stages(scn)[-1][1])
         x = analysismod.stationary_state(final_net, ctrl, eta=scn.eta)
         prediction = analysismod.SteadyStatePrediction(
             omega_hat=net.omega_ref + float(x[loop.state_layout["omega"]][0]),

@@ -2,13 +2,16 @@
 and again as a child process of the `gridpi` console script when one is
 on PATH (CI installs the package; without a script those runs skip).
 
-A row is id, argv (split like a shell line; {data} is the directory of the
-bundled files), the exit status, stderr exactly ({line}: the line on which
-the row's last edit ends), a regular expression for the whole of stdout
-(re.DOTALL) or None, edits, and csv: (file, lines) of a trace the run
-writes.  A run starts in a scratch directory holding a copy of every
+A row is id, argv (split like a shell line), the exit status, stderr
+exactly, a regular expression for the whole of stdout (re.DOTALL) or None,
+edits, and csv: (file, lines) of a trace the run writes.  In argv, stderr
+and stdout, {data} is the directory of the bundled files, {tmp} the row's
+scratch directory and {line} the line on which the row's last edit ends
+(escaped in stdout).  A run starts in {tmp}, which holds a copy of every
 bundled file; an edit (file, pattern, replacement) replaces the one match
 of a multiline regular expression in a copy (pattern None: a new file).
+The stdout of the analyze-<name> and simulate-<name> rows is
+tests/golden/<command>_<name>.txt byte for byte.
 Every row bans Traceback and Warning on stderr and must exit within 60 s,
 and an exit 2 prints nothing on stdout.
 """
@@ -27,6 +30,8 @@ import pytest
 
 from gridpi.cli import main as cli_main
 from support import bundled
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class Case(NamedTuple):
@@ -54,17 +59,30 @@ ABOVE_THE_BOUND = ("gamma = 1e+09 exceeds the sufficient bound 3.27708; relying 
 POSITIVE = "values must be strictly positive"
 # every coupling near 2e299 W/rad: finite, but products of two of them overflow
 COUPLING_1E150 = (("net5ring.grid", r"^voltage_kv = 10\.0$", "voltage_kv = 1e150"),)
+LOAD_1E12 = ring(r"^1\.0 2 100\.0$", "1.0 2 1e12")
 BUS3 = (("bus3.grid", None, "schema = 1\n[defaults]\ninertia = 2.0\ndamping = 0.5\n"
          "voltage_kv = 10.0\n[buses]\n1\n2\n3\n[lines]\n1 2 2.0e-7\n2 3 2.0e-7\n"),)
 
 CASES = [
-    *(Case(f"{command}-{name}", f"{command} {{data}}/{name}.scn{options}", status)
+    # the README quotes these; dec30_bias's rank test fails, so its verdict is negative
+    *(Case(f"{command}-{name}", f"{command} {{data}}/{name}.scn{options}", status,
+           out=re.escape((GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")))
       for name, status in [("ring_share", 0), ("dist30_step", 0), ("dec30_bias", 1)]
       for command, options in [("analyze", ""), ("simulate", " --output ''")]),
     # swing dynamics fail the rank test; the bound is reported either way
+    Case("rank-test-net2", f"rank-test {NET2} --ki 1.0", 1,
+         out=r"network: {data}/net2\.grid \(2 buses\)\nmatrix size: 6 x 6\n"
+             r"rank: 4 \(deficiency 2\)\nintegral action feasible: no\n"),
     Case("rank-test-net30", "rank-test {data}/net30.grid --ki 1", 1),
+    Case("gamma-bound-net2", f"gamma-bound {NET2} --kp 1.0 --ki 1.0", 0,
+         out=r"network: {data}/net2\.grid \(2 buses\)\ngamma_bar = 0\.5\n"
+             r"  alpha = 0  beta = 0  sigma = 4\n  kappa1 = 1  kappa2 = 2\n"),
     Case("gamma-bound-net30", "gamma-bound {data}/net30.grid --kp 1 --ki 1", 0),
     Case("spectral-readme-example", f"gamma-bound {NET5} --kp 100 --ki 5000 --spectral", 0),
+    # no loss of stability within 2**80 gamma_bar: "inf" is no threshold, so
+    # there is no conservatism ratio, and the threshold is the last line
+    Case("spectral-without-a-crossing", f"gamma-bound {NET5} --kp 1e300 --ki 1e-300 --spectral",
+         0, out=r".*\neigenvalue-based threshold ~= inf\n"),
     # a missing file, a grid given as a scenario, a network that cannot be
     # read (at the scenario line that names it) and an unsupported schema
     Case("scenario-missing", "simulate nope.scn", 2,
@@ -82,6 +100,9 @@ CASES = [
     # header plus 201 rows; 20 s is too short to settle
     Case("csv-trace", f"simulate {RING} --horizon 20 --output trace.csv", 1,
          csv=("trace.csv", 202)),
+    # a missing output directory is made; the run ends before the load step
+    Case("csv-into-a-new-directory", f"simulate {RING} --horizon 1 --output runs/trace.csv", 0,
+         out=r".*\nsettled: yes\ntrace written to runs/trace\.csv\n", csv=("runs/trace.csv", 12)),
     # an output spacing longer than the run writes the first and the last row
     Case("csv-spacing-beyond-the-run", "simulate ring_share.scn --horizon 2 --output every.csv", 1,
          edits=ring(r"^output_every_s = 0\.1$", "output_every_s = 1e308"), csv=("every.csv", 3)),
@@ -96,6 +117,11 @@ CASES = [
     Case("noise-beyond-nominal", "analyze ring_share.scn", 2, "error: ring_share.scn:{line}: "
          "eta_hz: |1e300| Hz is not below the nominal frequency 50 Hz\n",
          edits=ring(r"\Z", "\n[noise]\n1 1e300\n")),
+    # a band that wide called a bus at 0 Hz settled: the run printed final
+    # frequencies from 12.7 to 62.2 Hz, "settled: yes" and exit 0
+    Case("settle-band-beyond-nominal", f"{RUN} --horizon 2", 2, "error: ring_share.scn:{line}: "
+         "settle_tol_hz: 1e308 Hz is not below the nominal frequency 50 Hz\n",
+         edits=ring(r"^settle_tol_hz = 1\.0e-3$", "settle_tol_hz = 1e308")),
     Case("cost-reciprocal-overflows", "analyze ring_share.scn", 2,
          "error: ring_share.scn:{line}: cost_coeffs: 1/1e-320 is not finite\n",
          edits=ring(r"5\.0e-4$", "1e-320")),
@@ -105,6 +131,16 @@ CASES = [
          r".*  gamma=1e\+09\n.*", GAMMA_1E9),
     Case("gamma-above-the-bound-simulate", f"{RUN} --horizon 1e-9 --step 1e-11", 0,
          ABOVE_THE_BOUND, r".*  gamma=1e\+09\n.*", GAMMA_1E9),
+    # gamma_bar underflows to 0 at ki = 1e-320, and half of it is no gamma: the
+    # run failed with ControllerSpec's unlocated "must be positive, got 0.0";
+    # a defaulted gamma has no line to name
+    *(Case(f"gamma-auto-without-a-bound-{how}-{argv.split()[0]}", argv, 2,
+           f"error: ring_share.scn{where}: gamma = auto: gamma_bar = 0 certifies no positive "
+           "gamma\n", edits=ring(r"^kp = 100\.0$", "kp = 1.0")
+           + ring(r"^cost_coeffs = .+$", "ki = 1e-320") + ring(r"^gamma = auto\n", gamma_line))
+      for how, where, gamma_line in [("explicit", ":{line}", "gamma = auto\n"),
+                                     ("defaulted", "", "")]
+      for argv in ("analyze ring_share.scn", RUN)),
     # the warning comes with the analysis report, so a refused run shows only its error
     Case("gamma-above-the-bound-refused-run", f"{RUN} --horizon 1", 2,
          "error: step 0.002 s is outside the RK4 stability region: mode lambda = -7.85113e+10+0j "
@@ -134,11 +170,19 @@ CASES = [
     Case("ki-huge", f"gamma-bound {NET5} --kp 1 --ki 1e308", 0,
          out=r".*\ngamma_bar = 1\.7592186e\+13\n.*"),
     # gamma_bar's Lk Lc overflowed: a RuntimeWarning, then "error: Eigenvalues
-    # did not converge" with no file
-    Case("coupling-product-overflows", "gamma-bound net5ring.grid --kp 1 --ki 1", 2,
-         "error: net5ring.grid: the product Lk Lc of the coupling and communication Laplacians "
-         "overflows; the couplings are too large for the averaging-gain bound\n",
-         edits=COUPLING_1E150),
+    # did not converge" with no file; a scenario's grid is named by the
+    # absolute path that the scenario resolves
+    *(Case(f"coupling-product-overflows{suffix}", argv, 2, f"error: {grid}: the product Lk Lc "
+           "of the coupling and communication Laplacians overflows; the couplings are too large "
+           "for the averaging-gain bound\n", edits=COUPLING_1E150)
+      for suffix, argv, grid in [("", "gamma-bound net5ring.grid --kp 1 --ki 1", "net5ring.grid"),
+                                 ("-analyze", "analyze ring_share.scn", "{tmp}/net5ring.grid"),
+                                 ("-simulate", RUN, "{tmp}/net5ring.grid")]),
+    # it leaked "RuntimeWarning: overflow encountered in matmul"
+    Case("inertia-product-overflows", "gamma-bound net5ring.grid --kp 1 --ki 1", 2,
+         "error: net5ring.grid: the product M^-1 Lc overflows; the inertias are too large for "
+         "the averaging-gain bound\n",
+         edits=(("net5ring.grid", r"^inertia = 10\.0$", "inertia = 1.7e308"),)),
     *(Case(id, f"{command} {NET2} {flags}", 2, f"error: {message}\n")
       for id, command, flags, message in [
           ("ki-abc", "rank-test", "--ki abc", "--ki: expected a number, got 'abc'"),
@@ -155,6 +199,11 @@ CASES = [
           ("ki-negative", "gamma-bound", "--kp 1 --ki -1", f"--ki: {POSITIVE}")]),
     Case("horizon-inf", f"simulate {RING} --horizon inf", 2,
          "error: --horizon: expected a finite number, got 'inf'\n"),
+    # RK4 amplifies the ring's fastest decaying mode at 0.5 s: integrated
+    # anyway, the run reached 7e16 Hz in 6 steps and ended as "not settled"
+    Case("step-outside-the-stability-region", f"simulate {RING} --step 0.5 --output ''", 2,
+         "error: step 0.5 s is outside the RK4 stability region: mode lambda = -124.572+0j 1/s "
+         "has |R(h lambda)| = 588728 >= 1; a step of 0.015625 s passes\n"),
     # R(h lambda) rounds to 1: the search for a passing step never returned
     *(Case(f"step-rounds-to-one-{where}", argv, 2, "error: step 1e-16 s is too small for float64: "
            "mode lambda = -0.119017+0j 1/s has |R(h lambda)| rounding to 1, so RK4 does not damp "
@@ -191,6 +240,13 @@ CASES = [
     Case("step-map-not-finite", RUN, 2, "error: step 0.002 s: the RK4 step map is not finite\n",
          edits=ring(r"^kind = dist_pi\n(.+\n){3}comm_topology = same-as-grid$",
                     "kind = p\nkp = 100.0") + COUPLING_1E150),
+    # the loop passes the analysis, output stable; its run ended as
+    # "(diverged)", "settled: no" and exit 1
+    Case("load-leaves-the-range-analyze", "analyze ring_share.scn", 0,
+         out=r".*\noutput stable: yes\n.*\nverdict: positive\n", edits=LOAD_1E12),
+    Case("load-leaves-the-range-simulate", RUN, 2, "error: the output-stable loop left the "
+         "integrator's range at t = 1.012 s: omega of bus 2 is -1.10769e+12, beyond "
+         "DIVERGENCE_LIMIT = 1e+12\n", edits=LOAD_1E12),
 ]
 
 
@@ -247,8 +303,8 @@ def test_cli_case(case, mode, request, tmp_path, monkeypatch, capfd):
         script, env, data = request.getfixturevalue("installed")
     else:
         data = Path(bundled("net2.grid")).parent
-    line = edit_copies(case, data, tmp_path)
-    argv = [word.format(data=data) for word in shlex.split(case.argv)]
+    fields = {"data": data, "tmp": tmp_path, "line": edit_copies(case, data, tmp_path)}
+    argv = [word.format(**fields) for word in shlex.split(case.argv)]
     if mode == "installed":
         res = subprocess.run([script, *argv], cwd=tmp_path, env=env, capture_output=True,
                              text=True, timeout=60)
@@ -257,10 +313,11 @@ def test_cli_case(case, mode, request, tmp_path, monkeypatch, capfd):
         monkeypatch.chdir(tmp_path)
         status, out, err = in_process(argv, capfd)
     assert "Traceback" not in err and "Warning" not in err
-    assert (status, err) == (case.status, case.err.format(data=data, line=line))
+    assert (status, err) == (case.status, case.err.format(**fields))
     if status == 2:
         assert out == ""
-    assert re.fullmatch(case.out or ".*", out, re.DOTALL), out
+    escaped = {key: re.escape(str(value)) for key, value in fields.items()}
+    assert re.fullmatch((case.out or ".*").format(**escaped), out, re.DOTALL), out
     if case.csv is not None:
         name, lines = case.csv
         assert len((tmp_path / name).read_text(encoding="utf-8").splitlines()) == lines
