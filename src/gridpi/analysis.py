@@ -301,7 +301,7 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
         kappa2=kappa2,
     )
     if 0.0 < result.gamma_bar < math.inf:
-        a1g, a2g, a0a3g = result.evaluate(result.gamma_bar * np.arange(1, 101) / 101.0)
+        a1g, a2g, a0a3g = result.evaluate(result.gamma_bar * (np.arange(1, 101) / 101.0))
         with np.errstate(over="ignore"):  # a product that overflows to +inf still orders
             a1a2g = a1g * a2g
         if not (np.all(a1g > 0.0) and np.all(a2g > 0.0) and np.all(a0a3g < a1a2g)):
@@ -332,28 +332,35 @@ def stability_cubic(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
 
 
 def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> float:
-    """Empirical stability threshold in gamma by a doubling bracket plus a secant.
+    """Empirical stability threshold in gamma: a bisected doubling ladder, then a secant.
 
-    Comparison tool only: assumes a single stable-to-unstable crossing.
-    Probes gamma = start * 2**k from start = gamma_bar (1 unless gamma_bar
-    is positive and finite), growing k by 1, 2, 4, ... (k = 1, 3, 7, ...,
-    at most _MAX_DOUBLINGS) until the eigenvalue check fails.  An Illinois
-    secant on gamma over the check's margin, which is close to affine in
-    gamma near a crossing, then narrows that bracket to _SEARCH_REL_TOL
-    relative width, stepping to the geometric mean where a step leaves the
-    bracket; a probe whose margin is exactly 0 fails and ends the secant.
-    When the bracket's passing end lies within _SEARCH_REL_TOL / 2 of the
-    failing end, or the secant ended on a margin of 0, a final probe at
-    hi * (1 - _SEARCH_REL_TOL / 2) moves the answer out of the band where
-    the full check flips with rounding; it is returned if it passes.
-    Otherwise returns the largest gamma found to pass (inf if
-    start * 2**_MAX_DOUBLINGS passes).
+    Comparison tool only: assumes a single stable-to-unstable crossing, so
+    the eigenvalue check passes on the ladder gamma = start * 2**k, k = 0,
+    1, 3, 7, ..., _MAX_DOUBLINGS, up to one rung and fails above it.
+    start = gamma_bar (1 unless gamma_bar is positive and finite); a rung
+    whose gamma or gamma L_c is not finite is left off.  A bisection finds
+    the first rung above start that fails (15, 63, 31 for a crossing
+    between 15 and 63), the bracket that climbing the ladder would find.
+    start is probed only when no rung above it passes, and ValueError is
+    raised if it fails too; a ladder that fails at start but passes higher
+    up breaks the assumption and gets a threshold above the passing rung.
+    An Illinois secant on gamma over the check's margin, which is close to
+    affine in gamma near a crossing, then narrows that bracket to
+    _SEARCH_REL_TOL relative width, stepping to the geometric mean where a
+    step leaves the bracket; a probe whose margin is exactly 0 fails and
+    ends the secant.  When the bracket's passing end lies within
+    _SEARCH_REL_TOL / 2 of the failing end, or the secant ended on a
+    margin of 0, a final probe at hi * (1 - _SEARCH_REL_TOL / 2) moves the
+    answer out of the band where the full check flips with rounding; it is
+    returned if it passes.  Otherwise returns the largest gamma found to
+    pass (inf if the ladder's top rung passes).
     Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G on
-    one split [B W], redone only where ||W^T E(gamma) B||_2 > RANK_REL_TOL *
-    scale.  B is usually the uniform-angle vector and one split serves the
-    search; when gamma L_c starts below the rank cutoff (net30.grid at
-    kp = ki = 1), the first B also holds the integrator directions, stops
-    being invariant as gamma grows, and the search splits again.
+    one split [B W], formed at start before the first probe and redone only
+    where ||W^T E(gamma) B||_2 > RANK_REL_TOL * scale.  B is usually the
+    uniform-angle vector and one split serves the search; when gamma L_c
+    starts below the rank cutoff (net30.grid at kp = ki = 1), the first B
+    also holds the integrator directions, stops being invariant as gamma
+    grows, and the search splits again.
 
     Loops that stay stable for every gamma eventually defeat the
     classifier: once gamma dwarfs the machine dynamics, the norm-relative
@@ -368,26 +375,43 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     e0 = cl.system_matrix + g  # e0 - gamma * g has close_loop's bits at every gamma
     split = []  # W^T E0 W, W^T G W, W^T E0 B, W^T G B
 
-    def _margin(gamma):
+    def _split_at(gamma):
+        """Scale of E(gamma), after splitting again unless the split is still invariant."""
         e = e0 - gamma * g
-        scale = max(np.linalg.norm(e, 2), 1.0)
+        # a Python float, and so is the margin: a secant product that overflows is inf, unwarned
+        scale = max(float(np.linalg.norm(e, 2)), 1.0)
         if not split or (np.linalg.norm(split[2] - gamma * split[3], 2)
                          > numerics.RANK_REL_TOL * scale):
             basis, comp = unobservable_subspace(e, cl.output_selector, scale=scale)
             split[:] = [comp.T @ m @ v for v in (comp, basis) for m in (e0, g)]
+        return scale
+
+    def _margin(gamma):
+        scale = _split_at(gamma)
         return _observable_margin(np.linalg.eigvals(split[0] - gamma * split[1]), scale)
 
     gb = gamma_bar(net, ctrl).gamma_bar
     start = gb if 0.0 < gb < math.inf else 1.0  # a gamma_bar of 0 would never grow
-    f_lo = _margin(start)
-    if not f_lo < 0.0:
-        raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {start}")
-    k_lo, k = 0, 1
-    while (f := _margin(math.ldexp(start, k))) < 0.0:  # grow k by 1, 2, 4, ... until one fails
+    # the rungs start * 2**k, k = 0, 1, 3, 7, ..., whose gamma and gamma L_c are finite
+    ladder, k, g_max = [start], 1, float(np.max(np.abs(g)))
+    while math.isfinite(gamma := start * 2.0 ** k) and math.isfinite(gamma * g_max):
+        ladder.append(gamma)
         if k == _MAX_DOUBLINGS:
-            return math.inf
-        k_lo, f_lo, k = k, f, min(2 * k + 1, _MAX_DOUBLINGS)
-    lo, hi, f_hi = math.ldexp(start, k_lo), math.ldexp(start, k), f
+            break
+        k = min(2 * k + 1, _MAX_DOUBLINGS)
+    _split_at(start)  # the split at start comes first, as when start was probed first
+    i_lo, i_hi = 0, len(ladder)  # ladder[i_lo] passes (start: until probed), ladder[i_hi] fails
+    while i_hi - i_lo > 1:
+        mid = (i_lo + i_hi) // 2
+        if (f := _margin(ladder[mid])) < 0.0:
+            i_lo, f_lo = mid, f
+        else:
+            i_hi, f_hi = mid, f
+    if i_lo == 0 and not (f_lo := _margin(start)) < 0.0:
+        raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {start}")
+    if i_hi == len(ladder):
+        return math.inf
+    lo, hi = ladder[i_lo], ladder[i_hi]
     moved = None  # the end that the last step replaced
     while hi - lo > _SEARCH_REL_TOL * hi and f_hi != 0.0:
         gamma = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)

@@ -500,7 +500,8 @@ def _record_probes(monkeypatch, margin=None):
 
 
 def test_gamma_star_search_takes_at_most_14_probes(monkeypatch):
-    # growth brackets these crossings in 6 probes; the secant on gamma needs 4 or 5 more
+    # bisecting the ladder brackets these crossings in 3 probes; the secant
+    # on gamma needs 4 or 5 more
     rng = np.random.default_rng(2024)
     for _ in range(12):
         net = random_network(rng)
@@ -510,38 +511,50 @@ def test_gamma_star_search_takes_at_most_14_probes(monkeypatch):
         assert len(scales) <= 14
 
 
-def test_gamma_star_search_without_a_crossing_takes_8_probes(monkeypatch):
-    # start * 2**k for k = 0, 1, 3, 7, 15, 31, 63, 80, and no crossing
-    net = two_bus_network()
-    ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                          gamma=None, comm=net.coupling_graph())
-    scales = _record_probes(monkeypatch, lambda seen, scale: -1.0)
-    assert gamma_star_search(net, ctrl) == math.inf
-    assert len(scales) == 8
-
-
 def _scale_at(net, ctrl, gamma):
     cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=gamma))
     return max(np.linalg.norm(cl.system_matrix, 2), 1.0)
 
 
-def test_gamma_star_search_caps_the_exponent(monkeypatch):
-    # a crossing between start * 2**69 and start * 2**70: the step from 63
-    # overshoots 80, so the search probes k = 80 and narrows (2**63, 2**80]
+def _two_bus_ladder():
+    """The unit two-bus loop, its start = gamma_bar, and the scale of the
+    probe at start * 2**k as a function of k."""
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=None, comm=net.coupling_graph())
     start = gamma_bar(net, ctrl).gamma_bar
+    return net, ctrl, start, lambda k: _scale_at(net, ctrl, math.ldexp(start, k))
 
-    def scale_at(k):
-        return _scale_at(net, ctrl, math.ldexp(start, k))
 
+def test_gamma_star_search_without_a_crossing_takes_3_probes(monkeypatch):
+    # the ladder is start * 2**k for k = 0, 1, 3, 7, 15, 31, 63, 80; with no
+    # crossing the bisection probes 15, 63 and 80, and never start
+    net, ctrl, _, scale_at = _two_bus_ladder()
+    scales = _record_probes(monkeypatch, lambda seen, scale: -1.0)
+    assert gamma_star_search(net, ctrl) == math.inf
+    assert scales == [scale_at(k) for k in (15, 63, 80)]
+
+
+def test_gamma_star_search_probes_start_last(monkeypatch):
+    # a loop that fails everywhere: rungs 15, 3 and 1 fail, and only then is
+    # start probed, which fails too
+    net, ctrl, _, scale_at = _two_bus_ladder()
+    scales = _record_probes(monkeypatch, lambda seen, scale: 1.0)
+    with pytest.raises(ValueError, match="already fails the eigenvalue check at gamma = "):
+        gamma_star_search(net, ctrl)
+    assert scales == [scale_at(k) for k in (15, 3, 1, 0)]
+
+
+def test_gamma_star_search_caps_the_exponent(monkeypatch):
+    # a crossing between start * 2**69 and start * 2**70: the ladder's step
+    # from 63 overshoots 80, so its top rung is k = 80, and the bisection
+    # probes 15, 63 and 80 and narrows (2**63, 2**80]
+    net, ctrl, start, scale_at = _two_bus_ladder()
     crossing = scale_at(70)
     scales = _record_probes(monkeypatch, lambda seen, scale: -1.0 if scale < crossing else 1.0)
     threshold = gamma_star_search(net, ctrl)
     assert math.ldexp(start, 69) <= threshold < math.ldexp(start, 70)
-    exponents = (0, 1, 3, 7, 15, 31, 63, 80)
-    assert scales[:len(exponents)] == [scale_at(k) for k in exponents]
+    assert scales[:3] == [scale_at(k) for k in (15, 63, 80)]
     assert max(scales) == scale_at(80)
 
 
@@ -549,13 +562,11 @@ def test_gamma_star_search_caps_the_exponent(monkeypatch):
 def test_gamma_star_search_secant_lands_on_an_affine_crossing(monkeypatch, k):
     # scale - scale_at(crossing) is affine in gamma once gamma L_c dominates
     # E0, as the margin is near a band crossing, so the secant on gamma needs
-    # few steps after the doubling brackets the crossing.  At k = 45.2 the
-    # first step lands exactly on the crossing, a margin of 0 that fails:
-    # the search stops there and takes the final probe just below it.
-    net = two_bus_network()
-    ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                          gamma=None, comm=net.coupling_graph())
-    crossing = gamma_bar(net, ctrl).gamma_bar * 2.0 ** k
+    # few steps after the bisection of the ladder brackets the crossing.  At
+    # k = 45.2 the first step lands exactly on the crossing, a margin of 0
+    # that fails: the search stops there and takes the final probe just below it.
+    net, ctrl, start, scale_at = _two_bus_ladder()
+    crossing = start * 2.0 ** k
     scale_at_crossing = _scale_at(net, ctrl, crossing)
     margins = []
 
@@ -563,11 +574,13 @@ def test_gamma_star_search_secant_lands_on_an_affine_crossing(monkeypatch, k):
         margins.append(scale - scale_at_crossing)
         return margins[-1]
 
-    _record_probes(monkeypatch, margin)
+    scales = _record_probes(monkeypatch, margin)
     threshold = gamma_star_search(net, ctrl)
     assert crossing * (1.0 - _SEARCH_REL_TOL) <= threshold < crossing
-    first_failure = next(i for i, f in enumerate(margins) if f >= 0.0)
-    assert len(margins) - first_failure - 1 <= 4
+    # the rung probes come first: 15, then two of 3, 7, 31 and 63
+    assert scales[0] == scale_at(15)
+    assert all(scale in [scale_at(j) for j in (3, 7, 31, 63)] for scale in scales[1:3])
+    assert len(margins) - 3 <= 4
     assert (0.0 in margins) == (k == 45.2)
 
 

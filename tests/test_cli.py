@@ -22,7 +22,6 @@ import shlex
 import shutil
 import signal
 import subprocess
-import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,6 +61,13 @@ COUPLING_1E150 = (("net5ring.grid", r"^voltage_kv = 10\.0$", "voltage_kv = 1e150
 LOAD_1E12 = ring(r"^1\.0 2 100\.0$", "1.0 2 1e12")
 BUS3 = (("bus3.grid", None, "schema = 1\n[defaults]\ninertia = 2.0\ndamping = 0.5\n"
          "voltage_kv = 10.0\n[buses]\n1\n2\n3\n[lines]\n1 2 2.0e-7\n2 3 2.0e-7\n"),)
+
+
+def net5_lines(susceptance):
+    """The edit of the net5ring.grid copy that gives all five lines the susceptance."""
+    return (("net5ring.grid", r"^1 2 2\.17e-7(\n\d \d 2\.17e-7)+",
+             "\n".join(f"{i} {i % 5 + 1} {susceptance}" for i in range(1, 6))),)
+
 
 CASES = [
     # the README quotes these; dec30_bias's rank test fails, so its verdict is negative
@@ -157,6 +163,22 @@ CASES = [
     *(Case(f"gamma-bar-subnormal-{ki}", f"gamma-bound bus3.grid --kp 5 --ki {ki} --spectral", 0,
            out=r".*\ngamma_bar = 0\n.*\neigenvalue-based threshold ~= 2291665.52\n", edits=BUS3)
       for ki in ("1e-320", "1e-310")),
+    # at gamma_bar = 1.6e285 the rung start * 2**80 is not finite: the search
+    # ended in "OverflowError: math range error" from math.ldexp; the finite
+    # rungs, up to start * 2**63, all pass
+    Case("spectral-ladder-overflows",
+         "gamma-bound net5ring.grid --kp 1e300 --ki 1e-300 --spectral", 0,
+         out=r".*\ngamma_bar = 1\.62231524e\+285\n.*\neigenvalue-based threshold ~= inf\n",
+         edits=net5_lines("2.17e-152")),
+    # lo * f_hi of the secant step overflowed: "RuntimeWarning: overflow
+    # encountered in scalar multiply"; the step falls back to the geometric mean
+    Case("spectral-secant-overflows", f"gamma-bound {NET5} --kp 1e200 --ki 1 --spectral", 0,
+         out=r".*\ngamma_bar = 1\.62231524e\+195\n.*\neigenvalue-based threshold ~= \S+e\+205\n.*"),
+    # gamma_bar * arange(1, 101) on the verification grid overflowed: two
+    # RuntimeWarnings, then "error: gamma_bar failed its own grid verification"
+    Case("gamma-bar-grid-overflows", "gamma-bound net5ring.grid --kp 1 --ki 1", 0,
+         out=r"network: net5ring\.grid \(5 buses\)\ngamma_bar = 3\.31374938e\+306\n.*",
+         edits=net5_lines("2.17e-300")),
     # a gain product that overflows is the gains' fault when D Lc is finite
     Case("kp-overflows-flag", f"gamma-bound {NET5} --kp 1e308 --ki 1", 2,
          "error: --kp: the product (D + Kp) Lc overflows; the damping and proportional gains "
@@ -284,16 +306,27 @@ def in_process(argv, capfd):
 @pytest.fixture(scope="session")
 def installed(tmp_path_factory):
     """The gridpi script on PATH, the environment of its runs (no PYTHONPATH,
-    overflow warnings as errors) and the data directory of its package."""
+    overflow warnings as errors) and the data directory of its package, as
+    the interpreter on the script's #! line finds it."""
     script = shutil.which("gridpi")
     if script is None:
         pytest.skip("no gridpi console script on PATH; install the package to run these rows")
+    with open(script, "rb") as fh:
+        first = fh.readline().decode(errors="replace")
+    if not first.startswith("#!"):
+        pytest.skip(f"{script} names no interpreter on a #! line")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     where = "from importlib.resources import files; print(files('gridpi') / 'data')"
-    data = subprocess.run([sys.executable, "-c", where], cwd=tmp_path_factory.mktemp("where"),
-                          env=env, capture_output=True, text=True, check=True).stdout.strip()
-    return script, env, Path(data)
+    try:
+        res = subprocess.run([*shlex.split(first[2:]), "-c", where], env=env,
+                             cwd=tmp_path_factory.mktemp("where"), capture_output=True, text=True)
+    except OSError as err:
+        pytest.skip(f"{script}: its interpreter does not start ({err})")
+    if res.returncode != 0:
+        last = (res.stderr.strip().splitlines() or [f"exit {res.returncode}"])[-1]
+        pytest.skip(f"{script}: its interpreter cannot import gridpi ({last})")
+    return script, env, Path(res.stdout.strip())
 
 
 @pytest.mark.parametrize("mode", ["in-process", "installed"])
