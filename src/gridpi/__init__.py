@@ -29,7 +29,7 @@ from .control import (
     P,
     ControllerSpec,
 )
-from .graph import WeightedGraph, is_connected, laplacian
+from .graph import WeightedGraph, is_connected
 from .numerics import SimulationTrace, integrate_rk4, numerical_rank
 from .scenario import (
     LoadedNetwork,
@@ -77,7 +77,6 @@ __all__ = [
     "gamma_star_search",
     "integrate_rk4",
     "is_connected",
-    "laplacian",
     "load_network",
     "load_scenario",
     "numerical_rank",

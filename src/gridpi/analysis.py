@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import control as ctrlmod
-from . import graph as graphmod
 from . import numerics
 from . import sysmodel
 
@@ -217,9 +216,7 @@ class GammaBound(NamedTuple):
 def _laplacians(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec):
     if ctrl.kind != ctrlmod.DIST_PI:
         raise ValueError("the averaging-gain bound applies to the distributed PI controller")
-    lap_k = net.coupling_laplacian()
-    lap_c = graphmod.laplacian(ctrl.comm)
-    return lap_k, lap_c
+    return net.coupling.laplacian, ctrl.comm.laplacian
 
 
 def _finite_product(a: np.ndarray, b: np.ndarray, name: str, cause: str) -> np.ndarray:
@@ -338,14 +335,14 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     the eigenvalue check passes on the ladder gamma = start * 2**k, k = 0,
     1, 3, 7, ..., _MAX_DOUBLINGS, up to one rung and fails above it.
     start = gamma_bar (1 unless gamma_bar is positive and finite); a rung
-    whose gamma or gamma L_c is not finite is left off.  A bisection finds
+    whose gamma or gamma L_c is not finite is left off.  start is probed
+    first, and ValueError is raised if it fails.  A bisection then finds
     the first rung above start that fails (15, 63, 31 for a crossing
     between 15 and 63), the bracket that climbing the ladder would find.
-    start is probed only when no rung above it passes, and ValueError is
-    raised if it fails too; a ladder that fails at start but passes higher
-    up breaks the assumption and gets a threshold above the passing rung.
-    An Illinois secant on gamma over the check's margin, which is close to
-    affine in gamma near a crossing, then narrows that bracket to
+    A loop that is unstable only on a window between two probes breaks the
+    assumption unseen and gets a threshold above that window.  An Illinois
+    secant on gamma over the check's margin, which is close to affine in
+    gamma near a crossing, then narrows that bracket to
     _SEARCH_REL_TOL relative width, stepping to the geometric mean where a
     step leaves the bracket; a probe whose margin is exactly 0 fails and
     ends the secant.  When the bracket's passing end lies within
@@ -355,8 +352,8 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     returned if it passes.  Otherwise returns the largest gamma found to
     pass (inf if the ladder's top rung passes).
     Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G on
-    one split [B W], formed at start before the first probe and redone only
-    where ||W^T E(gamma) B||_2 > RANK_REL_TOL * scale.  B is usually the
+    one split [B W], formed at the probe of start and redone only where
+    ||W^T E(gamma) B||_2 > RANK_REL_TOL * scale.  B is usually the
     uniform-angle vector and one split serves the search; when gamma L_c
     starts below the rank cutoff (net30.grid at kp = ki = 1), the first B
     also holds the integrator directions, stops being invariant as gamma
@@ -399,16 +396,15 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
         if k == _MAX_DOUBLINGS:
             break
         k = min(2 * k + 1, _MAX_DOUBLINGS)
-    _split_at(start)  # the split at start comes first, as when start was probed first
-    i_lo, i_hi = 0, len(ladder)  # ladder[i_lo] passes (start: until probed), ladder[i_hi] fails
+    if not (f_lo := _margin(start)) < 0.0:
+        raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {start:.9g}")
+    i_lo, i_hi = 0, len(ladder)  # ladder[i_lo] passes, ladder[i_hi] fails
     while i_hi - i_lo > 1:
         mid = (i_lo + i_hi) // 2
         if (f := _margin(ladder[mid])) < 0.0:
             i_lo, f_lo = mid, f
         else:
             i_hi, f_hi = mid, f
-    if i_lo == 0 and not (f_lo := _margin(start)) < 0.0:
-        raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {start}")
     if i_hi == len(ladder):
         return math.inf
     lo, hi = ladder[i_lo], ladder[i_hi]
@@ -486,11 +482,10 @@ def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
             raise ValueError(f"eta shape {eta.shape}, expected ({n},)")
         eta_mean = float(np.mean(eta))
         omega = np.full(n, -eta_mean)
-        spread, _ = _bordered_solve(graphmod.laplacian(ctrl.comm), np.ones(n),
-                                    (-omega - eta) / ctrl.gamma)
+        spread, _ = _bordered_solve(ctrl.comm.laplacian, np.ones(n), (-omega - eta) / ctrl.gamma)
         rhs = rhs - (net.damping + ctrl.kp) * omega - ctrl.kp * eta + ctrl.ki * spread
     border = -ctrl.ki if ctrl.has_integrator else net.damping + ctrl.kp
-    delta, k = _bordered_solve(net.coupling_laplacian(), border, rhs)
+    delta, k = _bordered_solve(net.coupling.laplacian, border, rhs)
     # PI: omega at the reference less mean(eta), the integrators spread around k; P: omega at k
     if ctrl.has_integrator:
         return np.concatenate([delta, omega, spread + k])

@@ -114,17 +114,19 @@ def _cmd_gamma_bound(args):
     n = loaded.net.n_buses
     kp = scenariomod._gain_vector(None, 0, args.kp, n, "--kp")
     ki = scenariomod._gain_vector(None, 0, args.ki, n, "--ki")
-    ctrl = ctrlmod.ControllerSpec(
-        kind=ctrlmod.DIST_PI, kp=kp, ki=ki, gamma=None,
-        comm=loaded.net.coupling_graph(),
-    )
+    ctrl = ctrlmod.ControllerSpec(kind=ctrlmod.DIST_PI, kp=kp, ki=ki, gamma=None,
+                                  comm=loaded.net.coupling)
     bound = scenariomod.network_gamma_bar(loaded, ctrl, (None, 0, "--kp"))
+    if args.spectral:  # before the first line, so that a refusal prints nothing
+        try:
+            gamma_star = analysismod.gamma_star_search(loaded.net, ctrl)
+        except ValueError as exc:
+            raise scenariomod.ParseError(args.network, 0, str(exc)) from exc
     print(f"network: {args.network} ({n} buses)")
     print(f"gamma_bar = {bound.gamma_bar:.9g}")
     print(f"  alpha = {bound.alpha:.6g}  beta = {bound.beta:.6g}  sigma = {bound.sigma:.6g}")
     print(f"  kappa1 = {bound.kappa1:.6g}  kappa2 = {bound.kappa2:.6g}")
     if args.spectral:
-        gamma_star = analysismod.gamma_star_search(loaded.net, ctrl)
         print(f"eigenvalue-based threshold ~= {gamma_star:.9g}")
         if 0.0 < bound.gamma_bar < math.inf and math.isfinite(gamma_star):
             print(f"bound / threshold = {bound.gamma_bar / gamma_star:.3g}")

@@ -28,10 +28,15 @@ class EdgeError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph on nodes 0..n_nodes-1 with positive finite edge weights."""
+    """Undirected graph on nodes 0..n_nodes-1 with positive finite edge weights.
+
+    laplacian is the dense weighted Laplacian L = D - W of shape
+    (n_nodes, n_nodes), built once from the validated edges and read-only.
+    """
 
     n_nodes: int
     edges: tuple = field(default_factory=tuple)  # ((i, j, weight), ...)
+    laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -53,18 +58,14 @@ class WeightedGraph:
                 raise EdgeError(index, i, j, f"needs a positive finite weight, got {w}")
             cleaned.append((i, j, w))
         object.__setattr__(self, "edges", tuple(cleaned))
-
-
-def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Dense weighted Laplacian L = D - W of shape (n_nodes, n_nodes)."""
-    n = g.n_nodes
-    lap = np.zeros((n, n))
-    for i, j, w in g.edges:
-        lap[i, i] += w
-        lap[j, j] += w
-        lap[i, j] -= w
-        lap[j, i] -= w
-    return lap
+        lap = np.zeros((self.n_nodes, self.n_nodes))
+        for i, j, w in cleaned:
+            lap[i, i] += w
+            lap[j, j] += w
+            lap[i, j] -= w
+            lap[j, i] -= w
+        lap.flags.writeable = False
+        object.__setattr__(self, "laplacian", lap)
 
 
 def is_connected(g: WeightedGraph) -> bool:

@@ -386,7 +386,7 @@ def load_scenario(path) -> Scenario:
         topo_value, topo_line = ctrl_kv.get("comm_topology", ("same-as-grid", 0))
         topo = topo_value.strip()
         if topo == "same-as-grid":
-            comm = loaded.net.coupling_graph()
+            comm = loaded.net.coupling
         elif topo == "edges":
             comm = _edge_rows(path, sections.get("comm_edges", []), loaded.bus_ids, "comm_edges",
                               "weight", lambda edges: graphmod.WeightedGraph(n, edges))
@@ -502,7 +502,7 @@ def network_gamma_bar(loaded: LoadedNetwork, ctrl: ctrlmod.ControllerSpec, kp_so
     try:
         return analysismod.gamma_bar(loaded.net, ctrl)
     except OverflowError as exc:
-        lap_c = graphmod.laplacian(ctrl.comm)
+        lap_c = ctrl.comm.laplacian
         with np.errstate(over="ignore", invalid="ignore"):
             damping_finite = np.isfinite(loaded.net.damping[:, None] * lap_c).all()
             gains_finite = np.isfinite((loaded.net.damping + ctrl.kp)[:, None] * lap_c).all()
@@ -528,7 +528,7 @@ def _resolve_controller(scn: Scenario):
     else:
         gamma = float(scn.gamma_request)
     with np.errstate(over="ignore"):  # an infinite entry of the loop matrix breaks LAPACK
-        if not np.isfinite(gamma * graphmod.laplacian(scn.comm)).all():
+        if not np.isfinite(gamma * scn.comm.laplacian).all():
             raise ParseError(*scn.gamma_source, f"gamma = {gamma:g}: the product gamma Lc "
                              "overflows; the averaging gain is too large for the communication "
                              "weights")

@@ -41,6 +41,8 @@ class PowerNetwork:
     consuming bus) and may have any sign; all are finite.  lines holds
     (i, j, susceptance) with susceptance in siemens; it and the coupling
     |V_i||V_j| susceptance are positive and finite.  omega_ref is in rad/s.
+    coupling is the graph weighted by the electrical stiffness
+    k_ij = |V_i||V_j| b_ij, built while validating; its Laplacian is L_k.
     """
 
     inertia: np.ndarray
@@ -49,6 +51,7 @@ class PowerNetwork:
     power: np.ndarray
     lines: tuple = field(default_factory=tuple)
     omega_ref: float = 2.0 * np.pi * 50.0
+    coupling: graphmod.WeightedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arrays = {}
@@ -76,25 +79,19 @@ class PowerNetwork:
         if not graphmod.is_connected(topology):
             raise ValueError("transmission network must be connected")
         object.__setattr__(self, "lines", topology.edges)
+        v = arrays["voltage"].tolist()  # Python floats: an overflow gives inf without a warning
         try:
-            self.coupling_graph()
+            coupling = graphmod.WeightedGraph(
+                n, tuple((i, j, v[i] * v[j] * b) for i, j, b in topology.edges))
         except graphmod.EdgeError as exc:
             i, j, _ = topology.edges[exc.index]
             raise graphmod.EdgeError(exc.index, i, j, f"gives a coupling |V_i||V_j| b that "
                                      f"{exc.reason}") from exc
+        object.__setattr__(self, "coupling", coupling)
 
     @property
     def n_buses(self):
         return self.inertia.shape[0]
-
-    def coupling_graph(self) -> graphmod.WeightedGraph:
-        """Graph weighted by the electrical stiffness k_ij = |V_i||V_j| b_ij."""
-        v = self.voltage.tolist()  # Python floats: an overflow gives inf without a warning
-        return graphmod.WeightedGraph(self.n_buses,
-                                      tuple((i, j, v[i] * v[j] * b) for i, j, b in self.lines))
-
-    def coupling_laplacian(self) -> np.ndarray:
-        return graphmod.laplacian(self.coupling_graph())
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +153,9 @@ def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
     omega_ref + eta, and d carries the damping of omega_ref."""
     n = net.n_buses
     minv = 1.0 / net.inertia  # accelerations scale with inverse inertia
-    lap_k = net.coupling_laplacian()
     a = np.zeros((2 * n, 2 * n))
     a[:n, n:] = np.eye(n)
-    a[n:, :n] = -minv[:, None] * lap_k
+    a[n:, :n] = -minv[:, None] * net.coupling.laplacian
     a[n:, n:] = -np.diag(minv * net.damping)
     b = np.zeros((2 * n, n))
     b[n:, :] = np.diag(minv)
@@ -224,7 +220,7 @@ def close_loop(sys: LtiSystem, ctrl: ctrlmod.ControllerSpec) -> ClosedLoop:
         gain[:, zs] = np.diag(ctrl.ki)
         e[zs, :n] = -sys.c
         if ctrl.kind == ctrlmod.DIST_PI:
-            e[zs, zs] = -ctrl.gamma * graphmod.laplacian(ctrl.comm)
+            e[zs, zs] = -ctrl.gamma * ctrl.comm.laplacian
         forcing[zs] = -sys.eta
         layout["z"] = zs
     e[:n, :n] = sys.a

@@ -50,8 +50,24 @@ def random_dist_controller(rng, net, gamma=None):
         kp=rng.uniform(0.5, 5.0, n),
         ki=rng.uniform(0.5, 5.0, n),
         gamma=gamma,
-        comm=net.coupling_graph(),
+        comm=net.coupling,
     )
+
+
+def random_wide_gain_loop(rng):
+    """A random_network draw whose bus parameters and gains span decades,
+    with the coupling graph for communication: (net, DIST_PI controller).
+
+    inertia 10^U(-1, 1.5), damping 10^U(-2, 1), kp 10^U(-3, 1) and ki
+    10^U(-2, 4).  Unlike random_dist_controller's gains, these can give
+    loops that are unstable on some range of gamma.
+    """
+    net = random_network(rng)
+    n = net.n_buses
+    net = replace(net, inertia=10 ** rng.uniform(-1, 1.5, n), damping=10 ** rng.uniform(-2, 1, n))
+    ctrl = gridpi.ControllerSpec(gridpi.DIST_PI, kp=10 ** rng.uniform(-3, 1, n),
+                                 ki=10 ** rng.uniform(-2, 4, n), comm=net.coupling)
+    return net, ctrl
 
 
 def two_bus_network(power=(0.0, 0.0)):

@@ -115,10 +115,10 @@ def test_criterion_4_steady_frequency_offset_equals_mean_bias(report):
     net = load_network(bundled("net5ring.grid")).net
     n = net.n_buses
     probe = ControllerSpec(kind=DIST_PI, kp=np.full(n, 100.0), ki=np.full(n, 5000.0),
-                           gamma=None, comm=net.coupling_graph())
+                           gamma=None, comm=net.coupling)
     gamma = gamma_bar(net, probe).gamma_bar / 2.0
     ctrl = ControllerSpec(kind=DIST_PI, kp=probe.kp, ki=probe.ki,
-                          gamma=gamma, comm=net.coupling_graph())
+                          gamma=gamma, comm=net.coupling)
     x0 = stationary_state(net, ctrl)
     worst = 0.0
     rng = np.random.default_rng(404)
@@ -152,7 +152,7 @@ def test_criterion_5_single_marginal_mode_below_the_bound(report):
         for frac in (0.1, 0.5, 0.99):
             loop = close_loop(swing_to_lti(net), ControllerSpec(
                 kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki,
-                gamma=frac * bound.gamma_bar, comm=net.coupling_graph()))
+                gamma=frac * bound.gamma_bar, comm=net.coupling))
             e = loop.system_matrix
             values, vectors = np.linalg.eig(e)
             small = np.abs(values) < 1.0e-8 * np.linalg.norm(e, 2)
@@ -255,10 +255,10 @@ def test_criterion_8_cost_weighted_sharing_in_prediction_and_simulation(report):
         cost = rng.uniform(1.0e-4, 5.0e-4, n)
         ki = 1.0 / cost
         probe = ControllerSpec(kind=DIST_PI, kp=np.full(n, 100.0), ki=ki,
-                               gamma=None, comm=net.coupling_graph(), cost=cost)
+                               gamma=None, comm=net.coupling, cost=cost)
         gamma = gamma_bar(net, probe).gamma_bar / 2.0
         ctrl = ControllerSpec(kind=DIST_PI, kp=probe.kp, ki=ki,
-                              gamma=gamma, comm=net.coupling_graph(), cost=cost)
+                              gamma=gamma, comm=net.coupling, cost=cost)
 
         # the prediction: the loop's control law at the stationary point after the step
         loop = close_loop(swing_to_lti(stepped), ctrl)
@@ -280,7 +280,7 @@ def test_criterion_8_cost_weighted_sharing_in_prediction_and_simulation(report):
 def test_criterion_9_integrator_shows_fourth_order_convergence(report):
     net = load_network(bundled("net2.grid")).net
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                          gamma=0.25, comm=net.coupling_graph())
+                          gamma=0.25, comm=net.coupling)
     loop = close_loop(swing_to_lti(net), ctrl)
     dim = loop.dim
     aug = np.zeros((dim + 1, dim + 1))

@@ -30,7 +30,7 @@ from gridpi import (
 )
 from gridpi.analysis import _SEARCH_REL_TOL, STABILITY_TOL, unobservable_subspace
 from gridpi.numerics import RANK_REL_TOL
-from support import (bundled, random_dist_controller, random_network,
+from support import (bundled, random_dist_controller, random_network, random_wide_gain_loop,
                      reference_gamma_star_search, two_bus_network)
 
 
@@ -161,7 +161,7 @@ def test_unobservable_subspace_matches_the_residual_search_on_swing_loops(factor
         ctrl = random_dist_controller(rng, net)
         gamma = factor * gamma_bar(net, ctrl).gamma_bar
         cl = close_loop(swing_to_lti(net), ControllerSpec(
-            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling_graph()))
+            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling))
         e, c = cl.system_matrix, cl.output_selector
         basis, comp = unobservable_subspace(e, c)
         _assert_same_subspace(basis, _residual_subspace(e, c))
@@ -221,7 +221,7 @@ def test_distributed_pi_loop_has_single_marginal_mode():
     bound = gamma_bar(net, ctrl)
     cl = close_loop(swing_to_lti(net), ControllerSpec(
         kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki,
-        gamma=0.5 * bound.gamma_bar, comm=net.coupling_graph()))
+        gamma=0.5 * bound.gamma_bar, comm=net.coupling))
     report = output_stability_check(cl)
     assert report.output_stable
     assert len(report.zero_modes) == 1
@@ -274,7 +274,7 @@ def test_block_split_gives_the_per_mode_verdicts_on_distributed_loops(factor):
         ctrl = random_dist_controller(rng, net)
         gamma = factor * gamma_bar(net, ctrl).gamma_bar
         cl = close_loop(swing_to_lti(net), ControllerSpec(
-            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling_graph()))
+            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling))
         assert _classified(cl) == _per_mode_classifier(cl)
 
 
@@ -313,7 +313,7 @@ def test_uniform_angle_mode_stays_unobservable_among_slow_consensus_modes():
         ctrl = random_dist_controller(rng, net)
         gamma = 1.0e-6 * gamma_bar(net, ctrl).gamma_bar
         cl = close_loop(swing_to_lti(net), ControllerSpec(
-            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling_graph()))
+            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling))
         uniform = np.zeros(cl.dim)
         uniform[cl.state_layout["delta"]] = 1.0 / math.sqrt(net.n_buses)
         basis, _ = unobservable_subspace(cl.system_matrix, cl.output_selector)
@@ -338,7 +338,7 @@ def test_any_gamma_below_the_bound_is_output_stable(seed, frac):
     bound = gamma_bar(net, ctrl).gamma_bar
     assume(math.isfinite(bound))
     cl = close_loop(swing_to_lti(net), ControllerSpec(
-        kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=frac * bound, comm=net.coupling_graph()))
+        kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=frac * bound, comm=net.coupling))
     report = output_stability_check(cl)
     assert report.output_stable
     assert len(report.zero_modes) == 1
@@ -353,7 +353,7 @@ def test_gamma_bar_on_the_unit_pair_is_one_half():
     # kappa1 = 1, kappa2 = 2, sigma = min(m) * lammax(Lk^2) = 4, alpha = beta = 0
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                          gamma=None, comm=net.coupling_graph())
+                          gamma=None, comm=net.coupling)
     bound = gamma_bar(net, ctrl)
     assert_allclose(bound.gamma_bar, 0.5, rtol=1e-12)
     assert bound.alpha == 0.0
@@ -367,9 +367,9 @@ def test_gamma_bar_scales_out_uniform_gain_growth():
     # coupling term stays put; the bound must grow
     net = two_bus_network()
     small = gamma_bar(net, ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                                          gamma=None, comm=net.coupling_graph()))
+                                          gamma=None, comm=net.coupling))
     big = gamma_bar(net, ControllerSpec(kind=DIST_PI, kp=np.full(2, 10.0), ki=np.full(2, 10.0),
-                                        gamma=None, comm=net.coupling_graph()))
+                                        gamma=None, comm=net.coupling))
     assert big.gamma_bar > 10.0 * small.gamma_bar
 
 
@@ -397,7 +397,7 @@ def test_gamma_bar_below_the_smallest_normal_float_is_zero():
     net = two_bus_network()
     for ki, expected in ((1e-320, 0.0), (1e-310, 0.0), (1e-290, 5e-291)):
         ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.full(2, ki),
-                              gamma=None, comm=net.coupling_graph())
+                              gamma=None, comm=net.coupling)
         assert_allclose(gamma_bar(net, ctrl).gamma_bar, expected, rtol=1e-12, atol=0.0)
 
 
@@ -426,7 +426,7 @@ def test_empirical_threshold_sits_above_the_bound():
     # (49999975.2 against 49999904, 1.4e-6 apart), outside _SEARCH_REL_TOL.
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                          gamma=None, comm=net.coupling_graph())
+                          gamma=None, comm=net.coupling)
     bound = gamma_bar(net, ctrl)
     threshold = gamma_star_search(net, ctrl)
     assert threshold > bound.gamma_bar
@@ -458,7 +458,7 @@ def test_gamma_star_search_splits_again_when_the_first_split_is_not_invariant(mo
     net = gridpi.load_network(bundled("net30.grid")).net
     n = net.n_buses
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(n), ki=np.ones(n), gamma=None,
-                          comm=net.coupling_graph())
+                          comm=net.coupling)
     columns = []
 
     def split(*args, **kwargs):
@@ -487,6 +487,23 @@ def test_gamma_star_search_agrees_with_bisection_on_full_checks():
         assert output_stability_check(cl).output_stable
 
 
+def test_gamma_star_search_answers_only_where_gamma_bar_passes():
+    # 28 of these wide-gain loops fail the check already at gamma_bar; a
+    # search that probed start only when no rung passed gave them thresholds
+    rng = np.random.default_rng(3)
+    answered = 0
+    for _ in range(60):
+        net, ctrl = random_wide_gain_loop(rng)
+        try:
+            gamma_star_search(net, ctrl)
+        except ValueError:
+            continue
+        answered += 1
+        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=gamma_bar(net, ctrl).gamma_bar))
+        assert output_stability_check(cl).output_stable
+    assert 0 < answered < 60
+
+
 def _record_probes(monkeypatch, margin=None):
     """Wrap the search's probe rule; returns the list of each probe's scale."""
     scales, real = [], gridpi.analysis._observable_margin
@@ -500,8 +517,8 @@ def _record_probes(monkeypatch, margin=None):
 
 
 def test_gamma_star_search_takes_at_most_14_probes(monkeypatch):
-    # bisecting the ladder brackets these crossings in 3 probes; the secant
-    # on gamma needs 4 or 5 more
+    # start and 3 probes of the bisected ladder bracket these crossings; the
+    # secant on gamma needs 4 or 5 more
     rng = np.random.default_rng(2024)
     for _ in range(12):
         net = random_network(rng)
@@ -521,40 +538,40 @@ def _two_bus_ladder():
     probe at start * 2**k as a function of k."""
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                          gamma=None, comm=net.coupling_graph())
+                          gamma=None, comm=net.coupling)
     start = gamma_bar(net, ctrl).gamma_bar
     return net, ctrl, start, lambda k: _scale_at(net, ctrl, math.ldexp(start, k))
 
 
 def test_gamma_star_search_without_a_crossing_takes_3_probes(monkeypatch):
-    # the ladder is start * 2**k for k = 0, 1, 3, 7, 15, 31, 63, 80; with no
-    # crossing the bisection probes 15, 63 and 80, and never start
+    # the ladder is start * 2**k for k = 0, 1, 3, 7, 15, 31, 63, 80; start is
+    # probed first, and with no crossing the bisection takes 3 probes: 15, 63, 80
     net, ctrl, _, scale_at = _two_bus_ladder()
     scales = _record_probes(monkeypatch, lambda seen, scale: -1.0)
     assert gamma_star_search(net, ctrl) == math.inf
-    assert scales == [scale_at(k) for k in (15, 63, 80)]
+    assert scales == [scale_at(k) for k in (0, 15, 63, 80)]
 
 
 def test_gamma_star_search_probes_start_last(monkeypatch):
-    # a loop that fails everywhere: rungs 15, 3 and 1 fail, and only then is
-    # start probed, which fails too
+    # a loop that fails everywhere: start is probed first, and also last,
+    # because its failure ends the search before any rung is probed
     net, ctrl, _, scale_at = _two_bus_ladder()
     scales = _record_probes(monkeypatch, lambda seen, scale: 1.0)
     with pytest.raises(ValueError, match="already fails the eigenvalue check at gamma = "):
         gamma_star_search(net, ctrl)
-    assert scales == [scale_at(k) for k in (15, 3, 1, 0)]
+    assert scales == [scale_at(0)]
 
 
 def test_gamma_star_search_caps_the_exponent(monkeypatch):
     # a crossing between start * 2**69 and start * 2**70: the ladder's step
-    # from 63 overshoots 80, so its top rung is k = 80, and the bisection
-    # probes 15, 63 and 80 and narrows (2**63, 2**80]
+    # from 63 overshoots 80, so its top rung is k = 80; after start the
+    # bisection probes 15, 63 and 80 and narrows (2**63, 2**80]
     net, ctrl, start, scale_at = _two_bus_ladder()
     crossing = scale_at(70)
     scales = _record_probes(monkeypatch, lambda seen, scale: -1.0 if scale < crossing else 1.0)
     threshold = gamma_star_search(net, ctrl)
     assert math.ldexp(start, 69) <= threshold < math.ldexp(start, 70)
-    assert scales[:3] == [scale_at(k) for k in (15, 63, 80)]
+    assert scales[:4] == [scale_at(k) for k in (0, 15, 63, 80)]
     assert max(scales) == scale_at(80)
 
 
@@ -577,10 +594,10 @@ def test_gamma_star_search_secant_lands_on_an_affine_crossing(monkeypatch, k):
     scales = _record_probes(monkeypatch, margin)
     threshold = gamma_star_search(net, ctrl)
     assert crossing * (1.0 - _SEARCH_REL_TOL) <= threshold < crossing
-    # the rung probes come first: 15, then two of 3, 7, 31 and 63
-    assert scales[0] == scale_at(15)
-    assert all(scale in [scale_at(j) for j in (3, 7, 31, 63)] for scale in scales[1:3])
-    assert len(margins) - 3 <= 4
+    # start and the rung probes come first: 0, 15, then two of 3, 7, 31 and 63
+    assert scales[:2] == [scale_at(0), scale_at(15)]
+    assert all(scale in [scale_at(j) for j in (3, 7, 31, 63)] for scale in scales[2:4])
+    assert len(margins) - 4 <= 4
     assert (0.0 in margins) == (k == 45.2)
 
 
@@ -593,7 +610,7 @@ def test_cubic_coefficients_match_their_quadratic_forms():
     net = random_network(rng)
     n = net.n_buses
     ctrl = random_dist_controller(rng, net, gamma=0.7)
-    lk = net.coupling_laplacian()
+    lk = net.coupling.laplacian
     lc = lk
     x = rng.normal(size=n)
     a3, a2, a1, a0 = stability_cubic(net, ctrl, 0.7, x)
@@ -612,11 +629,11 @@ def test_cubic_roots_are_loop_eigenvalues_on_uniform_networks():
                        lines=((0, 1, 2e-6), (1, 2, 2e-6), (0, 2, 2e-6)))
     gamma = 0.3
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.full(3, 1.5), ki=np.full(3, 2.0),
-                          gamma=gamma, comm=net.coupling_graph())
+                          gamma=gamma, comm=net.coupling)
     cl = close_loop(swing_to_lti(net), ctrl)
     loop_eigs = np.linalg.eigvals(cl.system_matrix)
 
-    lam, vecs = np.linalg.eigh(net.coupling_laplacian())
+    lam, vecs = np.linalg.eigh(net.coupling.laplacian)
     for k in range(3):
         x = vecs[:, k]
         a3, a2, a1, a0 = stability_cubic(net, ctrl, gamma, x)
@@ -734,6 +751,6 @@ def test_prediction_requires_distributed_kind_and_gamma():
     with pytest.raises(ValueError):
         stationary_state(net, ControllerSpec(kind=P, kp=np.ones(2)), eta=eta)
     open_gamma = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                                gamma=None, comm=net.coupling_graph())
+                                gamma=None, comm=net.coupling)
     with pytest.raises(ValueError):
         stationary_state(net, open_gamma, eta=eta)

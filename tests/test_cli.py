@@ -59,6 +59,18 @@ POSITIVE = "values must be strictly positive"
 # every coupling near 2e299 W/rad: finite, but products of two of them overflow
 COUPLING_1E150 = (("net5ring.grid", r"^voltage_kv = 10\.0$", "voltage_kv = 1e150"),)
 LOAD_1E12 = ring(r"^1\.0 2 100\.0$", "1.0 2 1e12")
+# draw 3 of support.random_wide_gain_loop at default_rng(3), and its gains
+WIDE3 = (("wide3.grid", None, "schema = 1\n[defaults]\nvoltage_kv = 1.0\n[buses]\n"
+          "1 inertia=0.7788050516484665 damping=7.714950502212401 load_kw=-0.03692156570936095\n"
+          "2 inertia=6.269996892196494 damping=0.025528942155606263 load_kw=-0.3576882934374721\n"
+          "3 inertia=0.15647494980591667 damping=0.022188734727600804 load_kw=-0.1400189912242148\n"
+          "4 inertia=14.658791898004662 damping=4.809119511003307 load_kw=-0.14347245413602638\n"
+          "5 inertia=15.514035490203186 damping=0.15972621473257692 load_kw=0.10905121101698655\n"
+          "[lines]\n1 2 3.587679325933291e-06\n1 4 3.0244038995219727e-06\n"
+          "2 3 3.4868436356957395e-06\n4 5 4.443939063759741e-06\n"),)
+WIDE3_GAINS = ("--kp 0.012062664712935744,0.03379548209613433,0.4345258002212354,"
+               "0.004425624710015177,0.08884961814982095 --ki 91.26504773544563,"
+               "211.170387728031,0.011846100331848937,733.4635730582642,4.027889955884952")
 BUS3 = (("bus3.grid", None, "schema = 1\n[defaults]\ninertia = 2.0\ndamping = 0.5\n"
          "voltage_kv = 10.0\n[buses]\n1\n2\n3\n[lines]\n1 2 2.0e-7\n2 3 2.0e-7\n"),)
 
@@ -89,6 +101,16 @@ CASES = [
     # there is no conservatism ratio, and the threshold is the last line
     Case("spectral-without-a-crossing", f"gamma-bound {NET5} --kp 1e300 --ki 1e-300 --spectral",
          0, out=r".*\neigenvalue-based threshold ~= inf\n"),
+    # the loop fails the check already at gamma_bar: the search skipped start
+    # and printed "eigenvalue-based threshold ~= 0.424920613" with exit 0
+    Case("spectral-fails-at-gamma-bar", f"gamma-bound wide3.grid {WIDE3_GAINS} --spectral", 2,
+         "error: wide3.grid: closed loop already fails the eigenvalue check at gamma = "
+         "2.72654572e-05\n", edits=WIDE3),
+    # the search's refusal came after "gamma_bar = 324463.042" on stdout, and
+    # named no file
+    Case("spectral-refusal-prints-nothing", f"gamma-bound {NET5} --kp 1 --ki 1e10 --spectral", 2,
+         "error: {data}/net5ring.grid: closed loop already fails the eigenvalue check at "
+         "gamma = 324463.042\n"),
     # a missing file, a grid given as a scenario, a network that cannot be
     # read (at the scenario line that names it) and an unsupported schema
     Case("scenario-missing", "simulate nope.scn", 2,

@@ -13,7 +13,6 @@ from gridpi import (
     LtiSystem,
     WeightedGraph,
     close_loop,
-    laplacian,
 )
 
 PAIR = WeightedGraph(2, ((0, 1, 1.0),))

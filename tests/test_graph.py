@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gridpi import WeightedGraph, is_connected, laplacian
+from gridpi import WeightedGraph, is_connected
 
 
 def test_path_laplacian_matches_hand_computation():
@@ -14,14 +14,17 @@ def test_path_laplacian_matches_hand_computation():
         [-1.0, 2.0, -1.0],
         [0.0, -1.0, 1.0],
     ])
-    assert_allclose(laplacian(g), expected)
+    assert_allclose(g.laplacian, expected)
     # eigenvalues of the unit path on three nodes
-    assert_allclose(np.linalg.eigvalsh(laplacian(g)), [0.0, 1.0, 3.0], atol=1e-12)
+    assert_allclose(np.linalg.eigvalsh(g.laplacian), [0.0, 1.0, 3.0], atol=1e-12)
+    # built once with the graph, so no caller may change it
+    with pytest.raises(ValueError, match="read-only"):
+        g.laplacian[0, 0] = 5.0
 
 
 def test_weights_enter_linearly():
     g = WeightedGraph(2, ((0, 1, 2.5),))
-    assert_allclose(laplacian(g), [[2.5, -2.5], [-2.5, 2.5]])
+    assert_allclose(g.laplacian, [[2.5, -2.5], [-2.5, 2.5]])
 
 
 def test_laplacian_structural_properties():
@@ -39,7 +42,7 @@ def test_laplacian_structural_properties():
             if i != j and (min(i, j), max(i, j)) not in seen:
                 seen.add((min(i, j), max(i, j)))
                 edges.append((min(i, j), max(i, j), float(rng.uniform(0.1, 4.0))))
-        lap = laplacian(WeightedGraph(n, tuple(edges)))
+        lap = WeightedGraph(n, tuple(edges)).laplacian
         assert_allclose(lap, lap.T)
         assert_allclose(lap @ np.ones(n), np.zeros(n), atol=1e-12)
         assert np.linalg.eigvalsh(lap)[0] > -1e-10  # positive semidefinite

@@ -17,7 +17,6 @@ from support import (BUS_KEYS, bundled, frequencies_hz, random_network, read_tra
                      scenario_inputs, write_network_file, write_scenario_file)
 
 TWO_PI = 2.0 * np.pi
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(path, text):
@@ -78,7 +77,7 @@ def test_network_defaults_overrides_and_unit_conversions(tmp_path):
     assert_allclose(net.power, [0.0, -4.0e4, 0.0])           # 40 kW load -> -40 kW net
     assert_allclose(net.omega_ref, TWO_PI * 50.0)
     # coupling: (1e4)^2 * 2e-7 = 20 W/rad
-    assert_allclose(net.coupling_laplacian()[0, 1], -20.0)
+    assert_allclose(net.coupling.laplacian[0, 1], -20.0)
 
 
 def test_bundled_networks_load():
@@ -87,7 +86,7 @@ def test_bundled_networks_load():
         assert loaded.net.n_buses == buses
     net30 = load_network(bundled("net30.grid")).net
     # every nonzero Laplacian eigenvalue of the complete uniform graph is n*k
-    eigs = np.linalg.eigvalsh(net30.coupling_laplacian())
+    eigs = np.linalg.eigvalsh(net30.coupling.laplacian)
     assert_allclose(eigs[1:], eigs[-1], rtol=1e-9)
 
 
@@ -400,7 +399,7 @@ def test_random_scenarios_round_trip_through_the_file_format(tmp_path):
             assert scn.ki is None and scn.cost is None
         if kind == gridpi.DIST_PI:
             assert scn.gamma_request == gamma
-            want = net.coupling_graph().edges if comm_edges is None else tuple(comm_edges)
+            want = net.coupling.edges if comm_edges is None else tuple(comm_edges)
             assert scn.comm.edges == want
         else:
             assert scn.gamma_request is None and scn.comm is None
@@ -575,11 +574,9 @@ def test_proportional_trace_has_no_integrator_columns(tmp_path):
 # command line
 # ---------------------------------------------------------------------------
 
-# the tests below up to the spectral pin check in process what a row of
-# test_cli.py's table checks: the golden tests are the analyze-<name> and
-# simulate-<name> rows, and the two quiet_scenario tests check on a minimal
-# grid what simulate-ring_share and analyze-dec30_bias check on the bundled
-# data; their ids are retired a few per change (ROADMAP item 11)
+# the two tests below check in process, on a minimal grid, what the rows
+# simulate-ring_share and analyze-dec30_bias of test_cli.py's table check on
+# the bundled data; their ids are retired a few per change (ROADMAP item 11)
 
 def test_cli_simulate_quiet(tmp_path, capsys):
     scn_path = quiet_scenario(tmp_path)
@@ -597,28 +594,6 @@ def test_cli_analyze_negative_verdict_exits_one(tmp_path, capsys):
     assert code == 1
     assert "rank test" in out
     assert "verdict: negative" in out
-
-
-@pytest.mark.parametrize("name, status", [
-    ("ring_share", 0), ("dist30_step", 0), ("dec30_bias", 1),
-])
-def test_cli_analyze_output_of_the_bundled_scenarios_is_pinned(capsys, name, status):
-    # the README quotes these lines; tests/golden holds them byte for byte
-    code = cli_main(["analyze", bundled(f"{name}.scn")])
-    golden = (GOLDEN / f"analyze_{name}.txt").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == golden
-    assert code == status
-
-
-@pytest.mark.parametrize("name, status", [
-    ("ring_share", 0), ("dist30_step", 0), ("dec30_bias", 1),
-])
-def test_cli_simulate_output_of_the_bundled_scenarios_is_pinned(capsys, name, status):
-    # stdout of the whole run: analysis, final frequencies and the settling verdict
-    code = cli_main(["simulate", bundled(f"{name}.scn"), "--output", ""])
-    golden = (GOLDEN / f"simulate_{name}.txt").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == golden
-    assert code == status
 
 
 @pytest.mark.parametrize("grid, kp, ki, threshold", [

@@ -65,7 +65,7 @@ def test_coupling_weights_scale_with_voltages_and_susceptance():
                        voltage=np.array([2.0e3, 5.0e2]), power=np.zeros(2),
                        lines=((0, 1, 3.0e-6),))
     # k_12 = |V_1||V_2| b_12 = 2000 * 500 * 3e-6 = 3
-    assert_allclose(net.coupling_laplacian(), [[3.0, -3.0], [-3.0, 3.0]])
+    assert_allclose(net.coupling.laplacian, [[3.0, -3.0], [-3.0, 3.0]])
 
 
 def test_swing_lti_assembly():
@@ -117,7 +117,7 @@ def test_uniform_rotation_is_invariant_for_all_kinds():
         ControllerSpec(kind=P, kp=np.ones(2)),
         ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)),
         ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                       gamma=0.3, comm=net.coupling_graph()),
+                       gamma=0.3, comm=net.coupling),
     ]
     for ctrl in controllers:
         cl = close_loop(sys, ctrl)
@@ -133,7 +133,7 @@ def test_deviation_forcing_rows():
     eta = np.array([0.05, -0.02])
     kp = np.array([3.0, 7.0])
     ctrl = ControllerSpec(kind=DIST_PI, kp=kp, ki=np.ones(2), gamma=0.4,
-                          comm=net.coupling_graph())
+                          comm=net.coupling)
     cl = close_loop(swing_to_lti(net, eta=eta), ctrl)
     omega_rows = (net.power - net.damping * net.omega_ref - kp * eta) / net.inertia
     assert_allclose(cl.forcing_dev[cl.state_layout["delta"]], np.zeros(2), atol=1e-12)
@@ -147,11 +147,11 @@ def test_distributed_loop_reduces_to_decentralized_without_averaging():
     dec = close_loop(sys, ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)))
     gamma = 0.7
     dist = close_loop(sys, ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
-                                          gamma=gamma, comm=net.coupling_graph()))
+                                          gamma=gamma, comm=net.coupling))
     diff = dist.system_matrix - dec.system_matrix
     zs = dist.state_layout["z"]
     expected = np.zeros_like(diff)
-    expected[zs, zs] = -gamma * net.coupling_laplacian()
+    expected[zs, zs] = -gamma * net.coupling.laplacian
     assert_allclose(diff, expected, atol=1e-14)
     assert_allclose(dist.forcing_dev, dec.forcing_dev)
 
@@ -251,7 +251,7 @@ def test_schedule_validation():
         simulate_schedule([(0.5, cl)], 1.0)  # must start at zero
     with pytest.raises(ValueError):
         simulate_schedule([(0.0, cl), (0.7, cl), (0.3, cl)], 1.0)  # unsorted
-    dist = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2), comm=net.coupling_graph())
+    dist = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2), comm=net.coupling)
     loops = [close_loop(swing_to_lti(net), replace(dist, gamma=g)) for g in (0.5, 0.8)]
     with pytest.raises(ValueError, match="share one closed loop"):
         simulate_schedule([(0.0, loops[0]), (0.5, loops[1])], 1.0)  # different gamma
