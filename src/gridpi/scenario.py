@@ -695,10 +695,11 @@ def _atomic_write(path, payload):
         with os.fdopen(handle, "w", encoding="utf-8") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(f"cannot write the trace to {path}: {exc.strerror}") from exc
+    finally:  # after a rename there is no tmp left
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,

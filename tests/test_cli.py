@@ -222,6 +222,11 @@ CASES = [
       for suffix, argv, grid in [("", "gamma-bound net5ring.grid --kp 1 --ki 1", "net5ring.grid"),
                                  ("-analyze", "analyze ring_share.scn", "{tmp}/net5ring.grid"),
                                  ("-simulate", RUN, "{tmp}/net5ring.grid")]),
+    # an error inside the network file that a scenario names is reported at
+    # its own file and line, not at the scenario's network line
+    Case("network-file-error-analyze", "analyze ring_share.scn", 2,
+         "error: {tmp}/net5ring.grid:{line}: inertia of bus 1 must be positive\n",
+         edits=(("net5ring.grid", r"^inertia = 10\.0$", "inertia = -1"),)),
     # it leaked "RuntimeWarning: overflow encountered in matmul"
     Case("inertia-product-overflows", "gamma-bound net5ring.grid --kp 1 --ki 1", 2,
          "error: net5ring.grid: the product M^-1 Lc overflows; the inertias are too large for "

@@ -55,25 +55,6 @@ def test_connectivity():
     assert not is_connected(WeightedGraph(2, ()))
 
 
-def test_edge_validation():
-    with pytest.raises(ValueError):
-        WeightedGraph(2, ((0, 0, 1.0),))  # self loop
-    with pytest.raises(ValueError):
-        WeightedGraph(2, ((0, 2, 1.0),))  # endpoint out of range
-    with pytest.raises(ValueError):
-        WeightedGraph(2, ((0, 1, 0.0),))  # weight must be positive
-    with pytest.raises(ValueError):
-        WeightedGraph(2, ((0, 1, -1.0),))
-    with pytest.raises(ValueError):
-        WeightedGraph(2, ((0, 1, np.inf),))  # weight must be finite
-    with pytest.raises(ValueError):
-        WeightedGraph(2, ((0, 1, np.nan),))
-    with pytest.raises(ValueError):
-        WeightedGraph(3, ((0, 1, 1.0), (1, 0, 2.0)))  # duplicate pair
-    with pytest.raises(ValueError):
-        WeightedGraph(0, ())
-
-
 def test_n_edges():
     g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
     assert len(g.edges) == 2
