@@ -92,12 +92,35 @@ def test_bundled_networks_load():
     assert_allclose(eigs[1:], eigs[-1], rtol=1e-9)
 
 
+def refusal(load, path):
+    """The whole message with which load refuses the file at path."""
+    with pytest.raises(ParseError) as err:
+        load(path)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("mutation, lineno", [
+    ("schema = 1", None),   # the header dropped
+    ("schema = 2", 1),      # an unsupported version, named at its line
+    ("1 2 2.0e-7", None),   # the header moved below this [lines] row is no header
+])
+def test_schema_is_checked(tmp_path, mutation, lineno):
+    text = MINIMAL_GRID.replace("schema = 1\n", "schema = 2\n" if lineno else "")
+    if mutation == "1 2 2.0e-7":
+        text = text.replace(mutation, mutation + "\nschema = 1")
+    where = str(tmp_path / "bad.grid") + (f":{lineno}" if lineno else "")
+    reason = ("unsupported schema version '2' (this build reads 1)" if lineno
+              else "missing schema header (expected 'schema = 1')")
+    assert refusal(load_network, write(tmp_path / "bad.grid", text)) == f"{where}: {reason}"
+
+
+def test_parse_errors_carry_file_and_line(tmp_path):
+    text = MINIMAL_GRID.replace("2 3 2.0e-7", "2 9 2.0e-7")
+    assert (refusal(load_network, write(tmp_path / "bad.grid", text))
+            == f"{tmp_path / 'bad.grid'}:15: lines: unknown bus id 9")
+
+
 @pytest.mark.parametrize("before, after, needle", [
-    ("schema = 1\n", "", "bad.grid: missing schema header (expected 'schema = 1')"),
-    ("schema = 1", "schema = 2",
-     "bad.grid:1: unsupported schema version '2' (this build reads 1)"),
-    ("2 3 2.0e-7", "2 9 2.0e-7", "bad.grid:15: lines: unknown bus id 9"),
-    ("inertia = 2.0\n", "", "bad.grid:9: bus 1 is missing 'inertia' (no default given)"),
     ("2 load_kw=40.0", "2 load_kw=forty", "expected a number"),
     ("2 load_kw=40.0", "1 load_kw=40.0", "duplicate bus id"),
     ("2 load_kw=40.0", "2 color=red", "unknown bus field"),
@@ -144,6 +167,12 @@ def test_network_diagnostics(tmp_path, before, after, needle):
         load_network(write(tmp_path / "bad.grid", MINIMAL_GRID.replace(before, after)))
     assert str(err.value).startswith(str(tmp_path / "bad.grid"))
     assert needle in str(err.value)
+
+
+def test_missing_bus_value_without_default(tmp_path):
+    text = MINIMAL_GRID.replace("inertia = 2.0\n", "")
+    assert (refusal(load_network, write(tmp_path / "bad.grid", text))
+            == f"{tmp_path / 'bad.grid'}:9: bus 1 is missing 'inertia' (no default given)")
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +275,6 @@ def test_bundled_scenarios_load():
     ("4.0 3 -12.5", "4.0 3", "bad.scn:15: expected: <time_s> <bus id> <load_delta_kw>"),
     ("2 0.01", "2", "bad.scn:17: expected: <bus id> <eta_hz>"),
     ("horizon_s = 20.0", "horizon_s = 0", "bad.scn:4: horizon_s must be positive"),
-    ("ki = 4.0", "ki = 4.0\ncost_coeffs = 0.25",
-     "bad.scn:9: give either ki or cost_coeffs, not both"),
-    ("kind = dist_pi", "kind = dec_pi", "bad.scn:9: gamma only applies to the dist_pi kind"),
 ], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
         "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
         "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
@@ -257,7 +283,7 @@ def test_bundled_scenarios_load():
         "noise-beyond-nominal", "noise-at-nominal", "noise-at-minus-nominal",
         "load-overflow", "summed-load-overflow", "noise-duplicate", "cost-reciprocal-overflow",
         "no-network", "no-kind", "no-kp", "no-ki", "short-disturbance", "short-noise",
-        "zero-horizon", "ki-and-cost", "dec-pi-with-gamma"])
+        "zero-horizon"])
 def test_scenario_diagnostics(tmp_path, before, after, needle):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     base = """\
@@ -283,6 +309,16 @@ comm_topology = edges
         load_scenario(write(tmp_path / "bad.scn", base.replace(before, after)))
     assert str(err.value).startswith(str(tmp_path / "bad.scn"))
     assert needle in str(err.value)
+
+
+def test_ki_and_cost_are_mutually_exclusive(tmp_path):
+    scn_path = quiet_scenario(tmp_path, "cost_coeffs = 0.25", kind="dec_pi")
+    assert refusal(load_scenario, scn_path) == f"{scn_path}:11: give either ki or cost_coeffs, not both"
+
+
+def test_gamma_rejected_for_decentralized(tmp_path):
+    scn_path = quiet_scenario(tmp_path, "gamma = 0.5", kind="dec_pi")
+    assert refusal(load_scenario, scn_path) == f"{scn_path}:11: gamma only applies to the dist_pi kind"
 
 
 def _file_ids(rng, n):
@@ -523,6 +559,28 @@ def test_proportional_trace_has_no_integrator_columns(tmp_path):
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
+
+# the two tests below check in process, on a minimal grid, what the rows
+# simulate-ring_share and analyze-dec30_bias of test_cli.py's table check on
+# the bundled data (ROADMAP item 11)
+
+def test_cli_simulate_quiet(tmp_path, capsys):
+    scn_path = quiet_scenario(tmp_path)
+    code = cli_main(["simulate", scn_path])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "settled: yes" in out
+    assert "verdict: positive" in out
+
+
+def test_cli_analyze_negative_verdict_exits_one(tmp_path, capsys):
+    scn_path = quiet_scenario(tmp_path, kind="dec_pi")
+    code = cli_main(["analyze", scn_path])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "rank test" in out
+    assert "verdict: negative" in out
+
 
 @pytest.mark.parametrize("grid, kp, ki, threshold", [
     ("net30.grid", "1", "1", 0.0499495646),
