@@ -328,15 +328,13 @@ def stability_cubic(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
     return a3, a2, a1, a0
 
 
-def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
-                      bound: GammaBound) -> float:
+def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> float:
     """Empirical stability threshold in gamma: a bisected doubling ladder, then a secant.
 
     Comparison tool only: assumes a single stable-to-unstable crossing, so
     the eigenvalue check passes on the ladder gamma = start * 2**k, k = 0,
     1, 3, 7, ..., _MAX_DOUBLINGS, up to one rung and fails above it.
-    bound is gamma_bar(net, ctrl), which the caller has already computed;
-    start = bound.gamma_bar (1 unless it is positive and finite); a rung
+    start = gamma_bar (1 unless gamma_bar is positive and finite); a rung
     whose gamma or gamma L_c is not finite is left off.  start is probed
     first, and ValueError is raised if it fails.  A bisection then finds
     the first rung above start that fails (15, 63, 31 for a crossing
@@ -389,7 +387,7 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
         scale = _split_at(gamma)
         return _observable_margin(np.linalg.eigvals(split[0] - gamma * split[1]), scale)
 
-    gb = bound.gamma_bar
+    gb = gamma_bar(net, ctrl).gamma_bar
     start = gb if 0.0 < gb < math.inf else 1.0  # a gamma_bar of 0 would never grow
     # the rungs start * 2**k, k = 0, 1, 3, 7, ..., whose gamma and gamma L_c are finite
     ladder, k, g_max = [start], 1, float(np.max(np.abs(g)))

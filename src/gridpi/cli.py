@@ -119,7 +119,7 @@ def _cmd_gamma_bound(args):
     bound = scenariomod.network_gamma_bar(loaded, ctrl, (None, 0, "--kp"))
     if args.spectral:  # before the first line, so that a refusal prints nothing
         try:
-            gamma_star = analysismod.gamma_star_search(loaded.net, ctrl, bound)
+            gamma_star = analysismod.gamma_star_search(loaded.net, ctrl)
         except ValueError as exc:
             raise scenariomod.ParseError(args.network, 0, str(exc)) from exc
     print(f"network: {args.network} ({n} buses)")

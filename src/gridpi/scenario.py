@@ -38,6 +38,7 @@ DEFAULT_HORIZON = 200.0      # [s]
 DEFAULT_SETTLE_TOL = 1.0e-3  # [Hz]
 DEFAULT_OUTPUT_EVERY = 0.1   # [s] CSV decimation
 CSV_FORMAT = "%.17g"         # 17 significant digits round-trips float64
+_UNWRITABLE = "cannot write the trace to {}: {}"  # the CSV destination, and why
 
 
 class ParseError(ValueError):
@@ -679,26 +680,27 @@ def _check_destination(path):
     """Fail before any work, naming path, when a CSV cannot be written
     there: path is a directory, or its directory cannot be made or written."""
     if os.path.isdir(path) or path.endswith(os.sep):
-        raise IsADirectoryError(f"cannot write the trace to {path}: it names a directory")
+        raise IsADirectoryError(_UNWRITABLE.format(path, "it names a directory"))
     try:
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         with tempfile.TemporaryFile(dir=directory):
             pass
     except OSError as exc:
-        raise OSError(f"cannot write the trace to {path}: {exc.strerror}") from exc
+        raise OSError(_UNWRITABLE.format(path, exc.strerror)) from exc
 
 
 def _atomic_write(path, payload):
-    handle, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    tmp = None
     try:
+        handle, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(handle, "w", encoding="utf-8") as fh:
             fh.write(payload)
         os.replace(tmp, path)
     except OSError as exc:
-        raise OSError(f"cannot write the trace to {path}: {exc.strerror}") from exc
+        raise OSError(_UNWRITABLE.format(path, exc.strerror)) from exc
     finally:  # after a rename there is no tmp left
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 

@@ -402,7 +402,7 @@ def test_empirical_threshold_sits_above_the_bound():
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=None, comm=net.coupling)
     bound = gamma_bar(net, ctrl)
-    threshold = gamma_star_search(net, ctrl, bound)
+    threshold = gamma_star_search(net, ctrl)
     assert threshold > bound.gamma_bar
 
 
@@ -441,7 +441,7 @@ def test_gamma_star_search_splits_again_when_the_first_split_is_not_invariant(mo
         return basis, comp
 
     monkeypatch.setattr(gridpi.analysis, "unobservable_subspace", split)
-    threshold = gamma_star_search(net, ctrl, gamma_bar(net, ctrl))
+    threshold = gamma_star_search(net, ctrl)
     monkeypatch.undo()
     assert columns == [30, 1]
     for factor, stable in ((1.0, True), (1.0 + 2e-6, False)):
@@ -455,7 +455,7 @@ def test_gamma_star_search_agrees_with_bisection_on_full_checks():
         net = random_network(rng)
         ctrl = random_dist_controller(rng, net)
         reference = reference_gamma_star_search(net, ctrl)
-        threshold = gamma_star_search(net, ctrl, gamma_bar(net, ctrl))
+        threshold = gamma_star_search(net, ctrl)
         assert abs(threshold - reference) <= _SEARCH_REL_TOL * reference
         cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=threshold))
         assert output_stability_check(cl).output_stable
@@ -468,13 +468,12 @@ def test_gamma_star_search_answers_only_where_gamma_bar_passes():
     answered = 0
     for _ in range(60):
         net, ctrl = random_wide_gain_loop(rng)
-        bound = gamma_bar(net, ctrl)
         try:
-            gamma_star_search(net, ctrl, bound)
+            gamma_star_search(net, ctrl)
         except ValueError:
             continue
         answered += 1
-        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=bound.gamma_bar))
+        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=gamma_bar(net, ctrl).gamma_bar))
         assert output_stability_check(cl).output_stable
     assert 0 < answered < 60
 
@@ -499,7 +498,7 @@ def test_gamma_star_search_takes_at_most_14_probes(monkeypatch):
         net = random_network(rng)
         ctrl = random_dist_controller(rng, net)
         scales = _record_probes(monkeypatch)
-        assert math.isfinite(gamma_star_search(net, ctrl, gamma_bar(net, ctrl)))
+        assert math.isfinite(gamma_star_search(net, ctrl))
         assert len(scales) <= 14
 
 
@@ -509,31 +508,31 @@ def _scale_at(net, ctrl, gamma):
 
 
 def _two_bus_ladder():
-    """The unit two-bus loop, its gamma_bar bound, and the scale of the
-    probe at start * 2**k, start = bound.gamma_bar, as a function of k."""
+    """The unit two-bus loop, its start = gamma_bar, and the scale of the
+    probe at start * 2**k as a function of k."""
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=None, comm=net.coupling)
-    bound = gamma_bar(net, ctrl)
-    return net, ctrl, bound, lambda k: _scale_at(net, ctrl, math.ldexp(bound.gamma_bar, k))
+    start = gamma_bar(net, ctrl).gamma_bar
+    return net, ctrl, start, lambda k: _scale_at(net, ctrl, math.ldexp(start, k))
 
 
 def test_gamma_star_search_without_a_crossing_takes_3_probes(monkeypatch):
     # the ladder is start * 2**k for k = 0, 1, 3, 7, 15, 31, 63, 80; start is
     # probed first, and with no crossing the bisection takes 3 probes: 15, 63, 80
-    net, ctrl, bound, scale_at = _two_bus_ladder()
+    net, ctrl, _, scale_at = _two_bus_ladder()
     scales = _record_probes(monkeypatch, lambda seen, scale: -1.0)
-    assert gamma_star_search(net, ctrl, bound) == math.inf
+    assert gamma_star_search(net, ctrl) == math.inf
     assert scales == [scale_at(k) for k in (0, 15, 63, 80)]
 
 
 def test_gamma_star_search_probes_start_last(monkeypatch):
     # a loop that fails everywhere: start is probed first, and also last,
     # because its failure ends the search before any rung is probed
-    net, ctrl, bound, scale_at = _two_bus_ladder()
+    net, ctrl, _, scale_at = _two_bus_ladder()
     scales = _record_probes(monkeypatch, lambda seen, scale: 1.0)
     with pytest.raises(ValueError, match="already fails the eigenvalue check at gamma = "):
-        gamma_star_search(net, ctrl, bound)
+        gamma_star_search(net, ctrl)
     assert scales == [scale_at(0)]
 
 
@@ -541,11 +540,11 @@ def test_gamma_star_search_caps_the_exponent(monkeypatch):
     # a crossing between start * 2**69 and start * 2**70: the ladder's step
     # from 63 overshoots 80, so its top rung is k = 80; after start the
     # bisection probes 15, 63 and 80 and narrows (2**63, 2**80]
-    net, ctrl, bound, scale_at = _two_bus_ladder()
+    net, ctrl, start, scale_at = _two_bus_ladder()
     crossing = scale_at(70)
     scales = _record_probes(monkeypatch, lambda seen, scale: -1.0 if scale < crossing else 1.0)
-    threshold = gamma_star_search(net, ctrl, bound)
-    assert math.ldexp(bound.gamma_bar, 69) <= threshold < math.ldexp(bound.gamma_bar, 70)
+    threshold = gamma_star_search(net, ctrl)
+    assert math.ldexp(start, 69) <= threshold < math.ldexp(start, 70)
     assert scales[:4] == [scale_at(k) for k in (0, 15, 63, 80)]
     assert max(scales) == scale_at(80)
 
@@ -557,8 +556,8 @@ def test_gamma_star_search_secant_lands_on_an_affine_crossing(monkeypatch, k):
     # few steps after the bisection of the ladder brackets the crossing.  At
     # k = 45.2 the first step lands exactly on the crossing, a margin of 0
     # that fails: the search stops there and takes the final probe just below it.
-    net, ctrl, bound, scale_at = _two_bus_ladder()
-    crossing = bound.gamma_bar * 2.0 ** k
+    net, ctrl, start, scale_at = _two_bus_ladder()
+    crossing = start * 2.0 ** k
     scale_at_crossing = _scale_at(net, ctrl, crossing)
     margins = []
 
@@ -567,7 +566,7 @@ def test_gamma_star_search_secant_lands_on_an_affine_crossing(monkeypatch, k):
         return margins[-1]
 
     scales = _record_probes(monkeypatch, margin)
-    threshold = gamma_star_search(net, ctrl, bound)
+    threshold = gamma_star_search(net, ctrl)
     assert crossing * (1.0 - _SEARCH_REL_TOL) <= threshold < crossing
     # start and the rung probes come first: 0, 15, then two of 3, 7, 31 and 63
     assert scales[:2] == [scale_at(0), scale_at(15)]

@@ -26,18 +26,12 @@ class Refusal(NamedTuple):
     message: str
 
 
+NET = two_bus_network()
 PAIR = WeightedGraph(2, ((0, 1, 1.0),))
 DEC = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
 # gamma left open, as while a value is still being chosen
 DIST = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2), comm=PAIR)
 SCHEDULE_RULE = "schedule must start at t = 0 with strictly increasing times below t_end"
-
-
-def network(n=2, **changes):
-    """The unit PowerNetwork of n buses and the line 0-1, with some parameters changed."""
-    params = dict(inertia=np.ones(n), damping=np.ones(n), voltage=np.full(n, 1e3),
-                  power=np.zeros(n), lines=((0, 1, 1e-6),))
-    return PowerNetwork(**{**params, **changes})
 
 
 def lti(**changes):
@@ -52,7 +46,7 @@ def rk4(*schedule, matrix=np.eye(2), x0=np.zeros(2), t_end=1.0, h=0.1):
 
 def loop(ctrl=DEC, eta=None):
     """The closed loop of the unit two-bus network under ctrl."""
-    return close_loop(swing_to_lti(two_bus_network(), eta=eta), ctrl)
+    return close_loop(swing_to_lti(NET, eta=eta), ctrl)
 
 
 REFUSALS = [
@@ -68,27 +62,27 @@ REFUSALS = [
       for name, w in [("zero", 0.0), ("negative", -1.0), ("infinite", np.inf), ("nan", np.nan)]),
     Refusal("graph-duplicate-pair", lambda: WeightedGraph(3, ((0, 1, 1.0), (1, 0, 2.0))),
             EdgeError, "edge (1, 0) duplicates an earlier edge"),
-    # networks; replace validates again
-    Refusal("network-power-length", lambda: replace(two_bus_network(), power=[1.0]), ValueError,
+    # networks; replace builds a new network, which validates again
+    Refusal("network-power-length", lambda: replace(NET, power=[1.0]), ValueError,
             "power has 1 entries, expected 2"),
-    Refusal("network-not-a-vector", lambda: network(inertia=np.ones((2, 2))), ValueError,
+    Refusal("network-not-a-vector", lambda: replace(NET, inertia=np.ones((2, 2))), ValueError,
             "inertia must be a vector"),
-    Refusal("network-negative-inertia", lambda: network(inertia=[1.0, -1.0]), ValueError,
+    Refusal("network-negative-inertia", lambda: replace(NET, inertia=[1.0, -1.0]), ValueError,
             "all inertia values must be strictly positive"),
     *(Refusal(f"network-{field}-{bad}", lambda field=field, value=value:
-              network(**{field: value}), ValueError, f"all {field} values must be finite")
+              replace(NET, **{field: value}), ValueError, f"all {field} values must be finite")
       for field, bad, value in [
           ("power", "nan", [np.nan, 0.0]), ("power", "inf", [np.inf, 0.0]),
           ("inertia", "inf", [np.inf, 1.0]), ("damping", "nan", [1.0, np.nan]),
           ("voltage", "inf", [1e3, np.inf])]),
-    *(Refusal(f"network-line-{name}", lambda w=w: network(lines=((0, 1, w),)), EdgeError,
+    *(Refusal(f"network-line-{name}", lambda w=w: replace(NET, lines=((0, 1, w),)), EdgeError,
               f"edge (0, 1) needs a positive finite weight, got {w}")
       for name, w in [("zero", 0.0), ("infinite", np.inf), ("nan", np.nan)]),
-    Refusal("network-line-endpoint", lambda: network(lines=((0, 2, 1e-6),)), EdgeError,
+    Refusal("network-line-endpoint", lambda: replace(NET, lines=((0, 2, 1e-6),)), EdgeError,
             "edge (0, 2) references a node outside 0..1"),
-    Refusal("network-omega-ref-infinite", lambda: network(omega_ref=np.inf), ValueError,
+    Refusal("network-omega-ref-infinite", lambda: replace(NET, omega_ref=np.inf), ValueError,
             "omega_ref must be positive and finite"),
-    Refusal("network-disconnected", lambda: network(3), ValueError,
+    Refusal("network-disconnected", lambda: replace(NET, lines=()), ValueError,
             "transmission network must be connected"),
     # LTI systems
     Refusal("lti-a-not-square", lambda: lti(a=[[-1.0, 0.0]]), ValueError,
@@ -180,29 +174,29 @@ REFUSALS = [
                         h=1e-10),
             ValueError, "step 1e-10 s: a segment of 1e+300 s takes a non-finite number of steps"),
     # analysis
-    Refusal("rank-test-ki-length", lambda: xi_rank_test(swing_to_lti(two_bus_network()), [1.0]),
+    Refusal("rank-test-ki-length", lambda: xi_rank_test(swing_to_lti(NET), [1.0]),
             ValueError, "ki must have one entry per output, got shape (1,)"),
-    Refusal("rank-test-negative-ki",
-            lambda: xi_rank_test(swing_to_lti(two_bus_network()), [1.0, -1.0]), ValueError,
-            "integral gains must be strictly positive"),
-    Refusal("gamma-bar-decentralized", lambda: gamma_bar(two_bus_network(), DEC), ValueError,
+    Refusal("rank-test-negative-ki", lambda: xi_rank_test(swing_to_lti(NET), [1.0, -1.0]),
+            ValueError, "integral gains must be strictly positive"),
+    Refusal("gamma-bar-decentralized", lambda: gamma_bar(NET, DEC), ValueError,
             "the averaging-gain bound applies to the distributed PI controller"),
     Refusal("gamma-bar-mismatched-communication-weights",
             lambda: gamma_bar(
-                network(4, lines=((0, 1, 1e-6), (1, 2, 1e-6), (2, 3, 1e-6))),
+                PowerNetwork(inertia=np.ones(4), damping=np.ones(4), voltage=np.full(4, 1e3),
+                             power=np.zeros(4), lines=((0, 1, 1e-6), (1, 2, 1e-6), (2, 3, 1e-6))),
                 ControllerSpec(kind=DIST_PI, kp=np.ones(4), ki=np.ones(4), comm=WeightedGraph(
                     4, ((0, 3, 0.4), (1, 2, 1.6), (1, 3, 7.6), (2, 3, 1.4))))),
             ValueError, "x^T Lk Lc x takes negative values (lambda_min = -1.210e+00); choose the "
             "communication weights proportional to the electrical coupling to satisfy the "
             "bound's precondition"),
     *(Refusal(f"stationary-eta-{name}",
-              lambda ctrl=ctrl: stationary_state(two_bus_network(), ctrl, eta=np.zeros(2)),
+              lambda ctrl=ctrl: stationary_state(NET, ctrl, eta=np.zeros(2)),
               ValueError, "the stationary point under eta needs the distributed PI controller "
               "with gamma set")
       for name, ctrl in [("decentralized", DEC), ("p", ControllerSpec(kind=P, kp=np.ones(2))),
                          ("open-gamma", DIST)]),
     Refusal("stationary-eta-shape",
-            lambda: stationary_state(two_bus_network(), replace(DIST, gamma=1.0), eta=[0.0]),
+            lambda: stationary_state(NET, replace(DIST, gamma=1.0), eta=[0.0]),
             ValueError, "eta shape (1,), expected (2,)"),
 ]
 

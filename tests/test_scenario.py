@@ -1,7 +1,6 @@
 """Network/scenario file parsing, orchestration, CSV traces, and the CLI."""
 
 import errno
-import os
 import shutil
 import signal
 from dataclasses import replace
@@ -696,15 +695,16 @@ def test_cli_unwritable_trace_exits_two(tmp_path, monkeypatch, capsys, target, r
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_cli_trace_refused_at_the_rename_names_its_destination(tmp_path, monkeypatch, capsys):
-    # the destination passed the probe, but the rename into place failed:
-    # the error was the unlocated "[Errno 13] Permission denied", and the
-    # temporary file must not be left behind.  Not a row of test_cli.py's
-    # table, since it monkeypatches os.replace
-    def refused(src, dst):
+@pytest.mark.parametrize("step", ["tempfile.mkstemp", "os.replace"])
+def test_cli_trace_write_failure_names_its_destination(tmp_path, monkeypatch, capsys, step):
+    # the destination passed the probe, but making the temporary file or
+    # renaming it into place failed: the rename's error was the unlocated
+    # "[Errno 13] Permission denied", and no temporary file may be left
+    # behind.  Not a row of test_cli.py's table, since it monkeypatches
+    def refused(*args, **kwargs):
         raise PermissionError(errno.EACCES, "Permission denied")
 
-    monkeypatch.setattr(os, "replace", refused)
+    monkeypatch.setattr(step, refused)
     monkeypatch.chdir(tmp_path)
     code = cli_main(["simulate", bundled("ring_share.scn"), "--horizon", "1", "--output", "t.csv"])
     captured = capsys.readouterr()
