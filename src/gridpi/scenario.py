@@ -39,6 +39,7 @@ DEFAULT_SETTLE_TOL = 1.0e-3  # [Hz]
 DEFAULT_OUTPUT_EVERY = 0.1   # [s] CSV decimation
 CSV_FORMAT = "%.17g"         # 17 significant digits round-trips float64
 _UNWRITABLE = "cannot write the trace to {}: {}"  # the CSV destination, and why
+_CSV_BLOCK_ROWS = 256        # the CSV writer's blocks hold 256 to 511 rows (all, when fewer)
 
 
 class ParseError(ValueError):
@@ -690,12 +691,19 @@ def _check_destination(path):
         raise OSError(_UNWRITABLE.format(path, exc.strerror)) from exc
 
 
-def _atomic_write(path, payload):
+def _atomic_write(path, chunks):
+    """Write the text chunks, in order, to a temporary file beside path and
+    rename it into place; nothing is left behind when a step fails."""
     tmp = None
     try:
-        handle, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+        # mode 0o666 less the umask, as open(path, "w") gives (tempfile.mkstemp
+        # gives 0o600, which the rename would keep)
+        handle = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        tmp = name
         with os.fdopen(handle, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(_UNWRITABLE.format(path, exc.strerror)) from exc
@@ -713,35 +721,43 @@ def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
     Columns: time, omega_<id>_hz per bus, u_<id>_w per bus, and z_<id> per
     bus when the controller has integrators.  Frequencies and the inputs
     (the loop's law applied to the states) are computed for the written
-    rows only.  Values carry 17 significant digits so a reread reproduces
-    the binary floats exactly.  The file is written to a temporary name
-    and renamed into place.
+    rows only, one block of rows at a time, and each block is formatted and
+    written before the next is computed.  Values carry 17 significant
+    digits so a reread reproduces the binary floats exactly.  The file is
+    written to a temporary name and renamed into place.
     """
     rows = trace.times.shape[0]
     # every stride of rows or more picks the same rows, the first and the last
     stride = max(int(round(min(scn.output_every / scn.step, rows))), 1)
-    picks = list(range(0, rows, stride))
+    picks = np.arange(0, rows, stride)
     if picks[-1] != rows - 1:
-        picks.append(rows - 1)
+        picks = np.append(picks, rows - 1)
 
     ids = scn.network.bus_ids
     columns = ["time"]
     columns += [f"omega_{b}_hz" for b in ids]
     columns += [f"u_{b}_w" for b in ids]
-    states = trace.states[picks]
-    omega_hz = (states[:, loop.state_layout["omega"]] + scn.network.net.omega_ref) / TWO_PI
-    inputs = states @ loop.control_gain.T + loop.control_offset
-    blocks = [trace.times[picks, None], omega_hz, inputs]
-    if "z" in loop.state_layout:
+    z = loop.state_layout.get("z")
+    if z is not None:
         columns += [f"z_{b}" for b in ids]
-        blocks.append(states[:, loop.state_layout["z"]])
-    table = np.hstack(blocks)
+    line = ",".join([CSV_FORMAT] * len(columns)) + "\n"
+    omega_ref = scn.network.net.omega_ref
 
-    # one % per row; rows are boxed one at a time, since a whole-table
-    # tolist() would hold every value as a Python float at once
-    line = ",".join([CSV_FORMAT] * table.shape[1])
-    rows = [",".join(columns)]
-    rows.extend(line % tuple(row.tolist()) for row in table)
-    _atomic_write(path, "\n".join(rows) + "\n")
+    def chunks():
+        yield ",".join(columns) + "\n"
+        # no short last block: BLAS picks its kernel by the shape of a product,
+        # and the kernel for a few rows can round the inputs differently from
+        # the one for a long table
+        for block in np.array_split(picks, max(picks.size // _CSV_BLOCK_ROWS, 1)):
+            states = trace.states[block]
+            table = [trace.times[block, None],
+                     (states[:, loop.state_layout["omega"]] + omega_ref) / TWO_PI,
+                     states @ loop.control_gain.T + loop.control_offset]
+            if z is not None:
+                table.append(states[:, z])
+            # rows are boxed one at a time: a whole-block tolist() holds more
+            # Python floats than the block's text has bytes
+            yield "".join([line % tuple(row.tolist()) for row in np.hstack(table)])
+
+    _atomic_write(path, chunks())
     return path
-

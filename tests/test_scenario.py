@@ -1,8 +1,11 @@
 """Network/scenario file parsing, orchestration, CSV traces, and the CLI."""
 
 import errno
+import os
 import shutil
 import signal
+import stat
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -522,28 +525,71 @@ def test_output_spacing_beyond_the_run_writes_the_first_and_last_rows(tmp_path):
     assert np.array_equal(data[:, 0], result.trace.times[[0, -1]])
 
 
-def test_csv_rows_match_per_value_formatting(tmp_path):
-    scn = load_scenario(quiet_scenario(tmp_path))
-    result = run_scenario(scn._replace(horizon=0.1), csv_path="")
-    loop = gridpi.close_loop(gridpi.swing_to_lti(scn.network.net), result.analysis.controller)
-    # subnormal, signed zero, negative, integer-valued and 17-digit values
+def special_trace(loop, rows):
+    """A trace of rows rows.  The odd rows cycle through values that test
+    the formatting: subnormal, signed zero, negative, integer-valued and
+    17-digit; the even rows hold random values whose inputs round."""
     special = np.array([5e-324, -2.5e-310, -0.0, 0.0, 3.0, -7.0, 2.0 ** 53,
                         -1.0 / 3.0, 1e-300, 123456789.0, 0.1, -1e16])
-    rows = result.trace.times.shape[0]
-    trace = gridpi.SimulationTrace(
-        times=np.arange(rows, dtype=float),
-        states=np.resize(special, (rows, loop.dim)),
-        diverged=False,
-    )
+    states = np.resize(special, (rows, loop.dim))
+    states[::2] = np.random.default_rng(0).standard_normal(states[::2].shape)
+    return gridpi.SimulationTrace(times=np.arange(rows, dtype=float), states=states,
+                                  diverged=False)
+
+
+def scenario_loop(scn):
+    ctrl = gridpi.analyze_scenario(scn).controller
+    return gridpi.close_loop(gridpi.swing_to_lti(scn.network.net), ctrl)
+
+
+# 11 rows fit one writer block; 2 * 256 + 1 rows span two blocks and one
+# row more, whose product alone numpy hands to gemv, which rounds otherwise
+@pytest.mark.parametrize("name, rows", [("dist_pi", 11), ("ring_share", 513), ("p", 513)])
+def test_csv_rows_match_per_value_formatting(tmp_path, name, rows):
+    # ring_share's gains (ki = 1/cost) make products that round
+    scn = load_scenario(bundled("ring_share.scn") if name == "ring_share"
+                        else quiet_scenario(tmp_path, kind=name))
+    loop = scenario_loop(scn)
+    trace = special_trace(loop, rows)
     out = tmp_path / "special.csv"
     # a step equal to output_every writes every row
     scenario_mod.write_trace_csv(str(out), scn._replace(step=scn.output_every), loop, trace)
     inputs = trace.states @ loop.control_gain.T + loop.control_offset
-    table = np.hstack([trace.times[:, None], frequencies_hz(scn.network.net, trace.states),
-                       inputs, trace.states[:, loop.state_layout["z"]]])
+    table = [trace.times[:, None], frequencies_hz(scn.network.net, trace.states), inputs]
+    if name != "p":
+        table.append(trace.states[:, loop.state_layout["z"]])
     header = out.read_text(encoding="utf-8").split("\n", 1)[0]
-    expected = [header] + [",".join("%.17g" % value for value in row) for row in table]
+    expected = [header] + [",".join("%.17g" % value for value in row) for row in np.hstack(table)]
     assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+def test_csv_writer_holds_one_block_of_rows(tmp_path):
+    # the writer held the whole table, its rows as text, their join and a
+    # copy of it: a traced peak of over 4 times the file's size
+    scn = load_scenario(quiet_scenario(tmp_path))
+    loop = scenario_loop(scn)
+    trace = special_trace(loop, 4001)
+    out = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        scenario_mod.write_trace_csv(str(out), scn._replace(step=scn.output_every), loop, trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * out.stat().st_size
+
+
+def test_trace_file_mode_follows_the_umask(tmp_path):
+    # the temporary file came from mkstemp, and the rename kept its mode 0o600
+    scn = load_scenario(quiet_scenario(tmp_path))
+    out, plain = tmp_path / "t.csv", tmp_path / "plain.txt"
+    previous = os.umask(0o027)
+    try:
+        run_scenario(scn._replace(horizon=0.1), csv_path=str(out))
+        plain.write_text("", encoding="utf-8")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o640
 
 
 def test_proportional_trace_has_no_integrator_columns(tmp_path):
@@ -558,28 +604,6 @@ def test_proportional_trace_has_no_integrator_columns(tmp_path):
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
-
-# the two tests below check in process, on a minimal grid, what the rows
-# simulate-ring_share and analyze-dec30_bias of test_cli.py's table check on
-# the bundled data (ROADMAP item 11)
-
-def test_cli_simulate_quiet(tmp_path, capsys):
-    scn_path = quiet_scenario(tmp_path)
-    code = cli_main(["simulate", scn_path])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "settled: yes" in out
-    assert "verdict: positive" in out
-
-
-def test_cli_analyze_negative_verdict_exits_one(tmp_path, capsys):
-    scn_path = quiet_scenario(tmp_path, kind="dec_pi")
-    code = cli_main(["analyze", scn_path])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "rank test" in out
-    assert "verdict: negative" in out
-
 
 @pytest.mark.parametrize("grid, kp, ki, threshold", [
     ("net30.grid", "1", "1", 0.0499495646),
@@ -695,19 +719,50 @@ def test_cli_unwritable_trace_exits_two(tmp_path, monkeypatch, capsys, target, r
     assert list((tmp_path / "out").iterdir()) == []
 
 
-@pytest.mark.parametrize("step", ["tempfile.mkstemp", "os.replace"])
-def test_cli_trace_write_failure_names_its_destination(tmp_path, monkeypatch, capsys, step):
-    # the destination passed the probe, but making the temporary file or
-    # renaming it into place failed: the rename's error was the unlocated
-    # "[Errno 13] Permission denied", and no temporary file may be left
-    # behind.  Not a row of test_cli.py's table, since it monkeypatches
-    def refused(*args, **kwargs):
-        raise PermissionError(errno.EACCES, "Permission denied")
+def refused(*args, **kwargs):
+    raise PermissionError(errno.EACCES, "Permission denied")
 
-    monkeypatch.setattr(step, refused)
+
+def refuse_the_temporary_file(os_open):
+    # the probe of the destination opens its own temporary file with os.open
+    def opened(path, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            refused()
+        return os_open(path, *args, **kwargs)
+    return opened
+
+
+def fill_the_disk_after_the_first_chunk(fdopen):
+    def no_space(chunk):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def opened(*args, **kwargs):
+        fh = fdopen(*args, **kwargs)
+
+        def write(chunk):  # the header reaches the file, the next chunk does not
+            fh.write = no_space
+            type(fh).write(fh, chunk)
+            fh.flush()
+        fh.write = write
+        return fh
+    return opened
+
+
+@pytest.mark.parametrize("name, fake, reason", [
+    ("open", refuse_the_temporary_file, "Permission denied"),
+    ("replace", lambda os_replace: refused, "Permission denied"),
+    ("fdopen", fill_the_disk_after_the_first_chunk, "No space left on device"),
+], ids=["os.open", "os.replace", "write"])
+def test_cli_trace_write_failure_names_its_destination(tmp_path, monkeypatch, capsys, name, fake,
+                                                       reason):
+    # the destination passed the probe, but making the temporary file,
+    # writing it or renaming it into place failed: the rename's error was the
+    # unlocated "[Errno 13] Permission denied", and no temporary file may be
+    # left behind.  Not a row of test_cli.py's table, since it monkeypatches
+    monkeypatch.setattr(os, name, fake(getattr(os, name)))
     monkeypatch.chdir(tmp_path)
     code = cli_main(["simulate", bundled("ring_share.scn"), "--horizon", "1", "--output", "t.csv"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: cannot write the trace to t.csv: Permission denied\n"
+    assert captured.err == f"error: cannot write the trace to t.csv: {reason}\n"
     assert list(tmp_path.iterdir()) == []
