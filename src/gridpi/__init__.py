@@ -18,7 +18,6 @@ from .analysis import (
     gamma_bar,
     gamma_star_search,
     output_stability_check,
-    stability_cubic,
     stationary_state,
     xi_rank_test,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "output_stability_check",
     "run_scenario",
     "simulate_schedule",
-    "stability_cubic",
     "stationary_state",
     "swing_to_lti",
     "xi_rank_test",

@@ -213,12 +213,6 @@ class GammaBound(NamedTuple):
         )
 
 
-def _laplacians(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec):
-    if ctrl.kind != ctrlmod.DIST_PI:
-        raise ValueError("the averaging-gain bound applies to the distributed PI controller")
-    return net.coupling.laplacian, ctrl.comm.laplacian
-
-
 def _finite_product(a: np.ndarray, b: np.ndarray, name: str, cause: str) -> np.ndarray:
     """a @ b, or OverflowError naming the product when it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -238,12 +232,12 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     communication Laplacian proportional to the electrical one satisfies
     it.  A bound below the smallest normal float is reported as 0, which
     certifies no gamma: a subnormal one keeps too few significant bits to
-    verify.  A positive finite gamma_bar is verified on a 100-point grid
-    (with GammaBound.evaluate) before being handed back.  A product
-    (D + Kp) Lc, Lk Lc or M^-1 Lc that overflows raises OverflowError,
-    checked in that order.
+    check.  A product (D + Kp) Lc, Lk Lc or M^-1 Lc that overflows raises
+    OverflowError, checked in that order.
     """
-    lap_k, lap_c = _laplacians(net, ctrl)
+    if ctrl.kind != ctrlmod.DIST_PI:
+        raise ValueError("the averaging-gain bound applies to the distributed PI controller")
+    lap_k, lap_c = net.coupling.laplacian, ctrl.comm.laplacian
     d_plus_kp = net.damping + ctrl.kp
     # first, so that scenario.network_gamma_bar can tell an overflow that the gains cause
     dkp_lap = _finite_product(np.diag(d_plus_kp), lap_c, "(D + Kp) Lc",
@@ -267,7 +261,8 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     minv_lap = _finite_product(minv, lap_c, "M^-1 Lc", "the inertias are")
     alpha = min(float(np.linalg.eigvalsh(_sym(dkp_lap))[0]), 0.0)
     beta = min(float(np.linalg.eigvalsh(_sym(minv_lap))[0]), 0.0)
-    sigma = float(np.min(net.inertia)) * max(float(prod_eigs[-1]), 0.0)
+    # a0 a3 = gamma (x^T Lk Lc x)(x^T M^-1 x) for unit x, so sigma takes the largest inertia
+    sigma = float(np.max(net.inertia)) * max(float(prod_eigs[-1]), 0.0)
     kappa1 = float(np.min(ctrl.ki))
     kappa2 = float(np.min(d_plus_kp))
 
@@ -289,43 +284,7 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
         candidates.append(-qc / qb)
 
     bar = float(min(candidates)) if candidates else math.inf
-    result = GammaBound(
-        gamma_bar=bar if bar >= np.finfo(float).tiny else 0.0,
-        alpha=alpha,
-        beta=beta,
-        sigma=sigma,
-        kappa1=kappa1,
-        kappa2=kappa2,
-    )
-    if 0.0 < result.gamma_bar < math.inf:
-        a1g, a2g, a0a3g = result.evaluate(result.gamma_bar * (np.arange(1, 101) / 101.0))
-        with np.errstate(over="ignore"):  # a product that overflows to +inf still orders
-            a1a2g = a1g * a2g
-        if not (np.all(a1g > 0.0) and np.all(a2g > 0.0) and np.all(a0a3g < a1a2g)):
-            raise RuntimeError("gamma_bar failed its own grid verification")
-    return result
-
-
-def stability_cubic(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
-                    gamma: float, x: np.ndarray):
-    """Coefficients (a3, a2, a1, a0) of the scalar cubic obtained by pinching
-    the characteristic matrix polynomial with a unit vector x.
-
-    a3 = x^T M^-1 x                                  (M^-1 = diag(m_i))
-    a2 = x^T ((D + Kp) + gamma M^-1 Lc) x
-    a1 = x^T (gamma (D + Kp) Lc + Ki + Lk) x
-    a0 = gamma x^T Lk Lc x
-    """
-    lap_k, lap_c = _laplacians(net, ctrl)
-    x = np.asarray(x, dtype=float)
-    d_plus_kp = np.diag(net.damping + ctrl.kp)
-    minv = np.diag(net.inertia)
-    a3 = float(x @ (minv @ x))
-    a2 = float(x @ (d_plus_kp @ x) + gamma * x @ (minv @ (lap_c @ x)))
-    a1 = float(gamma * x @ (d_plus_kp @ (lap_c @ x)) + x @ (np.diag(ctrl.ki) @ x)
-               + x @ (lap_k @ x))
-    a0 = float(gamma * x @ (lap_k @ (lap_c @ x)))
-    return a3, a2, a1, a0
+    return GammaBound(bar if bar >= np.finfo(float).tiny else 0.0, alpha, beta, sigma, kappa1, kappa2)
 
 
 def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> float:

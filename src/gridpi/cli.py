@@ -176,7 +176,7 @@ def main(argv=None):
     try:
         return args.func(args)
     # ParseError is a ValueError; MemoryError/OSError: a trace too large to allocate or to write
-    except (ValueError, RuntimeError, MemoryError, OSError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,6 +16,7 @@ scenario tolerance.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import tempfile
@@ -679,24 +680,35 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
 
 def _check_destination(path):
     """Fail before any work, naming path, when a CSV cannot be written
-    there: path is a directory, or its directory cannot be made or written."""
+    there: path is a directory, or its directory cannot be made or written.
+    The probe removes the directories it made, so a refused run leaves none."""
     if os.path.isdir(path) or path.endswith(os.sep):
         raise IsADirectoryError(_UNWRITABLE.format(path, "it names a directory"))
+    directory = os.path.dirname(os.path.abspath(path))
+    missing, parent = [], directory  # the directories makedirs is to make, deepest first
+    while not os.path.exists(parent):
+        missing.append(parent)
+        parent = os.path.dirname(parent)
     try:
-        directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         with tempfile.TemporaryFile(dir=directory):
             pass
     except OSError as exc:
         raise OSError(_UNWRITABLE.format(path, exc.strerror)) from exc
+    finally:
+        for made in missing:
+            with contextlib.suppress(OSError):  # makedirs may have stopped short of it
+                os.rmdir(made)
 
 
 def _atomic_write(path, chunks):
-    """Write the text chunks, in order, to a temporary file beside path and
-    rename it into place; nothing is left behind when a step fails."""
+    """Write the text chunks, in order, to a temporary file beside path (made
+    with its directory) and rename it into place; the temporary file is
+    removed when a step fails."""
     tmp = None
     try:
         name = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+        os.makedirs(os.path.dirname(name), exist_ok=True)
         # mode 0o666 less the umask, as open(path, "w") gives (tempfile.mkstemp
         # gives 0o600, which the rename would keep)
         handle = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: bundled data paths, random systems,
-the reference gamma search, quantities read off a trace, and the trace CSV
-reader."""
+the paper's per-direction cubic and the reference gamma search, quantities
+read off a trace, and the trace CSV reader."""
 
 import math
 from dataclasses import replace
@@ -79,6 +79,28 @@ def two_bus_network(power=(0.0, 0.0)):
         power=np.asarray(power, dtype=float),
         lines=((0, 1, 1.0e-6),),
     )
+
+
+def stability_cubic(net, ctrl, gamma, x):
+    """Coefficients (a3, a2, a1, a0) of the scalar cubic obtained by pinching
+    the characteristic matrix polynomial with a unit vector x: the paper's
+    cubic, an independent reference for the bounds of gamma_bar.
+
+    a3 = x^T M^-1 x                                  (M^-1 = diag(m_i))
+    a2 = x^T ((D + Kp) + gamma M^-1 Lc) x
+    a1 = x^T (gamma (D + Kp) Lc + Ki + Lk) x
+    a0 = gamma x^T Lk Lc x
+    """
+    lap_k, lap_c = net.coupling.laplacian, ctrl.comm.laplacian
+    x = np.asarray(x, dtype=float)
+    d_plus_kp = np.diag(net.damping + ctrl.kp)
+    minv = np.diag(net.inertia)
+    a3 = float(x @ (minv @ x))
+    a2 = float(x @ (d_plus_kp @ x) + gamma * x @ (minv @ (lap_c @ x)))
+    a1 = float(gamma * x @ (d_plus_kp @ (lap_c @ x)) + x @ (np.diag(ctrl.ki) @ x)
+               + x @ (lap_k @ x))
+    a0 = float(gamma * x @ (lap_k @ (lap_c @ x)))
+    return a3, a2, a1, a0
 
 
 def reference_gamma_star_search(net, ctrl):

@@ -21,13 +21,12 @@ from gridpi import (
     load_scenario,
     run_scenario,
     simulate_schedule,
-    stability_cubic,
     stationary_state,
     swing_to_lti,
     xi_rank_test,
 )
 from support import (bundled, frequencies_hz, random_dist_controller, random_network,
-                     scenario_inputs)
+                     scenario_inputs, stability_cubic)
 
 TWO_PI = 2.0 * np.pi
 

@@ -22,7 +22,6 @@ from gridpi import (
     gamma_star_search,
     output_stability_check,
     simulate_schedule,
-    stability_cubic,
     stationary_state,
     swing_to_lti,
     xi_rank_test,
@@ -30,7 +29,7 @@ from gridpi import (
 from gridpi.analysis import _SEARCH_REL_TOL, STABILITY_TOL, unobservable_subspace
 from gridpi.numerics import RANK_REL_TOL
 from support import (bundled, random_dist_controller, random_network, random_wide_gain_loop,
-                     reference_gamma_star_search, two_bus_network)
+                     reference_gamma_star_search, stability_cubic, two_bus_network)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +340,7 @@ def test_any_gamma_below_the_bound_is_output_stable(seed, frac):
 # ---------------------------------------------------------------------------
 
 def test_gamma_bar_on_the_unit_pair_is_one_half():
-    # kappa1 = 1, kappa2 = 2, sigma = min(m) * lammax(Lk^2) = 4, alpha = beta = 0
+    # kappa1 = 1, kappa2 = 2, sigma = max(m) * lammax(Lk^2) = 4, alpha = beta = 0
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=None, comm=net.coupling)
@@ -381,10 +380,53 @@ def test_gamma_bar_margins_positive_inside_and_zero_at_the_edge():
         assert abs(margin) < 1e-9 * reference  # the edge is an exact root
 
 
+def test_paper_cubic_meets_the_bounds_of_gamma_bar():
+    # evaluate()'s bounds hold in every unit direction x, at every gamma:
+    # a1 and a2 of the cubic lie above a1_lower and a2_lower, and a0 a3 below
+    # a0a3_upper.  a0 a3 = gamma (x^T Lk Lc x)(x^T M^-1 x), so sigma needs the
+    # largest inertia; with the smallest, a0 a3 exceeded sigma gamma 116-fold
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        if trial % 2:
+            net, ctrl = random_wide_gain_loop(rng)
+        else:
+            net = random_network(rng)
+            ctrl = random_dist_controller(rng, net)
+        bound = gamma_bar(net, ctrl)
+        for gamma in 10 ** rng.uniform(-3, 3, 4):
+            a1_lower, a2_lower, a0a3_upper = bound.evaluate(gamma)
+            for x in rng.normal(size=(25, net.n_buses)):
+                a3, a2, a1, a0 = stability_cubic(net, ctrl, gamma, x / np.linalg.norm(x))
+                assert a1 - a1_lower >= -1e-12 * (abs(a1) + abs(a1_lower))
+                assert a2 - a2_lower >= -1e-12 * (abs(a2) + abs(a2_lower))
+                assert a0 * a3 <= a0a3_upper * (1.0 + 1e-12)
+
+
+def unequal_two_bus_loop():
+    """A 2-bus grid whose inertias differ 81-fold, with its DIST_PI gains:
+    (net, controller with gamma unset).  Below the bound that the smallest
+    inertia gave, 0.0187826361, the loop is unstable from about 0.0146."""
+    net = PowerNetwork(inertia=np.array([19.8334194, 0.24347019]),
+                       damping=np.array([0.00704343, 0.0015217]), voltage=np.full(2, 1.0e3),
+                       power=np.zeros(2), lines=((0, 1, 1.5623229377059443e-05),))
+    ctrl = ControllerSpec(kind=DIST_PI, kp=np.array([2.62109904, 3.22225286]),
+                          ki=np.array([3.0663319, 411.3702417]), comm=net.coupling)
+    return net, ctrl
+
+
+def test_gamma_bar_holds_when_the_inertias_differ():
+    net, ctrl = unequal_two_bus_loop()
+    bound = gamma_bar(net, ctrl).gamma_bar
+    assert_allclose(bound, 0.000412090423, rtol=1e-9)
+    for factor in (0.25, 0.5, 0.75, 1.0):
+        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=factor * bound))
+        assert output_stability_check(cl).output_stable, factor
+
+
 def test_gamma_bar_below_the_smallest_normal_float_is_zero():
     # the bound is kappa1 kappa2 / sigma on the unit pair; a subnormal one
-    # keeps too few significant bits to verify (one near 7.6e-324 failed its
-    # own grid check), and it certifies no usable gamma anyway
+    # keeps too few significant bits to check (one near 7.6e-324 failed the
+    # grid check that gamma_bar once ran), and it certifies no usable gamma
     net = two_bus_network()
     for ki, expected in ((1e-320, 0.0), (1e-310, 0.0), (1e-290, 5e-291)):
         ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.full(2, ki),

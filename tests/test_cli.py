@@ -71,6 +71,11 @@ WIDE3 = (("wide3.grid", None, "schema = 1\n[defaults]\nvoltage_kv = 1.0\n[buses]
 WIDE3_GAINS = ("--kp 0.012062664712935744,0.03379548209613433,0.4345258002212354,"
                "0.004425624710015177,0.08884961814982095 --ki 91.26504773544563,"
                "211.170387728031,0.011846100331848937,733.4635730582642,4.027889955884952")
+# inertias 81-fold apart (test_analysis.unequal_two_bus_loop), and its gains
+UNEQUAL2 = (("unequal2.grid", None, "schema = 1\n[defaults]\nvoltage_kv = 1.0\n[buses]\n"
+             "1 inertia=19.8334194 damping=0.00704343\n2 inertia=0.24347019 damping=0.0015217\n"
+             "[lines]\n1 2 1.5623229377059443e-05\n"),)
+UNEQUAL2_GAINS = "--kp 2.62109904,3.22225286 --ki 3.0663319,411.3702417"
 BUS3 = (("bus3.grid", None, "schema = 1\n[defaults]\ninertia = 2.0\ndamping = 0.5\n"
          "voltage_kv = 10.0\n[buses]\n1\n2\n3\n[lines]\n1 2 2.0e-7\n2 3 2.0e-7\n"),)
 
@@ -96,16 +101,24 @@ CASES = [
          out=r"network: {data}/net2\.grid \(2 buses\)\ngamma_bar = 0\.5\n"
              r"  alpha = 0  beta = 0  sigma = 4\n  kappa1 = 1  kappa2 = 2\n"),
     Case("gamma-bound-net30", "gamma-bound {data}/net30.grid --kp 1 --ki 1", 0),
+    # sigma took the smallest inertia: "sigma = 237.71" and "gamma_bar =
+    # 0.0187826361", yet the loop is unstable from gamma ~= 0.0146 on
+    Case("gamma-bound-unequal-inertias", f"gamma-bound unequal2.grid {UNEQUAL2_GAINS}", 0,
+         out=r"network: unequal2\.grid \(2 buses\)\ngamma_bar = 0\.000412090423\n"
+             r"  alpha = -0\.236183  beta = -62\.2891  sigma = 19364\.2\n"
+             r"  kappa1 = 3\.06633  kappa2 = 2\.62814\n", edits=UNEQUAL2),
     Case("spectral-readme-example", f"gamma-bound {NET5} --kp 100 --ki 5000 --spectral", 0),
     # no loss of stability within 2**80 gamma_bar: "inf" is no threshold, so
     # there is no conservatism ratio, and the threshold is the last line
     Case("spectral-without-a-crossing", f"gamma-bound {NET5} --kp 1e300 --ki 1e-300 --spectral",
          0, out=r".*\neigenvalue-based threshold ~= inf\n"),
     # the loop fails the check already at gamma_bar: the search skipped start
-    # and printed "eigenvalue-based threshold ~= 0.424920613" with exit 0
+    # and printed "eigenvalue-based threshold ~= 0.424920613" with exit 0; the
+    # inertias differ, so the bound with the largest one is lower than the
+    # 2.72654572e-05 that the smallest gave (the check's band still fails it)
     Case("spectral-fails-at-gamma-bar", f"gamma-bound wide3.grid {WIDE3_GAINS} --spectral", 2,
          "error: wide3.grid: closed loop already fails the eigenvalue check at gamma = "
-         "2.72654572e-05\n", edits=WIDE3),
+         "2.79133639e-07\n", edits=WIDE3),
     # the search's refusal came after "gamma_bar = 324463.042" on stdout, and
     # named no file
     Case("spectral-refusal-prints-nothing", f"gamma-bound {NET5} --kp 1 --ki 1e10 --spectral", 2,
@@ -196,8 +209,9 @@ CASES = [
     # encountered in scalar multiply"; the step falls back to the geometric mean
     Case("spectral-secant-overflows", f"gamma-bound {NET5} --kp 1e200 --ki 1 --spectral", 0,
          out=r".*\ngamma_bar = 1\.62231524e\+195\n.*\neigenvalue-based threshold ~= \S+e\+205\n.*"),
-    # gamma_bar * arange(1, 101) on the verification grid overflowed: two
-    # RuntimeWarnings, then "error: gamma_bar failed its own grid verification"
+    # gamma_bar * arange(1, 101) on the verification grid (since removed)
+    # overflowed: two RuntimeWarnings, then "error: gamma_bar failed its own
+    # grid verification"; a bound this close to the largest float must print
     Case("gamma-bar-grid-overflows", "gamma-bound net5ring.grid --kp 1 --ki 1", 0,
          out=r"network: net5ring\.grid \(5 buses\)\ngamma_bar = 3\.31374938e\+306\n.*",
          edits=net5_lines("2.17e-300")),
@@ -209,8 +223,8 @@ CASES = [
          "error: ring_share.scn:{line}: kp: the product (D + Kp) Lc overflows; the damping and "
          "proportional gains are too large for the averaging-gain bound\n",
          edits=ring(r"^kp = 100\.0$", "kp = 1e308")),
-    # a1 * a2 on the verification grid overflows to +inf, which still orders
-    # correctly; it leaked "RuntimeWarning: overflow encountered in multiply"
+    # a1 * a2 on the verification grid (since removed) overflowed to +inf and
+    # leaked "RuntimeWarning: overflow encountered in multiply"
     Case("ki-huge", f"gamma-bound {NET5} --kp 1 --ki 1e308", 0,
          out=r".*\ngamma_bar = 1\.7592186e\+13\n.*"),
     # gamma_bar's Lk Lc overflowed: a RuntimeWarning, then "error: Eigenvalues

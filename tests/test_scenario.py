@@ -725,6 +725,20 @@ def test_cli_unwritable_trace_exits_two(tmp_path, monkeypatch, capsys, target, r
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_cli_refused_run_leaves_no_directory_behind(tmp_path, monkeypatch, capsys):
+    # the probe of the destination makes newdir/sub and removes it again; the
+    # run is then refused on its step, and it left the empty newdir/sub behind
+    monkeypatch.chdir(tmp_path)
+    code = cli_main(["simulate", bundled("ring_share.scn"), "--step", "0.5",
+                     "--output", "newdir/sub/t.csv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: step 0.5 s is outside the RK4 stability region: mode lambda = "
+                            "-124.572+0j 1/s has |R(h lambda)| = 588728 >= 1; a step of 0.015625 s "
+                            "passes\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def refused(*args, **kwargs):
     raise PermissionError(errno.EACCES, "Permission denied")
 
