@@ -214,9 +214,9 @@ class GammaBound(NamedTuple):
 
 
 def _finite_product(a: np.ndarray, b: np.ndarray, name: str, cause: str) -> np.ndarray:
-    """a @ b, or OverflowError naming the product when it is not finite."""
+    """a @ b, a vector a as diag(a); OverflowError naming the product unless it is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = a @ b
+        prod = a[:, None] * b if a.ndim == 1 else a @ b
     if not np.isfinite(prod).all():
         raise OverflowError(f"the product {name} overflows; {cause} too large for the "
                             "averaging-gain bound")
@@ -240,7 +240,7 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     lap_k, lap_c = net.coupling.laplacian, ctrl.comm.laplacian
     d_plus_kp = net.damping + ctrl.kp
     # first, so that scenario.network_gamma_bar can tell an overflow that the gains cause
-    dkp_lap = _finite_product(np.diag(d_plus_kp), lap_c, "(D + Kp) Lc",
+    dkp_lap = _finite_product(d_plus_kp, lap_c, "(D + Kp) Lc",
                               "the damping and proportional gains are")
     prod = _finite_product(lap_k, lap_c, "Lk Lc of the coupling and communication Laplacians",
                            "the couplings are")
@@ -255,10 +255,10 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
             "precondition"
         )
 
-    minv = np.diag(net.inertia)  # inverse of M = diag(1/m_i)
-    # Rayleigh bounds; both lambda_min terms are <= 0 because the all-ones
-    # vector gives a zero quadratic form, so clamp numerical noise.
-    minv_lap = _finite_product(minv, lap_c, "M^-1 Lc", "the inertias are")
+    # Rayleigh bounds, with M^-1 = diag(m_i); both lambda_min terms are <= 0
+    # because the all-ones vector gives a zero quadratic form, so clamp
+    # numerical noise.
+    minv_lap = _finite_product(net.inertia, lap_c, "M^-1 Lc", "the inertias are")
     alpha = min(float(np.linalg.eigvalsh(_sym(dkp_lap))[0]), 0.0)
     beta = min(float(np.linalg.eigvalsh(_sym(minv_lap))[0]), 0.0)
     # a0 a3 = gamma (x^T Lk Lc x)(x^T M^-1 x) for unit x, so sigma takes the largest inertia

@@ -99,7 +99,7 @@ def _split(span: float, h: float):
         raise ValueError(f"step {h:g} s: a segment of {span:g} s takes a non-finite number of steps")
     n_full = int(np.floor(steps + 1e-9))
     tail = span - n_full * h
-    return n_full, (tail if tail > 1e-9 * h else 0.0)
+    return n_full, (tail if tail > 1e-9 * h or not n_full else 0.0)
 
 
 def _power_stack(phi: np.ndarray, depth: int) -> np.ndarray:
@@ -166,11 +166,15 @@ def integrate_rk4(matrix, x0, schedule, t_end: float, h: float) -> SimulationTra
     next start, the last one until t_end.  The step grid restarts at every
     start, so no step straddles a switch: a segment takes full steps of h
     and, when its length is not a multiple of h, one shortened step landing
-    exactly on its end.  The trace holds every step from t = 0, each
-    switch time once.  Each step is x -> phi @ x + g, but the rows are
-    computed a block at a time from powers of phi stacked once per step
-    size (see _propagate); they agree with the step-by-step map to
-    rounding, within 1e-12 of each row's largest component in the tests.
+    exactly on its end.  A length within 1e-9 * h of a nonzero multiple
+    of h is that multiple: a remainder that small after a full step is
+    rounding and is dropped.  A segment that holds no full step is one
+    shortened step, however short.  The trace holds every
+    step from t = 0, each switch time once.  Each step is
+    x -> phi @ x + g, but the rows are computed a block at a time from
+    powers of phi stacked once per step size (see _propagate); they agree
+    with a textbook four-stage loop to rounding, within 1e-12 of each
+    row's largest component in the tests.
     A shortened step is a one-row run through the same path.  A segment
     whose length over h is not finite raises ValueError naming the step
     before anything is allocated, and so does a trace that cannot be

@@ -1,15 +1,18 @@
 """Shared helpers for the test suite: bundled data paths, random systems,
-the paper's per-direction cubic and the reference gamma search, quantities
-read off a trace, and the trace CSV reader."""
+the paper's per-direction cubic and the reference gamma search, the
+integrator's two references, quantities read off a trace, and the trace
+CSV reader."""
 
 import math
 from dataclasses import replace
 from importlib.resources import files
 
 import numpy as np
+import scipy.linalg
 
 import gridpi
 from gridpi.analysis import _MAX_DOUBLINGS, _SEARCH_REL_TOL
+from gridpi.numerics import DIVERGENCE_LIMIT
 
 
 def bundled(name):
@@ -134,6 +137,56 @@ def reference_gamma_star_search(net, ctrl):
         else:
             hi = mid
     return lo
+
+
+# ---------------------------------------------------------------------------
+# references for integrate_rk4 under a load schedule [(t_start, offset), ...]
+# ---------------------------------------------------------------------------
+
+def plain_rk4(matrix, x0, schedule, t_end, h):
+    """Textbook four-stage RK4 of x' = matrix @ x + offset on the documented
+    grid: it restarts at every start, takes full steps of h and then one
+    shortened step onto the segment's end, unless a remainder after a full
+    step is within 1e-9 * h.  Stops after the first row that is non-finite
+    or beyond DIVERGENCE_LIMIT.  Returns (times, states, diverged)."""
+    mat = np.asarray(matrix, dtype=float)
+    times, states = [0.0], [np.asarray(x0, dtype=float)]
+    stops = [start for start, _ in schedule[1:]] + [t_end]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (start, offset), stop in zip(schedule, stops):
+            span = stop - start
+            full = math.floor(span / h + 1e-9)
+            grid = [(start + j * h, h) for j in range(1, full + 1)]
+            if span - full * h > 1e-9 * h or not full:
+                grid.append((start + span, span - full * h))
+            for t, dt in grid:
+                x = states[-1]
+                k1 = mat @ x + offset
+                k2 = mat @ (x + 0.5 * dt * k1) + offset
+                k3 = mat @ (x + 0.5 * dt * k2) + offset
+                k4 = mat @ (x + dt * k3) + offset
+                times.append(t)
+                states.append(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+                if not np.all(np.abs(states[-1]) <= DIVERGENCE_LIMIT):
+                    return np.array(times), np.array(states), True
+    return np.array(times), np.array(states), False
+
+
+def exact_flow(matrix, x0, schedule, t):
+    """The exact state at time t: per segment up to t, one matrix exponential
+    of the augmented system [[matrix, offset], [0, 0]]."""
+    mat = np.asarray(matrix, dtype=float)
+    n = mat.shape[0]
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = mat
+    y = np.append(np.asarray(x0, dtype=float), 1.0)
+    stops = [start for start, _ in schedule[1:]] + [math.inf]
+    for (start, offset), stop in zip(schedule, stops):
+        if start >= t:
+            break
+        aug[:n, n] = offset
+        y = scipy.linalg.expm(aug * (min(stop, t) - start)) @ y
+    return y[:n]
 
 
 # ---------------------------------------------------------------------------

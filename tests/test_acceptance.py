@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from gridpi import (
     ControllerSpec,
@@ -25,8 +24,8 @@ from gridpi import (
     swing_to_lti,
     xi_rank_test,
 )
-from support import (bundled, frequencies_hz, random_dist_controller, random_network,
-                     scenario_inputs, stability_cubic)
+from support import (bundled, exact_flow, frequencies_hz, random_dist_controller,
+                     random_network, scenario_inputs, stability_cubic)
 
 TWO_PI = 2.0 * np.pi
 
@@ -281,11 +280,7 @@ def test_criterion_9_integrator_shows_fourth_order_convergence(report):
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=0.25, comm=net.coupling)
     loop = close_loop(swing_to_lti(net), ctrl)
-    dim = loop.dim
-    aug = np.zeros((dim + 1, dim + 1))
-    aug[:dim, :dim] = loop.system_matrix
-    aug[:dim, dim] = loop.forcing_dev
-    exact = (scipy.linalg.expm(aug) @ np.append(np.zeros(dim), 1.0))[:dim]
+    exact = exact_flow(loop.system_matrix, np.zeros(loop.dim), [(0.0, loop.forcing_dev)], 1.0)
 
     errors = []
     for h in (0.05, 0.025, 0.0125, 0.00625):

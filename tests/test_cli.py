@@ -262,6 +262,9 @@ CASES = [
           ("ki-negative", "gamma-bound", "--kp 1 --ki -1", f"--ki: {POSITIVE}")]),
     Case("horizon-inf", f"simulate {RING} --horizon inf", 2,
          "error: --horizon: expected a finite number, got 'inf'\n"),
+    # a run shorter than 1e-9 steps was dropped as rounding: "simulated 0 s in 1 steps"
+    Case("horizon-below-the-rounding-band", f"simulate {RING} --horizon 1e-13 --output ''", 0,
+         out=r".*\nsimulated 1e-13 s in 2 steps\n.*"),
     # RK4 amplifies the ring's fastest decaying mode at 0.5 s: integrated
     # anyway, the run reached 7e16 Hz in 6 steps and ended as "not settled"
     Case("step-outside-the-stability-region", f"simulate {RING} --step 0.5 --output ''", 2,

@@ -1,13 +1,17 @@
 """Numerical rank and the fixed-step integrator."""
 
+from dataclasses import replace
+from typing import NamedTuple
+
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
-from gridpi import integrate_rk4, numerical_rank, numerics
+from gridpi import (DEC_PI, ControllerSpec, close_loop, integrate_rk4, numerical_rank, numerics,
+                    swing_to_lti)
 from gridpi.numerics import (_CHECK_BLOCK, DIVERGENCE_LIMIT, _block_rows, _power_stack, _rk4_map,
                              rk4_multiplier)
+from support import exact_flow, plain_rk4, random_dist_controller, random_network, two_bus_network
 
 
 # ---------------------------------------------------------------------------
@@ -29,254 +33,193 @@ def test_rank_of_outer_products():
 
 
 # ---------------------------------------------------------------------------
-# integrator
+# the integrator's contract: one table of runs
 # ---------------------------------------------------------------------------
 
-def _rk4(matrix, offset, x0, t_end, h):
-    """Single-segment integration of x' = matrix @ x + offset."""
-    return integrate_rk4(matrix, x0, [(0.0, offset)], t_end, h)
+class Run(NamedTuple):
+    """One integrate_rk4 call.  Besides agreeing with support.plain_rk4, a
+    run may pin its row count, its diverged flag and the number of powers
+    its block stack keeps; exact = (atol, rtol) compares every row x with
+    support.exact_flow: |x - exact| <= max(atol, rtol * max|exact row|)."""
+    id: str
+    matrix: np.ndarray
+    x0: np.ndarray
+    schedule: list
+    t_end: float
+    h: float
+    rows: int = None
+    diverged: bool = False
+    exact: tuple = None
+    stack: int = None
 
 
-def test_scalar_decay_endpoint():
-    out = _rk4(np.array([[-1.0]]), np.zeros(1), np.ones(1), 1.0, 0.01)
-    assert abs(out.states[-1, 0] - np.exp(-1.0)) < 1e-6
-    assert not out.diverged
+def one_segment(id, matrix, offset, x0, t_end, h, **pins):
+    """A run of one segment, built from array-likes."""
+    return Run(id, np.array(matrix, dtype=float), np.array(x0, dtype=float),
+               [(0.0, np.array(offset, dtype=float))], t_end, h, **pins)
 
 
-def test_affine_offset_steady_state():
-    # x' = -x + 1 from 0: x(t) = 1 - exp(-t)
-    out = _rk4(np.array([[-1.0]]), np.ones(1), np.zeros(1), 3.0, 0.005)
-    assert_allclose(out.states[:, 0], 1.0 - np.exp(-out.times), atol=1e-8)
-
-
-def test_partial_final_step():
-    out = _rk4(np.array([[-1.0]]), np.zeros(1), np.ones(1), 0.35, 0.1)
-    assert_allclose(out.times, [0.0, 0.1, 0.2, 0.3, 0.35])
-    assert abs(out.states[-1, 0] - np.exp(-0.35)) < 1e-6
-
-
-def test_time_grid_is_uniform_when_step_divides():
-    out = _rk4(-np.eye(2), np.zeros(2), np.ones(2), 1.0, 0.1)
-    assert out.times.shape[0] == 11
-    assert out.times[-1] == 1.0
-
-
-def test_divergence_is_reported_and_truncated():
-    out = _rk4(np.array([[50.0]]), np.zeros(1), np.ones(1), 10.0, 0.1)
-    assert out.diverged
-    assert out.times.shape[0] < 101
-    assert np.all(np.isfinite(out.states))
-
-
-def test_rk4_tracks_matrix_exponential():
+def expm_runs():
+    """Decaying random systems of 2 to 5 states over 1 s in steps of 1 ms."""
     rng = np.random.default_rng(5)
-    for _ in range(10):
+    for k in range(10):
         n = int(rng.integers(2, 6))
         a = rng.normal(size=(n, n))
         a -= (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(n)  # make it decay
-        x0 = rng.normal(size=n)
-        out = _rk4(a, np.zeros(n), x0, 1.0, 0.001)
-        assert_allclose(out.states[-1], scipy.linalg.expm(a) @ x0, atol=1e-9)
+        yield one_segment(f"expm-{k}", a, np.zeros(n), rng.normal(size=n), 1.0, 0.001,
+                          exact=(1e-9, 0.0))
 
 
-# ---------------------------------------------------------------------------
-# agreement with a plain four-stage RK4 loop
-# ---------------------------------------------------------------------------
-
-def _plain_rk4(mat, offset, x0, times):
-    """Textbook RK4 over the given time grid; stops after the first state
-    that is non-finite or beyond the divergence limit."""
-    states = [np.asarray(x0, dtype=float)]
-    for t0, t1 in zip(times[:-1], times[1:]):
-        h, x = t1 - t0, states[-1]
-        k1 = mat @ x + offset
-        k2 = mat @ (x + 0.5 * h * k1) + offset
-        k3 = mat @ (x + 0.5 * h * k2) + offset
-        k4 = mat @ (x + h * k3) + offset
-        states.append(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.all(np.abs(states[-1]) <= DIVERGENCE_LIMIT):
-            break
-    return np.array(states)
-
-
-def _close(states, plain):
-    # relative to each sample's largest component
-    scale = np.abs(plain).max(axis=1, keepdims=True)
-    assert np.all(np.abs(states - plain) <= 1e-12 * scale)
-
-
-def test_integrator_matches_a_plain_stage_loop():
-    # random 7-state system whose horizon ends in a shortened tail step
+def stage_loop_runs():
+    """A random 7-state system alone and under three loads, and the runs
+    where the first bad row falls in various places of the blocked path.
+    x' = lam x grows by R = rk4_multiplier(h lam) per step (h a power of two
+    keeps the grid exact), and x0 puts the first crossing of
+    DIVERGENCE_LIMIT half a step's growth past the pinned row."""
     rng = np.random.default_rng(6)
     n = 7
     mat, offset, x0 = rng.normal(size=(n, n)) * 0.3, rng.normal(size=n), rng.normal(size=n)
-    out = _rk4(mat, offset, x0, 0.405, 0.01)
-    assert out.times.shape[0] == 42 and out.times[-1] == 0.405
-    plain = _plain_rk4(mat, offset, x0, out.times)
-    assert not out.diverged
-    _close(out.states, plain)
-
-    # three segments with different offsets; the middle one ends off the grid,
-    # so the grid restarts at 0.235 after a shortened step
+    # the horizon ends in a shortened tail step
+    yield one_segment("tail-step", mat, offset, x0, 0.405, 0.01, rows=42)
+    # the middle segment ends off the grid, so the grid restarts at 0.235
+    # after a shortened step
     offsets = rng.normal(size=(3, n))
-    schedule = [(0.0, offsets[0]), (0.1, offsets[1]), (0.235, offsets[2])]
-    out = integrate_rk4(mat, x0, schedule, 0.4, 0.01)
-    expected_times = np.concatenate([
-        np.arange(11) * 0.01,
-        np.arange(1, 14) * 0.01 + 0.1, [(0.235 - 0.1) + 0.1],
-        np.arange(1, 17) * 0.01 + 0.235, [(0.4 - 0.235) + 0.235],
-    ])
-    assert np.array_equal(out.times, expected_times)
-    assert not out.diverged
-    chained = [x0]
-    for (start, off), stop in zip(schedule, [0.1, 0.235, 0.4]):
-        grid = out.times[(out.times >= start) & (out.times <= stop)]
-        chained.extend(_plain_rk4(mat, off, chained[-1], grid)[1:])
-    _close(out.states, np.array(chained))
-
-    # divergent system: both traces end at the same step
+    yield Run("three-loads", mat, x0, [(0.0, offsets[0]), (0.1, offsets[1]), (0.235, offsets[2])],
+              0.4, 0.01, rows=42)
     mat, offset, x0 = np.array([[0.0, 1.0], [40.0, 0.5]]), np.array([0.0, 1.0]), np.array([1.0, 0.0])
-    out = _rk4(mat, offset, x0, 10.0, 0.1)
-    plain = _plain_rk4(mat, offset, x0, np.arange(101) * 0.1)
-    assert out.diverged and plain.shape[0] < 101
-    assert out.states.shape == plain.shape
-    _close(out.states, plain)
+    yield one_segment("diverges", mat, offset, x0, 10.0, 0.1, rows=42, diverged=True)
+    yield Run("diverges-after-a-switch", mat, x0, [(0.0, offset), (0.25, -offset)], 10.0, 0.1,
+              rows=42, diverged=True)
 
-    # divergence in the second segment truncates at the same step
-    out = integrate_rk4(mat, x0, [(0.0, offset), (0.25, -offset)], 10.0, 0.1)
-    first = _plain_rk4(mat, offset, x0, [0.0, 0.1, 0.2, 0.25])
-    second = _plain_rk4(mat, -offset, first[-1], np.arange(98) * 0.1 + 0.25)
-    plain = np.concatenate([first, second[1:]])
-    assert out.diverged and second.shape[0] < 98
-    assert out.states.shape == plain.shape and out.times[-1] > 0.25
-    _close(out.states, plain)
-
-    # Divergence is tested once per block of rows; the trace must still end
-    # at the first bad row.  x' = lam x grows by R = rk4_multiplier(h lam)
-    # per step (h a power of two keeps the time grid exact), and x0 puts the
-    # first crossing of DIVERGENCE_LIMIT half a step's growth past `row`.
     lam, h = 2.0, 1.0 / 128.0
-    mat, zero = np.array([[lam]]), np.zeros(1)
     grow = rk4_multiplier(h * lam)
-    block = _CHECK_BLOCK
-    for row in (block - 1, block, block + 1):
-        x0 = np.array([DIVERGENCE_LIMIT / grow ** (row - 0.5)])
-        out = _rk4(mat, zero, x0, 3 * block * h, h)
-        plain = _plain_rk4(mat, zero, x0, np.arange(3 * block + 1) * h)
-        assert out.diverged and plain.shape == (row + 1, 1)
-        assert out.states.shape == plain.shape
-        _close(out.states, plain)
-
+    block, m = _CHECK_BLOCK, _block_rows(1)
+    # a divergence check block's last row, the next one's first and second;
+    # a block stack's first row, the rows around its first anchor, a later
+    # anchor and a row inside a later block
+    for row in (block - 1, block, block + 1, 1, m - 1, m, m + 1, 3 * m, 3 * m + m // 2):
+        yield one_segment(f"bad-row-{row}", [[lam]], [0.0], [DIVERGENCE_LIMIT / grow ** (row - 0.5)],
+                          3 * block * h, h, rows=row + 1, diverged=True)
     # the first bad row is a shortened tail step, which runs as its own block
     n_full, tail = block + 200, h / 2.0
-    x0 = np.array([DIVERGENCE_LIMIT / (grow ** n_full * rk4_multiplier(tail * lam) ** 0.5)])
-    out = _rk4(mat, zero, x0, n_full * h + tail, h)
-    plain = _plain_rk4(mat, zero, x0, out.times)
-    assert out.diverged and plain.shape == (n_full + 2, 1) and out.times[-1] == n_full * h + tail
-    assert out.states.shape == plain.shape
-    _close(out.states, plain)
-
-    # the first bad row ends the first block of the second segment
+    x0 = DIVERGENCE_LIMIT / (grow ** n_full * rk4_multiplier(tail * lam) ** 0.5)
+    yield one_segment("bad-tail-row", [[lam]], [0.0], [x0], n_full * h + tail, h,
+                      rows=n_full + 2, diverged=True)
+    # the first bad row ends the first block of the second segment; the small
+    # forcing makes the segments differ
     switch, row = 700, 700 + block
     x0 = np.array([DIVERGENCE_LIMIT / grow ** (row - 0.5)])
-    nudge = 1e-3 * x0  # small forcing, so that the segments differ
-    out = integrate_rk4(mat, x0, [(0.0, nudge), (switch * h, -nudge)], 3 * block * h, h)
-    first = _plain_rk4(mat, nudge, x0, np.arange(switch + 1) * h)
-    second = _plain_rk4(mat, -nudge, first[-1], np.arange(switch, 3 * block + 1) * h)
-    plain = np.concatenate([first, second[1:]])
-    assert out.diverged and plain.shape == (row + 1, 1)
-    assert out.states.shape == plain.shape
-    _close(out.states, plain)
-
-    # after the first bad row the rest of its block overflows to inf and
-    # then NaN (phi mixes signs); that must neither leak a warning nor
-    # move the truncation
-    mat, zero = 800.0 * np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2)
-    out = _rk4(mat, zero, np.array([1.0, 0.0]), 300 * h, h)
-    plain = _plain_rk4(mat, zero, np.array([1.0, 0.0]), np.arange(301) * h)
-    assert out.diverged and plain.shape == (6, 2)
-    assert out.states.shape == plain.shape
-    _close(out.states, plain)
-
+    yield Run("bad-row-after-a-switch", np.array([[lam]]), x0,
+              [(0.0, 1e-3 * x0), (switch * h, -1e-3 * x0)], 3 * block * h, h, rows=row + 1,
+              diverged=True)
+    # after the first bad row the rest of its block overflows to inf and then
+    # NaN (phi mixes signs); that must neither leak a warning nor move the
+    # truncation
+    mixed = 800.0 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    yield one_segment("overflow-after-the-bad-row", mixed, [0.0, 0.0], [1.0, 0.0], 300 * h, h,
+                      rows=6, diverged=True)
     # a first bad row that is itself non-finite: overflow to inf, and NaN
-    for x0 in (np.array([1e308, -1e308]), np.array([np.nan, 0.0])):
-        out = _rk4(mat, zero, x0, 300 * h, h)
-        with np.errstate(over="ignore", invalid="ignore"):
-            plain = _plain_rk4(mat, zero, x0, np.arange(301) * h)
-        assert out.diverged and out.states.shape == plain.shape == (2, 2)
-        assert not np.any(np.isfinite(out.states[-1]))
+    for name, x0 in (("inf", [1e308, -1e308]), ("nan", [np.nan, 0.0])):
+        yield one_segment(f"non-finite-bad-row-{name}", mixed, [0.0, 0.0], x0, 300 * h, h,
+                          rows=2, diverged=True)
+    # a step map growing 1e40 per step: phi^8 overflows, so the stack holds
+    # seven powers and blocks are seven rows; the first bad row (8) is the
+    # first row after an anchor
+    yield one_segment("seven-power-stack", [[2.2e10 / h]], [0.0], [1e-300], 100 * h, h,
+                      rows=9, diverged=True, stack=7)
 
 
-def test_integrator_is_the_step_map_loop():
-    # Rows come in blocks of m from a stack of step-map powers; they agree
-    # with the sequential loop x -> phi @ x + g to rounding.  Segment
-    # lengths around one and two blocks, and several check blocks, each
-    # alone and followed by a shortened tail step, then all chained.
+def block_runs():
+    """Segment lengths around one and two stack blocks and several check
+    blocks, each alone and followed by a shortened tail step, then all
+    chained under alternating loads."""
     rng = np.random.default_rng(7)
     n, h = 6, 0.01
     m = _block_rows(n)
     mat = rng.normal(size=(n, n)) - 3.0 * np.eye(n)
     offsets, x0 = rng.normal(size=(2, n)), rng.normal(size=n)
-    phi, s = _rk4_map(mat, h)
-
-    def loop(x, offset, steps, tail):
-        rows = [x]
-        for _ in range(steps):
-            rows.append(phi @ rows[-1] + h * (s @ offset))
-        if tail:
-            phi_t, s_t = _rk4_map(mat, tail)
-            rows.append(phi_t @ rows[-1] + tail * (s_t @ offset))
-        return rows
-
     lengths = (1, m - 1, m, m + 1, 2 * m + 1, 2 * _CHECK_BLOCK + 300)
     for steps in lengths:
-        for t_end in (steps * h, steps * h + h / 2):
-            out = _rk4(mat, offsets[0], x0, t_end, h)
-            tail = t_end - steps * h  # the shortened step the integrator takes
-            expected = loop(x0, offsets[0], steps, tail)
-            assert not out.diverged and out.states.shape == (len(expected), n)
-            _close(out.states, np.array(expected))
-
-    schedule, expected, start = [], [x0], 0.0
+        yield one_segment(f"steps-{steps}", mat, offsets[0], x0, steps * h, h, rows=steps + 1)
+        yield one_segment(f"steps-{steps}-and-a-tail", mat, offsets[0], x0, steps * h + h / 2, h,
+                          rows=steps + 2)
+    schedule, start = [], 0.0
     for k, steps in enumerate(lengths[:-1]):
         schedule.append((start, offsets[k % 2]))
-        span = steps * h + h / 2
-        expected.extend(loop(expected[-1], offsets[k % 2], steps, span - steps * h)[1:])
-        start += span
-    out = integrate_rk4(mat, x0, schedule, start, h)
-    assert not out.diverged and out.states.shape == (len(expected), n)
-    _close(out.states, np.array(expected))
+        start += steps * h + h / 2
+    yield Run("chained-lengths", mat, x0, schedule, start, h,
+              rows=1 + sum(steps + 1 for steps in lengths[:-1]))
 
 
-def test_blocked_propagation_truncates_at_the_first_bad_row():
-    # x' = lam x as in the divergence cases above: the first crossing of
-    # DIVERGENCE_LIMIT lands on a block's anchor row (a multiple of m) or
-    # inside a block, and the trace ends there
-    lam, h = 2.0, 1.0 / 128.0
-    mat, zero = np.array([[lam]]), np.zeros(1)
-    grow = rk4_multiplier(h * lam)
-    m = _block_rows(1)
-    for row in (1, m - 1, m, m + 1, 3 * m, 3 * m + m // 2):
-        x0 = np.array([DIVERGENCE_LIMIT / grow ** (row - 0.5)])
-        out = _rk4(mat, zero, x0, 3 * _CHECK_BLOCK * h, h)
-        plain = _plain_rk4(mat, zero, x0, np.arange(3 * _CHECK_BLOCK + 1) * h)
-        assert out.diverged and plain.shape == (row + 1, 1)
-        assert out.states.shape == plain.shape
-        _close(out.states, plain)
+def loop_runs():
+    """Closed swing loops: random distributed-PI loops, a split at a grid
+    point under one load, and a load step."""
+    rng = np.random.default_rng(23)
+    for k in range(5):
+        net = random_network(rng, n_max=5)
+        cl = close_loop(swing_to_lti(net), random_dist_controller(rng, net, gamma=0.4))
+        yield one_segment(f"loop-{k}", cl.system_matrix, cl.forcing_dev, rng.normal(size=cl.dim),
+                          1.0, 0.002, exact=(1e-8, 1e-8))
+    net = two_bus_network()
+    cl = close_loop(swing_to_lti(net), ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)))
+    # the same steps as one segment: no extra row at the seam
+    yield Run("split-at-a-grid-point", cl.system_matrix, np.zeros(cl.dim),
+              [(0.0, cl.forcing_dev), (1.0, cl.forcing_dev)], 2.0, 0.01, rows=201)
+    rng = np.random.default_rng(24)
+    net = two_bus_network(power=(20.0, -20.0))
+    ctrl = random_dist_controller(rng, net, gamma=0.3)
+    before = close_loop(swing_to_lti(net), ctrl)
+    after = close_loop(swing_to_lti(replace(net, power=[220.0, -20.0])), ctrl)
+    yield Run("load-step", before.system_matrix, rng.normal(size=before.dim),
+              [(0.0, before.forcing_dev), (1.0, after.forcing_dev)], 2.0, 0.005, rows=401,
+              exact=(1e-8, 1e-8))
 
-    # a step map growing 1e40 per step: phi^8 overflows, so the stack holds
-    # seven powers and blocks are seven rows; the first bad row (8) is the
-    # first row after an anchor
-    lam = 2.2e10 / h
-    phi, _ = _rk4_map(np.array([[lam]]), h)
-    assert 1e39 < phi[0, 0] < 1e41
-    assert _power_stack(phi, m).shape == (7, 1)
-    x0 = np.array([1e-300])
-    out = _rk4(np.array([[lam]]), zero, x0, 100 * h, h)
-    plain = _plain_rk4(np.array([[lam]]), zero, x0, np.arange(101) * h)
-    assert out.diverged and plain.shape == (9, 1)
-    assert out.states.shape == plain.shape
-    _close(out.states, plain)
+
+RUNS = [
+    one_segment("decay", [[-1.0]], [0.0], [1.0], 1.0, 0.01, exact=(1e-6, 0.0)),
+    # x' = -x + 1 from 0: x(t) = 1 - exp(-t)
+    one_segment("affine", [[-1.0]], [1.0], [0.0], 3.0, 0.005, exact=(1e-8, 0.0)),
+    one_segment("partial-final-step", [[-1.0]], [0.0], [1.0], 0.35, 0.1, rows=5,
+                exact=(1e-6, 0.0)),
+    one_segment("step-divides", -np.eye(2), [0.0, 0.0], [1.0, 1.0], 1.0, 0.1, rows=11),
+    one_segment("grows", [[50.0]], [0.0], [1.0], 10.0, 0.1, rows=8, diverged=True),
+    # a segment that holds no full step is one shortened step, however short
+    one_segment("span-below-the-band", [[-1.0]], [0.0], [1.0], 1e-13, 1e-3, rows=2),
+    Run("short-middle-segment", np.array([[-1.0]]), np.ones(1),
+        [(0.0, np.zeros(1)), (0.5, np.full(1, 1e6)), (0.5 + 1e-13, np.zeros(1))], 1.0, 0.01,
+        rows=102, exact=(1e-9, 0.0)),
+    # a remainder within 1e-9 h after a full step is rounding
+    one_segment("remainder-in-the-band", [[-1.0]], [0.0], [1.0], 0.0030000000001, 1e-3, rows=4),
+    *expm_runs(),
+    *stage_loop_runs(),
+    *block_runs(),
+    *loop_runs(),
+]
+
+
+@pytest.mark.parametrize("run", RUNS, ids=[run.id for run in RUNS])
+def test_integrator_contract(run):
+    out = integrate_rk4(run.matrix, run.x0, run.schedule, run.t_end, run.h)
+    times, states, diverged = plain_rk4(run.matrix, run.x0, run.schedule, run.t_end, run.h)
+    assert np.array_equal(out.times, times)
+    assert out.diverged == diverged == run.diverged
+    assert out.states.shape == states.shape == (times.size, run.x0.size)
+    assert run.rows in (None, times.size)
+    # the rows agree to rounding, within 1e-12 of each row's largest
+    # component; a component is non-finite only where the reference's is
+    finite = np.isfinite(states)
+    assert np.array_equal(np.isfinite(out.states), finite)
+    kept = finite.all(axis=1)
+    scale = np.abs(states[kept]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(out.states[kept] - states[kept]) <= 1e-12 * scale)
+    if run.stack is not None:
+        phi, _ = _rk4_map(run.matrix, run.h)
+        assert _power_stack(phi, _block_rows(run.x0.size)).shape[0] == run.stack * run.x0.size
+    if run.exact is not None:
+        atol, rtol = run.exact
+        exact = np.array([exact_flow(run.matrix, run.x0, run.schedule, t) for t in times])
+        bound = np.maximum(atol, rtol * np.abs(exact).max(axis=1, keepdims=True))
+        assert np.all(np.abs(out.states - exact) <= bound)
 
 
 def test_non_finite_step_map_or_forcing_is_refused_before_any_row(monkeypatch):
@@ -287,7 +230,7 @@ def test_non_finite_step_map_or_forcing_is_refused_before_any_row(monkeypatch):
     monkeypatch.setattr(numerics, "_propagate", no_rows)
     huge = np.array([[-1e200, 1e200], [1e200, -1e200]])
     with pytest.raises(ValueError, match=r"^step 0\.002 s: the RK4 step map is not finite$"):
-        _rk4(huge, np.zeros(2), np.zeros(2), 1.0, 0.002)
+        integrate_rk4(huge, np.zeros(2), [(0.0, np.zeros(2))], 1.0, 0.002)
     # a finite map whose forcing term h * (s @ offset) overflows, named by
     # its segment's start (s = 0.99 here, so h = 2 doubles the offset)
     mat, x0 = -0.01 * np.eye(2), np.zeros(2)

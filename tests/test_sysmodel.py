@@ -1,12 +1,8 @@
 """Swing-network modelling, loop assembly, and simulation."""
 
-from dataclasses import replace
-
 import numpy as np
-import scipy.linalg
 from numpy.testing import assert_allclose
 
-import gridpi
 from gridpi import (
     DEC_PI,
     DIST_PI,
@@ -151,21 +147,6 @@ def test_trace_outputs_and_controls_follow_the_laws():
     assert_allclose(tr.states @ cl.control_gain.T + cl.control_offset, expected_u, atol=1e-9)
 
 
-def test_simulation_matches_matrix_exponential():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        net = random_network(rng, n_max=5)
-        ctrl = random_dist_controller(rng, net, gamma=0.4)
-        cl = close_loop(swing_to_lti(net), ctrl)
-        x0 = rng.normal(size=cl.dim)
-        tr = simulate_schedule([(0.0, cl)], 1.0, h=0.002, x0=x0)
-        aug = np.zeros((cl.dim + 1, cl.dim + 1))
-        aug[:cl.dim, :cl.dim] = cl.system_matrix
-        aug[:cl.dim, cl.dim] = cl.forcing_dev
-        exact = (scipy.linalg.expm(aug) @ np.append(x0, 1.0))[:cl.dim]
-        assert_allclose(tr.states[-1], exact, atol=1e-8 * max(np.abs(exact).max(), 1.0))
-
-
 def test_schedule_with_single_segment_equals_plain_simulation():
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
@@ -174,35 +155,3 @@ def test_schedule_with_single_segment_equals_plain_simulation():
     scheduled = simulate_schedule([(0.0, cl)], 1.0, h=0.01)
     assert_allclose(scheduled.times, direct.times)
     assert_allclose(scheduled.states, direct.states)
-
-
-def test_schedule_split_at_a_grid_point_is_seamless():
-    net = two_bus_network()
-    ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
-    cl = close_loop(swing_to_lti(net), ctrl)
-    direct = simulate_schedule([(0.0, cl)], 2.0, h=0.01)
-    split = simulate_schedule([(0.0, cl), (1.0, cl)], 2.0, h=0.01)
-    assert_allclose(split.times, direct.times, atol=1e-12)
-    assert_allclose(split.states, direct.states, atol=1e-12)
-
-
-def test_schedule_applies_a_load_step_exactly():
-    rng = np.random.default_rng(24)
-    net = two_bus_network(power=(20.0, -20.0))
-    stepped = replace(net, power=[220.0, -20.0])
-    ctrl = random_dist_controller(rng, net, gamma=0.3)
-    cl0 = close_loop(swing_to_lti(net), ctrl)
-    cl1 = close_loop(swing_to_lti(stepped), ctrl)
-    x0 = rng.normal(size=cl0.dim)
-    tr = simulate_schedule([(0.0, cl0), (1.0, cl1)], 2.0, h=0.005, x0=x0)
-
-    def _flow(cl, x, t):
-        aug = np.zeros((cl.dim + 1, cl.dim + 1))
-        aug[:cl.dim, :cl.dim] = cl.system_matrix
-        aug[:cl.dim, cl.dim] = cl.forcing_dev
-        return (scipy.linalg.expm(aug * t) @ np.append(x, 1.0))[:cl.dim]
-
-    exact = _flow(cl1, _flow(cl0, x0, 1.0), 1.0)
-    assert_allclose(tr.states[-1], exact, atol=1e-8 * max(np.abs(exact).max(), 1.0))
-    assert tr.times.shape[0] == 401  # no duplicated boundary sample
-    assert np.all(np.diff(tr.times) > 0)
