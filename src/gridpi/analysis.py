@@ -96,8 +96,7 @@ class StabilityReport(NamedTuple):
     """Outcome of output_stability_check.  eigenvalues is the spectrum of
     the loop matrix from its unobservable and observable blocks, sorted by
     real part descending, then imaginary part descending; zero_modes are
-    those with |lam| < STABILITY_TOL * scale, less the observable ones
-    when the Lyapunov certificate proved them decaying."""
+    those with |lam| < STABILITY_TOL * scale."""
 
     eigenvalues: np.ndarray
     zero_modes: tuple
@@ -154,65 +153,30 @@ def _observable_margin(seen: np.ndarray, scale: float) -> float:
     return float(np.max(seen.real, initial=-math.inf)) + STABILITY_TOL * scale
 
 
-def _lyapunov_certificate(a: np.ndarray) -> bool:
-    """True when a is proved Hurwitz: P = P^T solving a^T P + P a = -I is
-    positive definite, and the residual R = a^T P + P a + I has ||R||_2 < 1,
-    so that a^T P + P a = -(I - R) is negative definite (Lyapunov).
-
-    P comes from a = V diag(lam) V^-1: with P = V^-H Y V^-1 the equation is
-    conj(lam_i) Y_ij + Y_ij lam_j = -(V^H V)_ij.  However inaccurate that
-    makes P (a nearly defective a), R is formed from P as it is, and its
-    Frobenius norm is bounded above with the rounding of the products that
-    form it; lambda_min(P) must clear eigvalsh's own rounding.
-    """
-    n = a.shape[0]
-    eps = np.finfo(float).eps
-    lam, v = np.linalg.eig(a)
-    if not np.all(lam.real < 0.0):
-        return False
-    with np.errstate(all="ignore"):  # an overflow leaves a NaN or inf bound, which fails
-        try:
-            vinv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:
-            return False
-        y = -(v.conj().T @ v) / (lam.conj()[:, None] + lam[None, :])
-        p = _sym((vinv.conj().T @ y @ vinv).real)
-        p_norm = np.linalg.norm(p)
-        residual = np.linalg.norm(a.T @ p + p @ a + np.eye(n))
-        bound = residual + (2 * n + 4) * eps * (2.0 * np.linalg.norm(a) * p_norm + 1.0)
-    return bool(bound < 1.0) and bool(np.linalg.eigvalsh(p)[0] > 2 * n * eps * p_norm)
-
-
 def output_stability_check(cl: sysmodel.ClosedLoop) -> StabilityReport:
-    """Stable iff every observable mode decays.
+    """Eigenvalue test: stable iff every observable mode decays.
 
     The unobservable subspace B is invariant, so in the basis [B W] the
     loop matrix E is block upper-triangular: the eigenvalues of B^T E B
-    are the unobservable modes and those of W^T E W the observable ones.
-    Stable when every observable eigenvalue has
-    Re lam < -STABILITY_TOL * scale, or else when _lyapunov_certificate
-    proves W^T E W Hurwitz: a slow mode inside that band is not rounding
-    once a Lyapunov matrix shows that it decays.  Eigenvalues with
+    are the unobservable modes and those of W^T E W the observable ones,
+    found without eigenvectors.  Stable iff every observable eigenvalue
+    has Re lam < -STABILITY_TOL * scale.  Eigenvalues with
     |lam| < STABILITY_TOL * scale are reported as zero modes, marked
-    observable by their block; certified observable modes are not zero
-    modes.
+    observable by their block.
     """
     e = cl.system_matrix
     scale = max(np.linalg.norm(e, 2), 1.0)
     basis, comp = unobservable_subspace(e, cl.output_selector, scale=scale)
     hidden = np.linalg.eigvals(basis.T @ e @ basis)
-    block = comp.T @ e @ comp
-    seen = np.linalg.eigvals(block)
+    seen = np.linalg.eigvals(comp.T @ e @ comp)
     lam = np.concatenate([hidden, seen])
     order = np.lexsort((-lam.imag, -lam.real))
     lam, observable = lam[order], order >= hidden.size
-    stable = _observable_margin(seen, scale) < 0.0
-    certified = not stable and _lyapunov_certificate(block)
-    zero = (np.abs(lam) < STABILITY_TOL * scale) & ~(observable & certified)
+    zero = np.abs(lam) < STABILITY_TOL * scale
     return StabilityReport(
         eigenvalues=lam,
         zero_modes=tuple(ZeroMode(complex(z), bool(o)) for z, o in zip(lam[zero], observable[zero])),
-        output_stable=stable or certified,
+        output_stable=_observable_margin(seen, scale) < 0.0,
         max_real_part_excluding_zero_modes=float(np.max(lam.real[~zero], initial=-math.inf)),
         scale=scale,
     )
@@ -346,8 +310,7 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     answer out of the band where the full check flips with rounding; it is
     returned if it passes.  Otherwise returns the largest gamma found to
     pass (inf if the ladder's top rung passes).
-    Probes apply output_stability_check's eigenvalue rule, without its
-    Lyapunov certificate, to E(gamma) = E0 - gamma G on
+    Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G on
     one split [B W], formed at the probe of start and redone only where
     ||W^T E(gamma) B||_2 > RANK_REL_TOL * scale.  B is usually the
     uniform-angle vector and one split serves the search; when gamma L_c

@@ -584,8 +584,7 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
 
 def _check_step(stability: analysismod.StabilityReport, h: float):
     """Refuse a step at which RK4 does not damp every mode that the
-    stability check's eigenvalue rule counts as decaying
-    (Re lam < -STABILITY_TOL * scale)."""
+    stability check counts as decaying (Re lam < -STABILITY_TOL * scale)."""
     lam = stability.eigenvalues
     lam = lam[lam.real < -analysismod.STABILITY_TOL * stability.scale]
 

@@ -166,15 +166,10 @@ CASES = [
     Case("cost-reciprocal-overflows", "analyze ring_share.scn", 2,
          "error: ring_share.scn:{line}: cost_coeffs: 1/1e-320 is not finite\n",
          edits=ring(r"5\.0e-4$", "1e-320")),
-    # above gamma_bar the command warns and the stability check decides; at
-    # 1e9 the 2 ms step is outside the RK4 stability region, but 1e-11 s is not.
-    # Ten observable modes lie in the 1e-8 * ||E||_2 band (about 1e3 here),
-    # so the eigenvalue rule alone said unstable (exit 1); the Lyapunov
-    # certificate proves the loop stable, as its spectrum is: 0 (the
-    # uniform angle), then -0.306 1/s and faster
-    Case("gamma-above-the-bound-analyze", "analyze ring_share.scn", 0, ABOVE_THE_BOUND,
-         r".*  gamma=1e\+09\n.*zero modes: 1 \(0 observable\)\n.*output stable: yes\n.*",
-         GAMMA_1E9),
+    # above gamma_bar the command warns and the eigenvalue check decides; at
+    # 1e9 the 2 ms step is outside the RK4 stability region, but 1e-11 s is not
+    Case("gamma-above-the-bound-analyze", "analyze ring_share.scn", 1, ABOVE_THE_BOUND,
+         r".*  gamma=1e\+09\n.*", GAMMA_1E9),
     Case("gamma-above-the-bound-simulate", f"{RUN} --horizon 1e-9 --step 1e-11", 0,
          ABOVE_THE_BOUND, r".*  gamma=1e\+09\n.*", GAMMA_1E9),
     # gamma_bar underflows to 0 at ki = 1e-320, and half of it is no gamma: the
