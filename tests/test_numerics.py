@@ -38,9 +38,9 @@ def test_rank_of_outer_products():
 
 class Run(NamedTuple):
     """One integrate_rk4 call.  Besides agreeing with support.plain_rk4, a
-    run may pin its row count, its diverged flag and the number of powers
-    its block stack keeps; exact = (atol, rtol) compares every row x with
-    support.exact_flow: |x - exact| <= max(atol, rtol * max|exact row|)."""
+    run may pin its row count and its diverged flag; exact = (atol, rtol)
+    compares every row x with support.exact_flow:
+    |x - exact| <= max(atol, rtol * max|exact row|)."""
     id: str
     matrix: np.ndarray
     x0: np.ndarray
@@ -50,7 +50,6 @@ class Run(NamedTuple):
     rows: int = None
     diverged: bool = False
     exact: tuple = None
-    stack: int = None
 
 
 def one_segment(id, matrix, offset, x0, t_end, h, **pins):
@@ -123,10 +122,10 @@ def stage_loop_runs():
         yield one_segment(f"non-finite-bad-row-{name}", mixed, [0.0, 0.0], x0, 300 * h, h,
                           rows=2, diverged=True)
     # a step map growing 1e40 per step: phi^8 overflows, so the stack holds
-    # seven powers and blocks are seven rows; the first bad row (8) is the
-    # first row after an anchor
+    # seven powers (test_power_stack_stops_before_overflow) and blocks are
+    # seven rows; the first bad row (8) is the first row after an anchor
     yield one_segment("seven-power-stack", [[2.2e10 / h]], [0.0], [1e-300], 100 * h, h,
-                      rows=9, diverged=True, stack=7)
+                      rows=9, diverged=True)
 
 
 def block_runs():
@@ -212,14 +211,16 @@ def test_integrator_contract(run):
     kept = finite.all(axis=1)
     scale = np.abs(states[kept]).max(axis=1, keepdims=True)
     assert np.all(np.abs(out.states[kept] - states[kept]) <= 1e-12 * scale)
-    if run.stack is not None:
-        phi, _ = _rk4_map(run.matrix, run.h)
-        assert _power_stack(phi, _block_rows(run.x0.size)).shape[0] == run.stack * run.x0.size
     if run.exact is not None:
         atol, rtol = run.exact
         exact = np.array([exact_flow(run.matrix, run.x0, run.schedule, t) for t in times])
         bound = np.maximum(atol, rtol * np.abs(exact).max(axis=1, keepdims=True))
         assert np.all(np.abs(out.states - exact) <= bound)
+
+
+def test_power_stack_stops_before_overflow():
+    phi, _ = _rk4_map(np.array([[2.2e10 * 128.0]]), 1.0 / 128.0)  # row seven-power-stack
+    assert _power_stack(phi, _block_rows(1)).shape == (7, 1)
 
 
 def test_non_finite_step_map_or_forcing_is_refused_before_any_row(monkeypatch):
