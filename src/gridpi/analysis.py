@@ -104,6 +104,11 @@ class StabilityReport(NamedTuple):
     max_real_part_excluding_zero_modes: float
     scale: float  # max(||E||_2, 1); the check's tolerances are relative to it
 
+    @property
+    def decaying(self):
+        """The eigenvalues with Re lam < -STABILITY_TOL * scale, hidden modes included."""
+        return self.eigenvalues[self.eigenvalues.real < -STABILITY_TOL * self.scale]
+
 
 def _right_singular(mat: np.ndarray):
     """Singular values and the full right singular basis (rows of vt) of mat.

@@ -584,9 +584,8 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
 
 def _check_step(stability: analysismod.StabilityReport, h: float):
     """Refuse a step at which RK4 does not damp every mode that the
-    stability check counts as decaying (Re lam < -STABILITY_TOL * scale)."""
-    lam = stability.eigenvalues
-    lam = lam[lam.real < -analysismod.STABILITY_TOL * stability.scale]
+    stability check counts as decaying (stability.decaying)."""
+    lam = stability.decaying
 
     def damping(step):
         # |R| overflows for a huge step or mode, and inf - inf is NaN: both are undamped
@@ -605,8 +604,8 @@ def _check_step(stability: analysismod.StabilityReport, h: float):
                          "so RK4 does not damp that mode")
     ok = h / 2.0
     # ends by the first ok with ok * max|lam| < 2.6: |R(z)| < 1 on the left
-    # half-disk of that radius, and there Re(ok lam) < -STABILITY_TOL * ok * scale
-    # is below -1.3e-8, too far from 0 for |R| to round to 1
+    # half-disk of that radius; a decaying mode has Re(ok lam) < -(ok * scale) times the
+    # check's relative band, with ok * scale >= 1.3: too far from 0 for |R| to round to 1
     while np.any(damping(ok) >= 1.0):
         ok /= 2.0
     raise ValueError(f"step {h:g} s is outside the RK4 stability region: {mode} = "

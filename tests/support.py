@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: bundled data paths, random systems,
-the paper's per-direction cubic and the reference gamma search, the
-integrator's two references, quantities read off a trace, and the trace
-CSV reader."""
+the paper's per-direction cubic, the closed-form unobservable subspace and
+the reference gamma search, the integrator's two references, quantities
+read off a trace, and the trace CSV reader."""
 
 import math
 from dataclasses import replace
@@ -104,6 +104,29 @@ def stability_cubic(net, ctrl, gamma, x):
                + x @ (lap_k @ x))
     a0 = float(gamma * x @ (lap_k @ (lap_c @ x)))
     return a3, a2, a1, a0
+
+
+def closed_form_split(cl, net, ctrl):
+    """(B, W) of a closed loop: an orthonormal basis B of its unobservable
+    subspace in closed form and one W of the orthogonal complement.
+
+    On an unobservable trajectory of a swing loop omega = 0, so delta is
+    constant.  Under P, L_k delta = 0 leaves the uniform angle; under
+    distributed PI too, since L_k delta = K_i z with z' = -gamma L_c z
+    forces z = c 1, and summing the rows gives c = 0.  Under decentralized
+    PI it is the equilibria {(delta, 0, K_i^-1 L_k delta)}.  Any other
+    loop (net None) is taken to be fully observable: B is empty.
+    """
+    basis = np.zeros((cl.dim, 0 if net is None else net.n_buses))
+    if net is not None:
+        basis[cl.state_layout["delta"]] = np.eye(net.n_buses)
+        if ctrl.kind == gridpi.DEC_PI:
+            basis[cl.state_layout["z"]] = net.coupling.laplacian / ctrl.ki[:, None]
+        else:
+            basis = basis.mean(axis=1, keepdims=True)
+    basis, _ = np.linalg.qr(basis)
+    q, _ = np.linalg.qr(basis, mode="complete")
+    return basis, q[:, basis.shape[1]:]
 
 
 def reference_gamma_star_search(net, ctrl):

@@ -1,19 +1,23 @@
 """Feasibility, stability, gain bounds, and steady-state predictions."""
 
 import math
+from collections import Counter
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 import gridpi
 from gridpi import (
     DEC_PI,
     DIST_PI,
     P,
+    ClosedLoop,
     ControllerSpec,
     LtiSystem,
     PowerNetwork,
@@ -28,8 +32,9 @@ from gridpi import (
 )
 from gridpi.analysis import _SEARCH_REL_TOL, STABILITY_TOL, unobservable_subspace
 from gridpi.numerics import RANK_REL_TOL
-from support import (bundled, random_dist_controller, random_network, random_wide_gain_loop,
-                     reference_gamma_star_search, stability_cubic, two_bus_network)
+from support import (bundled, closed_form_split, random_dist_controller, random_network,
+                     random_wide_gain_loop, reference_gamma_star_search, stability_cubic,
+                     two_bus_network)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +67,8 @@ def test_rank_test_sees_swing_degeneracy():
         assert result.dim == 3 * n
         assert result.deficiency == n
         assert not result.full_rank
+    # the unit pair under decentralized PI, output stable (row dec_pi-unit-pair)
+    assert xi_rank_test(swing_to_lti(two_bus_network()), np.ones(2)).deficiency == 2
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +148,6 @@ def test_unobservable_subspace_matches_the_residual_search_on_planted_subspaces(
             assert_allclose(basis @ basis.T, planted @ planted.T, atol=1e-10)
 
 
-@pytest.mark.parametrize("factor", [0.5, 1.0e5, 1.0e6, 1.0e7])
-def test_unobservable_subspace_matches_the_residual_search_on_swing_loops(factor):
-    # factors of 1e5 and up sit in the region where the norm-relative
-    # tolerances break down; both searches must still agree there
-    rng = np.random.default_rng(61)
-    for _ in range(6):
-        net = random_network(rng)
-        ctrl = random_dist_controller(rng, net)
-        gamma = factor * gamma_bar(net, ctrl).gamma_bar
-        cl = close_loop(swing_to_lti(net), ControllerSpec(
-            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling))
-        e, c = cl.system_matrix, cl.output_selector
-        basis, comp = unobservable_subspace(e, c)
-        _assert_same_subspace(basis, _residual_subspace(e, c))
-        _assert_complement(basis, comp)
-
-
 def test_unobservable_subspace_scale_argument_is_the_default_norm():
     rng = np.random.default_rng(62)
     net = random_network(rng)
@@ -168,150 +158,133 @@ def test_unobservable_subspace_scale_argument_is_the_default_norm():
         assert np.array_equal(given, default)
 
 
-def test_observable_unstable_mode_fails_the_check():
-    sys = LtiSystem(a=[[2.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0])
-    cl = close_loop(sys, ControllerSpec(kind=P, kp=np.array([0.5])))
-    report = output_stability_check(cl)
-    assert not report.output_stable
+# ---------------------------------------------------------------------------
+# the stability check's contract: one table of verdicts
+# ---------------------------------------------------------------------------
+
+class Verdict(NamedTuple):
+    """A closed loop and the triple that output_stability_check gives it:
+    output stable, zero modes, observable zero modes.  net and ctrl give
+    its closed-form split (support.closed_form_split); net is None for a
+    loop that is no swing loop.  Marks: "band", the band-free verdict
+    differs from the band's (ROADMAP item 3); "split", the numeric
+    unobservable subspace is larger than the closed-form one (item 14).
+    The reported spectrum lies within eig_tol * scale of eigvals(E)."""
+    id: str
+    loop: ClosedLoop
+    net: PowerNetwork
+    ctrl: ControllerSpec
+    stated: tuple
+    marks: tuple = ()
+    eig_tol: float = 1e-9
 
 
-def test_proportional_swing_loop_is_output_stable():
-    rng = np.random.default_rng(32)
-    for _ in range(5):
-        net = random_network(rng)
-        cl = close_loop(swing_to_lti(net), ControllerSpec(kind=P, kp=rng.uniform(0.5, 5.0, net.n_buses)))
-        report = output_stability_check(cl)
-        assert report.output_stable
-        assert len(report.zero_modes) == 1
-        assert not report.zero_modes[0].observable
-        assert report.max_real_part_excluding_zero_modes < 0.0
+STABLE = (True, 1, 0)  # the one zero mode is the hidden uniform angle
 
 
-def test_decentralized_pi_loop_spectrum_structure():
-    """The per-node integrators leave an n-dimensional marginal manifold.
-
-    None of it is visible from the frequency outputs, so the eigenvalue
-    check alone reports output stability; the rank test above is what
-    flags the configuration as unable to regulate.  Both statements are
-    pinned here.
-    """
-    net = two_bus_network()
-    ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
-    report = output_stability_check(close_loop(swing_to_lti(net), ctrl))
-    assert len(report.zero_modes) == 2
-    assert all(not mode.observable for mode in report.zero_modes)
-    assert report.output_stable
-    assert not xi_rank_test(swing_to_lti(net), ctrl.ki).full_rank
-
-
-def test_distributed_pi_loop_has_single_marginal_mode():
-    rng = np.random.default_rng(33)
-    net = random_network(rng)
-    ctrl = random_dist_controller(rng, net)
-    bound = gamma_bar(net, ctrl)
-    cl = close_loop(swing_to_lti(net), ControllerSpec(
-        kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki,
-        gamma=0.5 * bound.gamma_bar, comm=net.coupling))
-    report = output_stability_check(cl)
-    assert report.output_stable
-    assert len(report.zero_modes) == 1
-    assert report.max_real_part_excluding_zero_modes < 0.0
-
-
-def _per_mode_classifier(cl, tol=STABILITY_TOL):
-    """Reference: the per-eigenvector classifier that the block split replaced.
-
-    A mode counts as unobservable when c annihilates its right eigenvector
-    and the eigenvector lies in the unobservable subspace.  Returns
-    (output_stable, zero modes, observable zero modes, max Re at %.6g).
-    """
-    e, c = cl.system_matrix, cl.output_selector
-    values, vectors = np.linalg.eig(e)
-    scale = max(np.linalg.norm(e, 2), 1.0)
-    basis, _ = unobservable_subspace(e, c, scale=scale)
-
-    def unobservable(vec):
-        nrm = np.linalg.norm(vec)
-        if np.linalg.norm(c @ vec) > tol * nrm or basis.shape[1] == 0:
-            return False
-        return np.linalg.norm(vec - basis @ (basis.T @ vec)) <= tol * nrm
-
-    stable, zero_observable, max_real = True, [], -math.inf
-    for lam, vec in zip(values, vectors.T):
-        if abs(lam) < tol * scale:
-            zero_observable.append(not unobservable(vec))
-        else:
-            max_real = max(max_real, float(lam.real))
-        if lam.real >= -tol * scale and not unobservable(vec):
-            stable = False
-    return stable, len(zero_observable), sum(zero_observable), "%.6g" % max_real
-
-
-def _classified(cl):
-    report = output_stability_check(cl)
-    return (report.output_stable, len(report.zero_modes),
-            sum(mode.observable for mode in report.zero_modes),
-            "%.6g" % report.max_real_part_excluding_zero_modes)
-
-
-@pytest.mark.parametrize("factor", [1.0e-2, 0.5, 0.99, 2.0, 1.0e3, 1.0e5, 1.0e7])
-def test_block_split_gives_the_per_mode_verdicts_on_distributed_loops(factor):
-    # from well inside the certified bound to where the norm-relative
-    # zero-mode band saturates and the check says unstable
-    rng = np.random.default_rng(63)
-    for _ in range(8):
-        net = random_network(rng)
-        ctrl = random_dist_controller(rng, net)
-        gamma = factor * gamma_bar(net, ctrl).gamma_bar
-        cl = close_loop(swing_to_lti(net), ControllerSpec(
-            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling))
-        assert _classified(cl) == _per_mode_classifier(cl)
-
-
-@pytest.mark.parametrize("kind", [P, DEC_PI])
-def test_block_split_gives_the_per_mode_verdicts_on_p_and_decentralized_loops(kind):
-    rng = np.random.default_rng(64)
-    for _ in range(8):
+def drawn(seed, kind, stated, factor=None, gamma=None):
+    """A row for each stated triple (and its marks), on successive
+    random_network draws of default_rng(seed).  P and DEC_PI gains are
+    U(0.5, 5), ki drawn first; DIST_PI gains come from
+    random_dist_controller, at gamma or at factor * gamma_bar (id -x<factor>)."""
+    rng = np.random.default_rng(seed)
+    for k, (stable, zeros, observable, *marks) in enumerate(stated):
         net = random_network(rng)
         n = net.n_buses
-        ki = rng.uniform(0.5, 5.0, n) if kind == DEC_PI else None
-        cl = close_loop(swing_to_lti(net), ControllerSpec(
-            kind=kind, kp=rng.uniform(0.5, 5.0, n), ki=ki))
-        assert _classified(cl) == _per_mode_classifier(cl)
+        tag = ""
+        if kind == DIST_PI:
+            ctrl = random_dist_controller(rng, net, gamma=gamma)
+            if factor is not None:
+                ctrl = replace(ctrl, gamma=factor * gamma_bar(net, ctrl).gamma_bar)
+            tag = f"-x{factor:g}" if factor is not None else f"-gamma{gamma:g}"
+        else:
+            ki = rng.uniform(0.5, 5.0, n) if kind == DEC_PI else None
+            ctrl = ControllerSpec(kind=kind, kp=rng.uniform(0.5, 5.0, n), ki=ki)
+        yield Verdict(f"{kind}-{seed}-{k}{tag}", close_loop(swing_to_lti(net), ctrl), net, ctrl,
+                      (stable, zeros, observable), tuple(marks))
 
 
-def test_report_eigenvalues_are_the_spectrum_sorted_as_eigen_sorts():
-    rng = np.random.default_rng(66)
-    for _ in range(5):
-        net = random_network(rng)
-        cl = close_loop(swing_to_lti(net), random_dist_controller(rng, net, gamma=0.3))
-        report = output_stability_check(cl)
-        lam = report.eigenvalues
-        assert np.array_equal(np.lexsort((-lam.imag, -lam.real)), np.arange(lam.size))
-        spectrum = np.sort_complex(np.linalg.eigvals(cl.system_matrix))[::-1]
-        assert_allclose(lam, spectrum, rtol=0.0, atol=1e-9 * report.scale)
+def named_rows():
+    """A 1-state loop, the unit two-bus pair, and the library loops behind
+    the command-line cases of ROADMAP item 3."""
+    sys = LtiSystem(a=[[2.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0])
+    ctrl = ControllerSpec(kind=P, kp=np.array([0.5]))
+    yield Verdict("p-1-state", close_loop(sys, ctrl), None, ctrl, (False, 0, 0))  # lambda = 1.5
+    # the per-bus integrators leave two hidden zero modes (the rank test flags
+    # the pair); -1 is a defective double eigenvalue, split by +-1.3e-8j in eigvals(E)
+    net = two_bus_network()
+    ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
+    yield Verdict("dec_pi-unit-pair", close_loop(swing_to_lti(net), ctrl), net, ctrl,
+                  (True, 2, 0), eig_tol=1e-8)
+    # analyze ring_share.scn at gamma = 1e9: the band (scale 7.85e10) holds ten
+    # decaying modes, the slowest at -0.306
+    scn = gridpi.load_scenario(bundled("ring_share.scn"))
+    net = scn.network.net
+    ctrl = ControllerSpec(kind=DIST_PI, kp=scn.kp, ki=scn.ki, gamma=1e9, comm=scn.comm)
+    yield Verdict("ring_share-gamma1e9", close_loop(swing_to_lti(net), ctrl), net, ctrl,
+                  (False, 11, 10), ("band",))
+    # gamma-bound net5ring.grid --kp 1 --ki 1e10 --spectral refuses gamma_bar
+    net = gridpi.load_network(bundled("net5ring.grid")).net
+    ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(5), ki=np.full(5, 1e10), comm=net.coupling)
+    bar = gamma_bar(net, ctrl).gamma_bar
+    for factor, observable in ((0.5, 0), (1.0, 2)):
+        at = replace(ctrl, gamma=factor * bar)
+        yield Verdict(f"net5ring-ki1e10-x{factor:g}", close_loop(swing_to_lti(net), at), net, at,
+                      (False, 5, observable), ("band", "split"))
 
 
-def test_uniform_angle_mode_stays_unobservable_among_slow_consensus_modes():
-    # At 1e-6 * gamma_bar the consensus modes are slow enough to fall in
-    # the zero-mode band around the uniform-angle mode.  Their eigenvectors
-    # mix with it, so _per_mode_classifier can call every zero mode
-    # observable; the block split keeps the uniform-angle mode in B.
-    rng = np.random.default_rng(65)
-    for _ in range(6):
-        net = random_network(rng)
-        ctrl = random_dist_controller(rng, net)
-        gamma = 1.0e-6 * gamma_bar(net, ctrl).gamma_bar
-        cl = close_loop(swing_to_lti(net), ControllerSpec(
-            kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=gamma, comm=net.coupling))
-        uniform = np.zeros(cl.dim)
-        uniform[cl.state_layout["delta"]] = 1.0 / math.sqrt(net.n_buses)
-        basis, _ = unobservable_subspace(cl.system_matrix, cl.output_selector)
-        assert np.linalg.norm(uniform - basis @ (basis.T @ uniform)) < 1e-10
-        report = output_stability_check(cl)
-        assert len(report.zero_modes) > 1
-        assert any(not mode.observable and abs(mode.eigenvalue) < 1e-12 * report.scale
-                   for mode in report.zero_modes)
+VERDICTS = [
+    *named_rows(),
+    *drawn(32, P, [STABLE] * 5),
+    *drawn(64, P, [STABLE] * 8),
+    *drawn(64, DEC_PI, [(True, zeros, 0) for zeros in (7, 5, 4, 9, 3, 5, 10, 6)]),
+    *drawn(33, DIST_PI, [STABLE], factor=0.5),
+    *drawn(66, DIST_PI, [STABLE] * 5, gamma=0.3),
+    # up to where the norm-relative tolerances break down
+    *(row for factor in (0.5, 1e5, 1e6, 1e7) for row in drawn(61, DIST_PI, [STABLE] * 6,
+                                                              factor=factor)),
+    *(row for factor in (1e-2, 0.5, 0.99, 2.0, 1e3, 1e5, 1e7)
+      for row in drawn(63, DIST_PI, [STABLE] * 8, factor=factor)),
+    # the slow consensus modes fall in the band around the uniform angle
+    *drawn(65, DIST_PI, [(False, 4, 3, "band"), (False, 6, 4, "band", "split"),
+                         (False, 8, 7, "band"), (False, 10, 8, "band", "split"),
+                         (False, 7, 5, "band", "split"), (False, 7, 6, "band")], factor=1e-6),
+    # the draw of test_any_gamma_below_the_bound_is_output_stable that fails
+    *drawn(66420, DIST_PI, [(False, 2, 1, "band")], factor=0.01),
+]
+
+
+@pytest.mark.parametrize("row", VERDICTS, ids=[row.id for row in VERDICTS])
+def test_stability_verdict(row):
+    assert Counter(mark for r in VERDICTS for mark in r.marks) == {"band": 10, "split": 5}
+    e = row.loop.system_matrix
+    report = output_stability_check(row.loop)
+    assert (report.output_stable, len(report.zero_modes),
+            sum(mode.observable for mode in report.zero_modes)) == row.stated
+    # sorted by real part descending, then imaginary part descending; matched
+    # one to one with eigvals(E), which may order near-ties of Re otherwise
+    lam = report.eigenvalues
+    assert np.array_equal(np.lexsort((-lam.imag, -lam.real)), np.arange(lam.size))
+    dist = np.abs(lam[:, None] - np.linalg.eigvals(e)[None, :])
+    assert np.all(dist[linear_sum_assignment(dist)] <= row.eig_tol * report.scale)
+    assert np.array_equal(report.decaying, lam[lam.real < -STABILITY_TOL * report.scale])
+    # the closed-form B lies in the numeric B, which is larger on "split" rows only
+    basis, comp = closed_form_split(row.loop, row.net, row.ctrl)
+    numeric, numeric_comp = unobservable_subspace(e, row.loop.output_selector, scale=report.scale)
+    _assert_complement(numeric, numeric_comp)
+    assert np.max(np.abs(basis - numeric @ (numeric.T @ basis)), initial=0.0) <= 1e-10
+    assert (numeric.shape[1] > basis.shape[1]) == ("split" in row.marks)
+    # the reference: the check's rule on the closed-form split [B W] under the
+    # band, and band-free the sign of max Re(W^T E W), where rounding cannot flip it
+    hidden, seen = (np.linalg.eigvals(m.T @ e @ m) for m in (basis, comp))
+    norm = np.linalg.norm(e, 2)
+    band = STABILITY_TOL * max(norm, 1.0)
+    zeros = [int(np.sum(np.abs(modes) < band)) for modes in (hidden, seen)]
+    if "split" not in row.marks:
+        assert (bool(np.all(seen.real < -band)), sum(zeros), zeros[1]) == row.stated
+    max_real = np.max(seen.real, initial=-math.inf)
+    if abs(max_real) > 1e4 * np.finfo(float).eps * norm:
+        assert (max_real < 0.0) == (row.stated[0] != ("band" in row.marks))
 
 
 @settings(max_examples=100, deadline=None)
@@ -323,9 +296,8 @@ def test_any_gamma_below_the_bound_is_output_stable(seed, frac):
     # and is reported as a second, observable zero mode, so fractions start
     # at 1e-2.  That is no longer clear of the band everywhere: since sigma
     # takes the largest inertia, gamma_bar is up to 4x lower on these draws,
-    # and seed 66420 (n = 10) fails at 1e-2, its slowest observable mode
-    # -1.684e-7 inside the band 1.966e-7; it passes at 2e-2, and seeds
-    # 0-1499 all pass at 1e-2, 2e-2 and 5e-2.  The band is at fault, not the bound.
+    # and seed 66420 fails at 1e-2 (row dist_pi-66420-0-x0.01 of VERDICTS);
+    # seeds 0-1499 all pass at 1e-2, 2e-2 and 5e-2.  The band is at fault.
     rng = np.random.default_rng(seed)
     net = random_network(rng)
     ctrl = random_dist_controller(rng, net)
