@@ -539,10 +539,12 @@ def _resolve_controller(scn: Scenario):
 
 
 def _power_stages(scn: Scenario):
-    """Piecewise-constant net-injection vectors: [(t_start, power), ...]."""
+    """Net injections of the load stages that start before scn.horizon: [(t_start, power), ...]."""
     current = scn.network.net.power.copy()
     stages = [(0.0, current)]
     for t, bus, delta_w in scn.schedule:
+        if t >= scn.horizon:  # a horizon shortened by _replace can end before a step
+            break
         current = current.copy()
         current[bus] += delta_w
         if stages[-1][0] == t:
@@ -566,7 +568,7 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     stability = analysismod.output_stability_check(loop)
 
     prediction = None
-    if ctrl.kind == ctrlmod.DIST_PI:  # the loop's law at the stationary point after the last step
+    if ctrl.kind == ctrlmod.DIST_PI:  # the law at the stationary point of the run's last stage
         final_net = replace(net, power=_power_stages(scn)[-1][1])
         x = analysismod.stationary_state(final_net, ctrl, eta=scn.eta)
         prediction = analysismod.SteadyStatePrediction(
@@ -646,8 +648,6 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
     x0 = analysismod.stationary_state(net, ctrl)
     segments = []
     for t_start, power in _power_stages(scn):
-        if t_start >= scn.horizon:  # a horizon shortened by _replace can end before a step
-            break
         stage_sys = sysmodel.swing_to_lti(replace(net, power=power), eta=scn.eta)
         segments.append((t_start, sysmodel.close_loop(stage_sys, ctrl)))
     trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)

@@ -144,6 +144,12 @@ CASES = [
     # a missing output directory is made; the run ends before the load step
     Case("csv-into-a-new-directory", f"simulate {RING} --horizon 1 --output runs/trace.csv", 0,
          out=r".*\nsettled: yes\ntrace written to runs/trace\.csv\n", csv=("runs/trace.csv", 12)),
+    # the prediction is at the loads in effect when the run ends: it was the
+    # post-step [17512.2, 35024.4, 14009.8, 28019.5, 7004.88] W, yet the last
+    # CSV row holds the pre-step inputs
+    Case("prediction-before-the-load-step", "simulate ring_share.scn --horizon 0.5 --output t.csv",
+         0, out=r".*\npredicted inputs: \[270\.827, 541\.654, 216\.662, 433\.323, 108\.331\] W\n.*",
+         csv=("t.csv", 7)),
     # an output spacing longer than the run writes the first and the last row
     Case("csv-spacing-beyond-the-run", "simulate ring_share.scn --horizon 2 --output every.csv", 1,
          edits=ring(r"^output_every_s = 0\.1$", "output_every_s = 1e308"), csv=("every.csv", 3)),

@@ -8,6 +8,7 @@ import stat
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ import gridpi
 from gridpi import scenario as scenario_mod
 from gridpi import ParseError, load_network, load_scenario, run_scenario
 from gridpi.cli import main as cli_main
-from support import (BUS_KEYS, bundled, frequencies_hz, random_network, read_trace_csv,
-                     scenario_inputs, write_network_file, write_scenario_file)
+from support import (BUS_KEYS, bundled, exact_flow, frequencies_hz, random_network,
+                     read_trace_csv, write_network_file, write_scenario_file)
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,12 +48,12 @@ load_kw = 0.0
 """
 
 
-def quiet_scenario(tmp_path, extra="", kind="dist_pi", gamma="auto"):
+def quiet_scenario(tmp_path, extra="", kind="dist_pi", gamma="auto", kp="5.0"):
     write(tmp_path / "net.grid", MINIMAL_GRID)
     controller = {
-        "dist_pi": f"kind = dist_pi\nkp = 5.0\nki = 2.0\ngamma = {gamma}",
-        "dec_pi": "kind = dec_pi\nkp = 5.0\nki = 2.0",
-        "p": "kind = p\nkp = 5.0",
+        "dist_pi": f"kind = dist_pi\nkp = {kp}\nki = 2.0\ngamma = {gamma}",
+        "dec_pi": f"kind = dec_pi\nkp = {kp}\nki = 2.0",
+        "p": f"kind = p\nkp = {kp}",
     }[kind]
     return write(tmp_path / "quiet.scn", f"""\
 schema = 1
@@ -410,8 +411,123 @@ def test_random_scenarios_round_trip_through_the_file_format(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# orchestration
+# scenario runs: each row is a run with a CSV
 # ---------------------------------------------------------------------------
+
+class ScenarioRun(NamedTuple):
+    """A run of a bundled .scn file, or of quiet_scenario when source is a
+    controller kind, with overrides of its horizon, step or output_every.  It
+    pins the rows of the trace and of the CSV, settled and the verdict; rtol
+    bounds each written value's distance from the exact flow, relative to the
+    largest exact value of its block of columns (omega, u or z)."""
+    id: str
+    source: str
+    overrides: dict
+    rows: int
+    csv_rows: int
+    rtol: float
+    settled: bool = True
+    positive: bool = True
+    gamma: str = "auto"
+    kp: str = "5.0"
+    extra: str = ""
+
+
+SCENARIO_RUNS = [
+    # no disturbance, no noise: parked at 50 Hz throughout
+    ScenarioRun("quiet", "dist_pi", {}, 501, 51, 1e-11),
+    # swing dynamics fail decentralized PI's rank test: the verdict is negative
+    ScenarioRun("quiet-dec_pi", "dec_pi", {}, 501, 51, 1e-11, positive=False),
+    # droop holds the load at a frequency offset; the CSV has no z_ columns
+    ScenarioRun("quiet-p", "p", {}, 501, 51, 1e-11, settled=False),
+    # the last row is written although 0.55 s is no multiple of the spacing
+    ScenarioRun("quiet-endpoint", "dist_pi", dict(horizon=0.55), 56, 7, 1e-11),
+    # 0.1 s apart at a 0.0025 s step: rows 0, 40, ..., 400
+    ScenarioRun("quiet-fine-step", "dist_pi", dict(horizon=1.0, step=0.0025), 401, 11, 1e-11),
+    # an offset on bus 1 moves the target by 0.02 / 3 Hz, not reached in 5 s
+    ScenarioRun("quiet-noise", "dist_pi", {}, 501, 51, 1e-10, settled=False,
+                extra="[noise]\n1 0.02\n"),
+    # unequal gains and offsets on every bus
+    ScenarioRun("quiet-laws", "dist_pi", dict(horizon=2.0), 201, 21, 1e-10, settled=False,
+                gamma="0.8", kp="3.0 5.0 7.0", extra="[noise]\n1 0.02\n2 -0.05\n3 0.01\n"),
+    # the generous gamma settles the 25 kW step well inside 40 s, and the
+    # 1 ms step keeps RK4 within 1e-10 of the exact flow
+    ScenarioRun("quiet-load-step", "dist_pi", dict(horizon=40.0, step=0.001), 40001, 401, 1e-10,
+                gamma="0.5", extra="[disturbances]\n1.0 2 25.0\n"),
+    # runs that end before the load step at 1 s: the prediction was the
+    # post-step one, though the run never reached those loads
+    ScenarioRun("dist30-before-the-step", "dist30_step.scn", dict(horizon=0.5), 101, 6, 1e-12),
+    ScenarioRun("ring-before-the-step", "ring_share.scn", dict(horizon=0.5), 251, 6, 1e-12),
+    # 1e308 / 0.002 is inf, which int() refused with an OverflowError after the whole run
+    ScenarioRun("ring-spacing-beyond-the-run", "ring_share.scn",
+                dict(horizon=2.0, output_every=1e308), 1001, 2, 1e-8, settled=False),
+    # decentralized PI drifts under the offsets of every bus
+    ScenarioRun("dec30-bias", "dec30_bias.scn", dict(horizon=0.5), 101, 6, 1e-12, settled=False,
+                positive=False),
+]
+
+
+@pytest.mark.parametrize("run", SCENARIO_RUNS, ids=[run.id for run in SCENARIO_RUNS])
+def test_scenario_run(tmp_path, run):
+    source = (bundled(run.source) if run.source.endswith(".scn")
+              else quiet_scenario(tmp_path, run.extra, run.source, run.gamma, run.kp))
+    scn, out = load_scenario(source)._replace(**run.overrides), str(tmp_path / "t.csv")
+    result = run_scenario(scn, csv_path=out)
+    report, times, net, n = result.analysis, result.trace.times, scn.network.net, scn.eta.size
+    ctrl, has_z = report.controller, scn.kind != gridpi.P
+    # the documented grid, run to the end; the CSV holds every stride-th row and the last
+    assert (times[0], times[-1], times.size) == (0.0, scn.horizon, run.rows)
+    assert not result.trace.diverged
+    stride = max(round(min(scn.output_every / scn.step, times.size)), 1)
+    assert_allclose(np.diff(times[::stride]), scn.output_every, rtol=1e-9)
+    picks = np.unique(np.append(np.arange(0, times.size, stride), times.size - 1))
+    header, data = read_trace_csv(out)
+    blocks = ["omega_{}_hz", "u_{}_w"] + ["z_{}"] * has_z
+    assert header == ["time"] + [name.format(b) for name in blocks for b in scn.network.bus_ids]
+    assert data.shape[0] == picks.size == run.csv_rows
+    assert np.array_equal(data[:, 0], times[picks])
+    # the written rows are the loop's law on the states bit for bit, and
+    # u = -kp (omega + eta) + ki z written out to rounding
+    loop = gridpi.close_loop(gridpi.swing_to_lti(net, eta=scn.eta), ctrl)
+    ws, zs = loop.state_layout["omega"], loop.state_layout.get("z", slice(0))
+
+    def table(x, u):
+        return np.hstack([(x[:, ws] + net.omega_ref) / TWO_PI, u, x[:, zs]])
+
+    def law(x):
+        return -ctrl.kp * (x[:, ws] + scn.eta) + (ctrl.ki * x[:, zs] if has_z else 0.0)
+
+    states = result.trace.states[picks]
+    assert np.array_equal(data[:, 1:], table(states, states @ loop.control_gain.T
+                                             + loop.control_offset))
+    assert_allclose(data[:, 1:], table(states, law(states)), rtol=0.0, atol=1e-9)
+    # and within rtol of the exact flow from the stationary start under the
+    # loads that the run reaches
+    power, schedule = net.power.copy(), [(0.0, loop.forcing_dev)]
+    for t, bus, delta_w in (event for event in scn.schedule if event[0] < scn.horizon):
+        power[bus] += delta_w
+        stage = gridpi.swing_to_lti(replace(net, power=power), eta=scn.eta)
+        schedule.append((t, gridpi.close_loop(stage, ctrl).forcing_dev))
+    x0 = gridpi.stationary_state(net, ctrl)
+    exact = np.array([exact_flow(loop.system_matrix, x0, schedule, t) for t in data[:, 0]])
+    want = table(exact, law(exact)).reshape(data.shape[0], -1, n)
+    error = np.abs(data[:, 1:].reshape(want.shape) - want)
+    assert np.all(error <= run.rtol * np.abs(want).max(axis=(0, 2), keepdims=True))
+    # settled as the exact final frequencies are, and the verdict: only
+    # decentralized PI has a rank test (swing dynamics fail it), and only
+    # distributed PI a prediction
+    target = (net.omega_ref - np.mean(scn.eta)) / TWO_PI
+    settled = bool(np.max(np.abs(want[-1, 0] - target)) < scn.settle_tol_hz)
+    assert (result.settled, settled, result.omega_hat_hz) == (run.settled, run.settled, target)
+    assert np.array_equal(result.final_omega_hz, data[-1, 1:n + 1])
+    assert report.positive == run.positive
+    assert (report.rank is None or report.rank.full_rank) == (scn.kind != gridpi.DEC_PI)
+    assert (report.prediction is None) == (scn.kind != gridpi.DIST_PI)
+    if scn.gamma_request == "auto":
+        assert ctrl.gamma == report.gamma_bound.gamma_bar / 2.0
+    if report.prediction is not None and run.settled:
+        assert_allclose(data[-1, n + 1:2 * n + 1], report.prediction.u_stationary, rtol=1e-8)
+
 
 def test_quiet_scenario_stays_settled(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path))
@@ -438,63 +554,6 @@ def test_replaced_horizon_ends_the_run(tmp_path):
     assert result.trace.times[-1] == 1.0
 
 
-def test_run_that_ends_before_the_first_load_step(tmp_path):
-    scn = load_scenario(bundled("dist30_step.scn"))
-    assert scn.schedule[0][0] == 1.0
-    result = run_scenario(scn._replace(horizon=0.5))
-    assert result.trace.times.shape[0] == 101
-    assert result.trace.times[-1] == 0.5
-    assert result.settled
-
-
-def test_decentralized_scenario_reports_failed_rank(tmp_path):
-    scn = load_scenario(quiet_scenario(tmp_path, kind="dec_pi"))
-    result = run_scenario(scn)
-    assert result.analysis.rank is not None
-    assert not result.analysis.rank.full_rank
-    assert not result.analysis.positive
-    assert result.analysis.verdict_reasons()
-    assert result.analysis.prediction is None
-
-
-def test_load_step_moves_the_operating_point(tmp_path):
-    # the generous gamma keeps the consensus redistribution fast enough
-    # to settle well inside the shortened horizon
-    scn = load_scenario(quiet_scenario(tmp_path, gamma="0.5",
-                                       extra="[disturbances]\n1.0 2 25.0\n"))
-    result = run_scenario(scn._replace(horizon=40.0))
-    u = scenario_inputs(scn, result, result.trace.states)
-    # pre-step: damping compensation plus the 40 kW base load of bus 2
-    net = scn.network.net
-    comp = net.omega_ref * net.damping.sum()
-    assert_allclose(u[0].sum(), comp + 4.0e4, rtol=1e-9)
-    assert_allclose(u[-1].sum(), comp + 4.0e4 + 25.0e3, rtol=1e-6)
-    assert result.settled
-
-
-# ---------------------------------------------------------------------------
-# CSV traces
-# ---------------------------------------------------------------------------
-
-def test_trace_round_trips_bit_exact(tmp_path):
-    scn = load_scenario(quiet_scenario(tmp_path, extra="[noise]\n1 0.02\n"))
-    out = tmp_path / "trace.csv"
-    result = run_scenario(scn, csv_path=str(out))
-    assert out.is_file()
-    header, data = read_trace_csv(str(out))
-    assert header[0] == "time"
-    assert header[1:4] == ["omega_1_hz", "omega_2_hz", "omega_3_hz"]
-    assert header[4:7] == ["u_1_w", "u_2_w", "u_3_w"]
-    assert header[7:10] == ["z_1", "z_2", "z_3"]
-    # stride 0.1 s at a 0.01 s step: rows 0, 10, ..., 500
-    assert data.shape == (51, 10)
-    picks = np.arange(0, 501, 10)
-    assert np.array_equal(data[:, 0], result.trace.times[picks])
-    states = result.trace.states[picks]
-    assert np.array_equal(data[:, 1:4], frequencies_hz(scn.network.net, states))
-    assert np.array_equal(data[:, 4:7], scenario_inputs(scn, result, states))
-
-
 def test_trace_always_includes_the_endpoint(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path))
     out = tmp_path / "t.csv"
@@ -503,27 +562,9 @@ def test_trace_always_includes_the_endpoint(tmp_path):
     assert data[-1, 0] == 0.55
 
 
-def test_step_override_keeps_the_output_spacing(tmp_path):
-    scn = load_scenario(quiet_scenario(tmp_path))
-    out = tmp_path / "fine.csv"
-    result = run_scenario(scn._replace(horizon=1.0, step=scn.step / 4), csv_path=str(out))
-    _, data = read_trace_csv(str(out))
-    # 0.1 s apart at a 0.0025 s step: rows 0, 40, ..., 400
-    assert result.trace.times.shape[0] == 401
-    assert np.array_equal(data[:, 0], result.trace.times[::40])
-    assert_allclose(np.diff(data[:, 0]), scn.output_every, rtol=1e-9)
-
-
-def test_output_spacing_beyond_the_run_writes_the_first_and_last_rows(tmp_path):
-    # 1e308 / 0.002 is inf, which int() refused with an OverflowError after the whole run
-    scn = load_scenario(bundled("ring_share.scn"))._replace(horizon=2.0, output_every=1e308)
-    out = tmp_path / "every.csv"
-    result = run_scenario(scn, csv_path=str(out))
-    header, data = read_trace_csv(str(out))
-    assert header[0] == "time"
-    assert data.shape == (2, len(header))
-    assert np.array_equal(data[:, 0], result.trace.times[[0, -1]])
-
+# ---------------------------------------------------------------------------
+# CSV traces
+# ---------------------------------------------------------------------------
 
 def special_trace(loop, rows):
     """A trace of rows rows.  The first 12 rows cycle through values that
@@ -596,15 +637,6 @@ def test_trace_file_mode_follows_the_umask(tmp_path):
     finally:
         os.umask(previous)
     assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o640
-
-
-def test_proportional_trace_has_no_integrator_columns(tmp_path):
-    scn = load_scenario(quiet_scenario(tmp_path, kind="p"))
-    out = tmp_path / "p.csv"
-    run_scenario(scn, csv_path=str(out))
-    header, data = read_trace_csv(str(out))
-    assert len(header) == 7  # time + 3 omega + 3 u
-    assert data.shape[1] == 7
 
 
 # ---------------------------------------------------------------------------
