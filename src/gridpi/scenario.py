@@ -725,9 +725,10 @@ def _atomic_write(path, chunks):
 
 def write_trace_csv(path, scn: Scenario, loop: sysmodel.ClosedLoop,
                     trace: numerics.SimulationTrace) -> str:
-    """Write the trace of a run of loop integrated at step scn.step to path,
-    one row per scn.output_every seconds; the final sample is always
-    included.  Returns path.
+    """Write the trace of a run of loop integrated at step scn.step to path:
+    the rows round(scn.output_every / scn.step) steps apart (at least one;
+    0.099 s for output_every 0.1 s at step 0.003 s) and the final sample.
+    Returns path.
 
     Columns: time, omega_<id>_hz per bus, u_<id>_w per bus, and z_<id> per
     bus when the controller has integrators.  Frequencies and the inputs

@@ -84,6 +84,43 @@ def two_bus_network(power=(0.0, 0.0)):
     )
 
 
+def _laplacian(n, edges):
+    lap = np.zeros((n, n))
+    for i, j, w in edges:
+        lap[[i, j, i, j], [i, j, j, i]] += (w, w, -w, -w)
+    return lap
+
+
+def swing_loop(net, ctrl, eta, power=None):
+    """(matrix, forcing, gain, offset) of the closed loop x' = matrix x +
+    forcing, u = gain x + offset, written out from the swing equation and
+    the control law with Laplacians built from the lines, the voltages and
+    the communication edges.  States are [delta; w; z] with w = omega -
+    omega_ref (z under PI only), power defaults to net.power, eta to zeros:
+        m w' = -L_k delta - d (omega_ref + w) + p + u
+        u    = -kp (w + eta) + ki z
+        z'   = -(w + eta)  [- gamma L_c z under distributed PI]
+    """
+    n, v, pi = net.n_buses, net.voltage, ctrl.kind != gridpi.P
+    eta = np.zeros(n) if eta is None else np.asarray(eta, dtype=float)
+    power = net.power if power is None else power
+    gain = np.hstack([np.zeros((n, n)), np.diag(-ctrl.kp)] + ([np.diag(ctrl.ki)] if pi else []))
+    offset, minv = -ctrl.kp * eta, 1.0 / net.inertia
+    w, z = slice(n, 2 * n), slice(2 * n, gain.shape[1])
+    matrix, forcing = np.zeros((gain.shape[1],) * 2), np.zeros(gain.shape[1])
+    matrix[:n, w] = np.eye(n)
+    matrix[w] = minv[:, None] * gain
+    matrix[w, :n] -= minv[:, None] * _laplacian(n, [(i, j, v[i] * v[j] * b)
+                                                    for i, j, b in net.lines])
+    matrix[w, w] -= np.diag(minv * net.damping)
+    forcing[w] = minv * (power - net.damping * net.omega_ref + offset)
+    if pi:
+        matrix[z, w], forcing[z] = -np.eye(n), -eta
+    if ctrl.kind == gridpi.DIST_PI:
+        matrix[z, z] = -ctrl.gamma * _laplacian(n, ctrl.comm.edges)
+    return matrix, forcing, gain, offset
+
+
 def stability_cubic(net, ctrl, gamma, x):
     """Coefficients (a3, a2, a1, a0) of the scalar cubic obtained by pinching
     the characteristic matrix polynomial with a unit vector x: the paper's
@@ -224,10 +261,9 @@ def frequencies_hz(net, states):
 
 def scenario_inputs(scn, result, states):
     """Inputs of a run_scenario result at states (a row or rows): the
-    control law u = control_gain x + control_offset of the scenario's loop."""
-    loop = gridpi.close_loop(gridpi.swing_to_lti(scn.network.net, eta=scn.eta),
-                             result.analysis.controller)
-    return states @ loop.control_gain.T + loop.control_offset
+    control law of swing_loop under the run's controller."""
+    _, _, gain, offset = swing_loop(scn.network.net, result.analysis.controller, scn.eta)
+    return states @ gain.T + offset
 
 
 def read_trace_csv(path):

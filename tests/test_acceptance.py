@@ -11,21 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridpi import (
-    ControllerSpec,
-    DIST_PI,
-    close_loop,
-    gamma_bar,
-    load_network,
-    load_scenario,
-    run_scenario,
-    simulate_schedule,
-    stationary_state,
-    swing_to_lti,
-    xi_rank_test,
-)
+from gridpi import (DIST_PI, ControllerSpec, close_loop, gamma_bar, load_network, load_scenario,
+                    run_scenario, simulate_schedule, stationary_state, swing_to_lti, xi_rank_test)
 from support import (bundled, exact_flow, frequencies_hz, random_dist_controller,
-                     random_network, scenario_inputs, stability_cubic)
+                     random_network, scenario_inputs, stability_cubic, swing_loop)
 
 TWO_PI = 2.0 * np.pi
 
@@ -258,14 +247,15 @@ def test_criterion_8_cost_weighted_sharing_in_prediction_and_simulation(report):
         ctrl = ControllerSpec(kind=DIST_PI, kp=probe.kp, ki=ki,
                               gamma=gamma, comm=net.coupling, cost=cost)
 
-        # the prediction: the loop's control law at the stationary point after the step
-        loop = close_loop(swing_to_lti(stepped), ctrl)
+        # the prediction: the control law, written out, at the stationary point after the step
+        _, _, gain, offset = swing_loop(stepped, ctrl, None)
         x_hat = stationary_state(stepped, ctrl, eta=np.zeros(n))
-        weighted = cost * (loop.control_gain @ x_hat + loop.control_offset)
+        weighted = cost * (gain @ x_hat + offset)
         worst_pred = max(worst_pred, float(np.ptp(weighted) / np.abs(weighted.mean())))
 
+        loop = close_loop(swing_to_lti(stepped), ctrl)
         trace = simulate_schedule([(0.0, loop)], 200.0, h=2.0e-3, x0=stationary_state(net, ctrl))
-        weighted = cost * (trace.states[-1] @ loop.control_gain.T + loop.control_offset)
+        weighted = cost * (trace.states[-1] @ gain.T + offset)
         worst_sim = max(worst_sim, float(np.ptp(weighted) / np.abs(weighted.mean())))
     ok = worst_pred <= 1.0e-6 and worst_sim <= 1.0e-6
     report(

@@ -13,28 +13,14 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 import gridpi
-from gridpi import (
-    DEC_PI,
-    DIST_PI,
-    P,
-    ClosedLoop,
-    ControllerSpec,
-    LtiSystem,
-    PowerNetwork,
-    close_loop,
-    gamma_bar,
-    gamma_star_search,
-    output_stability_check,
-    simulate_schedule,
-    stationary_state,
-    swing_to_lti,
-    xi_rank_test,
-)
+from gridpi import (DEC_PI, DIST_PI, P, ClosedLoop, ControllerSpec, LtiSystem, PowerNetwork,
+                    close_loop, gamma_bar, gamma_star_search, output_stability_check,
+                    simulate_schedule, stationary_state, swing_to_lti, xi_rank_test)
 from gridpi.analysis import _SEARCH_REL_TOL, STABILITY_TOL, unobservable_subspace
 from gridpi.numerics import RANK_REL_TOL
 from support import (bundled, closed_form_split, random_dist_controller, random_network,
                      random_wide_gain_loop, reference_gamma_star_search, stability_cubic,
-                     two_bus_network)
+                     swing_loop, two_bus_network)
 
 
 # ---------------------------------------------------------------------------
@@ -648,44 +634,17 @@ def test_stationary_state_is_an_exact_fixed_point_for_pi_kinds():
         else:
             ctrl = ControllerSpec(kind=kind, kp=rng.uniform(0.5, 5.0, n),
                                   ki=rng.uniform(0.5, 5.0, n))
-        cl = close_loop(swing_to_lti(net), ctrl)
+        matrix, forcing, _, _ = swing_loop(net, ctrl, None)
         x0 = stationary_state(net, ctrl)
-        residual = cl.system_matrix @ x0 + cl.forcing_dev
-        assert np.max(np.abs(residual)) < 1e-9
-
-
-def test_stationary_state_for_droop_control_rides_the_angle_ramp():
-    # a pure P loop settles at a nonzero frequency offset: the angles keep
-    # ramping uniformly, so the only nonzero residual rows are delta' = omega
-    rng = np.random.default_rng(41)
-    net = random_network(rng)
-    ctrl = ControllerSpec(kind=P, kp=rng.uniform(0.5, 5.0, net.n_buses))
-    cl = close_loop(swing_to_lti(net), ctrl)
-    x0 = stationary_state(net, ctrl)
-    residual = cl.system_matrix @ x0 + cl.forcing_dev
-    assert_allclose(residual[cl.state_layout["delta"]],
-                    x0[cl.state_layout["omega"]], atol=1e-9)
-    assert np.max(np.abs(residual[cl.state_layout["omega"]])) < 1e-9
-    offsets = x0[cl.state_layout["omega"]]
-    assert np.ptp(offsets) < 1e-12  # uniform droop offset
-
-
-def test_stationary_angles_are_mean_free():
-    rng = np.random.default_rng(37)
-    net = random_network(rng)
-    ctrl = random_dist_controller(rng, net, gamma=0.4)
-    x0 = stationary_state(net, ctrl)
-    cl = close_loop(swing_to_lti(net), ctrl)
-    assert abs(np.sum(x0[cl.state_layout["delta"]])) < 1e-9
+        assert np.max(np.abs(matrix @ x0 + forcing)) < 1e-9
 
 
 def predict(net, ctrl, eta):
-    """omega_hat and the inputs as analyze_scenario predicts them: the loop's
-    control law at the stationary point under eta."""
-    loop = close_loop(swing_to_lti(net, eta=eta), ctrl)
+    """omega_hat and the inputs as analyze_scenario predicts them: the
+    control law, written out, at the stationary point under eta."""
+    _, _, gain, offset = swing_loop(net, ctrl, eta)
     x = stationary_state(net, ctrl, eta=eta)
-    omega_hat = net.omega_ref + x[loop.state_layout["omega"]][0]
-    return omega_hat, loop.control_gain @ x + loop.control_offset
+    return net.omega_ref + x[net.n_buses], gain @ x + offset
 
 
 def test_prediction_matches_the_conservation_law():
@@ -704,15 +663,6 @@ def test_prediction_matches_the_conservation_law():
         # without offsets the point equals the run's initial state
         assert np.array_equal(stationary_state(net, ctrl, eta=np.zeros(net.n_buses)),
                               stationary_state(net, ctrl))
-
-
-def test_prediction_offset_under_measurement_bias():
-    rng = np.random.default_rng(39)
-    net = random_network(rng)
-    eta = rng.normal(0.0, 0.5, net.n_buses)
-    ctrl = random_dist_controller(rng, net, gamma=0.6)
-    omega_hat, _ = predict(net, ctrl, eta)
-    assert_allclose(omega_hat, net.omega_ref - eta.mean(), rtol=1e-12)
 
 
 def test_prediction_agrees_with_a_long_simulation():

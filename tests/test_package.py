@@ -59,3 +59,13 @@ def test_importing_the_cli_leaves_logging_out():
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_table_row_ids_are_unique():
+    # pytest would suffix a repeated id, and a folded test's successor is its row id
+    import test_analysis, test_cli, test_numerics, test_refusals, test_scenario, test_sysmodel
+    tables = (test_cli.CASES, test_refusals.REFUSALS, test_analysis.VERDICTS,
+              test_numerics.RUNS, test_scenario.SCENARIO_RUNS, test_sysmodel.LOOPS)
+    for rows in tables:
+        ids = [row.id for row in rows]
+        assert len(set(ids)) == len(ids), [i for i in ids if ids.count(i) > 1]

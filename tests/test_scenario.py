@@ -19,7 +19,7 @@ from gridpi import scenario as scenario_mod
 from gridpi import ParseError, load_network, load_scenario, run_scenario
 from gridpi.cli import main as cli_main
 from support import (BUS_KEYS, bundled, exact_flow, frequencies_hz, random_network,
-                     read_trace_csv, write_network_file, write_scenario_file)
+                     read_trace_csv, swing_loop, write_network_file, write_scenario_file)
 
 TWO_PI = 2.0 * np.pi
 
@@ -444,6 +444,9 @@ SCENARIO_RUNS = [
     ScenarioRun("quiet-endpoint", "dist_pi", dict(horizon=0.55), 56, 7, 1e-11),
     # 0.1 s apart at a 0.0025 s step: rows 0, 40, ..., 400
     ScenarioRun("quiet-fine-step", "dist_pi", dict(horizon=1.0, step=0.0025), 401, 11, 1e-11),
+    # round(0.1 / 0.003) = 33 steps apart: times 0, 0.099, ..., 0.99 and the last, 1.0
+    ScenarioRun("quiet-step-not-dividing-the-spacing", "dist_pi", dict(horizon=1.0, step=0.003),
+                335, 12, 1e-11),
     # an offset on bus 1 moves the target by 0.02 / 3 Hz, not reached in 5 s
     ScenarioRun("quiet-noise", "dist_pi", {}, 501, 51, 1e-10, settled=False,
                 extra="[noise]\n1 0.02\n"),
@@ -479,38 +482,31 @@ def test_scenario_run(tmp_path, run):
     assert (times[0], times[-1], times.size) == (0.0, scn.horizon, run.rows)
     assert not result.trace.diverged
     stride = max(round(min(scn.output_every / scn.step, times.size)), 1)
-    assert_allclose(np.diff(times[::stride]), scn.output_every, rtol=1e-9)
+    assert_allclose(np.diff(times[::stride]), stride * scn.step, rtol=1e-9)
     picks = np.unique(np.append(np.arange(0, times.size, stride), times.size - 1))
     header, data = read_trace_csv(out)
     blocks = ["omega_{}_hz", "u_{}_w"] + ["z_{}"] * has_z
     assert header == ["time"] + [name.format(b) for name in blocks for b in scn.network.bus_ids]
     assert data.shape[0] == picks.size == run.csv_rows
     assert np.array_equal(data[:, 0], times[picks])
-    # the written rows are the loop's law on the states bit for bit, and
-    # u = -kp (omega + eta) + ki z written out to rounding
-    loop = gridpi.close_loop(gridpi.swing_to_lti(net, eta=scn.eta), ctrl)
-    ws, zs = loop.state_layout["omega"], loop.state_layout.get("z", slice(0))
+    # the written rows are the states under the law u = -kp (omega + eta) +
+    # ki z of the swing equation written out (support.swing_loop), bit for bit
+    matrix, forcing, gain, offset = swing_loop(net, ctrl, scn.eta)
+    ws, zs = slice(n, 2 * n), slice(2 * n, matrix.shape[0])
 
-    def table(x, u):
-        return np.hstack([(x[:, ws] + net.omega_ref) / TWO_PI, u, x[:, zs]])
+    def table(x):
+        return np.hstack([(x[:, ws] + net.omega_ref) / TWO_PI, x @ gain.T + offset, x[:, zs]])
 
-    def law(x):
-        return -ctrl.kp * (x[:, ws] + scn.eta) + (ctrl.ki * x[:, zs] if has_z else 0.0)
-
-    states = result.trace.states[picks]
-    assert np.array_equal(data[:, 1:], table(states, states @ loop.control_gain.T
-                                             + loop.control_offset))
-    assert_allclose(data[:, 1:], table(states, law(states)), rtol=0.0, atol=1e-9)
-    # and within rtol of the exact flow from the stationary start under the
+    assert np.array_equal(data[:, 1:], table(result.trace.states[picks]))
+    # and within rtol of its exact flow from the stationary start under the
     # loads that the run reaches
-    power, schedule = net.power.copy(), [(0.0, loop.forcing_dev)]
+    power, schedule = net.power.copy(), [(0.0, forcing)]
     for t, bus, delta_w in (event for event in scn.schedule if event[0] < scn.horizon):
         power[bus] += delta_w
-        stage = gridpi.swing_to_lti(replace(net, power=power), eta=scn.eta)
-        schedule.append((t, gridpi.close_loop(stage, ctrl).forcing_dev))
+        schedule.append((t, swing_loop(net, ctrl, scn.eta, power)[1]))
     x0 = gridpi.stationary_state(net, ctrl)
-    exact = np.array([exact_flow(loop.system_matrix, x0, schedule, t) for t in data[:, 0]])
-    want = table(exact, law(exact)).reshape(data.shape[0], -1, n)
+    exact = np.array([exact_flow(matrix, x0, schedule, t) for t in data[:, 0]])
+    want = table(exact).reshape(data.shape[0], -1, n)
     error = np.abs(data[:, 1:].reshape(want.shape) - want)
     assert np.all(error <= run.rtol * np.abs(want).max(axis=(0, 2), keepdims=True))
     # settled as the exact final frequencies are, and the verdict: only

@@ -1,21 +1,16 @@
 """Swing-network modelling, loop assembly, and simulation."""
 
+from typing import NamedTuple
+
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from gridpi import (
-    DEC_PI,
-    DIST_PI,
-    P,
-    ControllerSpec,
-    LtiSystem,
-    PowerNetwork,
-    close_loop,
-    integrate_rk4,
-    simulate_schedule,
-    swing_to_lti,
-)
-from support import random_dist_controller, random_network, two_bus_network
+from gridpi import (DEC_PI, DIST_PI, P, ControllerSpec, LtiSystem, PowerNetwork, WeightedGraph,
+                    close_loop, integrate_rk4, simulate_schedule, stationary_state, swing_to_lti)
+from support import random_dist_controller, random_network, swing_loop, two_bus_network
+
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +53,129 @@ def test_measurement_offsets_are_stored():
 
 
 # ---------------------------------------------------------------------------
-# loop assembly
+# loop assembly: the LOOPS table, each row against the swing equation
+# written out, and the checks that span several loops
 # ---------------------------------------------------------------------------
+
+class Loop(NamedTuple):
+    """close_loop(swing_to_lti(net, eta), ctrl), checked against support.swing_loop;
+    pins maps "u", "x'", "z'", "sum z'" or "omega" to the loop's values at the
+    states at (one per row of at, or "stationary" for the stationary state)."""
+    id: str
+    net: PowerNetwork
+    ctrl: ControllerSpec
+    eta: np.ndarray = None
+    at: object = None
+    pins: dict = {}
+
+
+def hand_loops():
+    """The laws on 2-, 3- and 4-bus swing plants, where y = omega + eta, the
+    forcing, and three stationary points."""
+    net2, pair = two_bus_network(), WeightedGraph(2, ((0, 1, 1.0),))
+    # u = kp (r - y): a reference r enters as the measurement offset eta = -r
+    yield Loop("proportional-law", net2, ControllerSpec(P, [2.0, 3.0]), -np.ones(2),
+               [0, 0, 0.5, 2.0], {"u": [1.0, -3.0]})
+    yield Loop("pi-law-adds-weighted-integral-state", net2,
+               ControllerSpec(DEC_PI, [2.0, 3.0], [0.5, 4.0]), -np.ones(2),
+               [0, 0, 0, 0, 2.0, -1.0], {"u": [2.0 + 1.0, 3.0 - 4.0]})
+    yield Loop("decentralized-integrator-is-the-tracking-error",
+               random_network(np.random.default_rng(1), 3, 3),
+               ControllerSpec(DEC_PI, np.ones(3), np.ones(3)), -np.ones(3),
+               [0, 0, 0, 0, 2.0, 1.0, 3.0, -1.0, 2.0], {"z'": [1.0, -1.0, 0.0]})
+    yield Loop("consensus-term-vanishes-on-agreement", net2,
+               ControllerSpec(DIST_PI, np.ones(2), np.ones(2), 3.0, pair), None,
+               [0, 0, 0, 0, 5.0, 5.0], {"z'": [0.0, 0.0]})
+    # unit edge, gamma = 1, z = (1, 0), y = 0: z' = -L z = (-1, 1)
+    yield Loop("consensus-term-on-a-disagreeing-pair", net2,
+               ControllerSpec(DIST_PI, np.ones(2), np.ones(2), 1.0, pair), None,
+               [0, 0, 0, 0, 1.0, 0.0], {"z'": [-1.0, 1.0]})
+    # 1' L = 0, so sum(z') = -sum(omega + eta) whatever z
+    rng = np.random.default_rng(12)
+    ring = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (0, 3, 1.5)))
+    eta, states = rng.normal(size=4), rng.normal(size=(30, 12))
+    yield Loop("averaging-preserves-the-integral-sum", random_network(rng, 4, 4),
+               ControllerSpec(DIST_PI, np.ones(4), np.ones(4), 2.0, ring), eta, states,
+               {"sum z'": -(states[:, 4:8] + eta).sum(axis=1)})
+    # the P loop carries no integrator states
+    yield Loop("integrator-requires-state", net2, ControllerSpec(P, np.ones(2)))
+    # the rates at the zero state are the forcing: m w' = p - d omega_ref - kp eta, z' = -eta
+    net = PowerNetwork(inertia=[2.0, 4.0], damping=[0.5, 1.0], voltage=np.full(2, 1e3),
+                       power=[30.0, -5.0], lines=((0, 1, 1.0e-6),))
+    eta, kp = np.array([0.05, -0.02]), np.array([3.0, 7.0])
+    omega_rows = (net.power - net.damping * net.omega_ref - kp * eta) / net.inertia
+    yield Loop("deviation-forcing-rows", net,
+               ControllerSpec(DIST_PI, kp, np.ones(2), 0.4, net.coupling), eta, np.zeros(6),
+               {"x'": np.concatenate([np.zeros(2), omega_rows, -eta])})
+    # droop settles at a uniform frequency offset, so the angles ramp
+    rng = np.random.default_rng(41)
+    net = random_network(rng)
+    yield Loop("stationary-state-for-droop-control-rides-the-angle-ramp", net,
+               ControllerSpec(P, rng.uniform(0.5, 5.0, net.n_buses)))
+    rng = np.random.default_rng(37)
+    net = random_network(rng)
+    yield Loop("stationary-angles-are-mean-free", net, random_dist_controller(rng, net, 0.4))
+    # under offsets the frequency settles at -mean(eta)
+    rng = np.random.default_rng(39)
+    net = random_network(rng)
+    eta = rng.normal(0.0, 0.5, net.n_buses)
+    yield Loop("prediction-offset-under-measurement-bias", net,
+               random_dist_controller(rng, net, 0.6), eta, "stationary",
+               {"omega": np.full(net.n_buses, -eta.mean())})
+
+
+def random_loops(seed=70, draws=3):
+    """Each draw under P, decentralized PI, and distributed PI over the
+    coupling graph and over a ring, without and with measurement offsets."""
+    rng = np.random.default_rng(seed)
+    for k in range(draws):
+        net = random_network(rng)
+        n = net.n_buses
+        (kp, ki), eta = rng.uniform(0.5, 5.0, (2, n)), rng.normal(0.0, 0.3, n)
+        ring = WeightedGraph(n, [(i, (i + 1) % n, rng.uniform(0.5, 5.0)) for i in range(n)])
+        gamma = float(rng.uniform(0.1, 2.0))
+        for name, ctrl in (("p", ControllerSpec(P, kp)),
+                           ("dec_pi", ControllerSpec(DEC_PI, kp, ki)),
+                           ("dist_pi", ControllerSpec(DIST_PI, kp, ki, gamma, net.coupling)),
+                           ("dist_pi-ring", ControllerSpec(DIST_PI, kp, ki, gamma, ring))):
+            yield Loop(f"{name}-{seed}-{k}", net, ctrl)
+            yield Loop(f"{name}-{seed}-{k}-eta", net, ctrl, eta)
+
+
+LOOPS = [*hand_loops(), *random_loops()]
+
+
+@pytest.mark.parametrize("row", LOOPS, ids=[row.id for row in LOOPS])
+def test_closed_loop(row):
+    net, ctrl, n = row.net, row.ctrl, row.net.n_buses
+    loop = close_loop(swing_to_lti(net, eta=row.eta), ctrl)
+    matrix, forcing, gain, offset = swing_loop(net, ctrl, row.eta)
+    # entry by entry: the same zeros, the rest within a few ulp
+    for got, want in ((loop.system_matrix, matrix), (loop.forcing_dev, forcing),
+                      (loop.control_gain, gain), (loop.control_offset, offset)):
+        assert got.shape == want.shape and np.array_equal(got == 0, want == 0)
+        assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
+    blocks = ("delta", "omega", "z") if ctrl.has_integrator else ("delta", "omega")
+    assert loop.state_layout == {b: slice(k * n, (k + 1) * n) for k, b in enumerate(blocks)}
+    assert np.array_equal(loop.output_selector, np.eye(n, loop.dim, n))
+    # where a stationary point exists: a fixed point of the written-out loop
+    # up to the uniform angle ramp at its frequency offset, angles mean-free
+    if row.eta is None or ctrl.kind == DIST_PI:
+        x = stationary_state(net, ctrl, eta=row.eta)
+        ramp = np.concatenate([x[n:2 * n], np.zeros(loop.dim - n)])
+        scale = np.max(np.abs(matrix) @ np.abs(x) + np.abs(forcing))
+        assert np.ptp(x[n:2 * n]) == 0.0
+        assert np.all(np.abs(matrix @ x + forcing - ramp) <= 8 * EPS * scale)
+        assert abs(x[:n].sum()) <= 1e-13 * np.abs(x[:n]).sum()
+    if row.pins:
+        at = x if isinstance(row.at, str) else np.asarray(row.at, dtype=float)
+        rate, zs = at @ loop.system_matrix.T + loop.forcing_dev, slice(2 * n, loop.dim)
+        values = {"u": at @ loop.control_gain.T + loop.control_offset, "x'": rate,
+                  "z'": rate[..., zs], "sum z'": rate[..., zs].sum(axis=-1),
+                  "omega": at[..., n:2 * n]}
+        for name, want in row.pins.items():
+            assert_allclose(values[name], want, rtol=1e-13, atol=1e-14, err_msg=name)
+
 
 def test_closed_loop_layouts():
     net = two_bus_network()
@@ -87,21 +203,6 @@ def test_uniform_rotation_is_invariant_for_all_kinds():
         v = np.zeros(cl.dim)
         v[cl.state_layout["delta"]] = 1.0
         assert_allclose(cl.system_matrix @ v, np.zeros(cl.dim), atol=1e-14)
-
-
-def test_deviation_forcing_rows():
-    net = PowerNetwork(inertia=np.array([2.0, 4.0]), damping=np.array([0.5, 1.0]),
-                       voltage=np.full(2, 1e3), power=np.array([30.0, -5.0]),
-                       lines=((0, 1, 1.0e-6),))
-    eta = np.array([0.05, -0.02])
-    kp = np.array([3.0, 7.0])
-    ctrl = ControllerSpec(kind=DIST_PI, kp=kp, ki=np.ones(2), gamma=0.4,
-                          comm=net.coupling)
-    cl = close_loop(swing_to_lti(net, eta=eta), ctrl)
-    omega_rows = (net.power - net.damping * net.omega_ref - kp * eta) / net.inertia
-    assert_allclose(cl.forcing_dev[cl.state_layout["delta"]], np.zeros(2), atol=1e-12)
-    assert_allclose(cl.forcing_dev[cl.state_layout["omega"]], omega_rows)
-    assert_allclose(cl.forcing_dev[cl.state_layout["z"]], -eta)
 
 
 def test_distributed_loop_reduces_to_decentralized_without_averaging():
