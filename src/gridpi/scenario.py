@@ -348,7 +348,7 @@ def load_scenario(path) -> Scenario:
     kind_value, kind_line = ctrl_kv["kind"]
     kind = kind_value.strip()
     if kind not in ctrlmod.KINDS:
-        raise ParseError(path, kind_line, f"unknown controller kind {kind!r} (expected {ctrlmod.KINDS})")
+        raise ParseError(path, kind_line, f"unknown controller kind {kind!r} (expected one of {ctrlmod.KINDS})")
 
     def _gains(key):
         value, lineno = ctrl_kv[key]

@@ -41,6 +41,7 @@ class PowerNetwork:
     consuming bus) and may have any sign; all are finite.  lines holds
     (i, j, susceptance) with susceptance in siemens; it and the coupling
     |V_i||V_j| susceptance are positive and finite.  omega_ref is in rad/s.
+    The products of the swing form (see swing_to_lti) must be finite too.
     coupling is the graph weighted by the electrical stiffness
     k_ij = |V_i||V_j| b_ij, built while validating; its Laplacian is L_k.
     """
@@ -88,6 +89,16 @@ class PowerNetwork:
             raise graphmod.EdgeError(exc.index, i, j, f"gives a coupling |V_i||V_j| b that "
                                      f"{exc.reason}") from exc
         object.__setattr__(self, "coupling", coupling)
+        # the products swing_to_lti forms: an infinite entry breaks LAPACK
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            minv = 1.0 / arrays["inertia"]
+            swing = (("M^-1 = 1/inertia", minv), ("M^-1 Lk", minv[:, None] * coupling.laplacian),
+                     ("M^-1 D", minv * arrays["damping"]),
+                     ("M^-1 (p - D omega_ref)",
+                      minv * (arrays["power"] - arrays["damping"] * self.omega_ref)))
+        for name, product in swing:
+            if not np.isfinite(product).all():
+                raise ValueError(f"the swing form's {name} is not finite")
 
     @property
     def n_buses(self):

@@ -252,6 +252,10 @@ CASES = [
          "error: net5ring.grid: the product M^-1 Lc overflows; the inertias are too large for "
          "the averaging-gain bound\n",
          edits=(("net5ring.grid", r"^inertia = 10\.0$", "inertia = 1.7e308"),)),
+    # M^-1 Lk overflowed: LAPACK's DLASCL messages, then "rank: 0 (deficiency 15)" and exit 1
+    Case("swing-form-overflows", "rank-test net5ring.grid --ki 1", 2, "error: net5ring.grid: the "
+         "swing form's M^-1 Lk is not finite\n", edits=(("net5ring.grid", r"^inertia = 10\.0$",
+         "inertia = 1e-300"), ("net5ring.grid", r"^voltage_kv = 10\.0$", "voltage_kv = 1e6"))),
     *(Case(id, f"{command} {NET2} {flags}", 2, f"error: {message}\n")
       for id, command, flags, message in [
           ("ki-abc", "rank-test", "--ki abc", "--ki: expected a number, got 'abc'"),

@@ -64,8 +64,8 @@ def test_importing_the_cli_leaves_logging_out():
 def test_table_row_ids_are_unique():
     # pytest would suffix a repeated id, and a folded test's successor is its row id
     import test_analysis, test_cli, test_numerics, test_refusals, test_scenario, test_sysmodel
-    tables = (test_cli.CASES, test_refusals.REFUSALS, test_analysis.VERDICTS,
-              test_numerics.RUNS, test_scenario.SCENARIO_RUNS, test_sysmodel.LOOPS)
+    tables = (test_cli.CASES, test_refusals.REFUSALS, test_analysis.VERDICTS, test_numerics.RUNS,
+              test_scenario.SCENARIO_RUNS, test_scenario.FILE_REFUSALS, test_sysmodel.LOOPS)
     for rows in tables:
         ids = [row.id for row in rows]
         assert len(set(ids)) == len(ids), [i for i in ids if ids.count(i) > 1]

@@ -2,8 +2,8 @@
 
 A row is id, a call with no arguments, the exception type it must raise
 (that type itself, not a subclass) and its message, compared whole.  The
-parsers' file:line diagnostics are tables of test_scenario.py, and the
-command line's are rows of test_cli.py.
+file readers' file:line diagnostics are rows of test_scenario.py's
+FILE_REFUSALS, and the command line's are rows of test_cli.py.
 """
 
 from dataclasses import replace

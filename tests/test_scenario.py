@@ -8,7 +8,7 @@ import stat
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -45,6 +45,29 @@ load_kw = 0.0
 [lines]
 1 2 2.0e-7
 2 3 2.0e-7
+"""
+
+SCENARIO = """\
+schema = 1
+[scenario]
+network = net.grid
+horizon_s = 20.0
+step_s = 0.002
+settle_tol_hz = 5.0e-3
+[controller]
+kind = dist_pi
+kp = 1.0 2.0 3.0
+ki = 4.0
+gamma = 0.7
+comm_topology = edges
+[comm_edges]
+1 2 1.5
+2 3 0.5
+[disturbances]
+4.0 3 -12.5
+1.0 2 30.0
+[noise]
+2 0.01
 """
 
 
@@ -95,117 +118,13 @@ def test_bundled_networks_load():
     assert_allclose(eigs[1:], eigs[-1], rtol=1e-9)
 
 
-def refusal(load, path):
-    """The whole message with which load refuses the file at path."""
-    with pytest.raises(ParseError) as err:
-        load(path)
-    return str(err.value)
-
-
-@pytest.mark.parametrize("mutation, lineno", [
-    ("schema = 1", None),   # the header dropped
-    ("schema = 2", 1),      # an unsupported version, named at its line
-    ("1 2 2.0e-7", None),   # the header moved below this [lines] row is no header
-])
-def test_schema_is_checked(tmp_path, mutation, lineno):
-    text = MINIMAL_GRID.replace("schema = 1\n", "schema = 2\n" if lineno else "")
-    if mutation == "1 2 2.0e-7":
-        text = text.replace(mutation, mutation + "\nschema = 1")
-    where = str(tmp_path / "bad.grid") + (f":{lineno}" if lineno else "")
-    reason = ("unsupported schema version '2' (this build reads 1)" if lineno
-              else "missing schema header (expected 'schema = 1')")
-    assert refusal(load_network, write(tmp_path / "bad.grid", text)) == f"{where}: {reason}"
-
-
-def test_parse_errors_carry_file_and_line(tmp_path):
-    text = MINIMAL_GRID.replace("2 3 2.0e-7", "2 9 2.0e-7")
-    assert (refusal(load_network, write(tmp_path / "bad.grid", text))
-            == f"{tmp_path / 'bad.grid'}:15: lines: unknown bus id 9")
-
-
-@pytest.mark.parametrize("before, after, needle", [
-    ("2 load_kw=40.0", "2 load_kw=forty", "expected a number"),
-    ("2 load_kw=40.0", "1 load_kw=40.0", "duplicate bus id"),
-    ("2 load_kw=40.0", "2 color=red", "unknown bus field"),
-    ("1 2 2.0e-7", "1 2", "expected: <bus id> <bus id> <susceptance_s>"),
-    ("damping = 0.5", "dampening = 0.5", "unknown default"),
-    ("2 3 2.0e-7", "2 1 2.0e-7", "bad.grid:15: lines: edge 2 1 duplicates an earlier edge"),
-    ("3 inertia=4.0", "3 inertia=-1.0", "bad.grid:12: inertia of bus 3 must be positive"),
-    ("damping = 0.5", "damping = 0.0", "bad.grid:6: damping of bus 1 must be positive"),
-    ("voltage_kv = 10.0", "voltage_kv = -10.0",
-     "bad.grid:7: voltage_kv of bus 1 must be positive"),
-    ("frequency_hz = 50.0", "frequncy_hz = 60.0", "bad.grid:3: unknown [network] key 'frequncy_hz'"),
-    ("schema = 1\n", "schema = 1\nfrequency_hz = 60.0\n",
-     "bad.grid:2: unknown key 'frequency_hz' before the first section"),
-    ("frequency_hz = 50.0", "frequency_hz = 1e308",
-     "bad.grid:3: frequency_hz: 2*pi*1e308 rad/s is not finite"),
-    # values that overflow in model units, at the line that sets them
-    ("load_kw = 0.0", "load_kw = 1e306", "bad.grid:8: load_kw of bus 1: 1e3*1e306 W is not finite"),
-    ("voltage_kv = 10.0", "voltage_kv = 1e306",
-     "bad.grid:7: voltage_kv of bus 1: 1e3*1e306 V is not finite"),
-    ("3 inertia=4.0", "3 inertia=4.0 load_kw=-1e306",
-     "bad.grid:12: load_kw of bus 3: 1e3*-1e306 W is not finite"),
-    # couplings |V_i||V_j| b that overflow or underflow, at their [lines] row
-    ("voltage_kv = 10.0", "voltage_kv = 1e200",
-     "bad.grid:14: lines: edge 1 2 gives a coupling |V_i||V_j| b that needs a positive "
-     "finite weight, got inf"),
-    ("voltage_kv = 10.0", "voltage_kv = 1e-200",
-     "bad.grid:14: lines: edge 1 2 gives a coupling |V_i||V_j| b that needs a positive "
-     "finite weight, got 0.0"),
-    ("[buses]", "[buses", "bad.grid:9: unterminated section header"),
-    ("[lines]", "[ ]", "bad.grid:13: empty section name"),
-    ("schema = 1\n", "schema = 1\ninertia\n",
-     "bad.grid:2: expected key = value before the first section"),
-    ("frequency_hz = 50.0", "frequency_hz 50.0",
-     "bad.grid:3: expected key = value, got 'frequency_hz 50.0'"),
-    ("damping = 0.5\n", "damping = 0.5\ndamping = 0.5\n", "bad.grid:7: duplicate key 'damping'"),
-    ("2 load_kw=40.0", "two load_kw=40.0", "bad.grid:11: bus id: expected an integer, got 'two'"),
-    ("1\n2 load_kw=40.0\n3 inertia=4.0\n", "",
-     "bad.grid: network file needs a non-empty [buses] section"),
-    ("2 load_kw=40.0", "2 load_kw", "bad.grid:11: expected key=value override, got 'load_kw'"),
-    ("2 3 2.0e-7\n", "", "bad.grid: transmission network must be connected"),
-])
-def test_network_diagnostics(tmp_path, before, after, needle):
-    with pytest.raises(ParseError) as err:
-        load_network(write(tmp_path / "bad.grid", MINIMAL_GRID.replace(before, after)))
-    assert str(err.value).startswith(str(tmp_path / "bad.grid"))
-    assert needle in str(err.value)
-
-
-def test_missing_bus_value_without_default(tmp_path):
-    text = MINIMAL_GRID.replace("inertia = 2.0\n", "")
-    assert (refusal(load_network, write(tmp_path / "bad.grid", text))
-            == f"{tmp_path / 'bad.grid'}:9: bus 1 is missing 'inertia' (no default given)")
-
-
 # ---------------------------------------------------------------------------
 # scenario files
 # ---------------------------------------------------------------------------
 
 def test_scenario_parsing_and_conversions(tmp_path):
     write(tmp_path / "net.grid", MINIMAL_GRID)
-    scn = load_scenario(write(tmp_path / "s.scn", """\
-schema = 1
-[scenario]
-network = net.grid
-horizon_s = 20.0
-step_s = 0.002
-settle_tol_hz = 5.0e-3
-[controller]
-kind = dist_pi
-kp = 1.0 2.0 3.0
-ki = 4.0
-gamma = 0.7
-comm_topology = edges
-[comm_edges]
-1 2 1.5
-2 3 0.5
-[disturbances]
-4.0 3 -12.5
-1.0 2 30.0
-[noise]
-2 0.01
-"""))
+    scn = load_scenario(write(tmp_path / "s.scn", SCENARIO))
     assert scn.kind == gridpi.DIST_PI
     assert_allclose(scn.kp, [1.0, 2.0, 3.0])
     assert_allclose(scn.ki, [4.0, 4.0, 4.0])
@@ -225,103 +144,180 @@ def test_bundled_scenarios_load():
     assert_allclose(share.ki * share.cost, np.ones(5))
 
 
-@pytest.mark.parametrize("before, after, needle", [
-    ("kind = dist_pi", "kind = fuzzy", "unknown controller kind"),
-    ("gamma = 0.7", "gamma = -1.0", "gamma must be positive"),
-    ("comm_topology = edges", "comm_topology = ring", "comm_topology must be"),
-    ("4.0 3 -12.5", "40.0 3 -12.5", "beyond the horizon"),
-    ("4.0 3 -12.5", "-1.0 3 -12.5", "must be >= 0"),
-    ("4.0 3 -12.5", "4.0 8 -12.5", "bus id 8"),
-    ("2 0.01", "9 0.01", "unknown bus id"),
-    ("2 3 0.5", "2 99 0.5", "bad.scn:13: comm_edges: unknown bus id 99"),
-    ("ki = 4.0", "ki = 4.0 5.0", "expected 1 or 3 values"),
-    ("horizon_s = 20.0", "horizon_s = inf", "horizon_s: expected a finite number"),
-    ("4.0 3 -12.5", "4.0 3 nan", "load_delta_kw: expected a finite number"),
-    ("2 3 0.5", "2 1 0.5", "bad.scn:13: comm_edges: edge 2 1 duplicates an earlier edge"),
-    ("2 3 0.5", "3 3 0.5", "bad.scn:13: comm_edges: edge 3 3 is a self-loop"),
-    ("horizon_s = 20.0", "horizon = 200.0", "bad.scn:4: unknown [scenario] key 'horizon'"),
-    ("gamma = 0.7", "gama = auto", "bad.scn:9: unknown [controller] key 'gama'"),
-    ("2 0.01", "2 0.01\n[outputs]\ntrace_csv = run.csv", "bad.scn:18: unknown section [outputs] in scenario file"),
-    ("schema = 1\n", "schema = 1\nnetwork = net.grid\n",
-     "bad.scn:2: unknown key 'network' before the first section"),
-    ("kind = dist_pi", "kind = p", "bad.scn:8: ki does not apply to the p kind"),
-    ("kind = dist_pi\nkp = 1.0\nki = 4.0", "kind = p\nkp = 1.0\ncost_coeffs = 0.25",
-     "bad.scn:8: cost_coeffs does not apply to the p kind"),
-    ("comm_topology = edges", "comm_topology = same-as-grid",
-     "bad.scn:12: [comm_edges] is read only with comm_topology = edges"),
-    ("kp = 1.0", "kp = -1.0", "bad.scn:7: kp: values must be strictly positive"),
-    ("kp = 1.0", "kp = 1.0 0 1.0", "bad.scn:7: kp: values must be strictly positive"),
-    ("ki = 4.0", "ki = 4.0 0.0 4.0", "bad.scn:8: ki: values must be strictly positive"),
-    ("ki = 4.0", "ki = -4.0", "bad.scn:8: ki: values must be strictly positive"),
-    ("ki = 4.0", "cost_coeffs = -1.0", "bad.scn:8: cost_coeffs: values must be strictly positive"),
-    ("ki = 4.0", "cost_coeffs = 0.25 0 0.25", "bad.scn:8: cost_coeffs: values must be strictly positive"),
-    ("\n2 3 0.5", "",
-     "bad.scn:10: comm_topology = edges: the [comm_edges] graph must be connected"),
-    ("2 0.01", "2 1e308", "bad.scn:17: eta_hz: 2*pi*1e308 rad/s is not finite"),
+# ---------------------------------------------------------------------------
+# file refusals: each row is a reader's whole message
+# ---------------------------------------------------------------------------
+
+class FileRefusal(NamedTuple):
+    """load refuses net.grid and s.scn, written from MINIMAL_GRID and SCENARIO with file's one
+    `before` replaced by after (before None: no file), with file's path followed by rest."""
+    id: str
+    load: Callable
+    file: str
+    before: str
+    after: str
+    rest: str
+
+
+def grid(id, before, after, rest, load=load_network):
+    return FileRefusal(id, load, "net.grid", before, after, rest)
+
+
+def scn(id, before, after, rest):
+    return FileRefusal(id, load_scenario, "s.scn", before, after, rest)
+
+
+POSITIVE = "values must be strictly positive"
+BELOW_NOMINAL = "Hz is not below the nominal frequency 50 Hz"
+NO_SCHEMA = ": missing schema header (expected 'schema = 1')"
+
+FILE_REFUSALS = [
+    grid("grid-missing", None, None, ": cannot read file (No such file or directory)"),
+    grid("grid-schema-missing", "schema = 1\n", "", NO_SCHEMA),
+    grid("grid-schema-unsupported", "schema = 1", "schema = 2",
+         ":1: unsupported schema version '2' (this build reads 1)"),
+    # a header moved below a [lines] row is no header
+    grid("grid-schema-below-a-section", MINIMAL_GRID, MINIMAL_GRID.replace("schema = 1\n", "")
+         .replace("1 2 2.0e-7", "1 2 2.0e-7\nschema = 1"), NO_SCHEMA),
+    grid("grid-top-level-key", "schema = 1\n", "schema = 1\nfrequency_hz = 60.0\n",
+         ":2: unknown key 'frequency_hz' before the first section (only 'schema' goes there)"),
+    grid("grid-top-level-not-key-value", "schema = 1\n", "schema = 1\ninertia\n",
+         ":2: expected key = value before the first section"),
+    grid("grid-unterminated-section", "[buses]", "[buses", ":9: unterminated section header"),
+    grid("grid-empty-section-name", "[lines]", "[ ]", ":13: empty section name"),
+    grid("grid-not-key-value", "frequency_hz = 50.0", "frequency_hz 50.0",
+         ":3: expected key = value, got 'frequency_hz 50.0'"),
+    grid("grid-network-key", "frequency_hz = 50.0", "frequncy_hz = 60.0",
+         ":3: unknown [network] key 'frequncy_hz' (expected one of ('frequency_hz',))"),
+    grid("grid-unknown-default", "damping = 0.5", "dampening = 0.5", ":6: unknown default "
+         "'dampening' (expected one of ('inertia', 'damping', 'voltage_kv', 'load_kw'))"),
+    grid("grid-duplicate-key", "damping = 0.5\n", "damping = 0.5\ndamping = 0.5\n",
+         ":7: duplicate key 'damping'"),
+    # values, at the line that sets them; a default is named by the bus that takes it
+    grid("grid-frequency-overflow", "frequency_hz = 50.0", "frequency_hz = 1e308",
+         ":3: frequency_hz: 2*pi*1e308 rad/s is not finite"),
+    grid("grid-negative-inertia", "3 inertia=4.0", "3 inertia=-1.0",
+         ":12: inertia of bus 3 must be positive"),
+    grid("grid-zero-damping", "damping = 0.5", "damping = 0.0",
+         ":6: damping of bus 1 must be positive"),
+    grid("grid-negative-voltage", "voltage_kv = 10.0", "voltage_kv = -10.0",
+         ":7: voltage_kv of bus 1 must be positive"),
+    grid("grid-load-overflow", "load_kw = 0.0", "load_kw = 1e306",
+         ":8: load_kw of bus 1: 1e3*1e306 W is not finite"),
+    grid("grid-voltage-overflow", "voltage_kv = 10.0", "voltage_kv = 1e306",
+         ":7: voltage_kv of bus 1: 1e3*1e306 V is not finite"),
+    grid("grid-override-overflow", "3 inertia=4.0", "3 inertia=4.0 load_kw=-1e306",
+         ":12: load_kw of bus 3: 1e3*-1e306 W is not finite"),
+    grid("grid-missing-value", "inertia = 2.0\n", "",
+         ":9: bus 1 is missing 'inertia' (no default given)"),
+    grid("grid-no-buses", "1\n2 load_kw=40.0\n3 inertia=4.0\n", "",
+         ": network file needs a non-empty [buses] section"),
+    *(grid(f"grid-{id}", "2 load_kw=40.0", after, f":11: {rest}") for id, after, rest in [
+        ("bad-number", "2 load_kw=forty", "load_kw of bus 2: expected a number, got 'forty'"),
+        ("bus-id-not-an-integer", "two load_kw=40.0", "bus id: expected an integer, got 'two'"),
+        ("duplicate-bus", "1 load_kw=40.0", "duplicate bus id 1"),
+        ("override-not-key-value", "2 load_kw", "expected key=value override, got 'load_kw'"),
+        ("unknown-bus-field", "2 color=red", "unknown bus field 'color'")]),
+    # lines, and couplings |V_i||V_j| b that overflow or underflow, at their row
+    grid("grid-short-row", "1 2 2.0e-7", "1 2", ":14: expected: <bus id> <bus id> <susceptance_s>"),
+    grid("grid-line-unknown-bus", "2 3 2.0e-7", "2 9 2.0e-7", ":15: lines: unknown bus id 9"),
+    grid("grid-line-reversed-duplicate", "2 3 2.0e-7", "2 1 2.0e-7",
+         ":15: lines: edge 2 1 duplicates an earlier edge"),
+    *(grid(f"grid-coupling-{name}", "voltage_kv = 10.0", f"voltage_kv = {kv}", ":14: lines: edge "
+           f"1 2 gives a coupling |V_i||V_j| b that needs a positive finite weight, got {got}")
+      for name, kv, got in [("overflow", "1e200", "inf"), ("underflow", "1e-200", "0.0")]),
+    grid("grid-disconnected", "2 3 2.0e-7\n", "", ": transmission network must be connected"),
+    # 1/inertia overflowed in swing_to_lti: RuntimeWarnings, then "SVD did not converge"
+    grid("grid-swing-form-overflow", "inertia = 2.0", "inertia = 1e-310",
+         ": the swing form's M^-1 = 1/inertia is not finite"),
+    scn("no-network", "network = net.grid\n", "", ": [scenario] must name a network file"),
+    scn("network-missing", "network = net.grid", "network = nope.grid",
+        ":3: network: cannot read nope.grid (No such file or directory)"),
+    # an error inside the network file is at its own file and line
+    grid("network-file-error", "3 inertia=4.0", "3 inertia=-1.0",
+         ":12: inertia of bus 3 must be positive", load=load_scenario),
+    scn("top-level-key", "schema = 1\n", "schema = 1\nnetwork = net.grid\n",
+        ":2: unknown key 'network' before the first section (only 'schema' goes there)"),
+    scn("outputs-section", "2 0.01", "2 0.01\n[outputs]\ntrace_csv = run.csv",
+        ":21: unknown section [outputs] in scenario file"),
+    scn("scenario-key", "horizon_s = 20.0", "horizon = 200.0", ":4: unknown [scenario] key "
+        "'horizon' (expected one of ('network', 'horizon_s', 'step_s', 'settle_tol_hz', "
+        "'output_every_s'))"),
+    scn("infinite-horizon", "horizon_s = 20.0", "horizon_s = inf",
+        ":4: horizon_s: expected a finite number, got 'inf'"),
+    scn("zero-horizon", "horizon_s = 20.0", "horizon_s = 0", ":4: horizon_s must be positive"),
+    scn("settle-band-at-nominal", "settle_tol_hz = 5.0e-3", "settle_tol_hz = 50",
+        f":6: settle_tol_hz: 50 {BELOW_NOMINAL}"),
+    scn("controller-key", "gamma = 0.7", "gama = auto", ":11: unknown [controller] key 'gama' "
+        "(expected one of ('kind', 'kp', 'ki', 'cost_coeffs', 'gamma', 'comm_topology'))"),
+    scn("no-kind", "kind = dist_pi\n", "", ": [controller] must set kind"),
+    scn("kind", "kind = dist_pi", "kind = fuzzy",
+        ":8: unknown controller kind 'fuzzy' (expected one of ('p', 'dec_pi', 'dist_pi'))"),
+    scn("no-kp", "kp = 1.0 2.0 3.0\n", "", ": [controller] must set kp"),
+    scn("empty-kp", "kp = 1.0 2.0 3.0", "kp =", ":9: kp: empty value"),
+    *(scn(id, "kp = 1.0 2.0 3.0", f"kp = {kp}", f":9: kp: {POSITIVE}")
+      for id, kp in [("negative-kp", "-1.0"), ("zero-kp", "1.0 0 1.0")]),
+    *(scn(id, "ki = 4.0", after, f":10: {after.split()[0]}: {POSITIVE}") for id, after in [
+        ("zero-ki", "ki = 4.0 0.0 4.0"), ("negative-ki", "ki = -4.0"),
+        ("negative-cost", "cost_coeffs = -1.0"), ("zero-cost", "cost_coeffs = 0.25 0 0.25")]),
+    scn("gain-arity", "ki = 4.0", "ki = 4.0 5.0", ":10: ki: expected 1 or 3 values, got 2"),
+    # a cost whose reciprocal gain overflows, quoted as the reciprocal it takes
+    scn("cost-reciprocal-overflow", "ki = 4.0", "cost_coeffs = 0.25 1e-320 0.25",
+        ":10: cost_coeffs: 1/1e-320 is not finite"),
+    scn("no-ki", "ki = 4.0\n", "", ": dist_pi controller needs ki or cost_coeffs"),
+    scn("ki-and-cost", "ki = 4.0", "ki = 4.0\ncost_coeffs = 0.25",
+        ":11: give either ki or cost_coeffs, not both"),
+    scn("p-with-ki", "kind = dist_pi", "kind = p", ":10: ki does not apply to the p kind"),
+    scn("p-with-cost", "dist_pi\nkp = 1.0 2.0 3.0\nki", "p\nkp = 1.0 2.0 3.0\ncost_coeffs",
+        ":10: cost_coeffs does not apply to the p kind"),
+    scn("gamma-for-dec-pi", "kind = dist_pi", "kind = dec_pi",
+        ":11: gamma only applies to the dist_pi kind"),
+    scn("gamma", "gamma = 0.7", "gamma = -1.0", ":11: gamma must be positive"),
+    scn("topology", "comm_topology = edges", "comm_topology = ring",
+        ":12: comm_topology must be same-as-grid or edges, got 'ring'"),
+    scn("orphan-comm-edges", "comm_topology = edges", "comm_topology = same-as-grid",
+        ":14: [comm_edges] is read only with comm_topology = edges"),
+    scn("comm-bus", "2 3 0.5", "2 99 0.5", ":15: comm_edges: unknown bus id 99"),
+    scn("comm-reversed-duplicate", "2 3 0.5", "2 1 0.5",
+        ":15: comm_edges: edge 2 1 duplicates an earlier edge"),
+    scn("comm-self-loop", "2 3 0.5", "3 3 0.5", ":15: comm_edges: edge 3 3 is a self-loop"),
+    scn("disconnected-comm", "\n2 3 0.5", "",
+        ":12: comm_topology = edges: the [comm_edges] graph must be connected"),
+    *(scn(id, "4.0 3 -12.5", after, f":17: {rest}") for id, after, rest in [
+        ("short-disturbance", "4.0 3", "expected: <time_s> <bus id> <load_delta_kw>"),
+        ("negative-time", "-1.0 3 -12.5", "disturbance time must be >= 0"),
+        ("late", "40.0 3 -12.5", "disturbance at t = 40.0 is beyond the horizon 20.0"),
+        ("bad-bus", "4.0 8 -12.5", "disturbances: unknown bus id 8"),
+        ("nan-load", "4.0 3 nan", "load_delta_kw: expected a finite number, got 'nan'"),
+        ("load-overflow", "4.0 3 1e306", "load_delta_kw: 1e3*1e306 W is not finite")]),
+    # the steps apply in time order, so line 17, the later step, is the one that overflows
+    scn("summed-load-overflow", "4.0 3 -12.5", "4.0 3 1e305\n2.0 3 1e305", ":17: disturbances: "
+        "this step makes the net injection of bus 3 non-finite at t = 4 s"),
+    scn("short-noise", "2 0.01", "2", ":20: expected: <bus id> <eta_hz>"),
+    scn("noise-bus", "2 0.01", "9 0.01", ":20: noise: unknown bus id 9"),
+    scn("noise-duplicate", "2 0.01", "2 0.01\n2 0.02", ":21: noise: duplicate bus id 2"),
+    scn("noise-overflow", "2 0.01", "2 1e308", ":20: eta_hz: 2*pi*1e308 rad/s is not finite"),
     # an offset of the nominal frequency or more: 1e300 Hz was analyzed as a
     # positive verdict at -2e+299 Hz, and its run left the integrator's range
-    ("2 0.01", "2 1e300",
-     "bad.scn:17: eta_hz: |1e300| Hz is not below the nominal frequency 50 Hz"),
-    ("2 0.01", "2 50", "bad.scn:17: eta_hz: |50| Hz is not below the nominal frequency 50 Hz"),
-    ("2 0.01", "2 -50", "bad.scn:17: eta_hz: |-50| Hz is not below the nominal frequency 50 Hz"),
-    ("4.0 3 -12.5", "4.0 3 1e306", "bad.scn:15: load_delta_kw: 1e3*1e306 W is not finite"),
-    # the steps apply in time order, so the later line 15 is the one that overflows
-    ("4.0 3 -12.5", "4.0 3 1e305\n2.0 3 1e305",
-     "bad.scn:15: disturbances: this step makes the net injection of bus 3 non-finite at t = 4 s"),
-    ("2 0.01", "2 0.01\n2 0.02", "bad.scn:18: noise: duplicate bus id 2"),
-    # a cost whose reciprocal gain overflows, quoted as the reciprocal it takes
-    ("ki = 4.0", "cost_coeffs = 0.25 1e-320 0.25", "bad.scn:8: cost_coeffs: 1/1e-320 is not finite"),
-    ("network = net.grid\n", "", "bad.scn: [scenario] must name a network file"),
-    ("kind = dist_pi\n", "", "bad.scn: [controller] must set kind"),
-    ("kp = 1.0\n", "", "bad.scn: [controller] must set kp"),
-    ("ki = 4.0\n", "", "bad.scn: dist_pi controller needs ki or cost_coeffs"),
-    ("4.0 3 -12.5", "4.0 3", "bad.scn:15: expected: <time_s> <bus id> <load_delta_kw>"),
-    ("2 0.01", "2", "bad.scn:17: expected: <bus id> <eta_hz>"),
-    ("horizon_s = 20.0", "horizon_s = 0", "bad.scn:4: horizon_s must be positive"),
-], ids=["kind", "gamma", "topology", "late", "negative-time", "bad-bus",
-        "noise-bus", "comm-bus", "gain-arity", "infinite-horizon", "nan-load",
-        "comm-reversed-duplicate", "comm-self-loop", "scenario-key", "controller-key",
-        "outputs-section", "top-level-key", "p-with-ki", "p-with-cost", "orphan-comm-edges",
-        "negative-kp", "zero-kp", "zero-ki", "negative-ki", "negative-cost", "zero-cost", "disconnected-comm", "noise-overflow",
-        "noise-beyond-nominal", "noise-at-nominal", "noise-at-minus-nominal",
-        "load-overflow", "summed-load-overflow", "noise-duplicate", "cost-reciprocal-overflow",
-        "no-network", "no-kind", "no-kp", "no-ki", "short-disturbance", "short-noise",
-        "zero-horizon"])
-def test_scenario_diagnostics(tmp_path, before, after, needle):
-    write(tmp_path / "net.grid", MINIMAL_GRID)
-    base = """\
-schema = 1
-[scenario]
-network = net.grid
-horizon_s = 20.0
-[controller]
-kind = dist_pi
-kp = 1.0
-ki = 4.0
-gamma = 0.7
-comm_topology = edges
-[comm_edges]
-1 2 1.5
-2 3 0.5
-[disturbances]
-4.0 3 -12.5
-[noise]
-2 0.01
-"""
+    *(scn(id, "2 0.01", f"2 {eta}", f":20: eta_hz: |{eta}| {BELOW_NOMINAL}")
+      for id, eta in [("noise-beyond-nominal", "1e300"), ("noise-at-nominal", "50"),
+                      ("noise-at-minus-nominal", "-50")]),
+]
+
+
+@pytest.mark.parametrize("row", FILE_REFUSALS, ids=[row.id for row in FILE_REFUSALS])
+def test_file_refusal(tmp_path, row):
+    texts = {"net.grid": MINIMAL_GRID, "s.scn": SCENARIO}
+    text = texts.pop(row.file)
+    if row.before is not None:
+        assert text.count(row.before) == 1, row.before
+        texts[row.file] = text.replace(row.before, row.after)
+    for name, text in texts.items():
+        write(tmp_path / name, text)
     with pytest.raises(ParseError) as err:
-        load_scenario(write(tmp_path / "bad.scn", base.replace(before, after)))
-    assert str(err.value).startswith(str(tmp_path / "bad.scn"))
-    assert needle in str(err.value)
+        row.load(tmp_path / ("net.grid" if row.load is load_network else "s.scn"))
+    assert (err.type, str(err.value)) == (ParseError, f"{tmp_path / row.file}{row.rest}")
 
-
-def test_ki_and_cost_are_mutually_exclusive(tmp_path):
-    scn_path = quiet_scenario(tmp_path, "cost_coeffs = 0.25", kind="dec_pi")
-    assert refusal(load_scenario, scn_path) == f"{scn_path}:11: give either ki or cost_coeffs, not both"
-
-
-def test_gamma_rejected_for_decentralized(tmp_path):
-    scn_path = quiet_scenario(tmp_path, "gamma = 0.5", kind="dec_pi")
-    assert refusal(load_scenario, scn_path) == f"{scn_path}:11: gamma only applies to the dist_pi kind"
 
 
 def _file_ids(rng, n):
