@@ -306,7 +306,7 @@ FILE_REFUSALS = [
 
 
 @pytest.mark.parametrize("row", FILE_REFUSALS, ids=[row.id for row in FILE_REFUSALS])
-def test_file_refusal(tmp_path, row):
+def test_scenario_diagnostics(tmp_path, row):
     texts = {"net.grid": MINIMAL_GRID, "s.scn": SCENARIO}
     text = texts.pop(row.file)
     if row.before is not None:
