@@ -42,11 +42,9 @@ from .scenario import (
 )
 from .sysmodel import (
     ClosedLoop,
-    LtiSystem,
     PowerNetwork,
     close_loop,
     simulate_schedule,
-    swing_to_lti,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +57,6 @@ __all__ = [
     "GammaBound",
     "KINDS",
     "LoadedNetwork",
-    "LtiSystem",
     "P",
     "ParseError",
     "PowerNetwork",
@@ -83,6 +80,5 @@ __all__ = [
     "run_scenario",
     "simulate_schedule",
     "stationary_state",
-    "swing_to_lti",
     "xi_rank_test",
 ]

@@ -49,7 +49,7 @@ def _sym(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class XiRankResult(NamedTuple):
-    dim: int          # size of the square test matrix (n_states + n_outputs)
+    dim: int          # size of the square test matrix (plant states + outputs)
     rank: int
 
     @property
@@ -61,24 +61,30 @@ class XiRankResult(NamedTuple):
         return self.rank == self.dim
 
 
-def xi_rank_test(sys: sysmodel.LtiSystem, ki) -> XiRankResult:
+def xi_rank_test(a, b, c, ki) -> XiRankResult:
     """Solvability test for equilibria under integral feedback.
 
-    Builds [[A, B K_i], [C, 0]] and reports its numerical rank.  Full rank
-    is necessary for any stabilizing diagonal-integral design; a deficiency
-    means no choice of the remaining gains can create the required
-    equilibrium for generic references and disturbances.
+    Builds [[A, B K_i], [C, 0]] from the plant x' = A x + B u, y = C x
+    (A n x n, B n x m, C m x n; for the swing model, sysmodel.swing_to_lti)
+    and reports its numerical rank.  Full rank is necessary for any
+    stabilizing diagonal-integral design; a deficiency means no choice of
+    the remaining gains can create the required equilibrium for generic
+    references and disturbances.
     """
+    a, b, c = (np.array(m, dtype=float, ndmin=2) for m in (a, b, c))
+    n, m = a.shape[0], c.shape[0]
+    if a.shape != (n, n) or b.shape != (n, m) or c.shape != (m, n):
+        raise ValueError(f"a, b and c must be n x n, n x m and m x n, got {a.shape}, "
+                         f"{b.shape} and {c.shape}")
     ki = np.atleast_1d(np.asarray(ki, dtype=float))
-    if ki.shape != (sys.n_outputs,):
+    if ki.shape != (m,):
         raise ValueError(f"ki must have one entry per output, got shape {ki.shape}")
     if not np.all(ki > 0.0):
         raise ValueError("integral gains must be strictly positive")
-    n, m = sys.n_states, sys.n_outputs
     xi = np.zeros((n + m, n + m))
-    xi[:n, :n] = sys.a
-    xi[:n, n:] = sys.b * ki[None, :]
-    xi[n:, :n] = sys.c
+    xi[:n, :n] = a
+    xi[:n, n:] = b * ki[None, :]
+    xi[n:, :n] = c
     rank = numerics.numerical_rank(xi)
     return XiRankResult(dim=n + m, rank=rank)
 
@@ -329,7 +335,7 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     numerical breakdown rather than a real one.  Treat large answers as
     "no threshold below this" instead of as a threshold.
     """
-    cl = sysmodel.close_loop(sysmodel.swing_to_lti(net), replace(ctrl, gamma=1.0))
+    cl = sysmodel.close_loop(net, replace(ctrl, gamma=1.0))
     zs = cl.state_layout["z"]
     g = np.zeros_like(cl.system_matrix)
     g[zs, zs] = -cl.system_matrix[zs, zs]

@@ -101,7 +101,8 @@ def _cmd_rank_test(args):
     loaded = scenariomod.load_network(args.network)
     n = loaded.net.n_buses
     ki = scenariomod._gain_vector(None, 0, args.ki, n, "--ki")
-    result = analysismod.xi_rank_test(sysmodel.swing_to_lti(loaded.net), ki)
+    a, b, c, _ = sysmodel.swing_to_lti(loaded.net)
+    result = analysismod.xi_rank_test(a, b, c, ki)
     print(f"network: {args.network} ({n} buses)")
     print(f"matrix size: {result.dim} x {result.dim}")
     print(f"rank: {result.rank} (deficiency {result.deficiency})")

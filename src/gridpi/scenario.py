@@ -420,12 +420,18 @@ def load_scenario(path) -> Scenario:
         load_w = _float(path, lineno, tokens[2], "load_delta_kw", _KW_TO_W)
         events.append((t, bus, -load_w, lineno))  # consumption -> net injection
     events.sort(key=lambda ev: ev[0])  # stable, so equal times keep file order, as the stages do
-    injection = loaded.net.power.tolist()  # Python floats overflow to inf without a warning
+    # Python floats overflow to inf without a warning
+    injection, inertia, damping = (getattr(loaded.net, key).tolist()
+                                   for key in ("power", "inertia", "damping"))
     for t, bus, delta_w, lineno in events:
         injection[bus] += delta_w
-        if not math.isfinite(injection[bus]):
-            raise ParseError(path, lineno, f"disturbances: this step makes the net injection of "
-                             f"bus {loaded.bus_ids[bus]} non-finite at t = {t:g} s")
+        # the stage's swing form as PowerNetwork checks it: M^-1 (p - D omega_ref)
+        forcing = (1.0 / inertia[bus]) * (injection[bus] - damping[bus] * loaded.net.omega_ref)
+        for what, value in (("net injection", injection[bus]),
+                            ("swing form's M^-1 (p - D omega_ref)", forcing)):
+            if not math.isfinite(value):
+                raise ParseError(path, lineno, f"disturbances: this step makes the {what} of "
+                                 f"bus {loaded.bus_ids[bus]} non-finite at t = {t:g} s")
 
     eta = np.zeros(n)
     noisy = set()
@@ -469,7 +475,7 @@ def load_scenario(path) -> Scenario:
 
 class AnalysisReport(NamedTuple):
     controller: ctrlmod.ControllerSpec
-    gamma_bound: analysismod.GammaBound   # None unless DIST_PI
+    gamma_bound: analysismod.GammaBound   # None unless DIST_PI (see _resolve_controller)
     rank: analysismod.XiRankResult        # None unless DEC_PI
     stability: analysismod.StabilityReport
     prediction: analysismod.SteadyStatePrediction  # None unless DIST_PI
@@ -517,12 +523,21 @@ def network_gamma_bar(loaded: LoadedNetwork, ctrl: ctrlmod.ControllerSpec, kp_so
 
 def _resolve_controller(scn: Scenario):
     """The concrete ControllerSpec with gamma = auto resolved, and the
-    gamma_bar bound (None unless DIST_PI)."""
+    gamma_bar bound: None unless DIST_PI, and None under a numeric gamma
+    when the communication graph fails the bound's precondition, which
+    gamma = auto is refused for at the gamma line."""
     ctrl = ctrlmod.ControllerSpec(kind=scn.kind, kp=scn.kp, ki=scn.ki, comm=scn.comm,
                                   cost=scn.cost)
     if ctrl.kind != ctrlmod.DIST_PI:
         return ctrl, None
-    bound = network_gamma_bar(scn.network, ctrl, (*scn.kp_source, "kp"))
+    try:
+        bound = network_gamma_bar(scn.network, ctrl, (*scn.kp_source, "kp"))
+    except ParseError:
+        raise
+    except ValueError as exc:  # the precondition on x^T Lk Lc x
+        if scn.gamma_request == "auto":
+            raise ParseError(*scn.gamma_source, f"gamma = auto: {exc}") from exc
+        bound = None
     if scn.gamma_request == "auto":
         gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
         if not gamma > 0.0:
@@ -558,13 +573,12 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     net = scn.network.net
     ctrl, bound = _resolve_controller(scn)
 
-    # eta enters only the loop's forcing; the rank test reads a, b and c
-    sys = sysmodel.swing_to_lti(net, eta=scn.eta)
     rank = None
-    if ctrl.kind == ctrlmod.DEC_PI:
-        rank = analysismod.xi_rank_test(sys, ctrl.ki)
+    if ctrl.kind == ctrlmod.DEC_PI:  # eta enters only the loop's forcing, not a, b or c
+        a, b, c, _ = sysmodel.swing_to_lti(net)
+        rank = analysismod.xi_rank_test(a, b, c, ctrl.ki)
 
-    loop = sysmodel.close_loop(sys, ctrl)
+    loop = sysmodel.close_loop(net, ctrl, scn.eta)
     stability = analysismod.output_stability_check(loop)
 
     prediction = None
@@ -648,8 +662,7 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
     x0 = analysismod.stationary_state(net, ctrl)
     segments = []
     for t_start, power in _power_stages(scn):
-        stage_sys = sysmodel.swing_to_lti(replace(net, power=power), eta=scn.eta)
-        segments.append((t_start, sysmodel.close_loop(stage_sys, ctrl)))
+        segments.append((t_start, sysmodel.close_loop(replace(net, power=power), ctrl, scn.eta)))
     trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)
     loop = segments[0][1]
     if trace.diverged and report.stability.output_stable:

@@ -1,4 +1,4 @@
-"""Power-network swing model, its LTI form, and closed-loop simulation.
+"""Power-network swing model, its closed loop, and closed-loop simulation.
 
 The network model is the linearized swing equation per bus i:
 
@@ -106,62 +106,13 @@ class PowerNetwork:
 
 
 # ---------------------------------------------------------------------------
-# LTI form
+# closed loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LtiSystem:
-    """x' = a x + b u + d,  y = c x + eta.
-
-    blocks names meaningful slices of the state vector (the swing model uses
-    "delta" and "omega", in deviation coordinates); generic systems carry a
-    single "x" block.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    eta: np.ndarray
-    blocks: dict = None
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"a must be square, got {a.shape}")
-        n = a.shape[0]
-        if b.shape[0] != n or b.ndim != 2:
-            raise ValueError(f"b shape {b.shape} incompatible with state dimension {n}")
-        if c.shape[1] != n or c.ndim != 2:
-            raise ValueError(f"c shape {c.shape} incompatible with state dimension {n}")
-        m = c.shape[0]
-        if b.shape[1] != m:
-            raise ValueError(f"b has {b.shape[1]} inputs but c has {m} outputs")
-        d = np.asarray(self.d, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        if d.shape != (n,):
-            raise ValueError(f"d shape {d.shape}, expected ({n},)")
-        if eta.shape != (m,):
-            raise ValueError(f"eta shape {eta.shape}, expected ({m},)")
-        for name, arr in (("a", a), ("b", b), ("c", c), ("d", d), ("eta", eta)):
-            object.__setattr__(self, name, arr)
-        if self.blocks is None:
-            object.__setattr__(self, "blocks", {"x": slice(0, n)})
-
-    @property
-    def n_states(self):
-        return self.a.shape[0]
-
-    @property
-    def n_outputs(self):
-        return self.c.shape[0]
-
-
-def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
-    """LTI form of the swing network in deviation coordinates: y = omega -
-    omega_ref + eta, and d carries the damping of omega_ref."""
+def swing_to_lti(net: PowerNetwork):
+    """(a, b, c, d) of the swing network in deviation coordinates:
+    x' = a x + b u + d and y = c x (+ eta), with x = [delta; w], so d
+    carries the damping of omega_ref."""
     n = net.n_buses
     minv = 1.0 / net.inertia  # accelerations scale with inverse inertia
     a = np.zeros((2 * n, 2 * n))
@@ -174,24 +125,17 @@ def swing_to_lti(net: PowerNetwork, eta=None) -> LtiSystem:
     c[:, n:] = np.eye(n)
     d = np.zeros(2 * n)
     d[n:] = minv * (net.power - net.damping * net.omega_ref)
-    if eta is None:
-        eta = np.zeros(n)
-    eta = np.asarray(eta, dtype=float)
-    blocks = {"delta": slice(0, n), "omega": slice(n, 2 * n)}
-    return LtiSystem(a=a, b=b, c=c, d=d, eta=eta, blocks=blocks)
+    return a, b, c, d
 
-
-# ---------------------------------------------------------------------------
-# closed loop
-# ---------------------------------------------------------------------------
 
 class ClosedLoop(NamedTuple):
     """Autonomous closed-loop system x' = system_matrix x + forcing_dev.
 
     The control law is the affine map u = control_gain x + control_offset
     of the loop state; the outputs are y = output_selector x + eta.
-    forcing_dev is the affine term of the loop as written; for the swing
-    model it is in deviation coordinates, like the system itself.
+    forcing_dev is the affine term of the loop, in deviation coordinates
+    like the system itself.  state_layout maps "delta", "omega" and (under
+    PI) "z" to their slices of the state.
     """
 
     system_matrix: np.ndarray
@@ -206,39 +150,45 @@ class ClosedLoop(NamedTuple):
         return self.system_matrix.shape[0]
 
 
-def close_loop(sys: LtiSystem, ctrl: ctrlmod.ControllerSpec) -> ClosedLoop:
-    """Assemble the closed loop for any of the controller kinds.
+def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None) -> ClosedLoop:
+    """The swing network closed by any of the controller kinds.
 
-    The law u = -Kp y + Ki z with y = c x + eta is the affine map
-    u = [-Kp c, Ki] [x; z] - Kp eta (no Ki block for P); it enters the
-    plant rows as x' = a x + b u + d.  The integrator rows are
-    z' = -y (DEC_PI) or z' = -y - gamma L_c z (DIST_PI).
+    With the swing form (a, b, c, d) of swing_to_lti and y = c x + eta
+    (eta the measurement offsets, zero by default), the law u = -Kp y +
+    Ki z is the affine map u = [-Kp c, Ki] [x; z] - Kp eta (no Ki block
+    for P); it enters the plant rows as x' = a x + b u + d.  The
+    integrator rows are z' = -y (DEC_PI) or z' = -y - gamma L_c z (DIST_PI).
     """
-    n, m = sys.n_states, sys.n_outputs
-    if ctrl.n_nodes != m:
-        raise ValueError(f"controller covers {ctrl.n_nodes} nodes but the plant has {m} outputs")
+    n = net.n_buses
+    if ctrl.n_nodes != n:
+        raise ValueError(f"controller covers {ctrl.n_nodes} nodes but the network has {n} buses")
     if ctrl.kind == ctrlmod.DIST_PI and ctrl.gamma is None:
         raise ValueError("closing a distributed PI loop requires gamma")
-    dim = n + m if ctrl.has_integrator else n
-    gain = np.zeros((m, dim))
-    gain[:, :n] = -ctrl.kp[:, None] * sys.c
-    offset = -ctrl.kp * sys.eta
+    eta = np.zeros(n) if eta is None else np.asarray(eta, dtype=float)
+    if eta.shape != (n,):
+        raise ValueError(f"eta shape {eta.shape}, expected ({n},)")
+    a, b, c, d = swing_to_lti(net)
+    xs = 2 * n  # the plant states [delta; w]
+    dim = xs + n if ctrl.has_integrator else xs
+    gain = np.zeros((n, dim))
+    gain[:, :xs] = -ctrl.kp[:, None] * c
+    offset = -ctrl.kp * eta
     e = np.zeros((dim, dim))
     forcing = np.zeros(dim)
-    layout = dict(sys.blocks)
+    layout = {"delta": slice(0, n), "omega": slice(n, xs)}
     if ctrl.has_integrator:
-        zs = slice(n, dim)
+        zs = slice(xs, dim)
         gain[:, zs] = np.diag(ctrl.ki)
-        e[zs, :n] = -sys.c
+        e[zs, :xs] = -c
         if ctrl.kind == ctrlmod.DIST_PI:
             e[zs, zs] = -ctrl.gamma * ctrl.comm.laplacian
-        forcing[zs] = -sys.eta
+        forcing[zs] = -eta
         layout["z"] = zs
-    e[:n, :n] = sys.a
-    e[:n] += sys.b @ gain
-    forcing[:n] = sys.d + sys.b @ offset
+    e[:xs, :xs] = a
+    e[:xs] += b @ gain
+    forcing[:xs] = d + b @ offset
     return ClosedLoop(system_matrix=e, forcing_dev=forcing,
-                      output_selector=np.pad(sys.c, ((0, 0), (0, dim - n))),
+                      output_selector=np.pad(c, ((0, 0), (0, dim - xs))),
                       control_gain=gain, control_offset=offset, state_layout=layout)
 
 

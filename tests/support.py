@@ -151,16 +151,14 @@ def closed_form_split(cl, net, ctrl):
     constant.  Under P, L_k delta = 0 leaves the uniform angle; under
     distributed PI too, since L_k delta = K_i z with z' = -gamma L_c z
     forces z = c 1, and summing the rows gives c = 0.  Under decentralized
-    PI it is the equilibria {(delta, 0, K_i^-1 L_k delta)}.  Any other
-    loop (net None) is taken to be fully observable: B is empty.
+    PI it is the equilibria {(delta, 0, K_i^-1 L_k delta)}.
     """
-    basis = np.zeros((cl.dim, 0 if net is None else net.n_buses))
-    if net is not None:
-        basis[cl.state_layout["delta"]] = np.eye(net.n_buses)
-        if ctrl.kind == gridpi.DEC_PI:
-            basis[cl.state_layout["z"]] = net.coupling.laplacian / ctrl.ki[:, None]
-        else:
-            basis = basis.mean(axis=1, keepdims=True)
+    basis = np.zeros((cl.dim, net.n_buses))
+    basis[cl.state_layout["delta"]] = np.eye(net.n_buses)
+    if ctrl.kind == gridpi.DEC_PI:
+        basis[cl.state_layout["z"]] = net.coupling.laplacian / ctrl.ki[:, None]
+    else:
+        basis = basis.mean(axis=1, keepdims=True)
     basis, _ = np.linalg.qr(basis)
     q, _ = np.linalg.qr(basis, mode="complete")
     return basis, q[:, basis.shape[1]:]
@@ -170,10 +168,8 @@ def reference_gamma_star_search(net, ctrl):
     """gamma_star_search as doubling plus plain bisection, with a closed
     loop and a full output_stability_check per probe: the reference for
     the single-split secant search."""
-    sys = gridpi.swing_to_lti(net)
-
     def _stable(gamma):
-        cl = gridpi.close_loop(sys, replace(ctrl, gamma=float(gamma)))
+        cl = gridpi.close_loop(net, replace(ctrl, gamma=float(gamma)))
         return gridpi.output_stability_check(cl).output_stable
 
     gb = gridpi.gamma_bar(net, ctrl).gamma_bar

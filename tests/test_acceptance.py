@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from gridpi import (DIST_PI, ControllerSpec, close_loop, gamma_bar, load_network, load_scenario,
-                    run_scenario, simulate_schedule, stationary_state, swing_to_lti, xi_rank_test)
+                    run_scenario, simulate_schedule, stationary_state, xi_rank_test)
+from gridpi.sysmodel import swing_to_lti
 from support import (bundled, exact_flow, frequencies_hz, random_dist_controller,
                      random_network, scenario_inputs, stability_cubic, swing_loop)
 
@@ -48,7 +49,7 @@ def test_criterion_1_rank_deficiency_on_all_bundled_networks(report):
     for name in ("net2.grid", "net5ring.grid", "net30.grid"):
         net = load_network(bundled(name)).net
         start = time.perf_counter()
-        result = xi_rank_test(swing_to_lti(net), ki=np.full(net.n_buses, 1.7))
+        result = xi_rank_test(*swing_to_lti(net)[:3], ki=np.full(net.n_buses, 1.7))
         worst_elapsed = max(worst_elapsed, time.perf_counter() - start)
         deficiencies[name] = (result.deficiency, net.n_buses)
     ok = all(d == n for d, n in deficiencies.values()) and worst_elapsed < 1.0
@@ -111,7 +112,7 @@ def test_criterion_4_steady_frequency_offset_equals_mean_bias(report):
     rng = np.random.default_rng(404)
     for _ in range(10):
         eta = rng.normal(0.0, TWO_PI * 0.05, n)
-        loop = close_loop(swing_to_lti(net, eta=eta), ctrl)
+        loop = close_loop(net, ctrl, eta=eta)
         trace = simulate_schedule([(0.0, loop)], 120.0, h=2.0e-3, x0=x0)
         f_end = (trace.states[-1, loop.state_layout["omega"]] + net.omega_ref) / TWO_PI
         f_hat = (net.omega_ref - eta.mean()) / TWO_PI
@@ -137,7 +138,7 @@ def test_criterion_5_single_marginal_mode_below_the_bound(report):
         ctrl = random_dist_controller(rng, net)
         bound = gamma_bar(net, ctrl)
         for frac in (0.1, 0.5, 0.99):
-            loop = close_loop(swing_to_lti(net), ControllerSpec(
+            loop = close_loop(net, ControllerSpec(
                 kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki,
                 gamma=frac * bound.gamma_bar, comm=net.coupling))
             e = loop.system_matrix
@@ -253,7 +254,7 @@ def test_criterion_8_cost_weighted_sharing_in_prediction_and_simulation(report):
         weighted = cost * (gain @ x_hat + offset)
         worst_pred = max(worst_pred, float(np.ptp(weighted) / np.abs(weighted.mean())))
 
-        loop = close_loop(swing_to_lti(stepped), ctrl)
+        loop = close_loop(stepped, ctrl)
         trace = simulate_schedule([(0.0, loop)], 200.0, h=2.0e-3, x0=stationary_state(net, ctrl))
         weighted = cost * (trace.states[-1] @ gain.T + offset)
         worst_sim = max(worst_sim, float(np.ptp(weighted) / np.abs(weighted.mean())))
@@ -269,7 +270,7 @@ def test_criterion_9_integrator_shows_fourth_order_convergence(report):
     net = load_network(bundled("net2.grid")).net
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                           gamma=0.25, comm=net.coupling)
-    loop = close_loop(swing_to_lti(net), ctrl)
+    loop = close_loop(net, ctrl)
     exact = exact_flow(loop.system_matrix, np.zeros(loop.dim), [(0.0, loop.forcing_dev)], 1.0)
 
     errors = []

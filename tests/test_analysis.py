@@ -13,11 +13,12 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 import gridpi
-from gridpi import (DEC_PI, DIST_PI, P, ClosedLoop, ControllerSpec, LtiSystem, PowerNetwork,
-                    close_loop, gamma_bar, gamma_star_search, output_stability_check,
-                    simulate_schedule, stationary_state, swing_to_lti, xi_rank_test)
+from gridpi import (DEC_PI, DIST_PI, P, ClosedLoop, ControllerSpec, PowerNetwork, close_loop,
+                    gamma_bar, gamma_star_search, output_stability_check, simulate_schedule,
+                    stationary_state, xi_rank_test)
 from gridpi.analysis import _SEARCH_REL_TOL, STABILITY_TOL, unobservable_subspace
 from gridpi.numerics import RANK_REL_TOL
+from gridpi.sysmodel import swing_to_lti
 from support import (bundled, closed_form_split, random_dist_controller, random_network,
                      random_wide_gain_loop, reference_gamma_star_search, stability_cubic,
                      swing_loop, two_bus_network)
@@ -28,8 +29,8 @@ from support import (bundled, closed_form_split, random_dist_controller, random_
 # ---------------------------------------------------------------------------
 
 def test_rank_test_passes_on_a_well_posed_scalar_system():
-    sys = LtiSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0])
-    result = xi_rank_test(sys, ki=[2.0])
+    # x' = -x + u, y = x
+    result = xi_rank_test([[-1.0]], [[1.0]], [[1.0]], ki=[2.0])
     assert result.dim == 2
     assert result.rank == 2
     assert result.deficiency == 0
@@ -49,12 +50,12 @@ def test_rank_test_sees_swing_degeneracy():
     for _ in range(10):
         net = random_network(rng)
         n = net.n_buses
-        result = xi_rank_test(swing_to_lti(net), ki=rng.uniform(0.5, 5.0, n))
+        result = xi_rank_test(*swing_to_lti(net)[:3], ki=rng.uniform(0.5, 5.0, n))
         assert result.dim == 3 * n
         assert result.deficiency == n
         assert not result.full_rank
     # the unit pair under decentralized PI, output stable (row dec_pi-unit-pair)
-    assert xi_rank_test(swing_to_lti(two_bus_network()), np.ones(2)).deficiency == 2
+    assert xi_rank_test(*swing_to_lti(two_bus_network())[:3], np.ones(2)).deficiency == 2
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_unobservable_subspace_matches_the_residual_search_on_planted_subspaces(
 def test_unobservable_subspace_scale_argument_is_the_default_norm():
     rng = np.random.default_rng(62)
     net = random_network(rng)
-    cl = close_loop(swing_to_lti(net), random_dist_controller(rng, net, gamma=0.3))
+    cl = close_loop(net, random_dist_controller(rng, net, gamma=0.3))
     e, c = cl.system_matrix, cl.output_selector
     scale = max(np.linalg.norm(e, 2), 1.0)
     for given, default in zip(unobservable_subspace(e, c, scale=scale), unobservable_subspace(e, c)):
@@ -151,8 +152,7 @@ def test_unobservable_subspace_scale_argument_is_the_default_norm():
 class Verdict(NamedTuple):
     """A closed loop and the triple that output_stability_check gives it:
     output stable, zero modes, observable zero modes.  net and ctrl give
-    its closed-form split (support.closed_form_split); net is None for a
-    loop that is no swing loop.  Marks: "band", the band-free verdict
+    its closed-form split (support.closed_form_split).  Marks: "band", the band-free verdict
     differs from the band's (ROADMAP item 3); "split", the numeric
     unobservable subspace is larger than the closed-form one (item 14).
     The reported spectrum lies within eig_tol * scale of eigvals(E)."""
@@ -186,28 +186,42 @@ def drawn(seed, kind, stated, factor=None, gamma=None):
         else:
             ki = rng.uniform(0.5, 5.0, n) if kind == DEC_PI else None
             ctrl = ControllerSpec(kind=kind, kp=rng.uniform(0.5, 5.0, n), ki=ki)
-        yield Verdict(f"{kind}-{seed}-{k}{tag}", close_loop(swing_to_lti(net), ctrl), net, ctrl,
+        yield Verdict(f"{kind}-{seed}-{k}{tag}", close_loop(net, ctrl), net, ctrl,
                       (stable, zeros, observable), tuple(marks))
 
 
+def unequal_two_bus_loop():
+    """A 2-bus grid whose inertias differ 81-fold, with its DIST_PI gains:
+    (net, controller with gamma unset).  Below the bound that the smallest
+    inertia gave, 0.0187826361, the loop is unstable from about 0.0146."""
+    net = PowerNetwork(inertia=np.array([19.8334194, 0.24347019]),
+                       damping=np.array([0.00704343, 0.0015217]), voltage=np.full(2, 1.0e3),
+                       power=np.zeros(2), lines=((0, 1, 1.5623229377059443e-05),))
+    ctrl = ControllerSpec(kind=DIST_PI, kp=np.array([2.62109904, 3.22225286]),
+                          ki=np.array([3.0663319, 411.3702417]), comm=net.coupling)
+    return net, ctrl
+
+
 def named_rows():
-    """A 1-state loop, the unit two-bus pair, and the library loops behind
+    """An unstable pair, the unit two-bus pair, and the library loops behind
     the command-line cases of ROADMAP item 3."""
-    sys = LtiSystem(a=[[2.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0])
-    ctrl = ControllerSpec(kind=P, kp=np.array([0.5]))
-    yield Verdict("p-1-state", close_loop(sys, ctrl), None, ctrl, (False, 0, 0))  # lambda = 1.5
+    # inside the unequal pair's unstable window (0.0146, 0.259): max Re lambda = 0.0556
+    net, ctrl = unequal_two_bus_loop()
+    ctrl = replace(ctrl, gamma=0.05)
+    yield Verdict("dist_pi-unequal-pair-gamma0.05", close_loop(net, ctrl), net, ctrl,
+                  (False, 1, 0))
     # the per-bus integrators leave two hidden zero modes (the rank test flags
     # the pair); -1 is a defective double eigenvalue, split by +-1.3e-8j in eigvals(E)
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
-    yield Verdict("dec_pi-unit-pair", close_loop(swing_to_lti(net), ctrl), net, ctrl,
+    yield Verdict("dec_pi-unit-pair", close_loop(net, ctrl), net, ctrl,
                   (True, 2, 0), eig_tol=1e-8)
     # analyze ring_share.scn at gamma = 1e9: the band (scale 7.85e10) holds ten
     # decaying modes, the slowest at -0.306
     scn = gridpi.load_scenario(bundled("ring_share.scn"))
     net = scn.network.net
     ctrl = ControllerSpec(kind=DIST_PI, kp=scn.kp, ki=scn.ki, gamma=1e9, comm=scn.comm)
-    yield Verdict("ring_share-gamma1e9", close_loop(swing_to_lti(net), ctrl), net, ctrl,
+    yield Verdict("ring_share-gamma1e9", close_loop(net, ctrl), net, ctrl,
                   (False, 11, 10), ("band",))
     # gamma-bound net5ring.grid --kp 1 --ki 1e10 --spectral refuses gamma_bar
     net = gridpi.load_network(bundled("net5ring.grid")).net
@@ -215,7 +229,7 @@ def named_rows():
     bar = gamma_bar(net, ctrl).gamma_bar
     for factor, observable in ((0.5, 0), (1.0, 2)):
         at = replace(ctrl, gamma=factor * bar)
-        yield Verdict(f"net5ring-ki1e10-x{factor:g}", close_loop(swing_to_lti(net), at), net, at,
+        yield Verdict(f"net5ring-ki1e10-x{factor:g}", close_loop(net, at), net, at,
                       (False, 5, observable), ("band", "split"))
 
 
@@ -289,7 +303,7 @@ def test_any_gamma_below_the_bound_is_output_stable(seed, frac):
     ctrl = random_dist_controller(rng, net)
     bound = gamma_bar(net, ctrl).gamma_bar
     assume(math.isfinite(bound))
-    cl = close_loop(swing_to_lti(net), ControllerSpec(
+    cl = close_loop(net, ControllerSpec(
         kind=DIST_PI, kp=ctrl.kp, ki=ctrl.ki, gamma=frac * bound, comm=net.coupling))
     report = output_stability_check(cl)
     assert report.output_stable
@@ -364,24 +378,12 @@ def test_paper_cubic_meets_the_bounds_of_gamma_bar():
                 assert a0 * a3 <= a0a3_upper * (1.0 + 1e-12)
 
 
-def unequal_two_bus_loop():
-    """A 2-bus grid whose inertias differ 81-fold, with its DIST_PI gains:
-    (net, controller with gamma unset).  Below the bound that the smallest
-    inertia gave, 0.0187826361, the loop is unstable from about 0.0146."""
-    net = PowerNetwork(inertia=np.array([19.8334194, 0.24347019]),
-                       damping=np.array([0.00704343, 0.0015217]), voltage=np.full(2, 1.0e3),
-                       power=np.zeros(2), lines=((0, 1, 1.5623229377059443e-05),))
-    ctrl = ControllerSpec(kind=DIST_PI, kp=np.array([2.62109904, 3.22225286]),
-                          ki=np.array([3.0663319, 411.3702417]), comm=net.coupling)
-    return net, ctrl
-
-
 def test_gamma_bar_holds_when_the_inertias_differ():
     net, ctrl = unequal_two_bus_loop()
     bound = gamma_bar(net, ctrl).gamma_bar
     assert_allclose(bound, 0.000412090423, rtol=1e-9)
     for factor in (0.25, 0.5, 0.75, 1.0):
-        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=factor * bound))
+        cl = close_loop(net, replace(ctrl, gamma=factor * bound))
         assert output_stability_check(cl).output_stable, factor
 
 
@@ -418,11 +420,11 @@ def test_one_split_serves_every_gamma_of_the_search():
         net = random_network(rng)
         ctrl = random_dist_controller(rng, net)
         bound = gamma_bar(net, ctrl).gamma_bar
-        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=bound))
+        cl = close_loop(net, replace(ctrl, gamma=bound))
         basis, comp = unobservable_subspace(cl.system_matrix, cl.output_selector)
         assert basis.shape[1] == 1
         for factor in (1.0, 1e2, 1e4, 1e6):
-            cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=factor * bound))
+            cl = close_loop(net, replace(ctrl, gamma=factor * bound))
             e = cl.system_matrix
             scale = max(np.linalg.norm(e, 2), 1.0)
             assert unobservable_subspace(e, cl.output_selector)[0].shape[1] == 1
@@ -449,7 +451,7 @@ def test_gamma_star_search_splits_again_when_the_first_split_is_not_invariant(mo
     monkeypatch.undo()
     assert columns == [30, 1]
     for factor, stable in ((1.0, True), (1.0 + 2e-6, False)):
-        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=factor * threshold))
+        cl = close_loop(net, replace(ctrl, gamma=factor * threshold))
         assert output_stability_check(cl).output_stable == stable
 
 
@@ -461,7 +463,7 @@ def test_gamma_star_search_agrees_with_bisection_on_full_checks():
         reference = reference_gamma_star_search(net, ctrl)
         threshold = gamma_star_search(net, ctrl)
         assert abs(threshold - reference) <= _SEARCH_REL_TOL * reference
-        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=threshold))
+        cl = close_loop(net, replace(ctrl, gamma=threshold))
         assert output_stability_check(cl).output_stable
 
 
@@ -477,7 +479,7 @@ def test_gamma_star_search_answers_only_where_gamma_bar_passes():
         except ValueError:
             continue
         answered += 1
-        cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=gamma_bar(net, ctrl).gamma_bar))
+        cl = close_loop(net, replace(ctrl, gamma=gamma_bar(net, ctrl).gamma_bar))
         assert output_stability_check(cl).output_stable
     assert 0 < answered < 60
 
@@ -507,7 +509,7 @@ def test_gamma_star_search_takes_at_most_14_probes(monkeypatch):
 
 
 def _scale_at(net, ctrl, gamma):
-    cl = close_loop(swing_to_lti(net), replace(ctrl, gamma=gamma))
+    cl = close_loop(net, replace(ctrl, gamma=gamma))
     return max(np.linalg.norm(cl.system_matrix, 2), 1.0)
 
 
@@ -608,7 +610,7 @@ def test_cubic_roots_are_loop_eigenvalues_on_uniform_networks():
     gamma = 0.3
     ctrl = ControllerSpec(kind=DIST_PI, kp=np.full(3, 1.5), ki=np.full(3, 2.0),
                           gamma=gamma, comm=net.coupling)
-    cl = close_loop(swing_to_lti(net), ctrl)
+    cl = close_loop(net, ctrl)
     loop_eigs = np.linalg.eigvals(cl.system_matrix)
 
     lam, vecs = np.linalg.eigh(net.coupling.laplacian)
@@ -623,21 +625,6 @@ def test_cubic_roots_are_loop_eigenvalues_on_uniform_networks():
 # ---------------------------------------------------------------------------
 # stationary states and steady-state prediction
 # ---------------------------------------------------------------------------
-
-def test_stationary_state_is_an_exact_fixed_point_for_pi_kinds():
-    rng = np.random.default_rng(36)
-    for kind in (DEC_PI, DIST_PI):
-        net = random_network(rng)
-        n = net.n_buses
-        if kind == DIST_PI:
-            ctrl = random_dist_controller(rng, net, gamma=0.4)
-        else:
-            ctrl = ControllerSpec(kind=kind, kp=rng.uniform(0.5, 5.0, n),
-                                  ki=rng.uniform(0.5, 5.0, n))
-        matrix, forcing, _, _ = swing_loop(net, ctrl, None)
-        x0 = stationary_state(net, ctrl)
-        assert np.max(np.abs(matrix @ x0 + forcing)) < 1e-9
-
 
 def predict(net, ctrl, eta):
     """omega_hat and the inputs as analyze_scenario predicts them: the
@@ -671,7 +658,7 @@ def test_prediction_agrees_with_a_long_simulation():
     eta = rng.normal(0.0, 0.3, net.n_buses)
     ctrl = random_dist_controller(rng, net, gamma=0.5)
     omega_hat, u = predict(net, ctrl, eta)
-    cl = close_loop(swing_to_lti(net, eta=eta), ctrl)
+    cl = close_loop(net, ctrl, eta=eta)
     tr = simulate_schedule([(0.0, cl)], 150.0, h=0.005)
     assert not tr.diverged
     assert_allclose(tr.states[-1] @ cl.control_gain.T + cl.control_offset, u, atol=1e-6)

@@ -188,6 +188,15 @@ CASES = [
       for how, where, gamma_line in [("explicit", ":{line}", "gamma = auto\n"),
                                      ("defaulted", "", "")]
       for argv in ("analyze ring_share.scn", RUN)),
+    # a communication path that fails gamma_bar's precondition: a numeric gamma
+    # exited 2 with the precondition's unlocated message; it is analyzed without
+    # a bound, so no gamma_bar line is printed (gamma = auto is refused at its line)
+    Case("gamma-numeric-without-the-precondition", "analyze ring_share.scn", 0,
+         out=r"controller: [^\n]*  gamma=1\nzero modes: 1 \(0 observable\)\n.*"
+             r"verdict: positive\n",
+         edits=ring(r"^gamma = auto$", "gamma = 1.0") + ring(
+             r"^comm_topology = same-as-grid$",
+             "comm_topology = edges\n[comm_edges]\n1 3 1\n3 5 5\n5 2 0.2\n2 4 1")),
     # the warning comes with the analysis report, so a refused run shows only its error
     Case("gamma-above-the-bound-refused-run", f"{RUN} --horizon 1", 2,
          "error: step 0.002 s is outside the RK4 stability region: mode lambda = -7.85113e+10+0j "

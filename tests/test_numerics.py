@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gridpi import (DEC_PI, ControllerSpec, close_loop, integrate_rk4, numerical_rank, numerics,
-                    swing_to_lti)
+from gridpi import DEC_PI, ControllerSpec, close_loop, integrate_rk4, numerical_rank, numerics
 from gridpi.numerics import (_CHECK_BLOCK, DIVERGENCE_LIMIT, _block_rows, _power_stack, _rk4_map,
                              rk4_multiplier)
 from support import exact_flow, plain_rk4, random_dist_controller, random_network, two_bus_network
@@ -156,19 +155,19 @@ def loop_runs():
     rng = np.random.default_rng(23)
     for k in range(5):
         net = random_network(rng, n_max=5)
-        cl = close_loop(swing_to_lti(net), random_dist_controller(rng, net, gamma=0.4))
+        cl = close_loop(net, random_dist_controller(rng, net, gamma=0.4))
         yield one_segment(f"loop-{k}", cl.system_matrix, cl.forcing_dev, rng.normal(size=cl.dim),
                           1.0, 0.002, exact=(1e-8, 1e-8))
     net = two_bus_network()
-    cl = close_loop(swing_to_lti(net), ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)))
+    cl = close_loop(net, ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)))
     # the same steps as one segment: no extra row at the seam
     yield Run("split-at-a-grid-point", cl.system_matrix, np.zeros(cl.dim),
               [(0.0, cl.forcing_dev), (1.0, cl.forcing_dev)], 2.0, 0.01, rows=201)
     rng = np.random.default_rng(24)
     net = two_bus_network(power=(20.0, -20.0))
     ctrl = random_dist_controller(rng, net, gamma=0.3)
-    before = close_loop(swing_to_lti(net), ctrl)
-    after = close_loop(swing_to_lti(replace(net, power=[220.0, -20.0])), ctrl)
+    before = close_loop(net, ctrl)
+    after = close_loop(replace(net, power=[220.0, -20.0]), ctrl)
     yield Run("load-step", before.system_matrix, rng.normal(size=before.dim),
               [(0.0, before.forcing_dev), (1.0, after.forcing_dev)], 2.0, 0.005, rows=401,
               exact=(1e-8, 1e-8))

@@ -11,32 +11,31 @@ import gridpi
 
 PUBLIC_NAMES = [
     "ClosedLoop", "ControllerSpec", "DEC_PI", "DIST_PI", "GammaBound",
-    "KINDS", "LoadedNetwork", "LtiSystem", "P",
+    "KINDS", "LoadedNetwork", "P",
     "ParseError", "PowerNetwork", "Scenario", "ScenarioResult", "SimulationTrace",
     "StabilityReport", "SteadyStatePrediction", "WeightedGraph", "XiRankResult",
     "analyze_scenario", "close_loop",
     "gamma_bar", "gamma_star_search", "integrate_rk4", "is_connected",
     "load_network", "load_scenario", "numerical_rank", "output_stability_check",
-    "run_scenario", "simulate_schedule", "stationary_state", "swing_to_lti",
-    "xi_rank_test",
+    "run_scenario", "simulate_schedule", "stationary_state", "xi_rank_test",
 ]
 
 
 def test_all_lists_exactly_the_public_names_and_each_resolves():
     # a name added to or dropped from the surface has to change this list
     assert sorted(gridpi.__all__) == PUBLIC_NAMES
-    assert len(set(gridpi.__all__)) == len(PUBLIC_NAMES) == 33
+    assert len(set(gridpi.__all__)) == len(PUBLIC_NAMES) == 31
     for name in PUBLIC_NAMES:
         assert getattr(gridpi, name) is not None, name
 
 
 def test_only_the_validated_inputs_are_dataclasses():
-    # the four types whose __post_init__ validates stay dataclasses (callers
+    # the three types whose __post_init__ validates stay dataclasses (callers
     # dataclasses.replace them); every other public record is a named tuple
     public = [getattr(gridpi, name) for name in PUBLIC_NAMES]
     types = [t for t in public if isinstance(t, type) and not issubclass(t, Exception)]
     validated = sorted(t.__name__ for t in types if dataclasses.is_dataclass(t))
-    assert validated == ["ControllerSpec", "LtiSystem", "PowerNetwork", "WeightedGraph"]
+    assert validated == ["ControllerSpec", "PowerNetwork", "WeightedGraph"]
     records = [t for t in types if not dataclasses.is_dataclass(t)]
     records += [gridpi.analysis.ZeroMode, gridpi.scenario.AnalysisReport]  # reached as fields
     assert len(records) == 11

@@ -12,10 +12,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from gridpi import (DEC_PI, DIST_PI, P, ControllerSpec, LtiSystem, PowerNetwork, WeightedGraph,
-                    close_loop, gamma_bar, integrate_rk4, simulate_schedule, stationary_state,
-                    swing_to_lti, xi_rank_test)
+from gridpi import (DEC_PI, DIST_PI, P, ControllerSpec, PowerNetwork, WeightedGraph, close_loop,
+                    gamma_bar, integrate_rk4, simulate_schedule, stationary_state, xi_rank_test)
 from gridpi.graph import EdgeError
+from gridpi.sysmodel import swing_to_lti
 from support import two_bus_network
 
 
@@ -34,11 +34,6 @@ DIST = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2), comm=PAIR)
 SCHEDULE_RULE = "schedule must start at t = 0 with strictly increasing times below t_end"
 
 
-def lti(**changes):
-    """LtiSystem(x' = -x + u, y = x) with some matrices changed."""
-    return LtiSystem(**{**dict(a=[[-1.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0]), **changes})
-
-
 def rk4(*schedule, matrix=np.eye(2), x0=np.zeros(2), t_end=1.0, h=0.1):
     """integrate_rk4 on two states; schedule defaults to one zero offset."""
     return integrate_rk4(matrix, x0, list(schedule) or [(0.0, np.zeros(2))], t_end, h)
@@ -46,7 +41,7 @@ def rk4(*schedule, matrix=np.eye(2), x0=np.zeros(2), t_end=1.0, h=0.1):
 
 def loop(ctrl=DEC, eta=None):
     """The closed loop of the unit two-bus network under ctrl."""
-    return close_loop(swing_to_lti(NET, eta=eta), ctrl)
+    return close_loop(NET, ctrl, eta=eta)
 
 
 REFUSALS = [
@@ -84,18 +79,6 @@ REFUSALS = [
             "omega_ref must be positive and finite"),
     Refusal("network-disconnected", lambda: replace(NET, lines=()), ValueError,
             "transmission network must be connected"),
-    # LTI systems
-    Refusal("lti-a-not-square", lambda: lti(a=[[-1.0, 0.0]]), ValueError,
-            "a must be square, got (1, 2)"),
-    Refusal("lti-b-rows", lambda: lti(b=[[1.0], [1.0]]), ValueError,
-            "b shape (2, 1) incompatible with state dimension 1"),
-    Refusal("lti-c-columns", lambda: lti(c=[[1.0, 1.0]]), ValueError,
-            "c shape (1, 2) incompatible with state dimension 1"),
-    Refusal("lti-inputs-and-outputs", lambda: lti(b=[[1.0, 1.0]]), ValueError,
-            "b has 2 inputs but c has 1 outputs"),
-    Refusal("lti-d-shape", lambda: lti(d=[0.0, 0.0]), ValueError, "d shape (2,), expected (1,)"),
-    Refusal("lti-eta-shape", lambda: lti(eta=[0.0, 0.0]), ValueError,
-            "eta shape (2,), expected (1,)"),
     # controllers
     Refusal("controller-unknown-kind", lambda: ControllerSpec(kind="pid", kp=1.0), ValueError,
             "unknown controller kind 'pid', expected one of ('p', 'dec_pi', 'dist_pi')"),
@@ -133,9 +116,11 @@ REFUSALS = [
             ValueError, "integral gains must equal 1 / cost"),
     # closed loops and their schedules
     Refusal("loop-node-count", lambda: loop(ControllerSpec(kind=P, kp=np.ones(3))), ValueError,
-            "controller covers 3 nodes but the plant has 2 outputs"),
+            "controller covers 3 nodes but the network has 2 buses"),
     Refusal("loop-without-gamma", lambda: loop(DIST), ValueError,
             "closing a distributed PI loop requires gamma"),
+    Refusal("loop-eta-shape", lambda: loop(eta=[0.0, 0.0, 0.0]), ValueError,
+            "eta shape (3,), expected (2,)"),
     Refusal("schedule-empty", lambda: simulate_schedule([], 1.0), ValueError,
             "schedule needs at least one segment"),
     Refusal("schedule-late-start", lambda: simulate_schedule([(0.5, loop())], 1.0), ValueError,
@@ -173,10 +158,13 @@ REFUSALS = [
             lambda: rk4((0.0, np.zeros(2)), (1.0, np.ones(2)), matrix=-np.eye(2), t_end=1e300,
                         h=1e-10),
             ValueError, "step 1e-10 s: a segment of 1e+300 s takes a non-finite number of steps"),
-    # analysis
-    Refusal("rank-test-ki-length", lambda: xi_rank_test(swing_to_lti(NET), [1.0]),
+    # analysis; the rank test reads a plant x' = a x + b u, y = c x
+    Refusal("rank-test-shapes", lambda: xi_rank_test([[-1.0, 0.0]], [[1.0], [1.0]], [[1.0, 1.0]],
+                                                     [1.0]),
+            ValueError, "a, b and c must be n x n, n x m and m x n, got (1, 2), (2, 1) and (1, 2)"),
+    Refusal("rank-test-ki-length", lambda: xi_rank_test(*swing_to_lti(NET)[:3], [1.0]),
             ValueError, "ki must have one entry per output, got shape (1,)"),
-    Refusal("rank-test-negative-ki", lambda: xi_rank_test(swing_to_lti(NET), [1.0, -1.0]),
+    Refusal("rank-test-negative-ki", lambda: xi_rank_test(*swing_to_lti(NET)[:3], [1.0, -1.0]),
             ValueError, "integral gains must be strictly positive"),
     Refusal("gamma-bar-decentralized", lambda: gamma_bar(NET, DEC), ValueError,
             "the averaging-gain bound applies to the distributed PI controller"),

@@ -150,21 +150,28 @@ def test_bundled_scenarios_load():
 
 class FileRefusal(NamedTuple):
     """load refuses net.grid and s.scn, written from MINIMAL_GRID and SCENARIO with file's one
-    `before` replaced by after (before None: no file), with file's path followed by rest."""
+    `before` replaced by after (before None: no file), with file's path followed by rest.
+    grid_edit, a (before, after) pair, edits net.grid as well for a row on s.scn."""
     id: str
     load: Callable
     file: str
     before: str
     after: str
     rest: str
+    grid_edit: tuple = None
 
 
 def grid(id, before, after, rest, load=load_network):
     return FileRefusal(id, load, "net.grid", before, after, rest)
 
 
-def scn(id, before, after, rest):
-    return FileRefusal(id, load_scenario, "s.scn", before, after, rest)
+def scn(id, before, after, rest, grid_edit=None, load=load_scenario):
+    return FileRefusal(id, load, "s.scn", before, after, rest, grid_edit)
+
+
+def analyze_file(path):
+    """The analysis of a scenario file, for refusals that resolving the controller makes."""
+    return gridpi.analyze_scenario(load_scenario(path))
 
 
 POSITIVE = "values must be strictly positive"
@@ -273,6 +280,12 @@ FILE_REFUSALS = [
     scn("gamma-for-dec-pi", "kind = dist_pi", "kind = dec_pi",
         ":11: gamma only applies to the dist_pi kind"),
     scn("gamma", "gamma = 0.7", "gamma = -1.0", ":11: gamma must be positive"),
+    # without a bound gamma = auto has no value; a numeric gamma goes on without one
+    scn("gamma-auto-without-the-precondition", "gamma = 0.7\ncomm_topology = edges\n[comm_edges]\n"
+        "1 2 1.5\n2 3 0.5", "gamma = auto\ncomm_topology = edges\n[comm_edges]\n1 2 1.5\n2 3 0.01",
+        ":11: gamma = auto: x^T Lk Lc x takes negative values (lambda_min = -3.950e+00); choose "
+        "the communication weights proportional to the electrical coupling to satisfy the "
+        "bound's precondition", load=analyze_file),
     scn("topology", "comm_topology = edges", "comm_topology = ring",
         ":12: comm_topology must be same-as-grid or edges, got 'ring'"),
     scn("orphan-comm-edges", "comm_topology = edges", "comm_topology = same-as-grid",
@@ -293,6 +306,11 @@ FILE_REFUSALS = [
     # the steps apply in time order, so line 17, the later step, is the one that overflows
     scn("summed-load-overflow", "4.0 3 -12.5", "4.0 3 1e305\n2.0 3 1e305", ":17: disturbances: "
         "this step makes the net injection of bus 3 non-finite at t = 4 s"),
+    # the stage's M^-1 (p - D omega_ref) overflowed at bus 3 of inertia 1e-10: exit 2 with
+    # the unlocated "the swing form's M^-1 (p - D omega_ref) is not finite"
+    scn("stage-swing-form-overflow", "4.0 3 -12.5", "4.0 3 1e300", ":17: disturbances: this step "
+        "makes the swing form's M^-1 (p - D omega_ref) of bus 3 non-finite at t = 4 s",
+        grid_edit=("3 inertia=4.0", "3 inertia=1e-10")),
     scn("short-noise", "2 0.01", "2", ":20: expected: <bus id> <eta_hz>"),
     scn("noise-bus", "2 0.01", "9 0.01", ":20: noise: unknown bus id 9"),
     scn("noise-duplicate", "2 0.01", "2 0.01\n2 0.02", ":21: noise: duplicate bus id 2"),
@@ -308,10 +326,15 @@ FILE_REFUSALS = [
 @pytest.mark.parametrize("row", FILE_REFUSALS, ids=[row.id for row in FILE_REFUSALS])
 def test_scenario_diagnostics(tmp_path, row):
     texts = {"net.grid": MINIMAL_GRID, "s.scn": SCENARIO}
-    text = texts.pop(row.file)
-    if row.before is not None:
-        assert text.count(row.before) == 1, row.before
-        texts[row.file] = text.replace(row.before, row.after)
+    edits = [(row.file, row.before, row.after)]
+    if row.grid_edit:
+        edits.append(("net.grid", *row.grid_edit))
+    for name, before, after in edits:
+        if before is None:
+            del texts[name]
+        else:
+            assert texts[name].count(before) == 1, before
+            texts[name] = texts[name].replace(before, after)
     for name, text in texts.items():
         write(tmp_path / name, text)
     with pytest.raises(ParseError) as err:
@@ -572,7 +595,7 @@ def special_trace(loop, rows):
 
 def scenario_loop(scn):
     ctrl = gridpi.analyze_scenario(scn).controller
-    return gridpi.close_loop(gridpi.swing_to_lti(scn.network.net), ctrl)
+    return gridpi.close_loop(scn.network.net, ctrl)
 
 
 # 11 rows fit one writer block and are all special rows; 2 * 256 + 1 rows

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gridpi import (DEC_PI, DIST_PI, P, ControllerSpec, LtiSystem, PowerNetwork, WeightedGraph,
-                    close_loop, integrate_rk4, simulate_schedule, stationary_state, swing_to_lti)
+from gridpi import (DEC_PI, DIST_PI, P, ControllerSpec, PowerNetwork, WeightedGraph, close_loop,
+                    integrate_rk4, simulate_schedule, stationary_state)
+from gridpi.sysmodel import swing_to_lti
 from support import random_dist_controller, random_network, swing_loop, two_bus_network
 
 EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
-# network and LTI form
+# network and swing form
 # ---------------------------------------------------------------------------
 
 
@@ -30,26 +31,26 @@ def test_swing_lti_assembly():
     net = PowerNetwork(inertia=np.array([2.0, 4.0]), damping=np.array([0.5, 1.0]),
                        voltage=np.full(2, 1e3), power=np.array([10.0, -6.0]),
                        lines=((0, 1, 1.0e-6),))
-    sys = swing_to_lti(net)
-    assert_allclose(sys.a, [
+    a, b, c, d = swing_to_lti(net)
+    assert_allclose(a, [
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
         [-0.5, 0.5, -0.25, 0.0],
         [0.25, -0.25, 0.0, -0.25],
     ])
-    assert_allclose(sys.b, [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.25]])
-    assert_allclose(sys.c, [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    assert_allclose(b, [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.25]])
+    assert_allclose(c, [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     # deviation coordinates: d = M^-1 (p - D omega_ref)
-    assert_allclose(sys.d, [0.0, 0.0, (10.0 - 0.5 * net.omega_ref) / 2.0,
-                            (-6.0 - net.omega_ref) / 4.0])
-    assert sys.blocks["delta"] == slice(0, 2)
-    assert sys.blocks["omega"] == slice(2, 4)
-    assert_allclose(sys.eta, np.zeros(2))
+    assert_allclose(d, [0.0, 0.0, (10.0 - 0.5 * net.omega_ref) / 2.0,
+                        (-6.0 - net.omega_ref) / 4.0])
 
 
 def test_measurement_offsets_are_stored():
-    sys = swing_to_lti(two_bus_network(), eta=[0.1, -0.2])
-    assert_allclose(sys.eta, [0.1, -0.2])
+    # in the loop's law, u = ... - kp eta, and in the integrator rows, z' = -(w + eta)
+    ctrl = ControllerSpec(kind=DEC_PI, kp=[2.0, 3.0], ki=np.ones(2))
+    loop = close_loop(two_bus_network(), ctrl, eta=[0.1, -0.2])
+    assert_allclose(loop.control_offset, [-0.2, 0.6])
+    assert_allclose(loop.forcing_dev[loop.state_layout["z"]], [-0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,7 @@ def test_measurement_offsets_are_stored():
 # ---------------------------------------------------------------------------
 
 class Loop(NamedTuple):
-    """close_loop(swing_to_lti(net, eta), ctrl), checked against support.swing_loop;
+    """close_loop(net, ctrl, eta), checked against support.swing_loop;
     pins maps "u", "x'", "z'", "sum z'" or "omega" to the loop's values at the
     states at (one per row of at, or "stationary" for the stationary state)."""
     id: str
@@ -148,7 +149,7 @@ LOOPS = [*hand_loops(), *random_loops()]
 @pytest.mark.parametrize("row", LOOPS, ids=[row.id for row in LOOPS])
 def test_closed_loop(row):
     net, ctrl, n = row.net, row.ctrl, row.net.n_buses
-    loop = close_loop(swing_to_lti(net, eta=row.eta), ctrl)
+    loop = close_loop(net, ctrl, eta=row.eta)
     matrix, forcing, gain, offset = swing_loop(net, ctrl, row.eta)
     # entry by entry: the same zeros, the rest within a few ulp
     for got, want in ((loop.system_matrix, matrix), (loop.forcing_dev, forcing),
@@ -177,21 +178,8 @@ def test_closed_loop(row):
             assert_allclose(values[name], want, rtol=1e-13, atol=1e-14, err_msg=name)
 
 
-def test_closed_loop_layouts():
-    net = two_bus_network()
-    p_loop = close_loop(swing_to_lti(net), ControllerSpec(kind=P, kp=np.ones(2)))
-    assert p_loop.dim == 4
-    assert "z" not in p_loop.state_layout
-
-    pi_loop = close_loop(swing_to_lti(net),
-                         ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)))
-    assert pi_loop.dim == 6
-    assert pi_loop.state_layout["z"] == slice(4, 6)
-
-
 def test_uniform_rotation_is_invariant_for_all_kinds():
     net = two_bus_network()
-    sys = swing_to_lti(net)
     controllers = [
         ControllerSpec(kind=P, kp=np.ones(2)),
         ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)),
@@ -199,7 +187,7 @@ def test_uniform_rotation_is_invariant_for_all_kinds():
                        gamma=0.3, comm=net.coupling),
     ]
     for ctrl in controllers:
-        cl = close_loop(sys, ctrl)
+        cl = close_loop(net, ctrl)
         v = np.zeros(cl.dim)
         v[cl.state_layout["delta"]] = 1.0
         assert_allclose(cl.system_matrix @ v, np.zeros(cl.dim), atol=1e-14)
@@ -207,10 +195,9 @@ def test_uniform_rotation_is_invariant_for_all_kinds():
 
 def test_distributed_loop_reduces_to_decentralized_without_averaging():
     net = two_bus_network()
-    sys = swing_to_lti(net)
-    dec = close_loop(sys, ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)))
+    dec = close_loop(net, ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2)))
     gamma = 0.7
-    dist = close_loop(sys, ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
+    dist = close_loop(net, ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2),
                                           gamma=gamma, comm=net.coupling))
     diff = dist.system_matrix - dec.system_matrix
     zs = dist.state_layout["z"]
@@ -218,16 +205,6 @@ def test_distributed_loop_reduces_to_decentralized_without_averaging():
     expected[zs, zs] = -gamma * net.coupling.laplacian
     assert_allclose(diff, expected, atol=1e-14)
     assert_allclose(dist.forcing_dev, dec.forcing_dev)
-
-
-def test_generic_system_closes_without_swing_blocks():
-    sys = LtiSystem(a=[[2.0]], b=[[1.0]], c=[[1.0]], d=[0.0], eta=[0.0])
-    cl = close_loop(sys, ControllerSpec(kind=P, kp=np.array([0.5])))
-    # not stabilizable with this gain: 2 - 0.5 > 0
-    assert_allclose(cl.system_matrix, [[1.5]])
-    tr = simulate_schedule([(0.0, cl)], 100.0, h=0.01, x0=np.array([1.0]))
-    assert tr.diverged
-    assert np.all(np.isfinite(tr.states))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +216,7 @@ def test_trace_outputs_and_controls_follow_the_laws():
     net = random_network(rng)
     eta = rng.normal(0.0, 0.1, net.n_buses)
     ctrl = random_dist_controller(rng, net, gamma=0.8)
-    cl = close_loop(swing_to_lti(net, eta=eta), ctrl)
+    cl = close_loop(net, ctrl, eta=eta)
     tr = simulate_schedule([(0.0, cl)], 2.0, h=0.01)
     ow, zs = cl.state_layout["omega"], cl.state_layout["z"]
     # inputs reproduce the feedback law on the measured output (frequency
@@ -251,7 +228,7 @@ def test_trace_outputs_and_controls_follow_the_laws():
 def test_schedule_with_single_segment_equals_plain_simulation():
     net = two_bus_network()
     ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
-    cl = close_loop(swing_to_lti(net), ctrl)
+    cl = close_loop(net, ctrl)
     direct = integrate_rk4(cl.system_matrix, np.zeros(cl.dim), [(0.0, cl.forcing_dev)], 1.0, 0.01)
     scheduled = simulate_schedule([(0.0, cl)], 1.0, h=0.01)
     assert_allclose(scheduled.times, direct.times)
