@@ -29,7 +29,7 @@ from .control import (
     ControllerSpec,
 )
 from .graph import WeightedGraph, is_connected
-from .numerics import SimulationTrace, integrate_rk4, numerical_rank
+from .numerics import SimulationTrace, integrate_rk4
 from .scenario import (
     LoadedNetwork,
     ParseError,
@@ -75,7 +75,6 @@ __all__ = [
     "is_connected",
     "load_network",
     "load_scenario",
-    "numerical_rank",
     "output_stability_check",
     "run_scenario",
     "simulate_schedule",

@@ -27,9 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import control as ctrlmod
-from . import numerics
 from . import sysmodel
 
+# Relative singular-value cutoff for rank decisions.
+RANK_REL_TOL = 1.0e-10
 # Decay margin and zero-mode band of the stability check (relative to the matrix scale).
 STABILITY_TOL = 1.0e-8
 # gamma_star_search: largest exponent k of a probe start * 2**k; final relative bracket width.
@@ -65,17 +66,20 @@ def xi_rank_test(a, b, c, ki) -> XiRankResult:
     """Solvability test for equilibria under integral feedback.
 
     Builds [[A, B K_i], [C, 0]] from the plant x' = A x + B u, y = C x
-    (A n x n, B n x m, C m x n; for the swing model, sysmodel.swing_to_lti)
-    and reports its numerical rank.  Full rank is necessary for any
-    stabilizing diagonal-integral design; a deficiency means no choice of
-    the remaining gains can create the required equilibrium for generic
-    references and disturbances.
+    (A n x n, B n x m, C m x n with n + m > 0; for the swing model,
+    sysmodel.swing_to_lti) and reports its numerical rank: the number of
+    singular values above RANK_REL_TOL times the largest.  Full rank is
+    necessary for any stabilizing diagonal-integral design; a deficiency
+    means no choice of the remaining gains can create the required
+    equilibrium for generic references and disturbances.
     """
     a, b, c = (np.array(m, dtype=float, ndmin=2) for m in (a, b, c))
     n, m = a.shape[0], c.shape[0]
     if a.shape != (n, n) or b.shape != (n, m) or c.shape != (m, n):
         raise ValueError(f"a, b and c must be n x n, n x m and m x n, got {a.shape}, "
                          f"{b.shape} and {c.shape}")
+    if n + m == 0:
+        raise ValueError("a plant with no state and no output has no test matrix")
     ki = np.atleast_1d(np.asarray(ki, dtype=float))
     if ki.shape != (m,):
         raise ValueError(f"ki must have one entry per output, got shape {ki.shape}")
@@ -85,8 +89,8 @@ def xi_rank_test(a, b, c, ki) -> XiRankResult:
     xi[:n, :n] = a
     xi[:n, n:] = b * ki[None, :]
     xi[n:, :n] = c
-    rank = numerics.numerical_rank(xi)
-    return XiRankResult(dim=n + m, rank=rank)
+    sigma = np.linalg.svd(xi, compute_uv=False)
+    return XiRankResult(dim=n + m, rank=int(np.count_nonzero(sigma > RANK_REL_TOL * sigma[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,7 @@ def unobservable_subspace(a: np.ndarray, c: np.ndarray, *, scale: float = None):
     of B is kept alongside, so each step takes the SVD of W^T a B, which
     has the singular values and right singular vectors of the residual
     (I - B B^T) a B at (n - k) x k instead of n x k.  Directions with
-    singular values above numerics.RANK_REL_TOL * scale leave B for W.
+    singular values above RANK_REL_TOL * scale leave B for W.
     scale defaults to max(||a||_2, 1).  Returns (B, W): orthonormal bases
     of shapes (n, k) and (n, n - k) that together span R^n; k = 0 means
     every mode is observable.  In the basis [B W], a is block
@@ -146,11 +150,11 @@ def unobservable_subspace(a: np.ndarray, c: np.ndarray, *, scale: float = None):
         scale = max(np.linalg.norm(a, 2), 1.0)
     sing, vt = _right_singular(c)
     # the cutoff is relative to max(||c||_2, 1); ||c||_2 is sing[0]
-    rank = int(np.count_nonzero(sing > numerics.RANK_REL_TOL * np.max(sing, initial=1.0)))
+    rank = int(np.count_nonzero(sing > RANK_REL_TOL * np.max(sing, initial=1.0)))
     comp, basis = vt[:rank].T, vt[rank:].T
     while basis.shape[1] > 0:
         sing, vt = _right_singular(comp.T @ (a @ basis))
-        drop = int(np.count_nonzero(sing > numerics.RANK_REL_TOL * scale))
+        drop = int(np.count_nonzero(sing > RANK_REL_TOL * scale))
         if drop == 0:
             break
         comp = np.hstack([comp, basis @ vt[:drop].T])
@@ -348,7 +352,7 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
         # a Python float, and so is the margin: a secant product that overflows is inf, unwarned
         scale = max(float(np.linalg.norm(e, 2)), 1.0)
         if not split or (np.linalg.norm(split[2] - gamma * split[3], 2)
-                         > numerics.RANK_REL_TOL * scale):
+                         > RANK_REL_TOL * scale):
             basis, comp = unobservable_subspace(e, cl.output_selector, scale=scale)
             split[:] = [comp.T @ m @ v for v in (comp, basis) for m in (e0, g)]
         return scale

@@ -1,7 +1,6 @@
-"""Numerical rank, the fixed-step RK4 integrator and the trace it returns.
+"""The fixed-step RK4 integrator and the trace it returns.
 
-Singular values go through LAPACK; the integrator is our own.  All
-arrays are float64.
+All arrays are float64.
 """
 
 from __future__ import annotations
@@ -9,9 +8,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-
-# Relative singular-value cutoff for rank decisions.
-RANK_REL_TOL = 1.0e-10
 
 # Any state component beyond this magnitude is treated as divergence. [model units]
 DIVERGENCE_LIMIT = 1.0e12
@@ -39,15 +35,6 @@ class SimulationTrace(NamedTuple):
     times: np.ndarray    # (k,)
     states: np.ndarray   # (k, dim)
     diverged: bool
-
-
-def numerical_rank(a: np.ndarray) -> int:
-    """Rank by singular values: count sigma_i > RANK_REL_TOL * sigma_max."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0
-    sigma = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(sigma > RANK_REL_TOL * sigma[0]))
 
 
 def _rk4_map(mat: np.ndarray, h: float):

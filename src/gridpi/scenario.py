@@ -426,7 +426,8 @@ def load_scenario(path) -> Scenario:
     for t, bus, delta_w, lineno in events:
         injection[bus] += delta_w
         # the stage's swing form as PowerNetwork checks it: M^-1 (p - D omega_ref)
-        forcing = (1.0 / inertia[bus]) * (injection[bus] - damping[bus] * loaded.net.omega_ref)
+        forcing = sysmodel._swing_forcing(inertia[bus], injection[bus], damping[bus],
+                                          loaded.net.omega_ref)
         for what, value in (("net injection", injection[bus]),
                             ("swing form's M^-1 (p - D omega_ref)", forcing)):
             if not math.isfinite(value):

@@ -41,7 +41,8 @@ class PowerNetwork:
     consuming bus) and may have any sign; all are finite.  lines holds
     (i, j, susceptance) with susceptance in siemens; it and the coupling
     |V_i||V_j| susceptance are positive and finite.  omega_ref is in rad/s.
-    The products of the swing form (see swing_to_lti) must be finite too.
+    The four M^-1-scaled blocks of its swing form (swing_to_lti) must be
+    finite too.
     coupling is the graph weighted by the electrical stiffness
     k_ij = |V_i||V_j| b_ij, built while validating; its Laplacian is L_k.
     """
@@ -89,15 +90,13 @@ class PowerNetwork:
             raise graphmod.EdgeError(exc.index, i, j, f"gives a coupling |V_i||V_j| b that "
                                      f"{exc.reason}") from exc
         object.__setattr__(self, "coupling", coupling)
-        # the products swing_to_lti forms: an infinite entry breaks LAPACK
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            minv = 1.0 / arrays["inertia"]
-            swing = (("M^-1 = 1/inertia", minv), ("M^-1 Lk", minv[:, None] * coupling.laplacian),
-                     ("M^-1 D", minv * arrays["damping"]),
-                     ("M^-1 (p - D omega_ref)",
-                      minv * (arrays["power"] - arrays["damping"] * self.omega_ref)))
-        for name, product in swing:
-            if not np.isfinite(product).all():
+        # the blocks of the swing form that the loop is built from: an
+        # infinite entry breaks LAPACK
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b, _, d = swing_to_lti(self)
+        for name, block in (("M^-1 = 1/inertia", b[n:]), ("M^-1 Lk", a[n:, :n]),
+                            ("M^-1 D", a[n:, n:]), ("M^-1 (p - D omega_ref)", d[n:])):
+            if not np.isfinite(block).all():
                 raise ValueError(f"the swing form's {name} is not finite")
 
     @property
@@ -108,6 +107,11 @@ class PowerNetwork:
 # ---------------------------------------------------------------------------
 # closed loop
 # ---------------------------------------------------------------------------
+
+def _swing_forcing(inertia, power, damping, omega_ref):
+    """M^-1 (p - D omega_ref): the swing form's forcing, per bus."""
+    return (1.0 / inertia) * (power - damping * omega_ref)
+
 
 def swing_to_lti(net: PowerNetwork):
     """(a, b, c, d) of the swing network in deviation coordinates:
@@ -124,7 +128,7 @@ def swing_to_lti(net: PowerNetwork):
     c = np.zeros((n, 2 * n))
     c[:, n:] = np.eye(n)
     d = np.zeros(2 * n)
-    d[n:] = minv * (net.power - net.damping * net.omega_ref)
+    d[n:] = _swing_forcing(net.inertia, net.power, net.damping, net.omega_ref)
     return a, b, c, d
 
 

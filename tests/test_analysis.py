@@ -16,8 +16,7 @@ import gridpi
 from gridpi import (DEC_PI, DIST_PI, P, ClosedLoop, ControllerSpec, PowerNetwork, close_loop,
                     gamma_bar, gamma_star_search, output_stability_check, simulate_schedule,
                     stationary_state, xi_rank_test)
-from gridpi.analysis import _SEARCH_REL_TOL, STABILITY_TOL, unobservable_subspace
-from gridpi.numerics import RANK_REL_TOL
+from gridpi.analysis import _SEARCH_REL_TOL, RANK_REL_TOL, STABILITY_TOL, unobservable_subspace
 from gridpi.sysmodel import swing_to_lti
 from support import (bundled, closed_form_split, random_dist_controller, random_network,
                      random_wide_gain_loop, reference_gamma_star_search, stability_cubic,
@@ -35,6 +34,26 @@ def test_rank_test_passes_on_a_well_posed_scalar_system():
     assert result.rank == 2
     assert result.deficiency == 0
     assert result.full_rank
+
+
+def _rank_of(a):
+    """xi_rank_test on x' = a x with no input and no output: its test matrix is a itself."""
+    n = len(a)
+    return xi_rank_test(a, np.zeros((n, 0)), np.zeros((0, n)), ki=[]).rank
+
+
+def test_rank_basics():
+    assert _rank_of(np.zeros((3, 3))) == 0
+    assert _rank_of(np.eye(4)) == 4
+    assert _rank_of(np.array([[1.0, 0.0], [0.0, 1e-20]])) == 1
+
+
+def test_rank_of_outer_products():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        n, r = int(rng.integers(3, 10)), int(rng.integers(1, 3))
+        u = rng.normal(size=(n, r))
+        assert _rank_of(u @ u.T) == r
 
 
 def test_rank_result_derives_deficiency_and_full_rank():

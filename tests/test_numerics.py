@@ -1,4 +1,4 @@
-"""Numerical rank and the fixed-step integrator."""
+"""The fixed-step integrator."""
 
 from dataclasses import replace
 from typing import NamedTuple
@@ -7,28 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gridpi import DEC_PI, ControllerSpec, close_loop, integrate_rk4, numerical_rank, numerics
+from gridpi import DEC_PI, ControllerSpec, close_loop, integrate_rk4, numerics
 from gridpi.numerics import (_CHECK_BLOCK, DIVERGENCE_LIMIT, _block_rows, _power_stack, _rk4_map,
                              rk4_multiplier)
 from support import exact_flow, plain_rk4, random_dist_controller, random_network, two_bus_network
-
-
-# ---------------------------------------------------------------------------
-# numerical rank
-# ---------------------------------------------------------------------------
-
-def test_rank_basics():
-    assert numerical_rank(np.zeros((3, 3))) == 0
-    assert numerical_rank(np.eye(4)) == 4
-    assert numerical_rank(np.array([[1.0, 0.0], [0.0, 1e-20]])) == 1
-
-
-def test_rank_of_outer_products():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        n, r = int(rng.integers(3, 10)), int(rng.integers(1, 3))
-        u = rng.normal(size=(n, r))
-        assert numerical_rank(u @ u.T) == r
 
 
 # ---------------------------------------------------------------------------

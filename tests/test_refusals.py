@@ -162,6 +162,9 @@ REFUSALS = [
     Refusal("rank-test-shapes", lambda: xi_rank_test([[-1.0, 0.0]], [[1.0], [1.0]], [[1.0, 1.0]],
                                                      [1.0]),
             ValueError, "a, b and c must be n x n, n x m and m x n, got (1, 2), (2, 1) and (1, 2)"),
+    Refusal("rank-test-no-state-or-output",
+            lambda: xi_rank_test(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), []),
+            ValueError, "a plant with no state and no output has no test matrix"),
     Refusal("rank-test-ki-length", lambda: xi_rank_test(*swing_to_lti(NET)[:3], [1.0]),
             ValueError, "ki must have one entry per output, got shape (1,)"),
     Refusal("rank-test-negative-ki", lambda: xi_rank_test(*swing_to_lti(NET)[:3], [1.0, -1.0]),
