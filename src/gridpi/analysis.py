@@ -68,10 +68,14 @@ def xi_rank_test(a, b, c, ki) -> XiRankResult:
     Builds [[A, B K_i], [C, 0]] from the plant x' = A x + B u, y = C x
     (A n x n, B n x m, C m x n with n + m > 0; for the swing model,
     sysmodel.swing_to_lti) and reports its numerical rank: the number of
-    singular values above RANK_REL_TOL times the largest.  Full rank is
-    necessary for any stabilizing diagonal-integral design; a deficiency
-    means no choice of the remaining gains can create the required
-    equilibrium for generic references and disturbances.
+    singular values above RANK_REL_TOL times the largest once each row and
+    then each column, twice over, is scaled by the power of two that brings
+    its largest magnitude into [1/2, 1).  Such scalings are exact unless an
+    entry underflows and keep the rank, so the answer does not depend on the
+    units of the plant or the gains.  Full rank is necessary for any
+    stabilizing diagonal-integral design; a deficiency means no choice of
+    the remaining gains can create the required equilibrium for generic
+    references and disturbances.
     """
     a, b, c = (np.array(m, dtype=float, ndmin=2) for m in (a, b, c))
     n, m = a.shape[0], c.shape[0]
@@ -85,10 +89,11 @@ def xi_rank_test(a, b, c, ki) -> XiRankResult:
         raise ValueError(f"ki must have one entry per output, got shape {ki.shape}")
     if not np.all(ki > 0.0):
         raise ValueError("integral gains must be strictly positive")
-    xi = np.zeros((n + m, n + m))
-    xi[:n, :n] = a
-    xi[:n, n:] = b * ki[None, :]
-    xi[n:, :n] = c
+    xi = np.block([[a, b * ki], [c, np.zeros((m, m))]])
+    # ldexp, not 2.0**k, which overflows for the exponent of a subnormal entry
+    for _ in range(2):
+        xi = np.ldexp(xi, -np.frexp(np.max(np.abs(xi), axis=1))[1][:, None])
+        xi = np.ldexp(xi, -np.frexp(np.max(np.abs(xi), axis=0))[1])
     sigma = np.linalg.svd(xi, compute_uv=False)
     return XiRankResult(dim=n + m, rank=int(np.count_nonzero(sigma > RANK_REL_TOL * sigma[0])))
 

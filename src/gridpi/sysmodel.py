@@ -90,8 +90,7 @@ class PowerNetwork:
             raise graphmod.EdgeError(exc.index, i, j, f"gives a coupling |V_i||V_j| b that "
                                      f"{exc.reason}") from exc
         object.__setattr__(self, "coupling", coupling)
-        # the blocks of the swing form that the loop is built from: an
-        # infinite entry breaks LAPACK
+        # the swing form's M^-1-scaled blocks: an infinite entry breaks LAPACK
         with np.errstate(over="ignore", invalid="ignore"):
             a, b, _, d = swing_to_lti(self)
         for name, block in (("M^-1 = 1/inertia", b[n:]), ("M^-1 Lk", a[n:, :n]),

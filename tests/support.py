@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: bundled data paths, random systems,
-the paper's per-direction cubic, the closed-form unobservable subspace and
-the reference gamma search, the integrator's two references, quantities
-read off a trace, and the trace CSV reader."""
+the swing form's rank, the paper's per-direction cubic, the closed-form
+unobservable subspace and the reference gamma search, the integrator's two
+references, quantities read off a trace, and the trace CSV reader."""
 
 import math
 from dataclasses import replace
@@ -119,6 +119,14 @@ def swing_loop(net, ctrl, eta, power=None):
     if ctrl.kind == gridpi.DIST_PI:
         matrix[z, z] = -ctrl.gamma * _laplacian(n, ctrl.comm.edges)
     return matrix, forcing, gain, offset
+
+
+def swing_rank(net):
+    """The rank test's answer for any swing form, in any units: the delta' =
+    w rows equal the y = w rows and M^-1 Ki is invertible, so the 3n x 3n
+    test matrix has rank exactly 2n, deficiency n."""
+    n = net.n_buses
+    return gridpi.XiRankResult(dim=3 * n, rank=2 * n)
 
 
 def stability_cubic(net, ctrl, gamma, x):

@@ -20,7 +20,7 @@ from gridpi.analysis import _SEARCH_REL_TOL, RANK_REL_TOL, STABILITY_TOL, unobse
 from gridpi.sysmodel import swing_to_lti
 from support import (bundled, closed_form_split, random_dist_controller, random_network,
                      random_wide_gain_loop, reference_gamma_star_search, stability_cubic,
-                     swing_loop, two_bus_network)
+                     swing_loop, swing_rank, two_bus_network)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,9 @@ def _rank_of(a):
 def test_rank_basics():
     assert _rank_of(np.zeros((3, 3))) == 0
     assert _rank_of(np.eye(4)) == 4
-    assert _rank_of(np.array([[1.0, 0.0], [0.0, 1e-20]])) == 1
+    # powers of two scale rows and columns exactly, so tiny entries still count
+    for tiny in (1e-20, 1e-300, 5e-324):
+        assert _rank_of(np.diag([1.0, tiny])) == 2
 
 
 def test_rank_of_outer_products():
@@ -70,11 +72,24 @@ def test_rank_test_sees_swing_degeneracy():
         net = random_network(rng)
         n = net.n_buses
         result = xi_rank_test(*swing_to_lti(net)[:3], ki=rng.uniform(0.5, 5.0, n))
-        assert result.dim == 3 * n
-        assert result.deficiency == n
+        assert result == swing_rank(net)
         assert not result.full_rank
     # the unit pair under decentralized PI, output stable (row dec_pi-unit-pair)
     assert xi_rank_test(*swing_to_lti(two_bus_network())[:3], np.ones(2)).deficiency == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), exps=st.tuples(*[st.integers(-250, 250)] * 4))
+def test_rank_test_answers_the_same_in_any_units(seed, exps):
+    # power-of-two unit changes of inertia, damping, voltage and ki; voltage
+    # enters Lk squared, so half its exponent keeps every product of the form normal
+    rng = np.random.default_rng(seed)
+    m, d, v, k = exps
+    net = random_network(rng)
+    net = replace(net, inertia=np.ldexp(net.inertia, m), damping=np.ldexp(net.damping, d),
+                  voltage=np.ldexp(net.voltage, v // 2))
+    ki = np.ldexp(rng.uniform(0.5, 5.0, net.n_buses), k)
+    assert xi_rank_test(*swing_to_lti(net)[:3], ki) == swing_rank(net)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,13 @@ CASES = [
          out=r"network: {data}/net2\.grid \(2 buses\)\nmatrix size: 6 x 6\n"
              r"rank: 4 \(deficiency 2\)\nintegral action feasible: no\n"),
     Case("rank-test-net30", "rank-test {data}/net30.grid --ki 1", 1),
+    # the units decided the rank: both printed "rank: 5 (deficiency 10)"
+    *(Case(id, f"rank-test net5ring.grid --ki {ki}", 1, out=r".*\nrank: 10 \(deficiency 5\)\n.*",
+           edits=edits)
+      for id, ki, edits in [
+          ("rank-test-ki-huge", "1e308", ()),
+          ("rank-test-inertia-tiny", "1", (("net5ring.grid", r"^inertia = 10\.0$",
+                                             "inertia = 1e-300"),))]),
     Case("gamma-bound-net2", f"gamma-bound {NET2} --kp 1.0 --ki 1.0", 0,
          out=r"network: {data}/net2\.grid \(2 buses\)\ngamma_bar = 0\.5\n"
              r"  alpha = 0  beta = 0  sigma = 4\n  kappa1 = 1  kappa2 = 2\n"),
