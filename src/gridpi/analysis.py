@@ -252,7 +252,7 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     communication Laplacian proportional to the electrical one satisfies
     it.  A bound below the smallest normal float is reported as 0, which
     certifies no gamma: a subnormal one keeps too few significant bits to
-    check.  A product (D + Kp) Lc, Lk Lc or M^-1 Lc that overflows raises
+    check.  A product (D + Kp) Lc, Lk Lc or M Lc that overflows raises
     OverflowError, checked in that order.
     """
     if ctrl.kind != ctrlmod.DIST_PI:
@@ -275,13 +275,13 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
             "precondition"
         )
 
-    # Rayleigh bounds, with M^-1 = diag(m_i); both lambda_min terms are <= 0
+    # Rayleigh bounds, with M = diag(inertia); both lambda_min terms are <= 0
     # because the all-ones vector gives a zero quadratic form, so clamp
     # numerical noise.
-    minv_lap = _finite_product(net.inertia, lap_c, "M^-1 Lc", "the inertias are")
+    m_lap = _finite_product(net.inertia, lap_c, "M Lc", "the inertias are")
     alpha = min(float(np.linalg.eigvalsh(_sym(dkp_lap))[0]), 0.0)
-    beta = min(float(np.linalg.eigvalsh(_sym(minv_lap))[0]), 0.0)
-    # a0 a3 = gamma (x^T Lk Lc x)(x^T M^-1 x) for unit x, so sigma takes the largest inertia
+    beta = min(float(np.linalg.eigvalsh(_sym(m_lap))[0]), 0.0)
+    # a0 a3 = gamma (x^T Lk Lc x)(x^T M x) for unit x, so sigma takes the largest inertia
     sigma = float(np.max(net.inertia)) * max(float(prod_eigs[-1]), 0.0)
     kappa1 = float(np.min(ctrl.ki))
     kappa2 = float(np.min(d_plus_kp))

@@ -134,17 +134,17 @@ def stability_cubic(net, ctrl, gamma, x):
     the characteristic matrix polynomial with a unit vector x: the paper's
     cubic, an independent reference for the bounds of gamma_bar.
 
-    a3 = x^T M^-1 x                                  (M^-1 = diag(m_i))
-    a2 = x^T ((D + Kp) + gamma M^-1 Lc) x
+    a3 = x^T M x                                     (M = diag(m_i))
+    a2 = x^T ((D + Kp) + gamma M Lc) x
     a1 = x^T (gamma (D + Kp) Lc + Ki + Lk) x
     a0 = gamma x^T Lk Lc x
     """
     lap_k, lap_c = net.coupling.laplacian, ctrl.comm.laplacian
     x = np.asarray(x, dtype=float)
     d_plus_kp = np.diag(net.damping + ctrl.kp)
-    minv = np.diag(net.inertia)
-    a3 = float(x @ (minv @ x))
-    a2 = float(x @ (d_plus_kp @ x) + gamma * x @ (minv @ (lap_c @ x)))
+    m = np.diag(net.inertia)
+    a3 = float(x @ (m @ x))
+    a2 = float(x @ (d_plus_kp @ x) + gamma * x @ (m @ (lap_c @ x)))
     a1 = float(gamma * x @ (d_plus_kp @ (lap_c @ x)) + x @ (np.diag(ctrl.ki) @ x)
                + x @ (lap_k @ x))
     a0 = float(gamma * x @ (lap_k @ (lap_c @ x)))

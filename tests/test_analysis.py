@@ -393,7 +393,7 @@ def test_gamma_bar_margins_positive_inside_and_zero_at_the_edge():
 def test_paper_cubic_meets_the_bounds_of_gamma_bar():
     # evaluate()'s bounds hold in every unit direction x, at every gamma:
     # a1 and a2 of the cubic lie above a1_lower and a2_lower, and a0 a3 below
-    # a0a3_upper.  a0 a3 = gamma (x^T Lk Lc x)(x^T M^-1 x), so sigma needs the
+    # a0a3_upper.  a0 a3 = gamma (x^T Lk Lc x)(x^T M x), so sigma needs the
     # largest inertia; with the smallest, a0 a3 exceeded sigma gamma 116-fold
     rng = np.random.default_rng(29)
     for trial in range(40):

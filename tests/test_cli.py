@@ -263,9 +263,10 @@ CASES = [
     Case("network-file-error-analyze", "analyze ring_share.scn", 2,
          "error: {tmp}/net5ring.grid:{line}: inertia of bus 1 must be positive\n",
          edits=(("net5ring.grid", r"^inertia = 10\.0$", "inertia = -1"),)),
-    # it leaked "RuntimeWarning: overflow encountered in matmul"
+    # it leaked "RuntimeWarning: overflow encountered in matmul"; the product
+    # was named M^-1 Lc, but M^-1 = 1/inertia in the swing form
     Case("inertia-product-overflows", "gamma-bound net5ring.grid --kp 1 --ki 1", 2,
-         "error: net5ring.grid: the product M^-1 Lc overflows; the inertias are too large for "
+         "error: net5ring.grid: the product M Lc overflows; the inertias are too large for "
          "the averaging-gain bound\n",
          edits=(("net5ring.grid", r"^inertia = 10\.0$", "inertia = 1.7e308"),)),
     # M^-1 Lk overflowed: LAPACK's DLASCL messages, then "rank: 0 (deficiency 15)" and exit 1
