@@ -2,10 +2,10 @@
 
 Three independent tools:
 
-* a rank test on the augmented matrix [[A, B K_i], [C, 0]] that decides
-  whether integral action with diagonal gains can place an equilibrium at
-  all (for the swing model it is always rank deficient by exactly the
-  number of buses, which is why per-bus integrators alone cannot work);
+* a rank test on the augmented matrix [[A, B K_i], [C, 0]], in any units,
+  that decides whether integral action with diagonal gains can place an
+  equilibrium at all (for the swing model it is always rank deficient by
+  exactly the number of buses, so per-bus integrators alone cannot work);
 
 * an eigenvalue check of the closed loop that tolerates marginal modes as
   long as they are unobservable from the output (the uniform-angle mode is
