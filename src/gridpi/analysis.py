@@ -431,8 +431,9 @@ def _bordered_solve(lap: np.ndarray, border: np.ndarray, rhs: np.ndarray):
 
 
 def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
-                     eta=None) -> np.ndarray:
-    """Deviation-coordinate stationary state of the closed loop.
+                     eta=None, power=None) -> np.ndarray:
+    """Deviation-coordinate stationary state of close_loop(net, ctrl, eta,
+    power): the loop under the net injections power (net.power by default).
 
     Angles come from the pinned force balance [Lk, border][delta; k] =
     p - D omega_ref 1 (plus the eta terms below).  For PI kinds the border
@@ -450,15 +451,13 @@ def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
     the integral gains.
     """
     n = net.n_buses
-    rhs = net.power - net.damping * net.omega_ref
+    rhs = sysmodel._per_bus(n, power, "power", net.power) - net.damping * net.omega_ref
     omega = spread = np.zeros(n)
     if eta is not None:
         if ctrl.kind != ctrlmod.DIST_PI or ctrl.gamma is None:
             raise ValueError("the stationary point under eta needs the distributed PI "
                              "controller with gamma set")
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (n,):
-            raise ValueError(f"eta shape {eta.shape}, expected ({n},)")
+        eta = sysmodel._per_bus(n, eta, "eta", None)
         eta_mean = float(np.mean(eta))
         omega = np.full(n, -eta_mean)
         spread, _ = _bordered_solve(ctrl.comm.laplacian, np.ones(n), (-omega - eta) / ctrl.gamma)

@@ -575,17 +575,15 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     ctrl, bound = _resolve_controller(scn)
 
     rank = None
-    if ctrl.kind == ctrlmod.DEC_PI:  # eta enters only the loop's forcing, not a, b or c
-        a, b, c, _ = sysmodel.swing_to_lti(net)
-        rank = analysismod.xi_rank_test(a, b, c, ctrl.ki)
+    if ctrl.kind == ctrlmod.DEC_PI:  # eta and the loads enter only the forcing, not a, b or c
+        rank = analysismod.xi_rank_test(*sysmodel.swing_to_lti(net), ctrl.ki)
 
     loop = sysmodel.close_loop(net, ctrl, scn.eta)
     stability = analysismod.output_stability_check(loop)
 
     prediction = None
     if ctrl.kind == ctrlmod.DIST_PI:  # the law at the stationary point of the run's last stage
-        final_net = replace(net, power=_power_stages(scn)[-1][1])
-        x = analysismod.stationary_state(final_net, ctrl, eta=scn.eta)
+        x = analysismod.stationary_state(net, ctrl, scn.eta, _power_stages(scn)[-1][1])
         prediction = analysismod.SteadyStatePrediction(
             omega_hat=net.omega_ref + float(x[loop.state_layout["omega"]][0]),
             u_stationary=loop.control_gain @ x + loop.control_offset)
@@ -661,9 +659,8 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
     ctrl = report.controller
 
     x0 = analysismod.stationary_state(net, ctrl)
-    segments = []
-    for t_start, power in _power_stages(scn):
-        segments.append((t_start, sysmodel.close_loop(replace(net, power=power), ctrl, scn.eta)))
+    segments = [(t_start, sysmodel.close_loop(net, ctrl, scn.eta, power))
+                for t_start, power in _power_stages(scn)]
     trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)
     loop = segments[0][1]
     if trace.diverged and report.stability.output_stable:

@@ -41,8 +41,8 @@ class PowerNetwork:
     consuming bus) and may have any sign; all are finite.  lines holds
     (i, j, susceptance) with susceptance in siemens; it and the coupling
     |V_i||V_j| susceptance are positive and finite.  omega_ref is in rad/s.
-    The four M^-1-scaled blocks of its swing form (swing_to_lti) must be
-    finite too.
+    The M^-1-scaled blocks and the forcing of its swing form must be finite
+    too.  A load stage is not a new network but close_loop's power argument.
     coupling is the graph weighted by the electrical stiffness
     k_ij = |V_i||V_j| b_ij, built while validating; its Laplacian is L_k.
     """
@@ -92,9 +92,10 @@ class PowerNetwork:
         object.__setattr__(self, "coupling", coupling)
         # the swing form's M^-1-scaled blocks: an infinite entry breaks LAPACK
         with np.errstate(over="ignore", invalid="ignore"):
-            a, b, _, d = swing_to_lti(self)
+            a, b, _ = swing_to_lti(self)
+            forcing = _swing_forcing(self.inertia, self.power, self.damping, self.omega_ref)
         for name, block in (("M^-1 = 1/inertia", b[n:]), ("M^-1 Lk", a[n:, :n]),
-                            ("M^-1 D", a[n:, n:]), ("M^-1 (p - D omega_ref)", d[n:])):
+                            ("M^-1 D", a[n:, n:]), ("M^-1 (p - D omega_ref)", forcing)):
             if not np.isfinite(block).all():
                 raise ValueError(f"the swing form's {name} is not finite")
 
@@ -113,9 +114,9 @@ def _swing_forcing(inertia, power, damping, omega_ref):
 
 
 def swing_to_lti(net: PowerNetwork):
-    """(a, b, c, d) of the swing network in deviation coordinates:
-    x' = a x + b u + d and y = c x (+ eta), with x = [delta; w], so d
-    carries the damping of omega_ref."""
+    """(a, b, c) of the load-free swing network in deviation coordinates:
+    x' = a x + b u + [0; M^-1 (p - D omega_ref)] and y = c x (+ eta), with
+    x = [delta; w]; close_loop adds that forcing of the loads p."""
     n = net.n_buses
     minv = 1.0 / net.inertia  # accelerations scale with inverse inertia
     a = np.zeros((2 * n, 2 * n))
@@ -126,9 +127,15 @@ def swing_to_lti(net: PowerNetwork):
     b[n:, :] = np.diag(minv)
     c = np.zeros((n, 2 * n))
     c[:, n:] = np.eye(n)
-    d = np.zeros(2 * n)
-    d[n:] = _swing_forcing(net.inertia, net.power, net.damping, net.omega_ref)
-    return a, b, c, d
+    return a, b, c
+
+
+def _per_bus(n, values, name, default):
+    """values as a float vector of n entries, default when None."""
+    values = default if values is None else np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{name} shape {values.shape}, expected ({n},)")
+    return values
 
 
 class ClosedLoop(NamedTuple):
@@ -153,24 +160,26 @@ class ClosedLoop(NamedTuple):
         return self.system_matrix.shape[0]
 
 
-def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None) -> ClosedLoop:
-    """The swing network closed by any of the controller kinds.
+def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
+               power=None) -> ClosedLoop:
+    """The swing network closed by any of the controller kinds at the load
+    stage power, the net injections (net.power by default).
 
-    With the swing form (a, b, c, d) of swing_to_lti and y = c x + eta
-    (eta the measurement offsets, zero by default), the law u = -Kp y +
-    Ki z is the affine map u = [-Kp c, Ki] [x; z] - Kp eta (no Ki block
-    for P); it enters the plant rows as x' = a x + b u + d.  The
-    integrator rows are z' = -y (DEC_PI) or z' = -y - gamma L_c z (DIST_PI).
+    With the plant (a, b, c) of swing_to_lti and y = c x + eta (eta the
+    measurement offsets, zero by default), the law u = -Kp y + Ki z is the
+    affine map u = [-Kp c, Ki] [x; z] - Kp eta (no Ki block for P); it
+    enters the plant rows as x' = a x + b u + d, with the forcing d = [0;
+    M^-1 (p - D omega_ref)], refused unless finite.  The integrator rows
+    are z' = -y (DEC_PI) or z' = -y - gamma L_c z (DIST_PI).
     """
     n = net.n_buses
     if ctrl.n_nodes != n:
         raise ValueError(f"controller covers {ctrl.n_nodes} nodes but the network has {n} buses")
     if ctrl.kind == ctrlmod.DIST_PI and ctrl.gamma is None:
         raise ValueError("closing a distributed PI loop requires gamma")
-    eta = np.zeros(n) if eta is None else np.asarray(eta, dtype=float)
-    if eta.shape != (n,):
-        raise ValueError(f"eta shape {eta.shape}, expected ({n},)")
-    a, b, c, d = swing_to_lti(net)
+    eta = _per_bus(n, eta, "eta", np.zeros(n))
+    power = _per_bus(n, power, "power", net.power)
+    a, b, c = swing_to_lti(net)
     xs = 2 * n  # the plant states [delta; w]
     dim = xs + n if ctrl.has_integrator else xs
     gain = np.zeros((n, dim))
@@ -189,7 +198,11 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None) -> Clo
         layout["z"] = zs
     e[:xs, :xs] = a
     e[:xs] += b @ gain
-    forcing[:xs] = d + b @ offset
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
+        forcing[n:xs] = _swing_forcing(net.inertia, power, net.damping, net.omega_ref)
+    if not np.isfinite(forcing[n:xs]).all():
+        raise ValueError("the swing form's M^-1 (p - D omega_ref) is not finite")
+    forcing[:xs] += b @ offset
     return ClosedLoop(system_matrix=e, forcing_dev=forcing,
                       output_selector=np.pad(c, ((0, 0), (0, dim - xs))),
                       control_gain=gain, control_offset=offset, state_layout=layout)

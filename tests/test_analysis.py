@@ -71,11 +71,11 @@ def test_rank_test_sees_swing_degeneracy():
     for _ in range(10):
         net = random_network(rng)
         n = net.n_buses
-        result = xi_rank_test(*swing_to_lti(net)[:3], ki=rng.uniform(0.5, 5.0, n))
+        result = xi_rank_test(*swing_to_lti(net), ki=rng.uniform(0.5, 5.0, n))
         assert result == swing_rank(net)
         assert not result.full_rank
     # the unit pair under decentralized PI, output stable (row dec_pi-unit-pair)
-    assert xi_rank_test(*swing_to_lti(two_bus_network())[:3], np.ones(2)).deficiency == 2
+    assert xi_rank_test(*swing_to_lti(two_bus_network()), np.ones(2)).deficiency == 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -89,7 +89,7 @@ def test_rank_test_answers_the_same_in_any_units(seed, exps):
     net = replace(net, inertia=np.ldexp(net.inertia, m), damping=np.ldexp(net.damping, d),
                   voltage=np.ldexp(net.voltage, v // 2))
     ki = np.ldexp(rng.uniform(0.5, 5.0, net.n_buses), k)
-    assert xi_rank_test(*swing_to_lti(net)[:3], ki) == swing_rank(net)
+    assert xi_rank_test(*swing_to_lti(net), ki) == swing_rank(net)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,12 @@ REFUSALS = [
             "closing a distributed PI loop requires gamma"),
     Refusal("loop-eta-shape", lambda: loop(eta=[0.0, 0.0, 0.0]), ValueError,
             "eta shape (3,), expected (2,)"),
+    Refusal("loop-power-shape", lambda: close_loop(NET, DEC, power=[0.0]), ValueError,
+            "power shape (1,), expected (2,)"),
+    # a load stage's M^-1 (p - D omega_ref) overflows at inertia 1e-10, unwarned
+    Refusal("loop-stage-forcing-overflows",
+            lambda: close_loop(replace(NET, inertia=[1e-10, 1.0]), DEC, power=[1e300, 0.0]),
+            ValueError, "the swing form's M^-1 (p - D omega_ref) is not finite"),
     Refusal("schedule-empty", lambda: simulate_schedule([], 1.0), ValueError,
             "schedule needs at least one segment"),
     Refusal("schedule-late-start", lambda: simulate_schedule([(0.5, loop())], 1.0), ValueError,
@@ -165,9 +171,9 @@ REFUSALS = [
     Refusal("rank-test-no-state-or-output",
             lambda: xi_rank_test(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), []),
             ValueError, "a plant with no state and no output has no test matrix"),
-    Refusal("rank-test-ki-length", lambda: xi_rank_test(*swing_to_lti(NET)[:3], [1.0]),
+    Refusal("rank-test-ki-length", lambda: xi_rank_test(*swing_to_lti(NET), [1.0]),
             ValueError, "ki must have one entry per output, got shape (1,)"),
-    Refusal("rank-test-negative-ki", lambda: xi_rank_test(*swing_to_lti(NET)[:3], [1.0, -1.0]),
+    Refusal("rank-test-negative-ki", lambda: xi_rank_test(*swing_to_lti(NET), [1.0, -1.0]),
             ValueError, "integral gains must be strictly positive"),
     Refusal("gamma-bar-decentralized", lambda: gamma_bar(NET, DEC), ValueError,
             "the averaging-gain bound applies to the distributed PI controller"),
@@ -189,6 +195,8 @@ REFUSALS = [
     Refusal("stationary-eta-shape",
             lambda: stationary_state(NET, replace(DIST, gamma=1.0), eta=[0.0]),
             ValueError, "eta shape (1,), expected (2,)"),
+    Refusal("stationary-power-shape", lambda: stationary_state(NET, DEC, power=np.zeros(3)),
+            ValueError, "power shape (3,), expected (2,)"),
 ]
 
 

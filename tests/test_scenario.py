@@ -569,6 +569,20 @@ def test_replaced_horizon_ends_the_run(tmp_path):
     assert result.trace.times[-1] == 1.0
 
 
+def test_load_stages_build_no_network(monkeypatch):
+    # a load stage is close_loop's power argument; each stage was a copy of
+    # the grid, validated again (two on this run, 303 on a 300-step storm)
+    scn = load_scenario(bundled("dist30_step.scn"))
+
+    def built(net):
+        raise AssertionError("a PowerNetwork was built after loading")
+
+    monkeypatch.setattr(gridpi.PowerNetwork, "__post_init__", built)
+    result = run_scenario(scn._replace(horizon=1.5))
+    assert 1.0 in result.trace.times and not result.trace.diverged
+    assert result.analysis.prediction is not None
+
+
 def test_trace_always_includes_the_endpoint(tmp_path):
     scn = load_scenario(quiet_scenario(tmp_path))
     out = tmp_path / "t.csv"

@@ -1,5 +1,6 @@
 """Swing-network modelling, loop assembly, and simulation."""
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +32,7 @@ def test_swing_lti_assembly():
     net = PowerNetwork(inertia=np.array([2.0, 4.0]), damping=np.array([0.5, 1.0]),
                        voltage=np.full(2, 1e3), power=np.array([10.0, -6.0]),
                        lines=((0, 1, 1.0e-6),))
-    a, b, c, d = swing_to_lti(net)
+    a, b, c = swing_to_lti(net)
     assert_allclose(a, [
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
@@ -40,9 +41,14 @@ def test_swing_lti_assembly():
     ])
     assert_allclose(b, [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.25]])
     assert_allclose(c, [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    # deviation coordinates: d = M^-1 (p - D omega_ref)
-    assert_allclose(d, [0.0, 0.0, (10.0 - 0.5 * net.omega_ref) / 2.0,
-                        (-6.0 - net.omega_ref) / 4.0])
+    # the loads are the loop's forcing, not the plant's: in deviation
+    # coordinates M^-1 (p - D omega_ref), at net.power unless power is given
+    ctrl = ControllerSpec(kind=P, kp=np.ones(2))
+    for power in (None, [4.0, 0.0]):
+        p = net.power if power is None else power
+        assert_allclose(close_loop(net, ctrl, power=power).forcing_dev,
+                        [0.0, 0.0, (p[0] - 0.5 * net.omega_ref) / 2.0,
+                         (p[1] - net.omega_ref) / 4.0])
 
 
 def test_measurement_offsets_are_stored():
@@ -59,7 +65,7 @@ def test_measurement_offsets_are_stored():
 # ---------------------------------------------------------------------------
 
 class Loop(NamedTuple):
-    """close_loop(net, ctrl, eta), checked against support.swing_loop;
+    """close_loop(net, ctrl, eta, power), checked against support.swing_loop;
     pins maps "u", "x'", "z'", "sum z'" or "omega" to the loop's values at the
     states at (one per row of at, or "stationary" for the stationary state)."""
     id: str
@@ -68,6 +74,7 @@ class Loop(NamedTuple):
     eta: np.ndarray = None
     at: object = None
     pins: dict = {}
+    power: np.ndarray = None
 
 
 def hand_loops():
@@ -127,20 +134,24 @@ def hand_loops():
 
 def random_loops(seed=70, draws=3):
     """Each draw under P, decentralized PI, and distributed PI over the
-    coupling graph and over a ring, without and with measurement offsets."""
-    rng = np.random.default_rng(seed)
+    coupling graph and over a ring, without and with measurement offsets,
+    at the draw's loads and at a load stage stepped from them."""
+    rng, steps = np.random.default_rng(seed), np.random.default_rng(seed + 1)
     for k in range(draws):
         net = random_network(rng)
         n = net.n_buses
         (kp, ki), eta = rng.uniform(0.5, 5.0, (2, n)), rng.normal(0.0, 0.3, n)
         ring = WeightedGraph(n, [(i, (i + 1) % n, rng.uniform(0.5, 5.0)) for i in range(n)])
         gamma = float(rng.uniform(0.1, 2.0))
+        stage = net.power + steps.uniform(-1e3, 1e3, n)
         for name, ctrl in (("p", ControllerSpec(P, kp)),
                            ("dec_pi", ControllerSpec(DEC_PI, kp, ki)),
                            ("dist_pi", ControllerSpec(DIST_PI, kp, ki, gamma, net.coupling)),
                            ("dist_pi-ring", ControllerSpec(DIST_PI, kp, ki, gamma, ring))):
             yield Loop(f"{name}-{seed}-{k}", net, ctrl)
             yield Loop(f"{name}-{seed}-{k}-eta", net, ctrl, eta)
+            yield Loop(f"{name}-{seed}-{k}-stage", net, ctrl, power=stage)
+            yield Loop(f"{name}-{seed}-{k}-eta-stage", net, ctrl, eta, power=stage)
 
 
 LOOPS = [*hand_loops(), *random_loops()]
@@ -149,8 +160,8 @@ LOOPS = [*hand_loops(), *random_loops()]
 @pytest.mark.parametrize("row", LOOPS, ids=[row.id for row in LOOPS])
 def test_closed_loop(row):
     net, ctrl, n = row.net, row.ctrl, row.net.n_buses
-    loop = close_loop(net, ctrl, eta=row.eta)
-    matrix, forcing, gain, offset = swing_loop(net, ctrl, row.eta)
+    loop = close_loop(net, ctrl, eta=row.eta, power=row.power)
+    matrix, forcing, gain, offset = swing_loop(net, ctrl, row.eta, row.power)
     # entry by entry: the same zeros, the rest within a few ulp
     for got, want in ((loop.system_matrix, matrix), (loop.forcing_dev, forcing),
                       (loop.control_gain, gain), (loop.control_offset, offset)):
@@ -161,8 +172,13 @@ def test_closed_loop(row):
     assert np.array_equal(loop.output_selector, np.eye(n, loop.dim, n))
     # where a stationary point exists: a fixed point of the written-out loop
     # up to the uniform angle ramp at its frequency offset, angles mean-free
+    # a load stage is the network with those loads, bit for bit
+    staged = net if row.power is None else replace(net, power=row.power)
+    assert all(np.array_equal(got, want) for got, want in
+               zip(loop[:5], close_loop(staged, ctrl, eta=row.eta)[:5]))
     if row.eta is None or ctrl.kind == DIST_PI:
-        x = stationary_state(net, ctrl, eta=row.eta)
+        x = stationary_state(net, ctrl, eta=row.eta, power=row.power)
+        assert np.array_equal(x, stationary_state(staged, ctrl, eta=row.eta))
         ramp = np.concatenate([x[n:2 * n], np.zeros(loop.dim - n)])
         scale = np.max(np.abs(matrix) @ np.abs(x) + np.abs(forcing))
         assert np.ptp(x[n:2 * n]) == 0.0
