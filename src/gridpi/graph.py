@@ -1,6 +1,7 @@
 """Weighted undirected graphs and their Laplacians.
 
-Edges carry strictly positive, finite weights.  The Laplacian L = D - W
+Edges carry strictly positive, finite weights, and the weighted degrees
+(the diagonal D) must be finite too.  The Laplacian L = D - W
 has zero row sums, is symmetric positive semidefinite, and annihilates the
 all-ones vector; for a connected graph the zero eigenvalue is simple.
 Connectivity is decided by traversal rather than spectrally, so the
@@ -28,7 +29,8 @@ class EdgeError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph on nodes 0..n_nodes-1 with positive finite edge weights.
+    """Undirected graph on nodes 0..n_nodes-1 with positive finite edge
+    weights whose sums at each node, the weighted degrees, are finite too.
 
     laplacian is the dense weighted Laplacian L = D - W of shape
     (n_nodes, n_nodes), built once from the validated edges and read-only.
@@ -59,11 +61,15 @@ class WeightedGraph:
             cleaned.append((i, j, w))
         object.__setattr__(self, "edges", tuple(cleaned))
         lap = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j, w in cleaned:
-            lap[i, i] += w
-            lap[j, j] += w
+        degree = [0.0] * self.n_nodes  # Python floats: an overflow gives inf without a warning
+        for index, (i, j, w) in enumerate(cleaned):
+            degree[i] += w
+            degree[j] += w
+            if degree[i] == np.inf or degree[j] == np.inf:
+                raise EdgeError(index, i, j, "makes the weighted degree of an endpoint overflow")
             lap[i, j] -= w
             lap[j, i] -= w
+        np.fill_diagonal(lap, degree)
         lap.flags.writeable = False
         object.__setattr__(self, "laplacian", lap)
 

@@ -57,6 +57,9 @@ REFUSALS = [
       for name, w in [("zero", 0.0), ("negative", -1.0), ("infinite", np.inf), ("nan", np.nan)]),
     Refusal("graph-duplicate-pair", lambda: WeightedGraph(3, ((0, 1, 1.0), (1, 0, 2.0))),
             EdgeError, "edge (1, 0) duplicates an earlier edge"),
+    # node 1's degree 2e308 overflowed the Laplacian's diagonal with RuntimeWarnings
+    Refusal("graph-degree-overflows", lambda: WeightedGraph(3, ((0, 1, 1e308), (1, 2, 1e308))),
+            EdgeError, "edge (1, 2) makes the weighted degree of an endpoint overflow"),
     # networks; replace builds a new network, which validates again
     Refusal("network-power-length", lambda: replace(NET, power=[1.0]), ValueError,
             "power has 1 entries, expected 2"),

@@ -233,6 +233,11 @@ FILE_REFUSALS = [
     *(grid(f"grid-coupling-{name}", "voltage_kv = 10.0", f"voltage_kv = {kv}", ":14: lines: edge "
            f"1 2 gives a coupling |V_i||V_j| b that needs a positive finite weight, got {got}")
       for name, kv, got in [("overflow", "1e200", "inf"), ("underflow", "1e-200", "0.0")]),
+    # the couplings' sum at bus 2 overflowed: two RuntimeWarnings, then the
+    # unlocated "the swing form's M^-1 Lk is not finite"
+    grid("grid-coupling-degree-overflow", "2.0e-7\n2 3 2.0e-7", "1.5e300\n2 3 1.5e300",
+         ":15: lines: edge 2 3 gives a coupling |V_i||V_j| b that makes the weighted degree of "
+         "an endpoint overflow"),
     grid("grid-disconnected", "2 3 2.0e-7\n", "", ": transmission network must be connected"),
     # 1/inertia overflowed in swing_to_lti: RuntimeWarnings, then "SVD did not converge"
     grid("grid-swing-form-overflow", "inertia = 2.0", "inertia = 1e-310",
@@ -294,6 +299,10 @@ FILE_REFUSALS = [
     scn("comm-reversed-duplicate", "2 3 0.5", "2 1 0.5",
         ":15: comm_edges: edge 2 1 duplicates an earlier edge"),
     scn("comm-self-loop", "2 3 0.5", "3 3 0.5", ":15: comm_edges: edge 3 3 is a self-loop"),
+    # the weights' sum at bus 2 overflowed: RuntimeWarnings, then a refusal that
+    # blamed the network file and the gains for (D + Kp) Lc
+    scn("comm-degree-overflow", "1 2 1.5\n2 3 0.5", "1 2 1e308\n2 3 1e308",
+        ":15: comm_edges: edge 2 3 makes the weighted degree of an endpoint overflow"),
     scn("disconnected-comm", "\n2 3 0.5", "",
         ":12: comm_topology = edges: the [comm_edges] graph must be connected"),
     *(scn(id, "4.0 3 -12.5", after, f":17: {rest}") for id, after, rest in [
