@@ -289,6 +289,7 @@ class Scenario(NamedTuple):
     output_every: float
     gamma_source: tuple = (None, 0)  # (file, line) of the gamma request; line 0 if defaulted
     kp_source: tuple = (None, 0)     # (file, line) of kp
+    step_source: tuple = (None, 0, "step_s")  # (file, line, name) of step; line 0 if defaulted
 
 
 def _gain_vector(path, lineno, value, n, what):
@@ -467,6 +468,7 @@ def load_scenario(path) -> Scenario:
         output_every=numbers.get("output_every_s", DEFAULT_OUTPUT_EVERY),
         gamma_source=(path, gamma_line),
         kp_source=(path, ctrl_kv["kp"][1]),
+        step_source=(path, meta.get("step_s", (None, 0))[1], "step_s"),
     )
 
 
@@ -570,7 +572,9 @@ def _power_stages(scn: Scenario):
 
 
 def analyze_scenario(scn: Scenario) -> AnalysisReport:
-    """Feasibility/stability/steady-state analysis without simulating."""
+    """Feasibility/stability/steady-state analysis without simulating.  The
+    loop is closed at the loads at rest; the prediction is the stationary
+    state at the injections of the run's last load stage."""
     net = scn.network.net
     ctrl, bound = _resolve_controller(scn)
 
@@ -643,7 +647,11 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
     """Simulate the scenario for scn.horizon seconds at step scn.step and
     check settling against the predicted target.
 
-    A shorter or finer run is run_scenario(scn._replace(horizon=..., step=...)).
+    A shorter or finer run is run_scenario(scn._replace(horizon=..., step=...));
+    a replaced step wants its own step_source, (None, 0, name) for a step
+    from outside a file.  A step that the RK4 check or the integrator
+    refuses is a ParseError at step_source.  Each load stage is the power
+    argument of close_loop on the one loaded network.
     The trace is written to csv_path (see write_trace_csv) when it is
     non-empty, and nowhere otherwise.  A run that crosses
     numerics.DIVERGENCE_LIMIT although the analysis calls the loop
@@ -655,13 +663,17 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
         _check_destination(csv_path)
 
     report = analyze_scenario(scn)
-    _check_step(report.stability, scn.step)
     ctrl = report.controller
-
     x0 = analysismod.stationary_state(net, ctrl)
     segments = [(t_start, sysmodel.close_loop(net, ctrl, scn.eta, power))
                 for t_start, power in _power_stages(scn)]
-    trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)
+    # the schedule and the loops are the scenario's own, so every refusal here is the step's
+    try:
+        _check_step(report.stability, scn.step)
+        trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)
+    except ValueError as exc:
+        path, lineno, what = scn.step_source
+        raise ParseError(path, lineno, f"{what}: {exc}") from exc
     loop = segments[0][1]
     if trace.diverged and report.stability.output_stable:
         raise ValueError(_range_error(trace, loop, scn.network.bus_ids))

@@ -206,9 +206,9 @@ CASES = [
              "comm_topology = edges\n[comm_edges]\n1 3 1\n3 5 5\n5 2 0.2\n2 4 1")),
     # the warning comes with the analysis report, so a refused run shows only its error
     Case("gamma-above-the-bound-refused-run", f"{RUN} --horizon 1", 2,
-         "error: step 0.002 s is outside the RK4 stability region: mode lambda = -7.85113e+10+0j "
-         "1/s has |R(h lambda)| = 2.53302e+31 >= 1; a step of 2.98023e-11 s passes\n",
-         edits=GAMMA_1E9),
+         "error: ring_share.scn:9: step_s: step 0.002 s is outside the RK4 stability region: mode "
+         "lambda = -7.85113e+10+0j 1/s has |R(h lambda)| = 2.53302e+31 >= 1; a step of "
+         "2.98023e-11 s passes\n", edits=GAMMA_1E9),
     # gamma Lc overflowed in the loop matrix: RuntimeWarnings, a LAPACK DLASCL
     # message on stdout, then an unlocated "SVD did not converge"
     *(Case(f"gamma-overflows-{argv.split()[0]}", argv, 2, "error: ring_share.scn:{line}: gamma = "
@@ -292,45 +292,55 @@ CASES = [
     # a run shorter than 1e-9 steps was dropped as rounding: "simulated 0 s in 1 steps"
     Case("horizon-below-the-rounding-band", f"simulate {RING} --horizon 1e-13 --output ''", 0,
          out=r".*\nsimulated 1e-13 s in 2 steps\n.*"),
+    # a refused step is named where it was set: the --step flag or the step_s
+    # line (line 9 of ring_share.scn); these messages named neither.
     # RK4 amplifies the ring's fastest decaying mode at 0.5 s: integrated
     # anyway, the run reached 7e16 Hz in 6 steps and ended as "not settled"
     Case("step-outside-the-stability-region", f"simulate {RING} --step 0.5 --output ''", 2,
-         "error: step 0.5 s is outside the RK4 stability region: mode lambda = -124.572+0j 1/s "
-         "has |R(h lambda)| = 588728 >= 1; a step of 0.015625 s passes\n"),
+         "error: --step: step 0.5 s is outside the RK4 stability region: mode lambda = -124.572+0j "
+         "1/s has |R(h lambda)| = 588728 >= 1; a step of 0.015625 s passes\n"),
     # R(h lambda) rounds to 1: the search for a passing step never returned
-    *(Case(f"step-rounds-to-one-{where}", argv, 2, "error: step 1e-16 s is too small for float64: "
-           "mode lambda = -0.119017+0j 1/s has |R(h lambda)| rounding to 1, so RK4 does not damp "
-           "that mode\n", edits=edits)
-      for where, argv, edits in [
-          ("flags", f"simulate {RING} --step 1e-16 --horizon 1e-12 --output ''", ()),
-          ("file", RUN, ring(r"^step_s = 0\.002$", "step_s = 1e-16"))]),
+    *(Case(f"step-rounds-to-one-{where}", argv, 2, f"error: {at}: step 1e-16 s is too small for "
+           "float64: mode lambda = -0.119017+0j 1/s has |R(h lambda)| rounding to 1, so RK4 does "
+           "not damp that mode\n", edits=edits)
+      for where, argv, at, edits in [
+          ("flags", f"simulate {RING} --step 1e-16 --horizon 1e-12 --output ''", "--step", ()),
+          ("file", RUN, "ring_share.scn:{line}: step_s",
+           ring(r"^step_s = 0\.002$", "step_s = 1e-16"))]),
+    Case("step-rounds-to-one-dist30", "simulate dist30_step.scn --output ''", 2,
+         "error: dist30_step.scn:{line}: step_s: step 1e-310 s is too small for float64: mode "
+         "lambda = -0.158158+0j 1/s has |R(h lambda)| rounding to 1, so RK4 does not damp that "
+         "mode\n", edits=(("dist30_step.scn", r"^step_s = 0\.005$", "step_s = 1e-310"),)),
     # |R| overflowed with a RuntimeWarning, and NaN >= 1 ended the halving early
-    Case("step-huge", f"{RUN} --horizon 5", 2, "error: step 1e+300 s is outside the RK4 "
-         "stability region: mode lambda = -0.119017+0j 1/s has |R(h lambda)| = inf >= 1; a step "
-         "of 0.0116658 s passes\n", edits=ring(r"^step_s = 0\.002$", "step_s = 1e300")),
+    *(Case(id, f"{RUN} --horizon 5", 2, f"error: ring_share.scn:{{line}}: step_s: step {shown} s is "
+           "outside the RK4 stability region: mode lambda = -0.119017+0j 1/s has |R(h lambda)| = "
+           f"inf >= 1; a step of {ok} s passes\n", edits=ring(r"^step_s = 0\.002$", f"step_s = {step}"))
+      for id, step, shown, ok in [("step-huge", "1e300", "1e+300", "0.0116658"),
+                                  ("step-huge-1e308", "1e308", "1e+308", "0.0173834")]),
     Case("step-huge-suggestion-passes", f"{RUN} --horizon 5 --step 0.0116658", 1,
          edits=ring(r"^step_s = 0\.002$", "step_s = 1e300")),
-    Case("kp-huge-mode", f"{RUN} --horizon 5", 2, "error: step 0.002 s is outside the RK4 "
-         "stability region: mode lambda = -1e+199+0j 1/s has |R(h lambda)| = inf >= 1; a step "
-         "of 1.33777e-200 s passes\n", edits=ring(r"^kp = 100\.0$", "kp = 1e200")),
-    *(Case(f"step-count-overflows-{where}", argv, 2, "error: step 1e-10 s: a segment of 1e+300 "
-           "s takes a non-finite number of steps\n", edits=edits)
-      for where, argv, edits in [
-          ("flags", f"simulate {RING} --step 1e-10 --horizon 1e300 --output ''", ()),
-          ("file", RUN, ring(r"^step_s = 0\.002$", "step_s = 1e-10")
-           + ring(r"^horizon_s = 200\.0$", "horizon_s = 1e300"))]),
+    Case("kp-huge-mode", f"{RUN} --horizon 5", 2, "error: ring_share.scn:9: step_s: step 0.002 s "
+         "is outside the RK4 stability region: mode lambda = -1e+199+0j 1/s has |R(h lambda)| = "
+         "inf >= 1; a step of 1.33777e-200 s passes\n", edits=ring(r"^kp = 100\.0$", "kp = 1e200")),
+    *(Case(f"step-count-overflows-{where}", argv, 2, f"error: {at}: step 1e-10 s: a segment of "
+           "1e+300 s takes a non-finite number of steps\n", edits=edits)
+      for where, argv, at, edits in [
+          ("flags", f"simulate {RING} --step 1e-10 --horizon 1e300 --output ''", "--step", ()),
+          ("file", RUN, "ring_share.scn:{line}: step_s", ring(r"^horizon_s = 200\.0$", "horizon_s = 1e300")
+           + ring(r"^step_s = 0\.002$", "step_s = 1e-10"))]),
     # 2e14 steps of a 15-state loop is 21.3 PiB, beyond any address space
     Case("trace-too-large", f"simulate {RING} --step 1e-12 --output ''", 2,
-         "error: step 1e-12 s: a trace of 2e+14 rows of 15 states cannot be allocated\n"),
+         "error: --step: step 1e-12 s: a trace of 2e+14 rows of 15 states cannot be allocated\n"),
     # 1e300 rows is beyond numpy's dimension limit, so no memory is asked for;
     # numpy's bare "Maximum allowed dimension exceeded" named neither the step nor the run
     Case("trace-beyond-the-dimension-limit",
          f"simulate {RING} --step 1e-10 --horizon 1e290 --output ''", 2,
-         "error: step 1e-10 s: a trace of 1e+300 rows of 15 states cannot be allocated\n"),
+         "error: --step: step 1e-10 s: a trace of 1e+300 rows of 15 states cannot be allocated\n"),
     # the P kind skips gamma_bar, so the couplings reach the integrator: the
     # step map overflowed with four RuntimeWarnings, and the run printed NaN
     # frequencies after 2 steps with exit 1
-    Case("step-map-not-finite", RUN, 2, "error: step 0.002 s: the RK4 step map is not finite\n",
+    Case("step-map-not-finite", RUN, 2, "error: ring_share.scn:9: step_s: step 0.002 s: the RK4 "
+         "step map is not finite\n",
          edits=ring(r"^kind = dist_pi\n(.+\n){3}comm_topology = same-as-grid$",
                     "kind = p\nkp = 100.0") + COUPLING_1E150),
     # the loop passes the analysis, output stable; its run ended as

@@ -728,12 +728,13 @@ def test_step_outside_the_rk4_stability_region_is_refused():
     # at 0.5 s RK4 amplifies the ring's fastest decaying mode; integrated
     # anyway, the run reached 7e16 Hz in 6 steps and ended as "not settled";
     # the command's exit and message are test_cli.py's
-    # step-outside-the-stability-region row
+    # step-outside-the-stability-region row; the refusal names step_source
     scn = load_scenario(bundled("ring_share.scn"))
-    with pytest.raises(ValueError, match="outside the RK4 stability region") as err:
-        run_scenario(scn._replace(step=0.5), csv_path="")
-    assert ("mode lambda = -124.572+0j 1/s has |R(h lambda)| = 588728 >= 1; "
-            "a step of 0.015625 s passes") in str(err.value)
+    with pytest.raises(ParseError) as err:
+        run_scenario(scn._replace(step=0.5, step_source=(None, 0, "step")), csv_path="")
+    assert str(err.value) == ("step: step 0.5 s is outside the RK4 stability region: mode lambda "
+                              "= -124.572+0j 1/s has |R(h lambda)| = 588728 >= 1; a step of "
+                              "0.015625 s passes")
     # the suggested step is the largest halving that passes ...
     with pytest.raises(ValueError, match="outside the RK4 stability region"):
         run_scenario(scn._replace(step=0.03125), csv_path="")
@@ -803,9 +804,9 @@ def test_cli_refused_run_leaves_no_directory_behind(tmp_path, monkeypatch, capsy
                      "--output", "newdir/sub/t.csv"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == ("error: step 0.5 s is outside the RK4 stability region: mode lambda = "
-                            "-124.572+0j 1/s has |R(h lambda)| = 588728 >= 1; a step of 0.015625 s "
-                            "passes\n")
+    assert captured.err == ("error: --step: step 0.5 s is outside the RK4 stability region: mode "
+                            "lambda = -124.572+0j 1/s has |R(h lambda)| = 588728 >= 1; a step of "
+                            "0.015625 s passes\n")
     assert list(tmp_path.iterdir()) == []
 
 
