@@ -1,6 +1,5 @@
 """The fixed-step integrator."""
 
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -149,7 +148,7 @@ def loop_runs():
     net = two_bus_network(power=(20.0, -20.0))
     ctrl = random_dist_controller(rng, net, gamma=0.3)
     before = close_loop(net, ctrl)
-    after = close_loop(replace(net, power=[220.0, -20.0]), ctrl)
+    after = close_loop(net, ctrl, power=[220.0, -20.0])
     yield Run("load-step", before.system_matrix, rng.normal(size=before.dim),
               [(0.0, before.forcing_dev), (1.0, after.forcing_dev)], 2.0, 0.005, rows=401,
               exact=(1e-8, 1e-8))
