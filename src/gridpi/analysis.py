@@ -2,10 +2,11 @@
 
 Three independent tools:
 
-* a rank test on the augmented matrix [[A, B K_i], [C, 0]], in any units,
-  that decides whether integral action with diagonal gains can place an
-  equilibrium at all (for the swing model it is always rank deficient by
-  exactly the number of buses, so per-bus integrators alone cannot work);
+* a rank test on the plant's [[A, B], [C, 0]], in any units and at any
+  positive integral gains, that decides whether integral action with
+  diagonal gains can place an equilibrium at all (for the swing model it
+  is always rank deficient by exactly the number of buses, so per-bus
+  integrators alone cannot work);
 
 * an eigenvalue check of the closed loop that tolerates marginal modes as
   long as they are unobservable from the output (the uniform-angle mode is
@@ -62,20 +63,21 @@ class XiRankResult(NamedTuple):
         return self.rank == self.dim
 
 
-def xi_rank_test(a, b, c, ki) -> XiRankResult:
+def xi_rank_test(a, b, c) -> XiRankResult:
     """Solvability test for equilibria under integral feedback.
 
-    Builds [[A, B K_i], [C, 0]] from the plant x' = A x + B u, y = C x
-    (A n x n, B n x m, C m x n with n + m > 0; for the swing model,
+    Builds [[A, B], [C, 0]] from the plant x' = A x + B u, y = C x (A n x n,
+    B n x m, C m x n with n + m > 0; for the swing model,
     sysmodel.swing_to_lti) and reports its numerical rank: the number of
     singular values above RANK_REL_TOL times the largest once each row and
     then each column, twice over, is scaled by the power of two that brings
     its largest magnitude into [1/2, 1).  Such scalings are exact unless an
     entry underflows and keep the rank, so the answer does not depend on the
-    units of the plant or the gains.  Full rank is necessary for any
-    stabilizing diagonal-integral design; a deficiency means no choice of
-    the remaining gains can create the required equilibrium for generic
-    references and disturbances.
+    units.  The paper's [[A, B K_i], [C, 0]] is this matrix times the
+    invertible diag(I, K_i), so every positive K_i gives the same rank
+    (Davison's servo condition).  Full rank is necessary for any stabilizing
+    diagonal-integral design; a deficiency means no gains can create the
+    required equilibrium for generic references and disturbances.
     """
     a, b, c = (np.array(m, dtype=float, ndmin=2) for m in (a, b, c))
     n, m = a.shape[0], c.shape[0]
@@ -84,12 +86,7 @@ def xi_rank_test(a, b, c, ki) -> XiRankResult:
                          f"{b.shape} and {c.shape}")
     if n + m == 0:
         raise ValueError("a plant with no state and no output has no test matrix")
-    ki = np.atleast_1d(np.asarray(ki, dtype=float))
-    if ki.shape != (m,):
-        raise ValueError(f"ki must have one entry per output, got shape {ki.shape}")
-    if not np.all(ki > 0.0):
-        raise ValueError("integral gains must be strictly positive")
-    xi = np.block([[a, b * ki], [c, np.zeros((m, m))]])
+    xi = np.block([[a, b], [c, np.zeros((m, m))]])
     # ldexp, not 2.0**k, which overflows for the exponent of a subnormal entry
     for _ in range(2):
         xi = np.ldexp(xi, -np.frexp(np.max(np.abs(xi), axis=1))[1][:, None])

@@ -101,8 +101,8 @@ def _cmd_analyze(args):
 def _cmd_rank_test(args):
     loaded = scenariomod.load_network(args.network)
     n = loaded.net.n_buses
-    ki = scenariomod._gain_vector(None, 0, args.ki, n, "--ki")
-    result = analysismod.xi_rank_test(*sysmodel.swing_to_lti(loaded.net), ki)
+    scenariomod._gain_vector(None, 0, args.ki, n, "--ki")  # checked, though no gain moves the rank
+    result = analysismod.xi_rank_test(*sysmodel.swing_to_lti(loaded.net))
     print(f"network: {args.network} ({n} buses)")
     print(f"matrix size: {result.dim} x {result.dim}")
     print(f"rank: {result.rank} (deficiency {result.deficiency})")

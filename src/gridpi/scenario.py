@@ -580,7 +580,7 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
 
     rank = None
     if ctrl.kind == ctrlmod.DEC_PI:  # eta and the loads enter only the forcing, not a, b or c
-        rank = analysismod.xi_rank_test(*sysmodel.swing_to_lti(net), ctrl.ki)
+        rank = analysismod.xi_rank_test(*sysmodel.swing_to_lti(net))
 
     loop = sysmodel.close_loop(net, ctrl, scn.eta)
     stability = analysismod.output_stability_check(loop)

@@ -123,8 +123,8 @@ def swing_loop(net, ctrl, eta, power=None):
 
 def swing_rank(net):
     """The rank test's answer for any swing form, in any units: the delta' =
-    w rows equal the y = w rows and M^-1 Ki is invertible, so the 3n x 3n
-    test matrix has rank exactly 2n, deficiency n."""
+    w rows equal the y = w rows and M^-1 is invertible, so the 3n x 3n
+    test matrix has rank exactly 2n, deficiency n, whatever Lk and D."""
     n = net.n_buses
     return gridpi.XiRankResult(dim=3 * n, rank=2 * n)
 

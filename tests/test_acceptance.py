@@ -49,7 +49,7 @@ def test_criterion_1_rank_deficiency_on_all_bundled_networks(report):
     for name in ("net2.grid", "net5ring.grid", "net30.grid"):
         net = load_network(bundled(name)).net
         start = time.perf_counter()
-        result = xi_rank_test(*swing_to_lti(net), ki=np.full(net.n_buses, 1.7))
+        result = xi_rank_test(*swing_to_lti(net))
         worst_elapsed = max(worst_elapsed, time.perf_counter() - start)
         deficiencies[name] = (result.deficiency, net.n_buses)
     ok = all(d == n for d, n in deficiencies.values()) and worst_elapsed < 1.0

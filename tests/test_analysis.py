@@ -29,7 +29,7 @@ from support import (bundled, closed_form_split, random_dist_controller, random_
 
 def test_rank_test_passes_on_a_well_posed_scalar_system():
     # x' = -x + u, y = x
-    result = xi_rank_test([[-1.0]], [[1.0]], [[1.0]], ki=[2.0])
+    result = xi_rank_test([[-1.0]], [[1.0]], [[1.0]])
     assert result.dim == 2
     assert result.rank == 2
     assert result.deficiency == 0
@@ -39,7 +39,7 @@ def test_rank_test_passes_on_a_well_posed_scalar_system():
 def _rank_of(a):
     """xi_rank_test on x' = a x with no input and no output: its test matrix is a itself."""
     n = len(a)
-    return xi_rank_test(a, np.zeros((n, 0)), np.zeros((0, n)), ki=[]).rank
+    return xi_rank_test(a, np.zeros((n, 0)), np.zeros((0, n))).rank
 
 
 def test_rank_basics():
@@ -71,25 +71,26 @@ def test_rank_test_sees_swing_degeneracy():
     for _ in range(10):
         net = random_network(rng)
         n = net.n_buses
-        result = xi_rank_test(*swing_to_lti(net), ki=rng.uniform(0.5, 5.0, n))
+        result = xi_rank_test(*swing_to_lti(net))
         assert result == swing_rank(net)
         assert not result.full_rank
     # the unit pair under decentralized PI, output stable (row dec_pi-unit-pair)
-    assert xi_rank_test(*swing_to_lti(two_bus_network()), np.ones(2)).deficiency == 2
+    assert xi_rank_test(*swing_to_lti(two_bus_network())).deficiency == 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), exps=st.tuples(*[st.integers(-250, 250)] * 4))
-def test_rank_test_answers_the_same_in_any_units(seed, exps):
-    # power-of-two unit changes of inertia, damping, voltage and ki; voltage
-    # enters Lk squared, so half its exponent keeps every product of the form normal
-    rng = np.random.default_rng(seed)
-    m, d, v, k = exps
-    net = random_network(rng)
-    net = replace(net, inertia=np.ldexp(net.inertia, m), damping=np.ldexp(net.damping, d),
-                  voltage=np.ldexp(net.voltage, v // 2))
-    ki = np.ldexp(rng.uniform(0.5, 5.0, net.n_buses), k)
-    assert xi_rank_test(*swing_to_lti(net), ki) == swing_rank(net)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(-1010, 1022), d=st.integers(-1074, 1010),
+       v=st.integers(-520, 510))
+def test_rank_test_answers_the_same_in_any_units(seed, m, d, v):
+    # power-of-two unit changes of inertia, damping and voltage out to the ends
+    # of the float range, where M^-1, M^-1 D and M^-1 Lk may be subnormal or 0
+    net = random_network(np.random.default_rng(seed))
+    try:
+        net = replace(net, inertia=np.ldexp(net.inertia, m), damping=np.ldexp(net.damping, d),
+                      voltage=np.ldexp(net.voltage, v))
+    except ValueError:  # units in which the network or its swing form is not finite
+        assume(False)
+    assert xi_rank_test(*swing_to_lti(net)) == swing_rank(net)
 
 
 # ---------------------------------------------------------------------------

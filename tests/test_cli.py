@@ -76,6 +76,8 @@ UNEQUAL2 = (("unequal2.grid", None, "schema = 1\n[defaults]\nvoltage_kv = 1.0\n[
              "1 inertia=19.8334194 damping=0.00704343\n2 inertia=0.24347019 damping=0.0015217\n"
              "[lines]\n1 2 1.5623229377059443e-05\n"),)
 UNEQUAL2_GAINS = "--kp 2.62109904,3.22225286 --ki 3.0663319,411.3702417"
+# net5ring.grid at a twentieth of its inertia: M^-1 = 2, so gains near 1e308 overflow in the loop
+LIGHT = (("net5ring.grid", r"^inertia = 10\.0$", "inertia = 0.5"),)
 BUS3 = (("bus3.grid", None, "schema = 1\n[defaults]\ninertia = 2.0\ndamping = 0.5\n"
          "voltage_kv = 10.0\n[buses]\n1\n2\n3\n[lines]\n1 2 2.0e-7\n2 3 2.0e-7\n"),)
 
@@ -97,13 +99,20 @@ CASES = [
          out=r"network: {data}/net2\.grid \(2 buses\)\nmatrix size: 6 x 6\n"
              r"rank: 4 \(deficiency 2\)\nintegral action feasible: no\n"),
     Case("rank-test-net30", "rank-test {data}/net30.grid --ki 1", 1),
-    # the units decided the rank: both printed "rank: 5 (deficiency 10)"
+    # no positive gain moves the rank: M^-1 Ki = 1e-325 underflowed to 0 and
+    # printed "rank: 59 (deficiency 31)"
+    Case("rank-test-ki-underflows", "rank-test {data}/net30.grid --ki 1e-320", 1,
+         out=r".*\nrank: 60 \(deficiency 30\)\n.*"),
+    # the units decided the rank: the first two printed "rank: 5 (deficiency
+    # 10)"; at inertia 0.5, M^-1 Ki overflowed with a RuntimeWarning and two
+    # LAPACK DLASCL lines, then "rank: 0 (deficiency 15)"
     *(Case(id, f"rank-test net5ring.grid --ki {ki}", 1, out=r".*\nrank: 10 \(deficiency 5\)\n.*",
            edits=edits)
       for id, ki, edits in [
           ("rank-test-ki-huge", "1e308", ()),
           ("rank-test-inertia-tiny", "1", (("net5ring.grid", r"^inertia = 10\.0$",
-                                             "inertia = 1e-300"),))]),
+                                             "inertia = 1e-300"),)),
+          ("rank-test-ki-overflows", "1e308", LIGHT)]),
     Case("gamma-bound-net2", f"gamma-bound {NET2} --kp 1.0 --ki 1.0", 0,
          out=r"network: {data}/net2\.grid \(2 buses\)\ngamma_bar = 0\.5\n"
              r"  alpha = 0  beta = 0  sigma = 4\n  kappa1 = 1  kappa2 = 2\n"),
