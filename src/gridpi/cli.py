@@ -119,6 +119,7 @@ def _cmd_gamma_bound(args):
                                   comm=loaded.net.coupling)
     bound = scenariomod.network_gamma_bar(loaded, ctrl, (None, 0, "--kp"))
     if args.spectral:  # before the first line, so that a refusal prints nothing
+        scenariomod._check_loop_gains(loaded, kp, (None, 0, "--kp"), ki, (None, 0, "--ki"))
         try:
             gamma_star = analysismod.gamma_star_search(loaded.net, ctrl)
         except ValueError as exc:

@@ -308,6 +308,22 @@ def _gain_vector(path, lineno, value, n, what):
     return values
 
 
+def _check_loop_gains(loaded, kp, kp_source, ki=None, ki_source=None):
+    """Refuse kp or ki at its source = (file, line, name) when it makes a
+    bus's block of the closed loop non-finite: M^-1 D + M^-1 Kp or M^-1 Ki,
+    computed as close_loop computes them."""
+    minv = 1.0 / loaded.net.inertia
+    with np.errstate(over="ignore"):  # refused below, unwarned
+        blocks = [("M^-1 (D + Kp)", minv * loaded.net.damping + minv * kp, kp_source)]
+        if ki is not None:
+            blocks.append(("M^-1 Ki", minv * ki, ki_source))
+    for block, values, (path, lineno, what) in blocks:
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ParseError(path, lineno, f"{what}: this gain makes the closed loop's {block} "
+                             f"of bus {loaded.bus_ids[int(np.argmax(bad))]} non-finite")
+
+
 _SCENARIO_KEYS = ("network", "horizon_s", "step_s", "settle_tol_hz", "output_every_s")
 _CONTROLLER_KEYS = ("kind", "kp", "ki", "cost_coeffs", "gamma", "comm_topology")
 
@@ -377,6 +393,9 @@ def load_scenario(path) -> Scenario:
             ki = 1.0 / cost
         else:
             raise ParseError(path, 0, f"{kind} controller needs ki or cost_coeffs")
+    ki_key = "ki" if "ki" in ctrl_kv else "cost_coeffs"  # the key that set ki (ki is None for P)
+    _check_loop_gains(loaded, kp, (path, ctrl_kv["kp"][1], "kp"),
+                      ki, (path, ctrl_kv.get(ki_key, (None, 0))[1], ki_key))
 
     gamma_request = None
     comm = None

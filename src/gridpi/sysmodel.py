@@ -169,8 +169,9 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
     measurement offsets, zero by default), the law u = -Kp y + Ki z is the
     affine map u = [-Kp c, Ki] [x; z] - Kp eta (no Ki block for P); it
     enters the plant rows as x' = a x + b u + d, with the forcing d = [0;
-    M^-1 (p - D omega_ref)], refused unless finite.  The integrator rows
-    are z' = -y (DEC_PI) or z' = -y - gamma L_c z (DIST_PI).
+    M^-1 (p - D omega_ref)]; the forcing and the gain blocks M^-1 (D + Kp)
+    and M^-1 Ki are refused unless finite.  The integrator rows are
+    z' = -y (DEC_PI) or z' = -y - gamma L_c z (DIST_PI).
     """
     n = net.n_buses
     if ctrl.n_nodes != n:
@@ -197,11 +198,14 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
         forcing[zs] = -eta
         layout["z"] = zs
     e[:xs, :xs] = a
-    e[:xs] += b @ gain
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
+        e[:xs] += b @ gain
         forcing[n:xs] = _swing_forcing(net.inertia, power, net.damping, net.omega_ref)
-    if not np.isfinite(forcing[n:xs]).all():
-        raise ValueError("the swing form's M^-1 (p - D omega_ref) is not finite")
+    for name, block in (("closed loop's M^-1 (D + Kp)", e[n:xs, n:xs]),
+                        ("closed loop's M^-1 Ki", e[n:xs, xs:]),
+                        ("swing form's M^-1 (p - D omega_ref)", forcing[n:xs])):
+        if not np.isfinite(block).all():
+            raise ValueError(f"the {name} is not finite")
     forcing[:xs] += b @ offset
     return ClosedLoop(system_matrix=e, forcing_dev=forcing,
                       output_selector=np.pad(c, ((0, 0), (0, dim - xs))),

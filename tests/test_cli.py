@@ -267,6 +267,23 @@ CASES = [
       for suffix, argv, grid in [("", "gamma-bound net5ring.grid --kp 1 --ki 1", "net5ring.grid"),
                                  ("-analyze", "analyze ring_share.scn", "{tmp}/net5ring.grid"),
                                  ("-simulate", RUN, "{tmp}/net5ring.grid")]),
+    # gains whose blocks of the closed loop overflow at inertia 0.5: RuntimeWarnings,
+    # LAPACK's DLASCL lines, then "error: SVD did not converge" with no location
+    # ("error: net5ring.grid: SVD did not converge" from gamma-bound)
+    *(Case(f"loop-gain-overflows-{kind}-{command}", argv, 2,
+           f"error: ring_share.scn:{{line}}: {key}: this gain makes the closed loop's {block} of "
+           "bus 1 non-finite\n", edits=LIGHT + ring(r"^kind = dist_pi\n(.+\n){3}comm_topology = "
+                                                    r"same-as-grid$", controller))
+      for kind, key, block, controller in [
+          ("dec_pi", "ki", "M^-1 Ki", "kind = dec_pi\nkp = 100.0\nki = 1e308"),
+          ("p", "kp", "M^-1 (D + Kp)", "kind = p\nkp = 1e308")]
+      for command, argv in [("analyze", "analyze ring_share.scn"), ("simulate", RUN)]),
+    Case("loop-gain-overflows-spectral", "gamma-bound net5ring.grid --kp 1 --ki 1e308 --spectral",
+         2, "error: --ki: this gain makes the closed loop's M^-1 Ki of bus 1 non-finite\n",
+         edits=LIGHT),
+    # without --spectral no loop is closed, so the bound stands
+    Case("loop-gain-overflows-bound-only", "gamma-bound net5ring.grid --kp 1 --ki 1e308", 0,
+         out=r".*\ngamma_bar = 1\.63189876e\+16\n.*", edits=LIGHT),
     # an error inside the network file that a scenario names is reported at
     # its own file and line, not at the scenario's network line
     Case("network-file-error-analyze", "analyze ring_share.scn", 2,

@@ -129,6 +129,15 @@ REFUSALS = [
     Refusal("loop-stage-forcing-overflows",
             lambda: close_loop(replace(NET, inertia=[1e-10, 1.0]), DEC, power=[1e300, 0.0]),
             ValueError, "the swing form's M^-1 (p - D omega_ref) is not finite"),
+    # at inertia 0.5 the gain blocks overflowed with a RuntimeWarning, and
+    # the check after them ended in "SVD did not converge"
+    Refusal("loop-kp-block-overflows",
+            lambda: close_loop(replace(NET, inertia=[0.5, 1.0]),
+                               ControllerSpec(kind=P, kp=np.full(2, 1e308))),
+            ValueError, "the closed loop's M^-1 (D + Kp) is not finite"),
+    Refusal("loop-ki-block-overflows",
+            lambda: close_loop(replace(NET, inertia=[1.0, 0.5]), replace(DEC, ki=[1.0, 1e308])),
+            ValueError, "the closed loop's M^-1 Ki is not finite"),
     Refusal("schedule-empty", lambda: simulate_schedule([], 1.0), ValueError,
             "schedule needs at least one segment"),
     Refusal("schedule-late-start", lambda: simulate_schedule([(0.5, loop())], 1.0), ValueError,

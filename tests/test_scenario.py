@@ -276,6 +276,14 @@ FILE_REFUSALS = [
     # a cost whose reciprocal gain overflows, quoted as the reciprocal it takes
     scn("cost-reciprocal-overflow", "ki = 4.0", "cost_coeffs = 0.25 1e-320 0.25",
         ":10: cost_coeffs: 1/1e-320 is not finite"),
+    # a gain whose block of the closed loop overflows at bus 3 (inertia 0.5): a
+    # RuntimeWarning, LAPACK's DLASCL lines and the unlocated "SVD did not converge"
+    *(scn(f"{key}-loop-block-overflow", before, after, f":{line}: {key}: this gain makes the "
+          f"closed loop's {block} of bus 3 non-finite", grid_edit=("3 inertia=4.0", "3 inertia=0.5"))
+      for key, before, after, line, block in [
+          ("kp", "kp = 1.0 2.0 3.0", "kp = 1.0 2.0 1e308", 9, "M^-1 (D + Kp)"),
+          ("ki", "ki = 4.0", "ki = 4.0 4.0 1e308", 10, "M^-1 Ki"),
+          ("cost_coeffs", "ki = 4.0", "cost_coeffs = 0.25 0.25 1e-308", 10, "M^-1 Ki")]),
     scn("no-ki", "ki = 4.0\n", "", ": dist_pi controller needs ki or cost_coeffs"),
     scn("ki-and-cost", "ki = 4.0", "ki = 4.0\ncost_coeffs = 0.25",
         ":11: give either ki or cost_coeffs, not both"),
