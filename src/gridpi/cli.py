@@ -75,8 +75,8 @@ def _cmd_simulate(args):
     if args.horizon is not None:
         scn = scn._replace(horizon=scenariomod._positive(None, 0, args.horizon, "--horizon"))
     if args.step is not None:
-        scn = scn._replace(step=scenariomod._positive(None, 0, args.step, "--step"),
-                           step_source=(None, 0, "--step"))
+        step = scenariomod._positive(None, 0, args.step, "--step")
+        scn = scn._replace(step=step, step_source=(None, 0, "--step", step))
     result = scenariomod.run_scenario(scn, csv_path=args.output)
     _print_analysis(result.analysis)
     trace = result.trace

@@ -287,9 +287,12 @@ class Scenario(NamedTuple):
     step: float
     settle_tol_hz: float
     output_every: float
-    gamma_source: tuple = (None, 0)  # (file, line) of the gamma request; line 0 if defaulted
-    kp_source: tuple = (None, 0)     # (file, line) of kp
-    step_source: tuple = (None, 0, "step_s")  # (file, line, name) of step; line 0 if defaulted
+    # (file, line, name, value): where gamma_request, kp or step was set (line 0 if
+    # defaulted) and the value set there; a refusal names that place only while the
+    # setting still holds that value, so a _replace'd one is refused unlocated
+    gamma_source: tuple = (None, 0, "gamma", None)
+    kp_source: tuple = (None, 0, "kp", None)
+    step_source: tuple = (None, 0, "step_s", None)
 
 
 def _gain_vector(path, lineno, value, n, what):
@@ -471,6 +474,7 @@ def load_scenario(path) -> Scenario:
             raise ParseError(path, lineno, f"eta_hz: |{tokens[1]}| Hz is not below the nominal "
                              f"frequency {loaded.net.omega_ref / TWO_PI:g} Hz")
 
+    step = numbers.get("step_s", sysmodel.DEFAULT_STEP)
     return Scenario(
         network=loaded,
         kind=kind,
@@ -482,12 +486,12 @@ def load_scenario(path) -> Scenario:
         schedule=tuple(ev[:3] for ev in events),
         eta=eta,
         horizon=horizon,
-        step=numbers.get("step_s", sysmodel.DEFAULT_STEP),
+        step=step,
         settle_tol_hz=numbers.get("settle_tol_hz", DEFAULT_SETTLE_TOL),
         output_every=numbers.get("output_every_s", DEFAULT_OUTPUT_EVERY),
-        gamma_source=(path, gamma_line),
-        kp_source=(path, ctrl_kv["kp"][1]),
-        step_source=(path, meta.get("step_s", (None, 0))[1], "step_s"),
+        gamma_source=(path, gamma_line, "gamma", gamma_request),
+        kp_source=(path, ctrl_kv["kp"][1], "kp", kp),
+        step_source=(path, meta.get("step_s", (None, 0))[1], "step_s", step),
     )
 
 
@@ -552,24 +556,28 @@ def _resolve_controller(scn: Scenario):
                                   cost=scn.cost)
     if ctrl.kind != ctrlmod.DIST_PI:
         return ctrl, None
+    path, lineno, _, request = scn.gamma_source
+    gamma_at = (path, lineno) if request == scn.gamma_request else (None, 0)
+    path, lineno, name, kp = scn.kp_source
+    kp_at = (path, lineno, name) if np.array_equal(kp, scn.kp) else (None, 0, name)
     try:
-        bound = network_gamma_bar(scn.network, ctrl, (*scn.kp_source, "kp"))
+        bound = network_gamma_bar(scn.network, ctrl, kp_at)
     except ParseError:
         raise
     except ValueError as exc:  # the precondition on x^T Lk Lc x
         if scn.gamma_request == "auto":
-            raise ParseError(*scn.gamma_source, f"gamma = auto: {exc}") from exc
+            raise ParseError(*gamma_at, f"gamma = auto: {exc}") from exc
         bound = None
     if scn.gamma_request == "auto":
         gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
         if not gamma > 0.0:
-            raise ParseError(*scn.gamma_source, f"gamma = auto: gamma_bar = "
+            raise ParseError(*gamma_at, f"gamma = auto: gamma_bar = "
                              f"{bound.gamma_bar:.6g} certifies no positive gamma")
     else:
         gamma = float(scn.gamma_request)
     with np.errstate(over="ignore"):  # an infinite entry of the loop matrix breaks LAPACK
         if not np.isfinite(gamma * scn.comm.laplacian).all():
-            raise ParseError(*scn.gamma_source, f"gamma = {gamma:g}: the product gamma Lc "
+            raise ParseError(*gamma_at, f"gamma = {gamma:g}: the product gamma Lc "
                              "overflows; the averaging gain is too large for the communication "
                              "weights")
     return replace(ctrl, gamma=gamma), bound
@@ -666,11 +674,11 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
     """Simulate the scenario for scn.horizon seconds at step scn.step and
     check settling against the predicted target.
 
-    A shorter or finer run is run_scenario(scn._replace(horizon=..., step=...));
-    a replaced step wants its own step_source, (None, 0, name) for a step
-    from outside a file.  A step that the RK4 check or the integrator
-    refuses is a ParseError at step_source.  Each load stage is the power
-    argument of close_loop on the one loaded network.
+    A shorter or finer run is run_scenario(scn._replace(horizon=..., step=...)).
+    A step that the RK4 check or the integrator refuses is a ParseError at
+    step_source while scn.step is the value set there, and a bare
+    ValueError for a replaced step.  Each load stage is the power argument
+    of close_loop on the one loaded network.
     The trace is written to csv_path (see write_trace_csv) when it is
     non-empty, and nowhere otherwise.  A run that crosses
     numerics.DIVERGENCE_LIMIT although the analysis calls the loop
@@ -691,7 +699,9 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
         _check_step(report.stability, scn.step)
         trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)
     except ValueError as exc:
-        path, lineno, what = scn.step_source
+        path, lineno, what, step = scn.step_source
+        if step != scn.step:  # no file line or flag set this step
+            raise
         raise ParseError(path, lineno, f"{what}: {exc}") from exc
     loop = segments[0][1]
     if trace.diverged and report.stability.output_stable:

@@ -732,17 +732,36 @@ def test_output_unstable_run_that_diverges_is_not_settled(tmp_path, monkeypatch,
     assert out.endswith("settled: no\n")
 
 
+# a setting replaced after loading is refused with no location: these named
+# the line that set the old value ("ring_share.scn:9: step_s: step 0.5 s is
+# ...", "dist30_step.scn:17: gamma = 1e+308: ...", "ring_share.scn:15: kp: ...")
+@pytest.mark.parametrize("name, replaced, run, error, message", [
+    ("ring_share.scn", {"step": 0.5}, run_scenario, ValueError,
+     "step 0.5 s is outside the RK4 stability region: mode lambda = -124.572+0j 1/s has "
+     "|R(h lambda)| = 588728 >= 1; a step of 0.015625 s passes"),
+    ("dist30_step.scn", {"gamma_request": 1e308}, gridpi.analyze_scenario, ParseError,
+     "gamma = 1e+308: the product gamma Lc overflows; the averaging gain is too large for the "
+     "communication weights"),
+    ("ring_share.scn", {"kp": np.full(5, 1e308)}, gridpi.analyze_scenario, ParseError,
+     "kp: the product (D + Kp) Lc overflows; the damping and proportional gains are too large "
+     "for the averaging-gain bound")], ids=["step", "gamma", "kp"])
+def test_replaced_setting_is_refused_unlocated(name, replaced, run, error, message):
+    with pytest.raises(ValueError) as err:
+        run(load_scenario(bundled(name))._replace(**replaced))
+    assert (err.type, str(err.value)) == (error, message)
+
+
 def test_step_outside_the_rk4_stability_region_is_refused():
     # at 0.5 s RK4 amplifies the ring's fastest decaying mode; integrated
     # anyway, the run reached 7e16 Hz in 6 steps and ended as "not settled";
     # the command's exit and message are test_cli.py's
-    # step-outside-the-stability-region row; the refusal names step_source
+    # step-outside-the-stability-region row; a replaced step is refused unlocated
     scn = load_scenario(bundled("ring_share.scn"))
-    with pytest.raises(ParseError) as err:
-        run_scenario(scn._replace(step=0.5, step_source=(None, 0, "step")), csv_path="")
-    assert str(err.value) == ("step: step 0.5 s is outside the RK4 stability region: mode lambda "
-                              "= -124.572+0j 1/s has |R(h lambda)| = 588728 >= 1; a step of "
-                              "0.015625 s passes")
+    with pytest.raises(ValueError) as err:
+        run_scenario(scn._replace(step=0.5), csv_path="")
+    assert (err.type, str(err.value)) == (
+        ValueError, "step 0.5 s is outside the RK4 stability region: mode lambda = -124.572+0j "
+        "1/s has |R(h lambda)| = 588728 >= 1; a step of 0.015625 s passes")
     # the suggested step is the largest halving that passes ...
     with pytest.raises(ValueError, match="outside the RK4 stability region"):
         run_scenario(scn._replace(step=0.03125), csv_path="")
