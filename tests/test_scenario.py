@@ -755,13 +755,9 @@ def test_step_outside_the_rk4_stability_region_is_refused():
     # at 0.5 s RK4 amplifies the ring's fastest decaying mode; integrated
     # anyway, the run reached 7e16 Hz in 6 steps and ended as "not settled";
     # the command's exit and message are test_cli.py's
-    # step-outside-the-stability-region row; a replaced step is refused unlocated
+    # step-outside-the-stability-region row, the library's refusal the step row
+    # of test_replaced_setting_is_refused_unlocated
     scn = load_scenario(bundled("ring_share.scn"))
-    with pytest.raises(ValueError) as err:
-        run_scenario(scn._replace(step=0.5), csv_path="")
-    assert (err.type, str(err.value)) == (
-        ValueError, "step 0.5 s is outside the RK4 stability region: mode lambda = -124.572+0j "
-        "1/s has |R(h lambda)| = 588728 >= 1; a step of 0.015625 s passes")
     # the suggested step is the largest halving that passes ...
     with pytest.raises(ValueError, match="outside the RK4 stability region"):
         run_scenario(scn._replace(step=0.03125), csv_path="")
