@@ -311,10 +311,10 @@ def _gain_vector(path, lineno, value, n, what):
     return values
 
 
-def _check_loop_gains(loaded, kp, kp_source, ki=None, ki_source=None):
-    """Refuse kp or ki at its source = (file, line, name) when it makes a
-    bus's block of the closed loop non-finite: M^-1 D + M^-1 Kp or M^-1 Ki,
-    computed as close_loop computes them."""
+def _check_loop_gains(loaded, kp, kp_source, ki, ki_source):
+    """Refuse kp or ki (None for P) at its source = (file, line, name) when
+    it makes a bus's block of the closed loop non-finite: M^-1 D + M^-1 Kp
+    or M^-1 Ki, computed as close_loop computes them."""
     minv = 1.0 / loaded.net.inertia
     with np.errstate(over="ignore"):  # refused below, unwarned
         blocks = [("M^-1 (D + Kp)", minv * loaded.net.damping + minv * kp, kp_source)]
