@@ -15,8 +15,8 @@ Three independent tools:
 * a sufficient upper bound gamma_bar on the averaging gain, from
   Routh-Hurwitz conditions applied to the quadratic forms of the
   closed-loop characteristic matrix polynomial, plus the stationary point
-  of the loop (frequency restored to omega_ref minus the mean measurement
-  offset; control effort shared proportionally to the integral gains).
+  of the loop in the paper's closed form, the same in any units (frequency
+  at omega_ref less the mean offset; effort shared in proportion to Ki).
 """
 
 from __future__ import annotations
@@ -412,19 +412,15 @@ class SteadyStatePrediction(NamedTuple):
     u_stationary: np.ndarray  # control effort per bus, W
 
 
-def _bordered_solve(lap: np.ndarray, border: np.ndarray, rhs: np.ndarray):
-    """Solve [[lap, border], [1^T, 0]] [x; k] = [rhs; 0] for (x, k).
-
-    The last row pins the zero mode of the Laplacian by sum(x) = 0; the
-    multiplier k absorbs the component of rhs along the border column.
-    """
-    n = lap.shape[0]
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = lap
-    aug[:n, n] = border
-    aug[n, :n] = 1.0
-    sol = np.linalg.solve(aug, np.append(rhs, 0.0))
-    return sol[:n], float(sol[n])
+def _zero_mean_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The zero-mean x with lap x = rhs (sum(rhs) = 0, lap a connected graph's Laplacian),
+    grounding the node of largest weighted degree.  LinAlgError unless float64 resolves x."""
+    keep = np.arange(lap.shape[0]) != np.argmax(np.diag(lap))
+    x = np.zeros(lap.shape[0])
+    x[keep] = np.linalg.solve(lap[np.ix_(keep, keep)], rhs[keep])
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("the solution is not finite")
+    return x - np.mean(x)
 
 
 def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
@@ -432,20 +428,21 @@ def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
     """Deviation-coordinate stationary state of close_loop(net, ctrl, eta,
     power): the loop under the net injections power (net.power by default).
 
-    Angles come from the pinned force balance [Lk, border][delta; k] =
-    p - D omega_ref 1 (plus the eta terms below).  For PI kinds the border
-    is -Ki and k is the integrators' consensus, with omega at the
-    reference.  For the plain P controller the border is D + Kp and k is
-    the uniform frequency offset the droop settles at, so the point is
-    stationary only up to the uniform angle ramp along the marginal
-    direction (frequencies, flows, and inputs are constant).
+    The force balance Lk delta + border k = p - D omega_ref (plus the eta
+    terms below) sums to sum(border) k = sum(p - D omega_ref): k is that
+    ratio, of sums scaled by powers of two, and the angles the zero-mean
+    rest, all exact under power-of-two units.  For PI kinds the border is
+    -Ki and k the integrators' consensus, with omega at the reference, so
+    the inputs Ki k are shared in proportion to the integral gains.  Under
+    P the border is D + Kp and k the frequency offset the droop settles at,
+    stationary up to the uniform angle ramp along the marginal direction.
 
     With the measurement offsets eta (distributed PI with gamma only),
     omega settles at -mean(eta) whatever the loads (so the angles ramp as
-    under P), and the integrators spread around k by gamma Lc z =
-    mean(eta) - eta.  The loop's control law at this point gives the
-    stationary inputs; at eta = 0 they are k Ki, shared in proportion to
-    the integral gains.
+    under P), and the integrators spread around k by the zero-mean z of
+    gamma Lc z = mean(eta) - eta.  The loop's control law at this point
+    gives the stationary inputs.  ValueError when k is not finite, and from
+    a LinAlgError when float64 cannot resolve the angles or the spread.
     """
     n = net.n_buses
     rhs = sysmodel._per_bus(n, power, "power", net.power) - net.damping * net.omega_ref
@@ -455,13 +452,21 @@ def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
             raise ValueError("the stationary point under eta needs the distributed PI "
                              "controller with gamma set")
         eta = sysmodel._per_bus(n, eta, "eta", None)
-        eta_mean = float(np.mean(eta))
-        omega = np.full(n, -eta_mean)
-        spread, _ = _bordered_solve(ctrl.comm.laplacian, np.ones(n), (-omega - eta) / ctrl.gamma)
-        rhs = rhs - (net.damping + ctrl.kp) * omega - ctrl.kp * eta + ctrl.ki * spread
-    border = -ctrl.ki if ctrl.has_integrator else net.damping + ctrl.kp
-    delta, k = _bordered_solve(net.coupling.laplacian, border, rhs)
+    border, k_name = ((-ctrl.ki, "consensus -sum(p - D omega_ref) / sum(Ki)") if ctrl.has_integrator
+                      else (net.damping + ctrl.kp, "frequency offset sum(p - D omega_ref) / sum(D + Kp)"))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
+            if eta is not None:
+                omega = np.full(n, -float(np.mean(eta)))
+                spread = _zero_mean_solve(ctrl.comm.laplacian, (-omega - eta) / ctrl.gamma)
+                rhs = rhs - (net.damping + ctrl.kp) * omega - ctrl.kp * eta + ctrl.ki * spread
+            er, eb = (np.frexp(np.max(np.abs(v)))[1] for v in (rhs, border))
+            k = np.ldexp(np.sum(np.ldexp(rhs, -er)) / np.sum(np.ldexp(border, -eb)), er - eb)
+            if not np.isfinite(spread + k).all():
+                raise ValueError(f"the stationary point's {k_name} is not finite")
+            delta = _zero_mean_solve(net.coupling.laplacian, rhs - border * k)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"float64 cannot resolve the stationary point ({exc})") from exc
     # PI: omega at the reference less mean(eta), the integrators spread around k; P: omega at k
-    if ctrl.has_integrator:
-        return np.concatenate([delta, omega, spread + k])
-    return np.concatenate([delta, k * np.ones(n)])
+    tail = [omega, spread + k] if ctrl.has_integrator else [np.full(n, k)]
+    return np.concatenate([delta, *tail])

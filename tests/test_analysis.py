@@ -1,8 +1,11 @@
 """Feasibility, stability, gain bounds, and steady-state predictions."""
 
 import math
+import shutil
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -14,8 +17,8 @@ from scipy.optimize import linear_sum_assignment
 
 import gridpi
 from gridpi import (DEC_PI, DIST_PI, P, ClosedLoop, ControllerSpec, PowerNetwork, close_loop,
-                    gamma_bar, gamma_star_search, output_stability_check, simulate_schedule,
-                    stationary_state, xi_rank_test)
+                    gamma_bar, gamma_star_search, load_scenario, output_stability_check,
+                    simulate_schedule, stationary_state, xi_rank_test)
 from gridpi.analysis import _SEARCH_REL_TOL, RANK_REL_TOL, STABILITY_TOL, unobservable_subspace
 from gridpi.sysmodel import swing_to_lti
 from support import (bundled, closed_form_split, random_dist_controller, random_network,
@@ -91,6 +94,32 @@ def test_rank_test_answers_the_same_in_any_units(seed, m, d, v):
     except ValueError:  # units in which the network or its swing form is not finite
         assume(False)
     assert xi_rank_test(*swing_to_lti(net)) == swing_rank(net)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from([P, DEC_PI, DIST_PI, "eta"]),
+       k=st.integers(-900, 900))
+def test_stationary_state_answers_the_same_in_any_units(seed, kind, k):
+    # a power-of-two change of the power unit scales inertia, damping, loads,
+    # couplings and gains alike, so the stationary point must not move a bit;
+    # the bordered solve's row of ones did not scale with them
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    n, eta = net.n_buses, None
+    if kind in (P, DEC_PI):
+        ctrl = ControllerSpec(kind, kp=rng.uniform(0.5, 5.0, n),
+                              ki=None if kind == P else rng.uniform(0.5, 5.0, n))
+    else:
+        ctrl = random_dist_controller(rng, net, gamma=0.3)
+        if kind == "eta":
+            eta = rng.normal(0.0, 0.3, n)
+    scaled = replace(net, inertia=np.ldexp(net.inertia, k), damping=np.ldexp(net.damping, k),
+                     power=np.ldexp(net.power, k),
+                     lines=tuple((i, j, math.ldexp(b, k)) for i, j, b in net.lines))
+    gains = replace(ctrl, kp=np.ldexp(ctrl.kp, k),
+                    ki=None if ctrl.ki is None else np.ldexp(ctrl.ki, k))
+    assert np.array_equal(stationary_state(scaled, gains, eta=eta),
+                          stationary_state(net, ctrl, eta=eta))
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +714,54 @@ def test_prediction_matches_the_conservation_law():
         # without offsets the point equals the run's initial state
         assert np.array_equal(stationary_state(net, ctrl, eta=np.zeros(net.n_buses)),
                               stationary_state(net, ctrl))
+
+
+def exact_zero_mean_angles(net, ki):
+    """The stationary angles of net under integral gains ki in exact rational
+    arithmetic: the force balance Lk delta = p - D omega_ref + Ki k at the
+    consensus k, Lk built from the edge weights, with sum(delta) = 0."""
+    n = net.n_buses
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, w in net.coupling.edges:
+        w = Fraction(w)
+        lap[i][i] += w
+        lap[j][j] += w
+        lap[i][j] -= w
+        lap[j][i] -= w
+    rhs = [Fraction(p) - Fraction(d) * Fraction(net.omega_ref)
+           for p, d in zip(net.power.tolist(), net.damping.tolist())]
+    gains = [Fraction(g) for g in ki.tolist()]
+    k = -sum(rhs) / sum(gains)
+    # bus 0 grounded; Gauss-Jordan elimination on the rest
+    rows = [lap[i][1:] + [rhs[i] + gains[i] * k] for i in range(1, n)]
+    for col in range(n - 1):
+        pivot = next(r for r in range(col, n - 1) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n - 1):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    delta = [Fraction(0)] + [rows[r][-1] / rows[r][r] for r in range(n - 1)]
+    mean = sum(delta) / n
+    return np.array([float(x - mean) for x in delta])
+
+
+@pytest.mark.parametrize("line", range(5))
+def test_stationary_angles_across_a_stiff_line_match_the_exact_solve(tmp_path, line):
+    # one line of the ring at 1e23 S: the float Laplacian's stiff rows no
+    # longer sum to zero, and the bordered solve was 36 %, 18 %, 3.5 %, 0 and
+    # 36 % off on lines 1-2 to 5-1
+    text = Path(bundled("net5ring.grid")).read_text(encoding="utf-8")
+    row = f"{line + 1} {(line + 1) % 5 + 1} 2.17e-7"
+    assert text.count(row) == 1
+    (tmp_path / "net5ring.grid").write_text(
+        text.replace(row, row.replace("2.17e-7", "99999999999999999999999")), encoding="utf-8")
+    shutil.copy(bundled("ring_share.scn"), tmp_path)
+    scn = load_scenario(tmp_path / "ring_share.scn")
+    net = scn.network.net
+    delta = stationary_state(net, ControllerSpec(DEC_PI, kp=scn.kp, ki=scn.ki))[:net.n_buses]
+    exact = exact_zero_mean_angles(net, scn.ki)
+    assert np.max(np.abs(delta - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 def test_prediction_agrees_with_a_long_simulation():
