@@ -473,9 +473,16 @@ def load_scenario(path) -> Scenario:
         if not abs(eta[bus]) < loaded.net.omega_ref:
             raise ParseError(path, lineno, f"eta_hz: |{tokens[1]}| Hz is not below the nominal "
                              f"frequency {loaded.net.omega_ref / TWO_PI:g} Hz")
+        # the law's offset Kp eta and its forcing M^-1 Kp eta, as close_loop forms them
+        offset = float(kp[bus]) * float(eta[bus])
+        for what, value in (("control offset Kp eta", offset),
+                            ("closed loop's M^-1 Kp eta", (1.0 / inertia[bus]) * offset)):
+            if not math.isfinite(value):
+                raise ParseError(path, lineno, f"noise: this offset makes the {what} of "
+                                 f"bus {loaded.bus_ids[bus]} non-finite")
 
     step = numbers.get("step_s", sysmodel.DEFAULT_STEP)
-    return Scenario(
+    scn = Scenario(
         network=loaded,
         kind=kind,
         kp=kp,
@@ -493,6 +500,18 @@ def load_scenario(path) -> Scenario:
         kp_source=(path, ctrl_kv["kp"][1], "kp", kp),
         step_source=(path, meta.get("step_s", (None, 0))[1], "step_s", step),
     )
+    # the run's starting point, refused after what resolving the controller refuses, as
+    # analyze orders them: its consensus at the gains' line (kp's for P), and a force
+    # balance that float64 cannot resolve at the network file
+    try:
+        analysismod.stationary_state(loaded.net, ctrlmod.ControllerSpec(kind, kp, ki, comm=comm))
+    except ValueError as exc:
+        _resolve_controller(scn)
+        if isinstance(exc.__cause__, np.linalg.LinAlgError):
+            raise ParseError(loaded.path, 0, str(exc)) from exc
+        gain_key = ki_key if ki is not None else "kp"
+        raise ParseError(path, ctrl_kv[gain_key][1], f"{gain_key}: {exc}") from exc
+    return scn
 
 
 # ---------------------------------------------------------------------------

@@ -169,9 +169,10 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
     measurement offsets, zero by default), the law u = -Kp y + Ki z is the
     affine map u = [-Kp c, Ki] [x; z] - Kp eta (no Ki block for P); it
     enters the plant rows as x' = a x + b u + d, with the forcing d = [0;
-    M^-1 (p - D omega_ref)]; the forcing and the gain blocks M^-1 (D + Kp)
-    and M^-1 Ki are refused unless finite.  The integrator rows are
-    z' = -y (DEC_PI) or z' = -y - gamma L_c z (DIST_PI).
+    M^-1 (p - D omega_ref)]; the forcing, the offset -Kp eta, the forcing
+    with it and the gain blocks M^-1 (D + Kp) and M^-1 Ki are refused
+    unless finite.  The integrator rows are z' = -y (DEC_PI) or
+    z' = -y - gamma L_c z (DIST_PI).
     """
     n = net.n_buses
     if ctrl.n_nodes != n:
@@ -185,7 +186,6 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
     dim = xs + n if ctrl.has_integrator else xs
     gain = np.zeros((n, dim))
     gain[:, :xs] = -ctrl.kp[:, None] * c
-    offset = -ctrl.kp * eta
     e = np.zeros((dim, dim))
     forcing = np.zeros(dim)
     layout = {"delta": slice(0, n), "omega": slice(n, xs)}
@@ -201,12 +201,16 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
         e[:xs] += b @ gain
         forcing[n:xs] = _swing_forcing(net.inertia, power, net.damping, net.omega_ref)
+        offset = -ctrl.kp * eta
+        forced = forcing[:xs] + b @ offset
     for name, block in (("closed loop's M^-1 (D + Kp)", e[n:xs, n:xs]),
                         ("closed loop's M^-1 Ki", e[n:xs, xs:]),
-                        ("swing form's M^-1 (p - D omega_ref)", forcing[n:xs])):
+                        ("swing form's M^-1 (p - D omega_ref)", forcing[n:xs]),
+                        ("control offset -Kp eta", offset),
+                        ("closed loop's M^-1 (p - D omega_ref - Kp eta)", forced)):
         if not np.isfinite(block).all():
             raise ValueError(f"the {name} is not finite")
-    forcing[:xs] += b @ offset
+    forcing[:xs] = forced
     return ClosedLoop(system_matrix=e, forcing_dev=forcing,
                       output_selector=np.pad(c, ((0, 0), (0, dim - xs))),
                       control_gain=gain, control_offset=offset, state_layout=layout)

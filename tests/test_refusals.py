@@ -30,6 +30,9 @@ PAIR = WeightedGraph(2, ((0, 1, 1.0),))
 DEC = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
 # gamma left open, as while a value is still being chosen
 DIST = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2), comm=PAIR)
+# a four-bus path whose two outer lines couple at 1e23 W/rad and whose middle one at 1 W/rad
+STIFF_PATH = PowerNetwork(inertia=np.ones(4), damping=np.ones(4), voltage=np.full(4, 1e3),
+                          power=np.zeros(4), lines=((0, 1, 1e17), (1, 2, 1e-6), (2, 3, 1e17)))
 SCHEDULE_RULE = "schedule must start at t = 0 with strictly increasing times below t_end"
 
 
@@ -138,6 +141,14 @@ REFUSALS = [
     Refusal("loop-ki-block-overflows",
             lambda: close_loop(replace(NET, inertia=[1.0, 0.5]), replace(DEC, ki=[1.0, 1e308])),
             ValueError, "the closed loop's M^-1 Ki is not finite"),
+    # Kp eta overflowed with RuntimeWarnings into the loop's offset and forcing
+    Refusal("loop-control-offset-overflows",
+            lambda: close_loop(NET, ControllerSpec(kind=P, kp=[1e308, 1.0]), eta=[10.0, 0.0]),
+            ValueError, "the control offset -Kp eta is not finite"),
+    Refusal("loop-offset-forcing-overflows",
+            lambda: close_loop(replace(NET, inertia=[0.5, 1.0]),
+                               ControllerSpec(kind=P, kp=[5e307, 1.0]), eta=[2.0, 0.0]),
+            ValueError, "the closed loop's M^-1 (p - D omega_ref - Kp eta) is not finite"),
     Refusal("schedule-empty", lambda: simulate_schedule([], 1.0), ValueError,
             "schedule needs at least one segment"),
     Refusal("schedule-late-start", lambda: simulate_schedule([(0.5, loop())], 1.0), ValueError,
@@ -203,6 +214,25 @@ REFUSALS = [
             ValueError, "eta shape (1,), expected (2,)"),
     Refusal("stationary-power-shape", lambda: stationary_state(NET, DEC, power=np.zeros(3)),
             ValueError, "power shape (3,), expected (2,)"),
+    # the bordered solve printed NaN inputs here, and its run left the integrator's range
+    Refusal("stationary-consensus-overflows",
+            lambda: stationary_state(NET, replace(DEC, ki=[1e-320, 1e-320])), ValueError,
+            "the stationary point's consensus -sum(p - D omega_ref) / sum(Ki) is not finite"),
+    Refusal("stationary-frequency-offset-overflows",
+            lambda: stationary_state(replace(NET, damping=[1e-300, 1e-300], power=[1e300, 1e300]),
+                                     ControllerSpec(kind=P, kp=[1e-300, 1e-300])), ValueError,
+            "the stationary point's frequency offset sum(p - D omega_ref) / sum(D + Kp) is not "
+            "finite"),
+    # two stiff lines apart: grounding an end of one leaves the other's rows, [1e23, -1e23]
+    # and [-1e23, 1e23 + 1] = [-1e23, 1e23] in float64, singular
+    Refusal("stationary-force-balance-singular",
+            lambda: stationary_state(STIFF_PATH, ControllerSpec(kind=P, kp=np.ones(4))),
+            ValueError, "float64 cannot resolve the stationary point (Singular matrix)"),
+    # flows of 1e10 W over a coupling of 1e-300 W/rad need angles beyond float64
+    Refusal("stationary-angles-overflow",
+            lambda: stationary_state(replace(NET, lines=((0, 1, 1e-306),), power=[1e10, -1e10]),
+                                     DEC),
+            ValueError, "float64 cannot resolve the stationary point (the solution is not finite)"),
 ]
 
 

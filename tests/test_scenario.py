@@ -177,6 +177,8 @@ def analyze_file(path):
 POSITIVE = "values must be strictly positive"
 BELOW_NOMINAL = "Hz is not below the nominal frequency 50 Hz"
 NO_SCHEMA = ": missing schema header (expected 'schema = 1')"
+# SCENARIO from its kp line to its noise row, for rows that edit both
+CONTROLLER_TO_NOISE = SCENARIO[SCENARIO.index("kp = "):].rstrip("\n")
 
 FILE_REFUSALS = [
     grid("grid-missing", None, None, ": cannot read file (No such file or directory)"),
@@ -337,6 +339,20 @@ FILE_REFUSALS = [
     *(scn(id, "2 0.01", f"2 {eta}", f":20: eta_hz: |{eta}| {BELOW_NOMINAL}")
       for id, eta in [("noise-beyond-nominal", "1e300"), ("noise-at-nominal", "50"),
                       ("noise-at-minus-nominal", "-50")]),
+    # an offset that the gain of its bus makes overflow: RuntimeWarnings, and a
+    # loop whose offset and forcing were not finite
+    *(scn(f"noise-{name}-overflows", CONTROLLER_TO_NOISE, CONTROLLER_TO_NOISE.replace(
+          "kp = 1.0 2.0 3.0", f"kp = 1.0 {kp} 3.0").replace("2 0.01", "2 49.0"),
+          f":20: noise: this offset makes the {what} of bus 2 non-finite", grid_edit=grid_edit)
+      for name, kp, what, grid_edit in [
+          ("offset", "1e306", "control offset Kp eta", None),
+          ("forcing", "5e305", "closed loop's M^-1 Kp eta",
+           ("2 load_kw=40.0", "2 load_kw=40.0 inertia=0.5"))]),
+    # the run's starting point, at the line of the integral gains or at the network file
+    scn("consensus-overflows", "ki = 4.0", "ki = 1e-320", ":10: ki: the stationary point's "
+        "consensus -sum(p - D omega_ref) / sum(Ki) is not finite"),
+    grid("stationary-angles-overflow", "1 2 2.0e-7", "1 2 1e-315", ": float64 cannot resolve "
+         "the stationary point (the solution is not finite)", load=load_scenario),
 ]
 
 
