@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import control as ctrlmod
+from . import graph as graphmod
 from . import sysmodel
 
 # Relative singular-value cutoff for rank decisions.
@@ -230,13 +231,13 @@ class GammaBound(NamedTuple):
         )
 
 
-def _finite_product(a: np.ndarray, b: np.ndarray, name: str, cause: str) -> np.ndarray:
-    """a @ b, a vector a as diag(a); OverflowError naming the product unless it is finite."""
+def _finite_product(a, b, name: str, cause: str, setting: str = "network") -> np.ndarray:
+    """a @ b, a vector a as diag(a); setting's SettingError naming the product unless finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         prod = a[:, None] * b if a.ndim == 1 else a @ b
     if not np.isfinite(prod).all():
-        raise OverflowError(f"the product {name} overflows; {cause} too large for the "
-                            "averaging-gain bound")
+        raise graphmod.SettingError(setting, None, f"the product {name} overflows; {cause} too "
+                                    "large for the averaging-gain bound")
     return prod
 
 
@@ -249,16 +250,17 @@ def gamma_bar(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) -> Gamma
     communication Laplacian proportional to the electrical one satisfies
     it.  A bound below the smallest normal float is reported as 0, which
     certifies no gamma: a subnormal one keeps too few significant bits to
-    check.  A product (D + Kp) Lc, Lk Lc or M Lc that overflows raises
-    OverflowError, checked in that order.
+    check.  A product (D + Kp) Lc, Lk Lc or M Lc that overflows, checked in that
+    order, is the network's graph.SettingError (kp's when D Lc alone is finite).
     """
     if ctrl.kind != ctrlmod.DIST_PI:
         raise ValueError("the averaging-gain bound applies to the distributed PI controller")
     lap_k, lap_c = net.coupling.laplacian, ctrl.comm.laplacian
     d_plus_kp = net.damping + ctrl.kp
-    # first, so that scenario.network_gamma_bar can tell an overflow that the gains cause
+    with np.errstate(over="ignore"):
+        gains = "kp" if np.isfinite(net.damping[:, None] * lap_c).all() else "network"
     dkp_lap = _finite_product(d_plus_kp, lap_c, "(D + Kp) Lc",
-                              "the damping and proportional gains are")
+                              "the damping and proportional gains are", gains)
     prod = _finite_product(lap_k, lap_c, "Lk Lc of the coupling and communication Laplacians",
                            "the couplings are")
     prod_sym = _sym(prod)
@@ -312,9 +314,10 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     1, 3, 7, ..., _MAX_DOUBLINGS, up to one rung and fails above it.
     start = gamma_bar (1 unless gamma_bar is positive and finite); a rung
     whose gamma or gamma L_c is not finite is left off.  start is probed
-    first, and ValueError is raised if it fails.  A bisection then finds
-    the first rung above start that fails (15, 63, 31 for a crossing
-    between 15 and 63), the bracket that climbing the ladder would find.
+    first, and the network's graph.SettingError is raised if it fails.  A
+    bisection then finds the first rung above start that fails (15, 63, 31
+    for a crossing between 15 and 63), the bracket that climbing the ladder
+    would find.
     A loop that is unstable only on a window between two probes breaks the
     assumption unseen and gets a threshold above that window.  An Illinois
     secant on gamma over the check's margin, which is close to affine in
@@ -373,7 +376,8 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
             break
         k = min(2 * k + 1, _MAX_DOUBLINGS)
     if not (f_lo := _margin(start)) < 0.0:
-        raise ValueError(f"closed loop already fails the eigenvalue check at gamma = {start:.9g}")
+        raise graphmod.SettingError("network", None, "closed loop already fails the eigenvalue "
+                                    f"check at gamma = {start:.9g}")
     i_lo, i_hi = 0, len(ladder)  # ladder[i_lo] passes, ladder[i_hi] fails
     while i_hi - i_lo > 1:
         mid = (i_lo + i_hi) // 2
@@ -412,14 +416,18 @@ class SteadyStatePrediction(NamedTuple):
     u_stationary: np.ndarray  # control effort per bus, W
 
 
-def _zero_mean_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _zero_mean_solve(lap: np.ndarray, rhs: np.ndarray, setting: str) -> np.ndarray:
     """The zero-mean x with lap x = rhs (sum(rhs) = 0, lap a connected graph's Laplacian),
-    grounding the node of largest weighted degree.  LinAlgError unless float64 resolves x."""
+    grounding the node of largest weighted degree; setting's SettingError unless float64 can."""
     keep = np.arange(lap.shape[0]) != np.argmax(np.diag(lap))
     x = np.zeros(lap.shape[0])
-    x[keep] = np.linalg.solve(lap[np.ix_(keep, keep)], rhs[keep])
-    if not np.isfinite(x).all():
-        raise np.linalg.LinAlgError("the solution is not finite")
+    try:
+        x[keep] = np.linalg.solve(lap[np.ix_(keep, keep)], rhs[keep])
+        if not np.isfinite(x).all():
+            raise np.linalg.LinAlgError("the solution is not finite")
+    except np.linalg.LinAlgError as exc:
+        raise graphmod.SettingError(setting, None, "float64 cannot resolve the stationary point "
+                                    f"({exc})") from exc
     return x - np.mean(x)
 
 
@@ -441,8 +449,9 @@ def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
     omega settles at -mean(eta) whatever the loads (so the angles ramp as
     under P), and the integrators spread around k by the zero-mean z of
     gamma Lc z = mean(eta) - eta.  The loop's control law at this point
-    gives the stationary inputs.  ValueError when k is not finite, and from
-    a LinAlgError when float64 cannot resolve the angles or the spread.
+    gives the stationary inputs.  A graph.SettingError refuses a k that is not
+    finite as ki's (kp's under P), a spread that float64 cannot resolve as
+    gamma's (it scales as 1/gamma) and angles that it cannot as the network's.
     """
     n = net.n_buses
     rhs = sysmodel._per_bus(n, power, "power", net.power) - net.damping * net.omega_ref
@@ -452,21 +461,19 @@ def stationary_state(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec,
             raise ValueError("the stationary point under eta needs the distributed PI "
                              "controller with gamma set")
         eta = sysmodel._per_bus(n, eta, "eta", None)
-    border, k_name = ((-ctrl.ki, "consensus -sum(p - D omega_ref) / sum(Ki)") if ctrl.has_integrator
-                      else (net.damping + ctrl.kp, "frequency offset sum(p - D omega_ref) / sum(D + Kp)"))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
-            if eta is not None:
-                omega = np.full(n, -float(np.mean(eta)))
-                spread = _zero_mean_solve(ctrl.comm.laplacian, (-omega - eta) / ctrl.gamma)
-                rhs = rhs - (net.damping + ctrl.kp) * omega - ctrl.kp * eta + ctrl.ki * spread
-            er, eb = (np.frexp(np.max(np.abs(v)))[1] for v in (rhs, border))
-            k = np.ldexp(np.sum(np.ldexp(rhs, -er)) / np.sum(np.ldexp(border, -eb)), er - eb)
-            if not np.isfinite(spread + k).all():
-                raise ValueError(f"the stationary point's {k_name} is not finite")
-            delta = _zero_mean_solve(net.coupling.laplacian, rhs - border * k)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"float64 cannot resolve the stationary point ({exc})") from exc
+    border, gains, k_name = ((-ctrl.ki, "ki", "consensus -sum(p - D omega_ref) / sum(Ki)")
+                             if ctrl.has_integrator else (net.damping + ctrl.kp, "kp",
+                             "frequency offset sum(p - D omega_ref) / sum(D + Kp)"))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
+        if eta is not None:
+            omega = np.full(n, -float(np.mean(eta)))
+            spread = _zero_mean_solve(ctrl.comm.laplacian, (-omega - eta) / ctrl.gamma, "gamma")
+            rhs = rhs - (net.damping + ctrl.kp) * omega - ctrl.kp * eta + ctrl.ki * spread
+        er, eb = (np.frexp(np.max(np.abs(v)))[1] for v in (rhs, border))
+        k = np.ldexp(np.sum(np.ldexp(rhs, -er)) / np.sum(np.ldexp(border, -eb)), er - eb)
+        if not np.isfinite(spread + k).all():
+            raise graphmod.SettingError(gains, None, f"the stationary point's {k_name} is not finite")
+        delta = _zero_mean_solve(net.coupling.laplacian, rhs - border * k, "network")
     # PI: omega at the reference less mean(eta), the integrators spread around k; P: omega at k
     tail = [omega, spread + k] if ctrl.has_integrator else [np.full(n, k)]
     return np.concatenate([delta, *tail])

@@ -76,7 +76,7 @@ def _cmd_simulate(args):
         scn = scn._replace(horizon=scenariomod._positive(None, 0, args.horizon, "--horizon"))
     if args.step is not None:
         step = scenariomod._positive(None, 0, args.step, "--step")
-        scn = scn._replace(step=step, step_source=(None, 0, "--step", step))
+        scn = scn._replace(step=step, sources={**scn.sources, "step": (None, 0, "--step", step)})
     result = scenariomod.run_scenario(scn, csv_path=args.output)
     _print_analysis(result.analysis)
     trace = result.trace
@@ -117,13 +117,10 @@ def _cmd_gamma_bound(args):
     ki = scenariomod._gain_vector(None, 0, args.ki, n, "--ki")
     ctrl = ctrlmod.ControllerSpec(kind=ctrlmod.DIST_PI, kp=kp, ki=ki, gamma=None,
                                   comm=loaded.net.coupling)
-    bound = scenariomod.network_gamma_bar(loaded, ctrl, (None, 0, "--kp"))
-    if args.spectral:  # before the first line, so that a refusal prints nothing
-        scenariomod._check_loop_gains(loaded, kp, (None, 0, "--kp"), ki, (None, 0, "--ki"))
-        try:
+    with scenariomod._located(loaded, {"kp": (None, 0, "--kp", kp), "ki": (None, 0, "--ki", ki)}):
+        bound = analysismod.gamma_bar(loaded.net, ctrl)
+        if args.spectral:  # before the first line, so that a refusal prints nothing
             gamma_star = analysismod.gamma_star_search(loaded.net, ctrl)
-        except ValueError as exc:
-            raise scenariomod.ParseError(args.network, 0, str(exc)) from exc
     print(f"network: {args.network} ({n} buses)")
     print(f"gamma_bar = {bound.gamma_bar:.9g}")
     print(f"  alpha = {bound.alpha:.6g}  beta = {bound.beta:.6g}  sigma = {bound.sigma:.6g}")

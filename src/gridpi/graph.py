@@ -16,15 +16,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class EdgeError(ValueError):
-    """An invalid entry of WeightedGraph.edges: index is its position there,
-    and reason names the fault without the node numbers, so that a caller
-    can name the edge its own way (a parser by file line and bus ids)."""
+class SettingError(ValueError):
+    """A refused value and its place, for a caller to name its own way (a file
+    reader by line and bus id): setting is "kp", "ki", "power", "eta", "gamma",
+    "network" or "edges" (a graph's edge list), index the bus or edge at fault
+    (None: the whole setting), and reason the fault without it: what an edge
+    does wrong, the quantity a bus's value makes non-finite, or the message."""
 
-    def __init__(self, index, i, j, reason):
-        super().__init__(f"edge ({i}, {j}) {reason}")
-        self.index = index
-        self.reason = reason
+    def __init__(self, setting, index, reason, message=None):
+        super().__init__(message or reason)
+        self.setting, self.index, self.reason = setting, index, reason
+
+
+def _edge_error(index, i, j, reason):
+    return SettingError("edges", index, reason, f"edge ({i}, {j}) {reason}")
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,15 @@ class WeightedGraph:
             i, j, w = edge
             i, j, w = int(i), int(j), float(w)
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise EdgeError(index, i, j, f"references a node outside 0..{self.n_nodes - 1}")
+                raise _edge_error(index, i, j, f"references a node outside 0..{self.n_nodes - 1}")
             if i == j:
-                raise EdgeError(index, i, j, "is a self-loop")
+                raise _edge_error(index, i, j, "is a self-loop")
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise EdgeError(index, i, j, "duplicates an earlier edge")
+                raise _edge_error(index, i, j, "duplicates an earlier edge")
             seen.add(key)
             if not 0.0 < w < np.inf:
-                raise EdgeError(index, i, j, f"needs a positive finite weight, got {w}")
+                raise _edge_error(index, i, j, f"needs a positive finite weight, got {w}")
             cleaned.append((i, j, w))
         object.__setattr__(self, "edges", tuple(cleaned))
         lap = np.zeros((self.n_nodes, self.n_nodes))
@@ -66,7 +71,7 @@ class WeightedGraph:
             degree[i] += w
             degree[j] += w
             if degree[i] == np.inf or degree[j] == np.inf:
-                raise EdgeError(index, i, j, "makes the weighted degree of an endpoint overflow")
+                raise _edge_error(index, i, j, "makes the weighted degree of an endpoint overflow")
             lap[i, j] -= w
             lap[j, i] -= w
         np.fill_diagonal(lap, degree)

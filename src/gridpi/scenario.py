@@ -175,7 +175,7 @@ def _bus_index(path, lineno, index, token, what):
 def _edge_rows(path, entries, bus_ids, what, weight, build):
     """build(edges) for the `<bus id> <bus id> <weight>` rows of section
     what, with edges ((i, j, weight), ...) in model indices.  A
-    graph.EdgeError from build fails at the line of the edge it names."""
+    graph.SettingError from build fails at the line of the edge it names."""
     index = {bus_id: k for k, bus_id in enumerate(bus_ids)}
     edges = []
     for lineno, text in entries:
@@ -186,7 +186,7 @@ def _edge_rows(path, entries, bus_ids, what, weight, build):
         edges.append((i, j, _float(path, lineno, tokens[2], weight)))
     try:
         return build(tuple(edges))
-    except graphmod.EdgeError as exc:
+    except graphmod.SettingError as exc:
         i, j, _ = edges[exc.index]
         raise ParseError(path, entries[exc.index][0],
                          f"{what}: edge {bus_ids[i]} {bus_ids[j]} {exc.reason}") from exc
@@ -287,12 +287,10 @@ class Scenario(NamedTuple):
     step: float
     settle_tol_hz: float
     output_every: float
-    # (file, line, name, value): where gamma_request, kp or step was set (line 0 if
-    # defaulted) and the value set there; a refusal names that place only while the
-    # setting still holds that value, so a _replace'd one is refused unlocated
-    gamma_source: tuple = (None, 0, "gamma", None)
-    kp_source: tuple = (None, 0, "kp", None)
-    step_source: tuple = (None, 0, "step_s", None)
+    # (file, line, name, value) of "kp", "ki", "gamma", "step", ("eta", bus) (a [noise] row)
+    # and ("power", bus, t) (the [disturbances] row of bus's step at t): where each was set
+    # (line 0: defaulted), how a refusal names it, and the setting's value read there
+    sources: dict
 
 
 def _gain_vector(path, lineno, value, n, what):
@@ -309,22 +307,6 @@ def _gain_vector(path, lineno, value, n, what):
     if values.shape[0] != n:
         raise ParseError(path, lineno, f"{what}: expected 1 or {n} values, got {values.shape[0]}")
     return values
-
-
-def _check_loop_gains(loaded, kp, kp_source, ki, ki_source):
-    """Refuse kp or ki (None for P) at its source = (file, line, name) when
-    it makes a bus's block of the closed loop non-finite: M^-1 D + M^-1 Kp
-    or M^-1 Ki, computed as close_loop computes them."""
-    minv = 1.0 / loaded.net.inertia
-    with np.errstate(over="ignore"):  # refused below, unwarned
-        blocks = [("M^-1 (D + Kp)", minv * loaded.net.damping + minv * kp, kp_source)]
-        if ki is not None:
-            blocks.append(("M^-1 Ki", minv * ki, ki_source))
-    for block, values, (path, lineno, what) in blocks:
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise ParseError(path, lineno, f"{what}: this gain makes the closed loop's {block} "
-                             f"of bus {loaded.bus_ids[int(np.argmax(bad))]} non-finite")
 
 
 _SCENARIO_KEYS = ("network", "horizon_s", "step_s", "settle_tol_hz", "output_every_s")
@@ -396,19 +378,21 @@ def load_scenario(path) -> Scenario:
             ki = 1.0 / cost
         else:
             raise ParseError(path, 0, f"{kind} controller needs ki or cost_coeffs")
-    ki_key = "ki" if "ki" in ctrl_kv else "cost_coeffs"  # the key that set ki (ki is None for P)
-    _check_loop_gains(loaded, kp, (path, ctrl_kv["kp"][1], "kp"),
-                      ki, (path, ctrl_kv.get(ki_key, (None, 0))[1], ki_key))
+    sources = {"kp": (path, ctrl_kv["kp"][1], "kp", kp)}
+    if ki is not None:
+        ki_key = "ki" if "ki" in ctrl_kv else "cost_coeffs"
+        sources["ki"] = (path, ctrl_kv[ki_key][1], ki_key, ki)
 
     gamma_request = None
     comm = None
-    gamma_line = 0
     if kind == ctrlmod.DIST_PI:
         value, gamma_line = ctrl_kv.get("gamma", ("auto", 0))
         if value.strip() == "auto":
             gamma_request = "auto"
         else:
             gamma_request = _positive(path, gamma_line, value, "gamma")
+        shown = "auto" if gamma_request == "auto" else f"{gamma_request:g}"
+        sources["gamma"] = (path, gamma_line, f"gamma = {shown}", gamma_request)
         topo_value, topo_line = ctrl_kv.get("comm_topology", ("same-as-grid", 0))
         topo = topo_value.strip()
         if topo == "same-as-grid":
@@ -443,45 +427,28 @@ def load_scenario(path) -> Scenario:
         load_w = _float(path, lineno, tokens[2], "load_delta_kw", _KW_TO_W)
         events.append((t, bus, -load_w, lineno))  # consumption -> net injection
     events.sort(key=lambda ev: ev[0])  # stable, so equal times keep file order, as the stages do
-    # Python floats overflow to inf without a warning
-    injection, inertia, damping = (getattr(loaded.net, key).tolist()
-                                   for key in ("power", "inertia", "damping"))
-    for t, bus, delta_w, lineno in events:
-        injection[bus] += delta_w
-        # the stage's swing form as PowerNetwork checks it: M^-1 (p - D omega_ref)
-        forcing = sysmodel._swing_forcing(inertia[bus], injection[bus], damping[bus],
-                                          loaded.net.omega_ref)
-        for what, value in (("net injection", injection[bus]),
-                            ("swing form's M^-1 (p - D omega_ref)", forcing)):
-            if not math.isfinite(value):
-                raise ParseError(path, lineno, f"disturbances: this step makes the {what} of "
-                                 f"bus {loaded.bus_ids[bus]} non-finite at t = {t:g} s")
+    schedule = tuple(ev[:3] for ev in events)
+    for t, bus, _, lineno in events:  # a later row of a stage's bus is the one named
+        sources["power", bus, t] = (path, lineno, "disturbances", schedule)
 
     eta = np.zeros(n)
-    noisy = set()
     for lineno, text in sections.get("noise", []):
         tokens = text.split()
         if len(tokens) != 2:
             raise ParseError(path, lineno, "expected: <bus id> <eta_hz>")
         bus = _bus_index(path, lineno, index, tokens[0], "noise")
-        if bus in noisy:
+        if ("eta", bus) in sources:
             raise ParseError(path, lineno, f"noise: duplicate bus id {loaded.bus_ids[bus]}")
-        noisy.add(bus)
+        sources["eta", bus] = (path, lineno, "noise", eta)
         eta[bus] = _float(path, lineno, tokens[1], "eta_hz", _HZ_TO_RAD_S)
         # a bias as large as the nominal frequency is no measurement error: at nominal
         # operation the bus would read 0 Hz or less, or twice the nominal or more
         if not abs(eta[bus]) < loaded.net.omega_ref:
             raise ParseError(path, lineno, f"eta_hz: |{tokens[1]}| Hz is not below the nominal "
                              f"frequency {loaded.net.omega_ref / TWO_PI:g} Hz")
-        # the law's offset Kp eta and its forcing M^-1 Kp eta, as close_loop forms them
-        offset = float(kp[bus]) * float(eta[bus])
-        for what, value in (("control offset Kp eta", offset),
-                            ("closed loop's M^-1 Kp eta", (1.0 / inertia[bus]) * offset)):
-            if not math.isfinite(value):
-                raise ParseError(path, lineno, f"noise: this offset makes the {what} of "
-                                 f"bus {loaded.bus_ids[bus]} non-finite")
 
     step = numbers.get("step_s", sysmodel.DEFAULT_STEP)
+    sources["step"] = (path, meta.get("step_s", (None, 0))[1], "step_s", step)
     scn = Scenario(
         network=loaded,
         kind=kind,
@@ -490,28 +457,58 @@ def load_scenario(path) -> Scenario:
         cost=cost,
         gamma_request=gamma_request,
         comm=comm,
-        schedule=tuple(ev[:3] for ev in events),
+        schedule=schedule,
         eta=eta,
         horizon=horizon,
         step=step,
         settle_tol_hz=numbers.get("settle_tol_hz", DEFAULT_SETTLE_TOL),
         output_every=numbers.get("output_every_s", DEFAULT_OUTPUT_EVERY),
-        gamma_source=(path, gamma_line, "gamma", gamma_request),
-        kp_source=(path, ctrl_kv["kp"][1], "kp", kp),
-        step_source=(path, meta.get("step_s", (None, 0))[1], "step_s", step),
+        sources=sources,
     )
-    # the run's starting point, refused after what resolving the controller refuses, as
-    # analyze orders them: its consensus at the gains' line (kp's for P), and a force
-    # balance that float64 cannot resolve at the network file
+    ctrl = ctrlmod.ControllerSpec(kind, kp, ki, comm=comm)
+    for t, power in _power_stages(scn):  # every stage's loop terms, in O(n) each
+        with _located(loaded, sources, scn, t):
+            sysmodel._loop_terms(loaded.net, ctrl, eta, power)
+    # the starting point, refused after what resolving the controller refuses, as in analyze
     try:
-        analysismod.stationary_state(loaded.net, ctrlmod.ControllerSpec(kind, kp, ki, comm=comm))
-    except ValueError as exc:
+        analysismod.stationary_state(loaded.net, ctrl)
+    except graphmod.SettingError as exc:
         _resolve_controller(scn)
-        if isinstance(exc.__cause__, np.linalg.LinAlgError):
-            raise ParseError(loaded.path, 0, str(exc)) from exc
-        gain_key = ki_key if ki is not None else "kp"
-        raise ParseError(path, ctrl_kv[gain_key][1], f"{gain_key}: {exc}") from exc
+        with _located(loaded, sources, scn):
+            raise exc
     return scn
+
+
+# the Scenario field of a setting, where graph.SettingError names it otherwise
+_FIELDS = {"gamma": "gamma_request", "power": "schedule"}
+# what a refusal at a bus calls the value of each setting
+_BUS_VALUES = {"kp": "gain", "ki": "gain", "power": "step", "eta": "offset"}
+
+
+@contextlib.contextmanager
+def _located(loaded, sources, scn=None, t=None):
+    """A graph.SettingError of the block as a ParseError where the value at
+    fault was set: loaded's file for the network, else the sources entry (see
+    Scenario.sources; file None is a flag) of its setting, or of ("eta", bus)
+    or ("power", bus, t) for a bus's offset or the step at the stage from t.
+    It goes on unlocated if no entry names the place, or if scn (None: none to
+    compare) no longer holds the entry's value, as after a _replace of it."""
+    try:
+        yield
+    except graphmod.SettingError as exc:
+        setting, bus = exc.setting, exc.index
+        if setting == "network":
+            raise ParseError(loaded.path, 0, str(exc)) from exc
+        entry = sources.get({"eta": (setting, bus), "power": (setting, bus, t)}.get(setting, setting))
+        field = _FIELDS.get(setting, setting)
+        if entry is None or scn is not None and getattr(scn, field) is not entry[3]:
+            raise
+        path, lineno, name, _ = entry
+        if bus is None:
+            raise ParseError(path, lineno, f"{name}: {exc}") from exc
+        at = f" at t = {t:g} s" if setting == "power" else ""
+        raise ParseError(path, lineno, f"{name}: this {_BUS_VALUES[setting]} makes {exc.reason} "
+                         f"of bus {loaded.bus_ids[bus]} non-finite{at}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -549,23 +546,6 @@ class ScenarioResult(NamedTuple):
     omega_hat_hz: float
 
 
-def network_gamma_bar(loaded: LoadedNetwork, ctrl: ctrlmod.ControllerSpec, kp_source):
-    """analysis.gamma_bar of a loaded network.  An overflow is refused naming
-    the network file, or kp_source = (file, line, name) of the gains when
-    D Lc is finite and only the gains make (D + Kp) Lc overflow."""
-    try:
-        return analysismod.gamma_bar(loaded.net, ctrl)
-    except OverflowError as exc:
-        lap_c = ctrl.comm.laplacian
-        with np.errstate(over="ignore", invalid="ignore"):
-            damping_finite = np.isfinite(loaded.net.damping[:, None] * lap_c).all()
-            gains_finite = np.isfinite((loaded.net.damping + ctrl.kp)[:, None] * lap_c).all()
-        if damping_finite and not gains_finite:
-            path, lineno, what = kp_source
-            raise ParseError(path, lineno, f"{what}: {exc}") from exc
-        raise ParseError(loaded.path, 0, str(exc)) from exc
-
-
 def _resolve_controller(scn: Scenario):
     """The concrete ControllerSpec with gamma = auto resolved, and the
     gamma_bar bound: None unless DIST_PI, and None under a numeric gamma
@@ -575,30 +555,22 @@ def _resolve_controller(scn: Scenario):
                                   cost=scn.cost)
     if ctrl.kind != ctrlmod.DIST_PI:
         return ctrl, None
-    path, lineno, _, request = scn.gamma_source
-    gamma_at = (path, lineno) if request == scn.gamma_request else (None, 0)
-    path, lineno, name, kp = scn.kp_source
-    kp_at = (path, lineno, name) if np.array_equal(kp, scn.kp) else (None, 0, name)
-    try:
-        bound = network_gamma_bar(scn.network, ctrl, kp_at)
-    except ParseError:
-        raise
-    except ValueError as exc:  # the precondition on x^T Lk Lc x
+    with _located(scn.network, scn.sources, scn):
+        try:
+            bound = analysismod.gamma_bar(scn.network.net, ctrl)
+        except graphmod.SettingError:
+            raise
+        except ValueError as exc:  # the precondition on x^T Lk Lc x
+            if scn.gamma_request == "auto":
+                raise graphmod.SettingError("gamma", None, str(exc)) from exc
+            bound = None
         if scn.gamma_request == "auto":
-            raise ParseError(*gamma_at, f"gamma = auto: {exc}") from exc
-        bound = None
-    if scn.gamma_request == "auto":
-        gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
-        if not gamma > 0.0:
-            raise ParseError(*gamma_at, f"gamma = auto: gamma_bar = "
-                             f"{bound.gamma_bar:.6g} certifies no positive gamma")
-    else:
-        gamma = float(scn.gamma_request)
-    with np.errstate(over="ignore"):  # an infinite entry of the loop matrix breaks LAPACK
-        if not np.isfinite(gamma * scn.comm.laplacian).all():
-            raise ParseError(*gamma_at, f"gamma = {gamma:g}: the product gamma Lc "
-                             "overflows; the averaging gain is too large for the communication "
-                             "weights")
+            gamma = bound.gamma_bar / 2.0 if math.isfinite(bound.gamma_bar) else 1.0
+            if not gamma > 0.0:
+                raise graphmod.SettingError("gamma", None, f"gamma_bar = {bound.gamma_bar:.6g} "
+                                            "certifies no positive gamma")
+        else:
+            gamma = float(scn.gamma_request)
     return replace(ctrl, gamma=gamma), bound
 
 
@@ -606,14 +578,15 @@ def _power_stages(scn: Scenario):
     """Net injections of the load stages that start before scn.horizon: [(t_start, power), ...]."""
     current = scn.network.net.power.copy()
     stages = [(0.0, current)]
-    for t, bus, delta_w in scn.schedule:
-        if t >= scn.horizon:  # a horizon shortened by _replace can end before a step
-            break
-        current = current.copy()
-        current[bus] += delta_w
-        if stages[-1][0] == t:
-            stages.pop()
-        stages.append((t, current))
+    with np.errstate(over="ignore"):  # close_loop refuses an injection that overflows
+        for t, bus, delta_w in scn.schedule:
+            if t >= scn.horizon:  # a horizon shortened by _replace can end before a step
+                break
+            current = current.copy()
+            current[bus] += delta_w
+            if stages[-1][0] == t:
+                stages.pop()
+            stages.append((t, current))
     return stages
 
 
@@ -628,15 +601,16 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
     if ctrl.kind == ctrlmod.DEC_PI:  # eta and the loads enter only the forcing, not a, b or c
         rank = analysismod.xi_rank_test(*sysmodel.swing_to_lti(net))
 
-    loop = sysmodel.close_loop(net, ctrl, scn.eta)
-    stability = analysismod.output_stability_check(loop)
+    with _located(scn.network, scn.sources, scn):
+        loop = sysmodel.close_loop(net, ctrl, scn.eta)
+        stability = analysismod.output_stability_check(loop)
 
-    prediction = None
-    if ctrl.kind == ctrlmod.DIST_PI:  # the law at the stationary point of the run's last stage
-        x = analysismod.stationary_state(net, ctrl, scn.eta, _power_stages(scn)[-1][1])
-        prediction = analysismod.SteadyStatePrediction(
-            omega_hat=net.omega_ref + float(x[loop.state_layout["omega"]][0]),
-            u_stationary=loop.control_gain @ x + loop.control_offset)
+        prediction = None
+        if ctrl.kind == ctrlmod.DIST_PI:  # the law at the stationary point of the run's last stage
+            x = analysismod.stationary_state(net, ctrl, scn.eta, _power_stages(scn)[-1][1])
+            prediction = analysismod.SteadyStatePrediction(
+                omega_hat=net.omega_ref + float(x[loop.state_layout["omega"]][0]),
+                u_stationary=loop.control_gain @ x + loop.control_offset)
 
     return AnalysisReport(
         controller=ctrl,
@@ -694,10 +668,10 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
     check settling against the predicted target.
 
     A shorter or finer run is run_scenario(scn._replace(horizon=..., step=...)).
-    A step that the RK4 check or the integrator refuses is a ParseError at
-    step_source while scn.step is the value set there, and a bare
-    ValueError for a replaced step.  Each load stage is the power argument
-    of close_loop on the one loaded network.
+    A step that the RK4 check or the integrator refuses is step's
+    graph.SettingError, located as _located locates it (unlocated after a
+    _replace of the step).  Each load stage is the power argument of
+    close_loop on the one loaded network.
     The trace is written to csv_path (see write_trace_csv) when it is
     non-empty, and nowhere otherwise.  A run that crosses
     numerics.DIVERGENCE_LIMIT although the analysis calls the loop
@@ -711,17 +685,16 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
     report = analyze_scenario(scn)
     ctrl = report.controller
     x0 = analysismod.stationary_state(net, ctrl)
-    segments = [(t_start, sysmodel.close_loop(net, ctrl, scn.eta, power))
-                for t_start, power in _power_stages(scn)]
-    # the schedule and the loops are the scenario's own, so every refusal here is the step's
-    try:
-        _check_step(report.stability, scn.step)
-        trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)
-    except ValueError as exc:
-        path, lineno, what, step = scn.step_source
-        if step != scn.step:  # no file line or flag set this step
-            raise
-        raise ParseError(path, lineno, f"{what}: {exc}") from exc
+    segments = []
+    for t_start, power in _power_stages(scn):
+        with _located(scn.network, scn.sources, scn, t_start):
+            segments.append((t_start, sysmodel.close_loop(net, ctrl, scn.eta, power)))
+    with _located(scn.network, scn.sources, scn):
+        try:
+            _check_step(report.stability, scn.step)
+            trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)
+        except ValueError as exc:  # the schedule and the loops are the scenario's own
+            raise graphmod.SettingError("step", None, str(exc)) from exc
     loop = segments[0][1]
     if trace.diverged and report.stability.output_stable:
         raise ValueError(_range_error(trace, loop, scn.network.bus_ids))

@@ -85,10 +85,10 @@ class PowerNetwork:
         try:
             coupling = graphmod.WeightedGraph(
                 n, tuple((i, j, v[i] * v[j] * b) for i, j, b in topology.edges))
-        except graphmod.EdgeError as exc:
+        except graphmod.SettingError as exc:
             i, j, _ = topology.edges[exc.index]
-            raise graphmod.EdgeError(exc.index, i, j, f"gives a coupling |V_i||V_j| b that "
-                                     f"{exc.reason}") from exc
+            raise graphmod._edge_error(exc.index, i, j, f"gives a coupling |V_i||V_j| b that "
+                                       f"{exc.reason}") from exc
         object.__setattr__(self, "coupling", coupling)
         # the swing form's M^-1-scaled blocks: an infinite entry breaks LAPACK
         with np.errstate(over="ignore", invalid="ignore"):
@@ -160,6 +160,30 @@ class ClosedLoop(NamedTuple):
         return self.system_matrix.shape[0]
 
 
+def _loop_terms(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta, power):
+    """The forcing M^-1 (p - D omega_ref - Kp eta) of close_loop's plant rows
+    and its law's offset -Kp eta, in O(n).  A graph.SettingError names the
+    first bus where a term is not finite, in this order: kp's M^-1 (D + Kp),
+    ki's M^-1 Ki, power's net injection and M^-1 (p - D omega_ref), and eta's
+    Kp eta, M^-1 Kp eta and M^-1 (p - D omega_ref - Kp eta)."""
+    minv = 1.0 / net.inertia  # as swing_to_lti's b scales the input
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
+        offset = -ctrl.kp * eta
+        forcing = _swing_forcing(net.inertia, power, net.damping, net.omega_ref)
+        terms = [("kp", "the closed loop's M^-1 (D + Kp)", minv * net.damping + minv * ctrl.kp),
+                 ("ki", "the closed loop's M^-1 Ki", minv * (ctrl.ki if ctrl.has_integrator else 0.0)),
+                 ("power", "the net injection", power),
+                 ("power", "the swing form's M^-1 (p - D omega_ref)", forcing),
+                 ("eta", "the control offset Kp eta", offset),
+                 ("eta", "the closed loop's M^-1 Kp eta", minv * offset),
+                 ("eta", "the closed loop's M^-1 (p - D omega_ref - Kp eta)", forcing + minv * offset)]
+    for setting, quantity, values in terms:
+        if not (finite := np.isfinite(values)).all():
+            raise graphmod.SettingError(setting, int(np.argmin(finite)), quantity,
+                                        f"{quantity} is not finite")
+    return terms[-1][2], offset
+
+
 def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
                power=None) -> ClosedLoop:
     """The swing network closed by any of the controller kinds at the load
@@ -169,10 +193,9 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
     measurement offsets, zero by default), the law u = -Kp y + Ki z is the
     affine map u = [-Kp c, Ki] [x; z] - Kp eta (no Ki block for P); it
     enters the plant rows as x' = a x + b u + d, with the forcing d = [0;
-    M^-1 (p - D omega_ref)]; the forcing, the offset -Kp eta, the forcing
-    with it and the gain blocks M^-1 (D + Kp) and M^-1 Ki are refused
-    unless finite.  The integrator rows are z' = -y (DEC_PI) or
-    z' = -y - gamma L_c z (DIST_PI).
+    M^-1 (p - D omega_ref)], refused as _loop_terms refuses it.  The integrator
+    rows are z' = -y (DEC_PI) or z' = -y - gamma L_c z (DIST_PI), where a
+    gamma L_c that overflows is gamma's graph.SettingError.
     """
     n = net.n_buses
     if ctrl.n_nodes != n:
@@ -188,29 +211,22 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
     gain[:, :xs] = -ctrl.kp[:, None] * c
     e = np.zeros((dim, dim))
     forcing = np.zeros(dim)
+    forcing[n:xs], offset = _loop_terms(net, ctrl, eta, power)
     layout = {"delta": slice(0, n), "omega": slice(n, xs)}
     if ctrl.has_integrator:
         zs = slice(xs, dim)
         gain[:, zs] = np.diag(ctrl.ki)
         e[zs, :xs] = -c
         if ctrl.kind == ctrlmod.DIST_PI:
-            e[zs, zs] = -ctrl.gamma * ctrl.comm.laplacian
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
+                e[zs, zs] = -ctrl.gamma * ctrl.comm.laplacian
+            if not np.isfinite(e[zs, zs]).all():  # an infinite entry breaks LAPACK
+                raise graphmod.SettingError("gamma", None, "the product gamma Lc overflows; the "
+                                            "averaging gain is too large for the communication weights")
         forcing[zs] = -eta
         layout["z"] = zs
     e[:xs, :xs] = a
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
-        e[:xs] += b @ gain
-        forcing[n:xs] = _swing_forcing(net.inertia, power, net.damping, net.omega_ref)
-        offset = -ctrl.kp * eta
-        forced = forcing[:xs] + b @ offset
-    for name, block in (("closed loop's M^-1 (D + Kp)", e[n:xs, n:xs]),
-                        ("closed loop's M^-1 Ki", e[n:xs, xs:]),
-                        ("swing form's M^-1 (p - D omega_ref)", forcing[n:xs]),
-                        ("control offset -Kp eta", offset),
-                        ("closed loop's M^-1 (p - D omega_ref - Kp eta)", forced)):
-        if not np.isfinite(block).all():
-            raise ValueError(f"the {name} is not finite")
-    forcing[:xs] = forced
+    e[:xs] += b @ gain  # finite: its blocks are M^-1 Kp and M^-1 Ki, checked above
     return ClosedLoop(system_matrix=e, forcing_dev=forcing,
                       output_selector=np.pad(c, ((0, 0), (0, dim - xs))),
                       control_gain=gain, control_offset=offset, state_layout=layout)

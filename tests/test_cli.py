@@ -388,6 +388,23 @@ CASES = [
            "the stationary point's consensus -sum(p - D omega_ref) / sum(Ki) is not finite\n",
            edits=(("dec30_bias.scn", r"^ki = 0\.04$", "ki = 1e-320"),))
       for argv in ("analyze dec30_bias.scn", "simulate dec30_bias.scn --horizon 1.5 --output ''")),
+    # the consensus of a later load stage, and the integrators' spread under eta, were
+    # refused with no location.  The 1e10 kW step is finite and the swing form takes it:
+    # the consensus sum(p - D omega_ref) / sum(Ki) overflows because Ki = 1/cost is 1e-300,
+    # so the cost_coeffs line is named.  The spread z of gamma Lc z = mean(eta) - eta
+    # scales as 1/gamma: a 1 mHz offset is ordinary, and gamma = 1e-320 (9.99989e-321 in
+    # float64) puts z beyond float64, so the gamma line is named
+    *(Case(f"{what}-{argv.split()[0]}", argv, 2, f"error: ring_share.scn:{{line}}: {message}\n",
+           edits=edits)
+      for what, message, edits in [
+          ("later-stage-consensus-overflows", "cost_coeffs: the stationary point's consensus "
+           "-sum(p - D omega_ref) / sum(Ki) is not finite",
+           ring(r"^1\.0 2 100\.0$", "1.0 2 1.0e10") + ring(r"^cost_coeffs = .+$",
+                                                           "cost_coeffs = 1e300")),
+          ("spread-under-eta-overflows", "gamma = 9.99989e-321: float64 cannot resolve the "
+           "stationary point (the solution is not finite)",
+           ring(r"\Z", "\n[noise]\n1 1.0e-3\n") + ring(r"^gamma = auto$", "gamma = 1e-320"))]
+      for argv in ("analyze ring_share.scn", RUN)),
     # the droop's frequency offset overflows at damping and kp 1e-300: the run
     # printed "settled: no" with exit 1
     *(Case(f"frequency-offset-overflows-{argv.split()[0]}", argv, 2, "error: ring_share.scn:{line}: "
@@ -503,11 +520,17 @@ def test_cli_case(case, mode, request, tmp_path, monkeypatch, capfd):
 
 SWEEP_VALUES = ("0", "-0", "1e-320", "1e-300", "1e300", "-1e300", "1e308", "nan", "inf",
                 "99999999999999999999999")
-SWEEP_COMMANDS = {"analyze": ["analyze", "ring_share.scn"],
-                  "simulate": ["simulate", "ring_share.scn", "--horizon", "2", "--output", ""]}
+# each command runs the scenario named in place of {}
+SWEEP_COMMANDS = {"analyze": ["analyze", "{}"],
+                  "simulate": ["simulate", "{}", "--horizon", "2", "--output", ""]}
+# ring_share.scn with a second load step and a [noise] row, so that the sweep reaches a
+# later stage's stationary point, the prediction under eta and the [noise] checks
+RING_NOISE = (Path(bundled("ring_share.scn")).read_text(encoding="utf-8")
+              + "1.5 4 -50.0\n\n[noise]\n3 0.002\n")
 SWEEP_NUMBER = re.compile(r"(?<![\w.])[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 # an exit 2 names its file, file and line, or flag
-SWEEP_LOCATED = re.compile(r"error: (ring_share\.scn|\S*net5ring\.grid)(:\d+)?: |error: --[a-z]+: ")
+SWEEP_LOCATED = re.compile(r"error: (ring_(share|noise)\.scn|\S*net5ring\.grid)(:\d+)?: "
+                           r"|error: --[a-z]+: ")
 # "max Re(lambda) outside zero modes: -inf" when no eigenvalue falls outside the band (item 3)
 BAND = "prints the zero-mode band's -inf"
 # the run leaves the integrator's range with no file or line named
@@ -519,14 +542,18 @@ SWEEP_LEAKS = {
        for line in (9, 11, 22, 23, 24, 25, 26)},  # inertia, voltage_kv and the lines
     **{f"{where} simulate": RANGE for where in (
         "net5ring.grid:6", "net5ring.grid:12", "ring_share.scn:21")},  # frequency, loads at 1e300
+    "ring_noise.scn:16 analyze": BAND,  # cost_coeffs at 1e-300, as in ring_share.scn
+    **{f"ring_noise.scn:{line} simulate": RANGE for line in (21, 22)},  # both loads at 1e300
 }
 
 
 def sweep_edits():
-    """(file, line, edited text) for each numeric token of ring_share.scn and
-    net5ring.grid outside comments and the schema header, and each value."""
-    for name in ("ring_share.scn", "net5ring.grid"):
-        text = Path(bundled(name)).read_text(encoding="utf-8")
+    """(file, line, edited text) for each numeric token of ring_share.scn,
+    net5ring.grid and ring_noise.scn (RING_NOISE) outside comments and the
+    schema header, and each value."""
+    texts = {name: Path(bundled(name)).read_text(encoding="utf-8")
+             for name in ("ring_share.scn", "net5ring.grid")}
+    for name, text in {**texts, "ring_noise.scn": RING_NOISE}.items():
         start = 0
         for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
             body = line.split("#", 1)[0]
@@ -546,11 +573,12 @@ def test_value_sweep_leaks_only_what_is_pinned(tmp_path, monkeypatch, capfd):
         for other in ("ring_share.scn", "net5ring.grid"):
             shutil.copy(bundled(other), tmp_path)
         (tmp_path / name).write_text(edited, encoding="utf-8")
+        scenario = name if name.endswith(".scn") else "ring_share.scn"
         for command, argv in SWEEP_COMMANDS.items():
             runs += 1
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                status, out, err = in_process(argv, capfd)
+                status, out, err = in_process([a.format(scenario) for a in argv], capfd)
             if (status in (0, 1) and not re.search(r"\b(nan|inf)\b", out)
                     or status == 2 and SWEEP_LOCATED.match(err)):
                 continue
@@ -558,5 +586,5 @@ def test_value_sweep_leaks_only_what_is_pinned(tmp_path, monkeypatch, capfd):
                      RANGE if err.startswith("error: the output-stable loop left") else
                      f"exit {status}: {err or out}")
             leaks.setdefault(f"{name}:{lineno} {command}", set()).add(cause)
-    assert runs == 760
+    assert runs == 1120
     assert leaks == {where: {cause} for where, cause in SWEEP_LEAKS.items()}

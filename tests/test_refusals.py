@@ -1,8 +1,9 @@
 """Every refusal of the library's own checks as one table.
 
 A row is id, a call with no arguments, the exception type it must raise
-(that type itself, not a subclass) and its message, compared whole.  The
-file readers' file:line diagnostics are rows of test_scenario.py's
+(that type itself, not a subclass), its message, compared whole, and for a
+graph.SettingError the setting and the bus or edge index that it names.
+The file readers' file:line diagnostics are rows of test_scenario.py's
 FILE_REFUSALS, and the command line's are rows of test_cli.py.
 """
 
@@ -14,7 +15,7 @@ import pytest
 
 from gridpi import (DEC_PI, DIST_PI, P, ControllerSpec, PowerNetwork, WeightedGraph, close_loop,
                     gamma_bar, integrate_rk4, simulate_schedule, stationary_state, xi_rank_test)
-from gridpi.graph import EdgeError
+from gridpi.graph import SettingError
 from support import two_bus_network
 
 
@@ -23,10 +24,13 @@ class Refusal(NamedTuple):
     call: Callable
     error: type
     message: str
+    setting: str = None  # of a SettingError
+    index: int = None
 
 
 NET = two_bus_network()
 PAIR = WeightedGraph(2, ((0, 1, 1.0),))
+WIDE_PAIR = WeightedGraph(2, ((0, 1, 2.0),))  # 2 * 1e308 overflows
 DEC = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
 # gamma left open, as while a value is still being chosen
 DIST = ControllerSpec(kind=DIST_PI, kp=np.ones(2), ki=np.ones(2), comm=PAIR)
@@ -50,18 +54,19 @@ REFUSALS = [
     # graphs
     Refusal("graph-no-nodes", lambda: WeightedGraph(0, ()), ValueError,
             "graph needs at least one node, got 0"),
-    Refusal("graph-self-loop", lambda: WeightedGraph(2, ((0, 0, 1.0),)), EdgeError,
-            "edge (0, 0) is a self-loop"),
-    Refusal("graph-endpoint-out-of-range", lambda: WeightedGraph(2, ((0, 2, 1.0),)), EdgeError,
-            "edge (0, 2) references a node outside 0..1"),
-    *(Refusal(f"graph-{name}-weight", lambda w=w: WeightedGraph(2, ((0, 1, w),)), EdgeError,
-              f"edge (0, 1) needs a positive finite weight, got {w}")
+    Refusal("graph-self-loop", lambda: WeightedGraph(2, ((0, 0, 1.0),)), SettingError,
+            "edge (0, 0) is a self-loop", "edges", 0),
+    Refusal("graph-endpoint-out-of-range", lambda: WeightedGraph(2, ((0, 2, 1.0),)), SettingError,
+            "edge (0, 2) references a node outside 0..1", "edges", 0),
+    *(Refusal(f"graph-{name}-weight", lambda w=w: WeightedGraph(2, ((0, 1, w),)), SettingError,
+              f"edge (0, 1) needs a positive finite weight, got {w}", "edges", 0)
       for name, w in [("zero", 0.0), ("negative", -1.0), ("infinite", np.inf), ("nan", np.nan)]),
     Refusal("graph-duplicate-pair", lambda: WeightedGraph(3, ((0, 1, 1.0), (1, 0, 2.0))),
-            EdgeError, "edge (1, 0) duplicates an earlier edge"),
+            SettingError, "edge (1, 0) duplicates an earlier edge", "edges", 1),
     # node 1's degree 2e308 overflowed the Laplacian's diagonal with RuntimeWarnings
     Refusal("graph-degree-overflows", lambda: WeightedGraph(3, ((0, 1, 1e308), (1, 2, 1e308))),
-            EdgeError, "edge (1, 2) makes the weighted degree of an endpoint overflow"),
+            SettingError, "edge (1, 2) makes the weighted degree of an endpoint overflow", "edges",
+            1),
     # networks; replace builds a new network, which validates again
     Refusal("network-power-length", lambda: replace(NET, power=[1.0]), ValueError,
             "power has 1 entries, expected 2"),
@@ -75,11 +80,16 @@ REFUSALS = [
           ("power", "nan", [np.nan, 0.0]), ("power", "inf", [np.inf, 0.0]),
           ("inertia", "inf", [np.inf, 1.0]), ("damping", "nan", [1.0, np.nan]),
           ("voltage", "inf", [1e3, np.inf])]),
-    *(Refusal(f"network-line-{name}", lambda w=w: replace(NET, lines=((0, 1, w),)), EdgeError,
-              f"edge (0, 1) needs a positive finite weight, got {w}")
+    *(Refusal(f"network-line-{name}", lambda w=w: replace(NET, lines=((0, 1, w),)), SettingError,
+              f"edge (0, 1) needs a positive finite weight, got {w}", "edges", 0)
       for name, w in [("zero", 0.0), ("infinite", np.inf), ("nan", np.nan)]),
-    Refusal("network-line-endpoint", lambda: replace(NET, lines=((0, 2, 1e-6),)), EdgeError,
-            "edge (0, 2) references a node outside 0..1"),
+    Refusal("network-line-endpoint", lambda: replace(NET, lines=((0, 2, 1e-6),)), SettingError,
+            "edge (0, 2) references a node outside 0..1", "edges", 0),
+    # PowerNetwork names the line whose coupling |V_i||V_j| b (1e6 * 1e303 W/rad) overflows
+    Refusal("network-coupling-overflows",
+            lambda: replace(NET, lines=((0, 1, 1e303),), voltage=[1e3, 1e3]), SettingError,
+            "edge (0, 1) gives a coupling |V_i||V_j| b that needs a positive finite weight, got "
+            "inf", "edges", 0),
     Refusal("network-omega-ref-infinite", lambda: replace(NET, omega_ref=np.inf), ValueError,
             "omega_ref must be positive and finite"),
     Refusal("network-disconnected", lambda: replace(NET, lines=()), ValueError,
@@ -131,24 +141,37 @@ REFUSALS = [
     # a load stage's M^-1 (p - D omega_ref) overflows at inertia 1e-10, unwarned
     Refusal("loop-stage-forcing-overflows",
             lambda: close_loop(replace(NET, inertia=[1e-10, 1.0]), DEC, power=[1e300, 0.0]),
-            ValueError, "the swing form's M^-1 (p - D omega_ref) is not finite"),
+            SettingError, "the swing form's M^-1 (p - D omega_ref) is not finite", "power", 0),
+    Refusal("loop-stage-injection-infinite", lambda: close_loop(NET, DEC, power=[0.0, np.inf]),
+            SettingError, "the net injection is not finite", "power", 1),
     # at inertia 0.5 the gain blocks overflowed with a RuntimeWarning, and
     # the check after them ended in "SVD did not converge"
     Refusal("loop-kp-block-overflows",
             lambda: close_loop(replace(NET, inertia=[0.5, 1.0]),
                                ControllerSpec(kind=P, kp=np.full(2, 1e308))),
-            ValueError, "the closed loop's M^-1 (D + Kp) is not finite"),
+            SettingError, "the closed loop's M^-1 (D + Kp) is not finite", "kp", 0),
     Refusal("loop-ki-block-overflows",
             lambda: close_loop(replace(NET, inertia=[1.0, 0.5]), replace(DEC, ki=[1.0, 1e308])),
-            ValueError, "the closed loop's M^-1 Ki is not finite"),
+            SettingError, "the closed loop's M^-1 Ki is not finite", "ki", 1),
     # Kp eta overflowed with RuntimeWarnings into the loop's offset and forcing
     Refusal("loop-control-offset-overflows",
             lambda: close_loop(NET, ControllerSpec(kind=P, kp=[1e308, 1.0]), eta=[10.0, 0.0]),
-            ValueError, "the control offset -Kp eta is not finite"),
+            SettingError, "the control offset Kp eta is not finite", "eta", 0),
     Refusal("loop-offset-forcing-overflows",
             lambda: close_loop(replace(NET, inertia=[0.5, 1.0]),
                                ControllerSpec(kind=P, kp=[5e307, 1.0]), eta=[2.0, 0.0]),
-            ValueError, "the closed loop's M^-1 (p - D omega_ref - Kp eta) is not finite"),
+            SettingError, "the closed loop's M^-1 Kp eta is not finite", "eta", 0),
+    # M^-1 (p - D omega_ref) = -1.5e308 and M^-1 Kp eta = -1e308 are finite, their sum is not
+    Refusal("loop-offset-and-load-forcing-overflows",
+            lambda: close_loop(NET, ControllerSpec(kind=P, kp=[1.0, 1e308]), eta=[0.0, 1.0],
+                               power=[0.0, -1.5e308]),
+            SettingError, "the closed loop's M^-1 (p - D omega_ref - Kp eta) is not finite", "eta",
+            1),
+    # gamma Lc overflowed in the loop matrix: RuntimeWarnings, then "SVD did not converge"
+    Refusal("loop-gamma-overflows",
+            lambda: loop(replace(DIST, gamma=1e308, comm=WeightedGraph(2, ((0, 1, 2.0),)))),
+            SettingError, "the product gamma Lc overflows; the averaging gain is too large for the "
+            "communication weights", "gamma"),
     Refusal("schedule-empty", lambda: simulate_schedule([], 1.0), ValueError,
             "schedule needs at least one segment"),
     Refusal("schedule-late-start", lambda: simulate_schedule([(0.5, loop())], 1.0), ValueError,
@@ -203,6 +226,22 @@ REFUSALS = [
             ValueError, "x^T Lk Lc x takes negative values (lambda_min = -1.210e+00); choose the "
             "communication weights proportional to the electrical coupling to satisfy the "
             "bound's precondition"),
+    # a product that overflows is the gains' when D Lc alone is finite, and the network's
+    # otherwise; each was an OverflowError that the file reader took apart again
+    *(Refusal(f"gamma-bar-{name}-overflow", lambda net=net, ctrl=ctrl: gamma_bar(net, ctrl),
+              SettingError, f"the product {product} overflows; {cause} too large for the "
+              "averaging-gain bound", setting)
+      for name, net, ctrl, product, cause, setting in [
+          ("gains", NET, replace(DIST, kp=[1e308, 1.0], comm=WIDE_PAIR), "(D + Kp) Lc",
+           "the damping and proportional gains are", "kp"),
+          ("damping", replace(NET, damping=[1e305, 1.0]),
+           replace(DIST, comm=WeightedGraph(2, ((0, 1, 1e4),))),
+           "(D + Kp) Lc", "the damping and proportional gains are", "network"),
+          ("couplings", replace(NET, lines=((0, 1, 1e194),)),
+           replace(DIST, comm=WeightedGraph(2, ((0, 1, 1e200),))),
+           "Lk Lc of the coupling and communication Laplacians", "the couplings are", "network"),
+          ("inertias", replace(NET, inertia=[1e308, 1.0]), replace(DIST, comm=WIDE_PAIR), "M Lc",
+           "the inertias are", "network")]),
     *(Refusal(f"stationary-eta-{name}",
               lambda ctrl=ctrl: stationary_state(NET, ctrl, eta=np.zeros(2)),
               ValueError, "the stationary point under eta needs the distributed PI controller "
@@ -216,23 +255,31 @@ REFUSALS = [
             ValueError, "power shape (3,), expected (2,)"),
     # the bordered solve printed NaN inputs here, and its run left the integrator's range
     Refusal("stationary-consensus-overflows",
-            lambda: stationary_state(NET, replace(DEC, ki=[1e-320, 1e-320])), ValueError,
-            "the stationary point's consensus -sum(p - D omega_ref) / sum(Ki) is not finite"),
+            lambda: stationary_state(NET, replace(DEC, ki=[1e-320, 1e-320])), SettingError,
+            "the stationary point's consensus -sum(p - D omega_ref) / sum(Ki) is not finite",
+            "ki"),
     Refusal("stationary-frequency-offset-overflows",
             lambda: stationary_state(replace(NET, damping=[1e-300, 1e-300], power=[1e300, 1e300]),
-                                     ControllerSpec(kind=P, kp=[1e-300, 1e-300])), ValueError,
+                                     ControllerSpec(kind=P, kp=[1e-300, 1e-300])), SettingError,
             "the stationary point's frequency offset sum(p - D omega_ref) / sum(D + Kp) is not "
-            "finite"),
+            "finite", "kp"),
     # two stiff lines apart: grounding an end of one leaves the other's rows, [1e23, -1e23]
     # and [-1e23, 1e23 + 1] = [-1e23, 1e23] in float64, singular
     Refusal("stationary-force-balance-singular",
             lambda: stationary_state(STIFF_PATH, ControllerSpec(kind=P, kp=np.ones(4))),
-            ValueError, "float64 cannot resolve the stationary point (Singular matrix)"),
+            SettingError, "float64 cannot resolve the stationary point (Singular matrix)",
+            "network"),
     # flows of 1e10 W over a coupling of 1e-300 W/rad need angles beyond float64
     Refusal("stationary-angles-overflow",
             lambda: stationary_state(replace(NET, lines=((0, 1, 1e-306),), power=[1e10, -1e10]),
                                      DEC),
-            ValueError, "float64 cannot resolve the stationary point (the solution is not finite)"),
+            SettingError, "float64 cannot resolve the stationary point (the solution is not "
+            "finite)", "network"),
+    # the integrators' spread (mean(eta) - eta) / (gamma Lc) is beyond float64 at gamma 1e-320
+    Refusal("stationary-spread-overflows",
+            lambda: stationary_state(NET, replace(DIST, gamma=1e-320), eta=[0.1, 0.0]),
+            SettingError, "float64 cannot resolve the stationary point (the solution is not "
+            "finite)", "gamma"),
 ]
 
 
@@ -240,4 +287,5 @@ REFUSALS = [
 def test_refusal(row):
     with pytest.raises(row.error) as err:
         row.call()
-    assert (err.type, str(err.value)) == (row.error, row.message)
+    placed = (getattr(err.value, "setting", None), getattr(err.value, "index", None))
+    assert (err.type, str(err.value), *placed) == (row.error, row.message, row.setting, row.index)

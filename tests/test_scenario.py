@@ -18,6 +18,7 @@ import gridpi
 from gridpi import scenario as scenario_mod
 from gridpi import ParseError, load_network, load_scenario, run_scenario
 from gridpi.cli import main as cli_main
+from gridpi.graph import SettingError
 from support import (BUS_KEYS, bundled, exact_flow, frequencies_hz, random_network,
                      read_trace_csv, swing_loop, write_network_file, write_scenario_file)
 
@@ -748,23 +749,30 @@ def test_output_unstable_run_that_diverges_is_not_settled(tmp_path, monkeypatch,
     assert out.endswith("settled: no\n")
 
 
-# a setting replaced after loading is refused with no location: these named
-# the line that set the old value ("ring_share.scn:9: step_s: step 0.5 s is
-# ...", "dist30_step.scn:17: gamma = 1e+308: ...", "ring_share.scn:15: kp: ...")
-@pytest.mark.parametrize("name, replaced, run, error, message", [
-    ("ring_share.scn", {"step": 0.5}, run_scenario, ValueError,
+# a setting replaced after loading is refused with no location, as the library's
+# graph.SettingError: the first three named the line that set the old value
+# ("ring_share.scn:9: step_s: step 0.5 s is ...", "dist30_step.scn:17: gamma = 1e+308:
+# ...", "ring_share.scn:15: kp: ..."); a replaced eta or schedule has no [noise] or
+# [disturbances] row to name
+@pytest.mark.parametrize("name, replaced, run, setting, message", [
+    ("ring_share.scn", {"step": 0.5}, run_scenario, "step",
      "step 0.5 s is outside the RK4 stability region: mode lambda = -124.572+0j 1/s has "
      "|R(h lambda)| = 588728 >= 1; a step of 0.015625 s passes"),
-    ("dist30_step.scn", {"gamma_request": 1e308}, gridpi.analyze_scenario, ParseError,
-     "gamma = 1e+308: the product gamma Lc overflows; the averaging gain is too large for the "
-     "communication weights"),
-    ("ring_share.scn", {"kp": np.full(5, 1e308)}, gridpi.analyze_scenario, ParseError,
-     "kp: the product (D + Kp) Lc overflows; the damping and proportional gains are too large "
-     "for the averaging-gain bound")], ids=["step", "gamma", "kp"])
-def test_replaced_setting_is_refused_unlocated(name, replaced, run, error, message):
+    ("dist30_step.scn", {"gamma_request": 1e308}, gridpi.analyze_scenario, "gamma",
+     "the product gamma Lc overflows; the averaging gain is too large for the communication "
+     "weights"),
+    ("ring_share.scn", {"kp": np.full(5, 1e308)}, gridpi.analyze_scenario, "kp",
+     "the product (D + Kp) Lc overflows; the damping and proportional gains are too large for "
+     "the averaging-gain bound"),
+    ("ring_share.scn", {"eta": np.array([1e307, 0.0, 0.0, 0.0, 0.0])}, gridpi.analyze_scenario,
+     "eta", "the control offset Kp eta is not finite"),
+    # decentralized PI has no prediction, so the stage's loop is the first to see the step
+    ("dec30_bias.scn", {"schedule": ((0.1, 0, -1e308), (0.2, 0, -1e308))}, run_scenario, "power",
+     "the net injection is not finite")], ids=["step", "gamma", "kp", "eta", "schedule"])
+def test_replaced_setting_is_refused_unlocated(name, replaced, run, setting, message):
     with pytest.raises(ValueError) as err:
         run(load_scenario(bundled(name))._replace(**replaced))
-    assert (err.type, str(err.value)) == (error, message)
+    assert (err.type, err.value.setting, str(err.value)) == (SettingError, setting, message)
 
 
 def test_step_outside_the_rk4_stability_region_is_refused():
