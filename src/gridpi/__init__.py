@@ -28,7 +28,7 @@ from .control import (
     P,
     ControllerSpec,
 )
-from .graph import WeightedGraph, is_connected
+from .graph import WeightedGraph
 from .numerics import SimulationTrace, integrate_rk4
 from .scenario import (
     LoadedNetwork,
@@ -72,7 +72,6 @@ __all__ = [
     "gamma_bar",
     "gamma_star_search",
     "integrate_rk4",
-    "is_connected",
     "load_network",
     "load_scenario",
     "output_stability_check",

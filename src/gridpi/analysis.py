@@ -69,7 +69,7 @@ def xi_rank_test(a, b, c) -> XiRankResult:
 
     Builds [[A, B], [C, 0]] from the plant x' = A x + B u, y = C x (A n x n,
     B n x m, C m x n with n + m > 0; for the swing model,
-    sysmodel.swing_to_lti) and reports its numerical rank: the number of
+    PowerNetwork.plant) and reports its numerical rank: the number of
     singular values above RANK_REL_TOL times the largest once each row and
     then each column, twice over, is scaled by the power of two that brings
     its largest magnitude into [1/2, 1).  Such scalings are exact unless an

@@ -24,7 +24,6 @@ import numpy as np
 from . import analysis as analysismod
 from . import control as ctrlmod
 from . import scenario as scenariomod
-from . import sysmodel
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -102,7 +101,7 @@ def _cmd_rank_test(args):
     loaded = scenariomod.load_network(args.network)
     n = loaded.net.n_buses
     scenariomod._gain_vector(None, 0, args.ki, n, "--ki")  # checked, though no gain moves the rank
-    result = analysismod.xi_rank_test(*sysmodel.swing_to_lti(loaded.net))
+    result = analysismod.xi_rank_test(*loaded.net.plant)
     print(f"network: {args.network} ({n} buses)")
     print(f"matrix size: {result.dim} x {result.dim}")
     print(f"rank: {result.rank} (deficiency {result.deficiency})")

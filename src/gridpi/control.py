@@ -82,7 +82,7 @@ class ControllerSpec:
                     f"communication graph has {self.comm.n_nodes} nodes "
                     f"but gains cover {self.kp.shape[0]}"
                 )
-            if not graphmod.is_connected(self.comm):
+            if not self.comm.connected:
                 raise ValueError("communication graph must be connected")
             if self.gamma is not None:
                 gamma = float(self.gamma)

@@ -10,7 +10,6 @@ answer does not depend on how small the edge weights are.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +37,14 @@ class WeightedGraph:
     weights whose sums at each node, the weighted degrees, are finite too.
 
     laplacian is the dense weighted Laplacian L = D - W of shape
-    (n_nodes, n_nodes), built once from the validated edges and read-only.
+    (n_nodes, n_nodes), built once from the validated edges and read-only;
+    connected is whether every node is reachable from node 0.
     """
 
     n_nodes: int
     edges: tuple = field(default_factory=tuple)  # ((i, j, weight), ...)
     laplacian: np.ndarray = field(init=False, repr=False, compare=False)
+    connected: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -67,6 +68,7 @@ class WeightedGraph:
         object.__setattr__(self, "edges", tuple(cleaned))
         lap = np.zeros((self.n_nodes, self.n_nodes))
         degree = [0.0] * self.n_nodes  # Python floats: an overflow gives inf without a warning
+        adjacency = [[] for _ in range(self.n_nodes)]
         for index, (i, j, w) in enumerate(cleaned):
             degree[i] += w
             degree[j] += w
@@ -74,24 +76,16 @@ class WeightedGraph:
                 raise _edge_error(index, i, j, "makes the weighted degree of an endpoint overflow")
             lap[i, j] -= w
             lap[j, i] -= w
+            adjacency[i].append(j)
+            adjacency[j].append(i)
         np.fill_diagonal(lap, degree)
         lap.flags.writeable = False
         object.__setattr__(self, "laplacian", lap)
+        reached, stack = {0}, [0]  # depth-first reachability from node 0
+        while stack:
+            for other in adjacency[stack.pop()]:
+                if other not in reached:
+                    reached.add(other)
+                    stack.append(other)
+        object.__setattr__(self, "connected", len(reached) == self.n_nodes)
 
-
-def is_connected(g: WeightedGraph) -> bool:
-    """Breadth-first reachability of every node from node 0."""
-    adjacency = [[] for _ in range(g.n_nodes)]
-    for i, j, _ in g.edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen = np.zeros(g.n_nodes, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for other in adjacency[node]:
-            if not seen[other]:
-                seen[other] = True
-                queue.append(other)
-    return bool(seen.all())

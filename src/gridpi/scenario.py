@@ -387,12 +387,8 @@ def load_scenario(path) -> Scenario:
     comm = None
     if kind == ctrlmod.DIST_PI:
         value, gamma_line = ctrl_kv.get("gamma", ("auto", 0))
-        if value.strip() == "auto":
-            gamma_request = "auto"
-        else:
-            gamma_request = _positive(path, gamma_line, value, "gamma")
-        shown = "auto" if gamma_request == "auto" else f"{gamma_request:g}"
-        sources["gamma"] = (path, gamma_line, f"gamma = {shown}", gamma_request)
+        gamma_request = "auto" if value == "auto" else _positive(path, gamma_line, value, "gamma")
+        sources["gamma"] = (path, gamma_line, f"gamma = {value}", gamma_request)
         topo_value, topo_line = ctrl_kv.get("comm_topology", ("same-as-grid", 0))
         topo = topo_value.strip()
         if topo == "same-as-grid":
@@ -400,7 +396,7 @@ def load_scenario(path) -> Scenario:
         elif topo == "edges":
             comm = _edge_rows(path, sections.get("comm_edges", []), loaded.bus_ids, "comm_edges",
                               "weight", lambda edges: graphmod.WeightedGraph(n, edges))
-            if not graphmod.is_connected(comm):
+            if not comm.connected:
                 raise ParseError(path, topo_line, "comm_topology = edges: the [comm_edges] "
                                  "graph must be connected")
         else:
@@ -599,7 +595,7 @@ def analyze_scenario(scn: Scenario) -> AnalysisReport:
 
     rank = None
     if ctrl.kind == ctrlmod.DEC_PI:  # eta and the loads enter only the forcing, not a, b or c
-        rank = analysismod.xi_rank_test(*sysmodel.swing_to_lti(net))
+        rank = analysismod.xi_rank_test(*net.plant)
 
     with _located(scn.network, scn.sources, scn):
         loop = sysmodel.close_loop(net, ctrl, scn.eta)

@@ -45,6 +45,10 @@ class PowerNetwork:
     too.  A load stage is not a new network but close_loop's power argument.
     coupling is the graph weighted by the electrical stiffness
     k_ij = |V_i||V_j| b_ij, built while validating; its Laplacian is L_k.
+    plant is the load-free swing form (a, b, c) in deviation coordinates,
+    x' = a x + b u + [0; M^-1 (p - D omega_ref)] and y = c x (+ eta) with
+    x = [delta; w], built once while validating and read-only; close_loop
+    adds the forcing of the loads p.
     """
 
     inertia: np.ndarray
@@ -54,6 +58,7 @@ class PowerNetwork:
     lines: tuple = field(default_factory=tuple)
     omega_ref: float = 2.0 * np.pi * 50.0
     coupling: graphmod.WeightedGraph = field(init=False, repr=False, compare=False)
+    plant: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arrays = {}
@@ -78,7 +83,7 @@ class PowerNetwork:
         # WeightedGraph validates endpoints, susceptances and duplicates, and
         # through the coupling graph each k_ij = |V_i||V_j| b_ij
         topology = graphmod.WeightedGraph(n, tuple(self.lines))
-        if not graphmod.is_connected(topology):
+        if not topology.connected:
             raise ValueError("transmission network must be connected")
         object.__setattr__(self, "lines", topology.edges)
         v = arrays["voltage"].tolist()  # Python floats: an overflow gives inf without a warning
@@ -91,13 +96,23 @@ class PowerNetwork:
                                        f"{exc.reason}") from exc
         object.__setattr__(self, "coupling", coupling)
         # the swing form's M^-1-scaled blocks: an infinite entry breaks LAPACK
+        a = np.zeros((2 * n, 2 * n))
+        a[:n, n:] = np.eye(n)
+        b = np.zeros((2 * n, n))
+        c = np.eye(n, 2 * n, n)
         with np.errstate(over="ignore", invalid="ignore"):
-            a, b, _ = swing_to_lti(self)
+            minv = 1.0 / self.inertia  # accelerations scale with inverse inertia
+            a[n:, :n] = -minv[:, None] * coupling.laplacian
+            a[n:, n:] = -np.diag(minv * self.damping)
+            b[n:, :] = np.diag(minv)
             forcing = _swing_forcing(self.inertia, self.power, self.damping, self.omega_ref)
         for name, block in (("M^-1 = 1/inertia", b[n:]), ("M^-1 Lk", a[n:, :n]),
                             ("M^-1 D", a[n:, n:]), ("M^-1 (p - D omega_ref)", forcing)):
             if not np.isfinite(block).all():
                 raise ValueError(f"the swing form's {name} is not finite")
+        for block in (a, b, c):
+            block.flags.writeable = False
+        object.__setattr__(self, "plant", (a, b, c))
 
     @property
     def n_buses(self):
@@ -111,23 +126,6 @@ class PowerNetwork:
 def _swing_forcing(inertia, power, damping, omega_ref):
     """M^-1 (p - D omega_ref): the swing form's forcing, per bus."""
     return (1.0 / inertia) * (power - damping * omega_ref)
-
-
-def swing_to_lti(net: PowerNetwork):
-    """(a, b, c) of the load-free swing network in deviation coordinates:
-    x' = a x + b u + [0; M^-1 (p - D omega_ref)] and y = c x (+ eta), with
-    x = [delta; w]; close_loop adds that forcing of the loads p."""
-    n = net.n_buses
-    minv = 1.0 / net.inertia  # accelerations scale with inverse inertia
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
-    a[n:, :n] = -minv[:, None] * net.coupling.laplacian
-    a[n:, n:] = -np.diag(minv * net.damping)
-    b = np.zeros((2 * n, n))
-    b[n:, :] = np.diag(minv)
-    c = np.zeros((n, 2 * n))
-    c[:, n:] = np.eye(n)
-    return a, b, c
 
 
 def _per_bus(n, values, name, default):
@@ -166,7 +164,7 @@ def _loop_terms(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta, power):
     first bus where a term is not finite, in this order: kp's M^-1 (D + Kp),
     ki's M^-1 Ki, power's net injection and M^-1 (p - D omega_ref), and eta's
     Kp eta, M^-1 Kp eta and M^-1 (p - D omega_ref - Kp eta)."""
-    minv = 1.0 / net.inertia  # as swing_to_lti's b scales the input
+    minv = 1.0 / net.inertia  # as net.plant's b scales the input
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
         offset = -ctrl.kp * eta
         forcing = _swing_forcing(net.inertia, power, net.damping, net.omega_ref)
@@ -189,7 +187,7 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
     """The swing network closed by any of the controller kinds at the load
     stage power, the net injections (net.power by default).
 
-    With the plant (a, b, c) of swing_to_lti and y = c x + eta (eta the
+    With the plant (a, b, c) = net.plant and y = c x + eta (eta the
     measurement offsets, zero by default), the law u = -Kp y + Ki z is the
     affine map u = [-Kp c, Ki] [x; z] - Kp eta (no Ki block for P); it
     enters the plant rows as x' = a x + b u + d, with the forcing d = [0;
@@ -204,7 +202,7 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
         raise ValueError("closing a distributed PI loop requires gamma")
     eta = _per_bus(n, eta, "eta", np.zeros(n))
     power = _per_bus(n, power, "power", net.power)
-    a, b, c = swing_to_lti(net)
+    a, b, c = net.plant
     xs = 2 * n  # the plant states [delta; w]
     dim = xs + n if ctrl.has_integrator else xs
     gain = np.zeros((n, dim))
@@ -228,7 +226,7 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
     e[:xs, :xs] = a
     e[:xs] += b @ gain  # finite: its blocks are M^-1 Kp and M^-1 Ki, checked above
     return ClosedLoop(system_matrix=e, forcing_dev=forcing,
-                      output_selector=np.pad(c, ((0, 0), (0, dim - xs))),
+                      output_selector=np.eye(n, dim, n),
                       control_gain=gain, control_offset=offset, state_layout=layout)
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from gridpi import (DIST_PI, ControllerSpec, close_loop, gamma_bar, load_network, load_scenario,
                     run_scenario, simulate_schedule, stationary_state, xi_rank_test)
-from gridpi.sysmodel import swing_to_lti
 from support import (bundled, exact_flow, frequencies_hz, random_dist_controller,
                      random_network, scenario_inputs, stability_cubic, swing_loop)
 
@@ -49,7 +48,7 @@ def test_criterion_1_rank_deficiency_on_all_bundled_networks(report):
     for name in ("net2.grid", "net5ring.grid", "net30.grid"):
         net = load_network(bundled(name)).net
         start = time.perf_counter()
-        result = xi_rank_test(*swing_to_lti(net))
+        result = xi_rank_test(*net.plant)
         worst_elapsed = max(worst_elapsed, time.perf_counter() - start)
         deficiencies[name] = (result.deficiency, net.n_buses)
     ok = all(d == n for d, n in deficiencies.values()) and worst_elapsed < 1.0

@@ -20,7 +20,6 @@ from gridpi import (DEC_PI, DIST_PI, P, ClosedLoop, ControllerSpec, PowerNetwork
                     gamma_bar, gamma_star_search, load_scenario, output_stability_check,
                     simulate_schedule, stationary_state, xi_rank_test)
 from gridpi.analysis import _SEARCH_REL_TOL, RANK_REL_TOL, STABILITY_TOL, unobservable_subspace
-from gridpi.sysmodel import swing_to_lti
 from support import (bundled, closed_form_split, random_dist_controller, random_network,
                      random_wide_gain_loop, reference_gamma_star_search, stability_cubic,
                      swing_loop, swing_rank, two_bus_network)
@@ -74,11 +73,11 @@ def test_rank_test_sees_swing_degeneracy():
     for _ in range(10):
         net = random_network(rng)
         n = net.n_buses
-        result = xi_rank_test(*swing_to_lti(net))
+        result = xi_rank_test(*net.plant)
         assert result == swing_rank(net)
         assert not result.full_rank
     # the unit pair under decentralized PI, output stable (row dec_pi-unit-pair)
-    assert xi_rank_test(*swing_to_lti(two_bus_network())).deficiency == 2
+    assert xi_rank_test(*two_bus_network().plant).deficiency == 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -93,7 +92,7 @@ def test_rank_test_answers_the_same_in_any_units(seed, m, d, v):
                       voltage=np.ldexp(net.voltage, v))
     except ValueError:  # units in which the network or its swing form is not finite
         assume(False)
-    assert xi_rank_test(*swing_to_lti(net)) == swing_rank(net)
+    assert xi_rank_test(*net.plant) == swing_rank(net)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

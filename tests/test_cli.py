@@ -222,7 +222,7 @@ CASES = [
     # gamma Lc overflowed in the loop matrix: RuntimeWarnings, a LAPACK DLASCL
     # message on stdout, then an unlocated "SVD did not converge"
     *(Case(f"gamma-overflows-{argv.split()[0]}", argv, 2, "error: ring_share.scn:{line}: gamma = "
-           "1e+308: the product gamma Lc overflows; the averaging gain is too large for the "
+           "1e308: the product gamma Lc overflows; the averaging gain is too large for the "
            "communication weights\n", edits=ring(r"^gamma = auto$", "gamma = 1e308"))
       for argv in ("analyze ring_share.scn", RUN)),
     # a gamma_bar below the smallest normal float is 0: a bound of 0 gets no
@@ -392,8 +392,8 @@ CASES = [
     # refused with no location.  The 1e10 kW step is finite and the swing form takes it:
     # the consensus sum(p - D omega_ref) / sum(Ki) overflows because Ki = 1/cost is 1e-300,
     # so the cost_coeffs line is named.  The spread z of gamma Lc z = mean(eta) - eta
-    # scales as 1/gamma: a 1 mHz offset is ordinary, and gamma = 1e-320 (9.99989e-321 in
-    # float64) puts z beyond float64, so the gamma line is named
+    # scales as 1/gamma: a 1 mHz offset is ordinary, and gamma = 1e-320 (subnormal in
+    # float64) puts z beyond float64, so the gamma line is named as written
     *(Case(f"{what}-{argv.split()[0]}", argv, 2, f"error: ring_share.scn:{{line}}: {message}\n",
            edits=edits)
       for what, message, edits in [
@@ -401,7 +401,7 @@ CASES = [
            "-sum(p - D omega_ref) / sum(Ki) is not finite",
            ring(r"^1\.0 2 100\.0$", "1.0 2 1.0e10") + ring(r"^cost_coeffs = .+$",
                                                            "cost_coeffs = 1e300")),
-          ("spread-under-eta-overflows", "gamma = 9.99989e-321: float64 cannot resolve the "
+          ("spread-under-eta-overflows", "gamma = 1e-320: float64 cannot resolve the "
            "stationary point (the solution is not finite)",
            ring(r"\Z", "\n[noise]\n1 1.0e-3\n") + ring(r"^gamma = auto$", "gamma = 1e-320"))]
       for argv in ("analyze ring_share.scn", RUN)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gridpi import WeightedGraph, is_connected
+from gridpi import WeightedGraph
 
 
 def test_path_laplacian_matches_hand_computation():
@@ -49,10 +49,13 @@ def test_laplacian_structural_properties():
 
 
 def test_connectivity():
-    assert is_connected(WeightedGraph(1, ()))
-    assert is_connected(WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0))))
-    assert not is_connected(WeightedGraph(3, ((0, 1, 1.0),)))
-    assert not is_connected(WeightedGraph(2, ()))
+    # decided once with the graph
+    assert WeightedGraph(1, ()).connected
+    assert WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0))).connected
+    assert WeightedGraph(3, ((2, 1, 1.0), (0, 2, 1.0))).connected
+    assert not WeightedGraph(3, ((0, 1, 1.0),)).connected
+    assert not WeightedGraph(2, ()).connected
+    assert not WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))).connected
 
 
 def test_n_edges():

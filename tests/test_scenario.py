@@ -750,8 +750,8 @@ def test_output_unstable_run_that_diverges_is_not_settled(tmp_path, monkeypatch,
 
 
 # a setting replaced after loading is refused with no location, as the library's
-# graph.SettingError: the first three named the line that set the old value
-# ("ring_share.scn:9: step_s: step 0.5 s is ...", "dist30_step.scn:17: gamma = 1e+308:
+# graph.SettingError: located, the first three would name the line that set the old
+# value ("ring_share.scn:9: step_s: step 0.5 s is ...", "dist30_step.scn:17: gamma = auto:
 # ...", "ring_share.scn:15: kp: ..."); a replaced eta or schedule has no [noise] or
 # [disturbances] row to name
 @pytest.mark.parametrize("name, replaced, run, setting, message", [

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from gridpi import (DEC_PI, DIST_PI, P, ControllerSpec, PowerNetwork, WeightedGraph, close_loop,
                     integrate_rk4, simulate_schedule, stationary_state)
-from gridpi.sysmodel import swing_to_lti
 from support import random_dist_controller, random_network, swing_loop, two_bus_network
 
 EPS = np.finfo(float).eps
@@ -32,7 +31,7 @@ def test_swing_lti_assembly():
     net = PowerNetwork(inertia=np.array([2.0, 4.0]), damping=np.array([0.5, 1.0]),
                        voltage=np.full(2, 1e3), power=np.array([10.0, -6.0]),
                        lines=((0, 1, 1.0e-6),))
-    a, b, c = swing_to_lti(net)
+    a, b, c = net.plant
     assert_allclose(a, [
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
@@ -41,6 +40,10 @@ def test_swing_lti_assembly():
     ])
     assert_allclose(b, [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.25]])
     assert_allclose(c, [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    # built once with the network, so no caller may change it
+    for block in (a, b, c):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 5.0
     # the loads are the loop's forcing, not the plant's: in deviation
     # coordinates M^-1 (p - D omega_ref), at net.power unless power is given
     ctrl = ControllerSpec(kind=P, kp=np.ones(2))
