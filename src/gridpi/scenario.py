@@ -667,7 +667,8 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
     A step that the RK4 check or the integrator refuses is step's
     graph.SettingError, located as _located locates it (unlocated after a
     _replace of the step).  Each load stage is the power argument of
-    close_loop on the one loaded network.
+    close_loop on the one loaded network, and only its forcing is kept:
+    the first stage's loop is the one integrated.
     The trace is written to csv_path (see write_trace_csv) when it is
     non-empty, and nowhere otherwise.  A run that crosses
     numerics.DIVERGENCE_LIMIT although the analysis calls the loop
@@ -681,17 +682,19 @@ def run_scenario(scn: Scenario, csv_path=None) -> ScenarioResult:
     report = analyze_scenario(scn)
     ctrl = report.controller
     x0 = analysismod.stationary_state(net, ctrl)
-    segments = []
+    stages = []
     for t_start, power in _power_stages(scn):
         with _located(scn.network, scn.sources, scn, t_start):
-            segments.append((t_start, sysmodel.close_loop(net, ctrl, scn.eta, power)))
+            stage = sysmodel.close_loop(net, ctrl, scn.eta, power)
+        if not stages:
+            loop = stage  # the stages differ only in forcing; the rest is freed
+        stages.append((t_start, stage.forcing_dev))
     with _located(scn.network, scn.sources, scn):
         try:
             _check_step(report.stability, scn.step)
-            trace = sysmodel.simulate_schedule(segments, scn.horizon, h=scn.step, x0=x0)
-        except ValueError as exc:  # the schedule and the loops are the scenario's own
+            trace = sysmodel.simulate_schedule(stages, loop, scn.horizon, h=scn.step, x0=x0)
+        except ValueError as exc:  # the schedule and the loop are the scenario's own
             raise graphmod.SettingError("step", None, str(exc)) from exc
-    loop = segments[0][1]
     if trace.diverged and report.stability.output_stable:
         raise ValueError(_range_error(trace, loop, scn.network.bus_ids))
 

@@ -234,28 +234,19 @@ def close_loop(net: PowerNetwork, ctrl: ctrlmod.ControllerSpec, eta=None,
 # simulation
 # ---------------------------------------------------------------------------
 
-def simulate_schedule(segments, t_end: float, h: float = DEFAULT_STEP,
+def simulate_schedule(stages, loop: ClosedLoop, t_end: float, h: float = DEFAULT_STEP,
                       x0=None) -> numerics.SimulationTrace:
-    """Integrate one closed loop under a piecewise-constant load schedule.
+    """Integrate the closed loop under a piecewise-constant load schedule.
 
-    segments is a list of (t_start, ClosedLoop); integrate_rk4 enforces the
-    time rules (first start at 0, strictly increasing, last below t_end).
-    The segments share one closed loop (loop matrix, output map and
-    control law) and differ only in their forcing, i.e. the loads.  The
+    stages is a list of (t_start, forcing_dev): a load stage changes only
+    the forcing of the one loop, as close_loop's power argument does.
+    integrate_rk4 enforces the time rules (first start at 0, strictly
+    increasing, last below t_end) and each forcing's shape.  The
     integrator restarts at every switch time, so no step straddles a
     forcing discontinuity; the state is continuous across switches.  x0
     defaults to all-zero deviations.  The inputs of any row are
-    states @ control_gain.T + control_offset.
+    states @ loop.control_gain.T + loop.control_offset.
     """
-    if not segments:
-        raise ValueError("schedule needs at least one segment")
-    cl = segments[0][1]
-    shared = ("system_matrix", "output_selector", "control_gain", "control_offset")
-    if not all(np.array_equal(getattr(cl, f), getattr(other, f))
-               for _, other in segments[1:] for f in shared):
-        raise ValueError("all segments must share one closed loop and differ only in forcing")
-
     if x0 is None:
-        x0 = np.zeros(cl.dim)
-    return numerics.integrate_rk4(cl.system_matrix, x0,
-                                  [(t, seg.forcing_dev) for t, seg in segments], t_end, h)
+        x0 = np.zeros(loop.dim)
+    return numerics.integrate_rk4(loop.system_matrix, x0, stages, t_end, h)

@@ -112,7 +112,7 @@ def test_criterion_4_steady_frequency_offset_equals_mean_bias(report):
     for _ in range(10):
         eta = rng.normal(0.0, TWO_PI * 0.05, n)
         loop = close_loop(net, ctrl, eta=eta)
-        trace = simulate_schedule([(0.0, loop)], 120.0, h=2.0e-3, x0=x0)
+        trace = simulate_schedule([(0.0, loop.forcing_dev)], loop, 120.0, h=2.0e-3, x0=x0)
         f_end = (trace.states[-1, loop.state_layout["omega"]] + net.omega_ref) / TWO_PI
         f_hat = (net.omega_ref - eta.mean()) / TWO_PI
         worst = max(worst, float(np.max(np.abs(f_end - f_hat))))
@@ -254,7 +254,8 @@ def test_criterion_8_cost_weighted_sharing_in_prediction_and_simulation(report):
         worst_pred = max(worst_pred, float(np.ptp(weighted) / np.abs(weighted.mean())))
 
         loop = close_loop(stepped, ctrl)
-        trace = simulate_schedule([(0.0, loop)], 200.0, h=2.0e-3, x0=stationary_state(net, ctrl))
+        trace = simulate_schedule([(0.0, loop.forcing_dev)], loop, 200.0, h=2.0e-3,
+                                  x0=stationary_state(net, ctrl))
         weighted = cost * (trace.states[-1] @ gain.T + offset)
         worst_sim = max(worst_sim, float(np.ptp(weighted) / np.abs(weighted.mean())))
     ok = worst_pred <= 1.0e-6 and worst_sim <= 1.0e-6
@@ -274,7 +275,7 @@ def test_criterion_9_integrator_shows_fourth_order_convergence(report):
 
     errors = []
     for h in (0.05, 0.025, 0.0125, 0.00625):
-        trace = simulate_schedule([(0.0, loop)], 1.0, h=h)
+        trace = simulate_schedule([(0.0, loop.forcing_dev)], loop, 1.0, h=h)
         errors.append(np.linalg.norm(trace.states[-1] - exact))
     ratios = [errors[k] / errors[k + 1] for k in range(3)]
     ok = all(14.0 <= r <= 18.0 for r in ratios)

@@ -770,7 +770,7 @@ def test_prediction_agrees_with_a_long_simulation():
     ctrl = random_dist_controller(rng, net, gamma=0.5)
     omega_hat, u = predict(net, ctrl, eta)
     cl = close_loop(net, ctrl, eta=eta)
-    tr = simulate_schedule([(0.0, cl)], 150.0, h=0.005)
+    tr = simulate_schedule([(0.0, cl.forcing_dev)], cl, 150.0, h=0.005)
     assert not tr.diverged
     assert_allclose(tr.states[-1] @ cl.control_gain.T + cl.control_offset, u, atol=1e-6)
     omega = tr.states[-1, cl.state_layout["omega"]] + net.omega_ref

@@ -172,20 +172,16 @@ REFUSALS = [
             lambda: loop(replace(DIST, gamma=1e308, comm=WeightedGraph(2, ((0, 1, 2.0),)))),
             SettingError, "the product gamma Lc overflows; the averaging gain is too large for the "
             "communication weights", "gamma"),
-    Refusal("schedule-empty", lambda: simulate_schedule([], 1.0), ValueError,
-            "schedule needs at least one segment"),
-    Refusal("schedule-late-start", lambda: simulate_schedule([(0.5, loop())], 1.0), ValueError,
+    # a schedule is one loop and its stage forcings; integrate_rk4 keeps the time rules
+    Refusal("schedule-empty", lambda: simulate_schedule([], loop(), 1.0), ValueError,
             SCHEDULE_RULE),
-    Refusal("schedule-unsorted",
-            lambda: simulate_schedule([(0.0, loop()), (0.7, loop()), (0.3, loop())], 1.0),
+    Refusal("schedule-late-start",
+            lambda: simulate_schedule([(0.5, loop().forcing_dev)], loop(), 1.0),
             ValueError, SCHEDULE_RULE),
-    Refusal("schedule-different-gamma",
-            lambda: simulate_schedule([(0.0, loop(replace(DIST, gamma=0.5))),
-                                       (0.5, loop(replace(DIST, gamma=0.8)))], 1.0),
-            ValueError, "all segments must share one closed loop and differ only in forcing"),
-    Refusal("schedule-different-eta",
-            lambda: simulate_schedule([(0.0, loop()), (0.5, loop(eta=[0.0, 0.1]))], 1.0),
-            ValueError, "all segments must share one closed loop and differ only in forcing"),
+    Refusal("schedule-unsorted",
+            lambda: simulate_schedule([(t, loop().forcing_dev) for t in (0.0, 0.7, 0.3)],
+                                      loop(), 1.0),
+            ValueError, SCHEDULE_RULE),
     # the integrator
     Refusal("rk4-negative-step", lambda: rk4(h=-0.1), ValueError,
             "step size must be positive, got -0.1"),

@@ -27,7 +27,7 @@ def test_coupling_weights_scale_with_voltages_and_susceptance():
     assert_allclose(net.coupling.laplacian, [[3.0, -3.0], [-3.0, 3.0]])
 
 
-def test_swing_lti_assembly():
+def test_net_plant_assembly():
     net = PowerNetwork(inertia=np.array([2.0, 4.0]), damping=np.array([0.5, 1.0]),
                        voltage=np.full(2, 1e3), power=np.array([10.0, -6.0]),
                        lines=((0, 1, 1.0e-6),))
@@ -236,7 +236,7 @@ def test_trace_outputs_and_controls_follow_the_laws():
     eta = rng.normal(0.0, 0.1, net.n_buses)
     ctrl = random_dist_controller(rng, net, gamma=0.8)
     cl = close_loop(net, ctrl, eta=eta)
-    tr = simulate_schedule([(0.0, cl)], 2.0, h=0.01)
+    tr = simulate_schedule([(0.0, cl.forcing_dev)], cl, 2.0, h=0.01)
     ow, zs = cl.state_layout["omega"], cl.state_layout["z"]
     # inputs reproduce the feedback law on the measured output (frequency
     # deviation plus the constant offset) sample by sample
@@ -249,6 +249,6 @@ def test_schedule_with_single_segment_equals_plain_simulation():
     ctrl = ControllerSpec(kind=DEC_PI, kp=np.ones(2), ki=np.ones(2))
     cl = close_loop(net, ctrl)
     direct = integrate_rk4(cl.system_matrix, np.zeros(cl.dim), [(0.0, cl.forcing_dev)], 1.0, 0.01)
-    scheduled = simulate_schedule([(0.0, cl)], 1.0, h=0.01)
+    scheduled = simulate_schedule([(0.0, cl.forcing_dev)], cl, 1.0, h=0.01)
     assert_allclose(scheduled.times, direct.times)
     assert_allclose(scheduled.states, direct.states)
