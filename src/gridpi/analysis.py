@@ -22,7 +22,6 @@ Three independent tools:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -330,8 +329,12 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     answer out of the band where the full check flips with rounding; it is
     returned if it passes.  Otherwise returns the largest gamma found to
     pass (inf if the ladder's top rung passes).
-    Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G on
-    one split [B W], formed at the probe of start and redone only where
+    Probes apply output_stability_check's rule to E(gamma) = E0 - gamma G,
+    the loop matrix of the paper's z' = -y - gamma L_c z: E0 is the
+    decentralized loop, close_loop with DEC_PI at the same gains, and G is
+    L_c on the integrator block, so E(gamma) has close_loop's entries at
+    every gamma, up to the sign of a zero.  They use one split [B W],
+    formed at the probe of start and redone only where
     ||W^T E(gamma) B||_2 > RANK_REL_TOL * scale.  B is usually the
     uniform-angle vector and one split serves the search; when gamma L_c
     starts below the rank cutoff (net30.grid at kp = ki = 1), the first B
@@ -344,15 +347,15 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
     numerical breakdown rather than a real one.  Treat large answers as
     "no threshold below this" instead of as a threshold.
     """
-    cl = sysmodel.close_loop(net, replace(ctrl, gamma=1.0))
-    zs = cl.state_layout["z"]
-    g = np.zeros_like(cl.system_matrix)
-    g[zs, zs] = -cl.system_matrix[zs, zs]
-    e0 = cl.system_matrix + g  # e0 - gamma * g has close_loop's bits at every gamma
+    gb = gamma_bar(net, ctrl).gamma_bar  # refuses a controller that is not DIST_PI
+    cl = sysmodel.close_loop(net, ctrlmod.ControllerSpec(ctrlmod.DEC_PI, ctrl.kp, ctrl.ki))
+    e0, zs = cl.system_matrix, cl.state_layout["z"]
+    g = np.zeros_like(e0)
+    g[zs, zs] = ctrl.comm.laplacian
     split = []  # W^T E0 W, W^T G W, W^T E0 B, W^T G B
 
-    def _split_at(gamma):
-        """Scale of E(gamma), after splitting again unless the split is still invariant."""
+    def _margin(gamma):
+        """The probe rule at E(gamma), after splitting again unless the split is still invariant."""
         e = e0 - gamma * g
         # a Python float, and so is the margin: a secant product that overflows is inf, unwarned
         scale = max(float(np.linalg.norm(e, 2)), 1.0)
@@ -360,13 +363,8 @@ def gamma_star_search(net: sysmodel.PowerNetwork, ctrl: ctrlmod.ControllerSpec) 
                          > RANK_REL_TOL * scale):
             basis, comp = unobservable_subspace(e, cl.output_selector, scale=scale)
             split[:] = [comp.T @ m @ v for v in (comp, basis) for m in (e0, g)]
-        return scale
-
-    def _margin(gamma):
-        scale = _split_at(gamma)
         return _observable_margin(np.linalg.eigvals(split[0] - gamma * split[1]), scale)
 
-    gb = gamma_bar(net, ctrl).gamma_bar
     start = gb if 0.0 < gb < math.inf else 1.0  # a gamma_bar of 0 would never grow
     # the rungs start * 2**k, k = 0, 1, 3, 7, ..., whose gamma and gamma L_c are finite
     ladder, k, g_max = [start], 1, float(np.max(np.abs(g)))

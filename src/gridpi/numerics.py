@@ -137,10 +137,11 @@ def _propagate(out: np.ndarray, k: int, stack: np.ndarray, g: np.ndarray, steps:
             fill += c[: m - 1]
             out[first: first + full * m].reshape(full, m, n)[:, : m - 1] = fill[:full]
             out[first + full * m: stop] = fill[full:].reshape(-1, n)[:rest]
-            # written so that NaN also counts as divergence
-            bad = np.flatnonzero(~(np.max(np.abs(out[first:stop]), axis=1) <= DIVERGENCE_LIMIT))
-            if bad.size:
-                return first + int(bad[0]) + 1
+            # NaN fails both tests, so it counts as divergence; rows only in a failing block
+            block = out[first:stop]
+            if not np.abs(block).max() <= DIVERGENCE_LIMIT:
+                good = np.max(np.abs(block), axis=1) <= DIVERGENCE_LIMIT
+                return first + int(np.argmin(good)) + 1
     return None
 
 

@@ -494,6 +494,24 @@ def test_one_split_serves_every_gamma_of_the_search():
             assert np.linalg.norm(comp.T @ e @ basis, 2) <= RANK_REL_TOL * scale
 
 
+@pytest.mark.parametrize("grid, kp, ki", [("net5ring.grid", 100.0, 5000.0), ("net30.grid", 1.0, 1.0)])
+def test_search_loop_is_the_decentralized_loop_less_gamma_lc(grid, kp, ki):
+    # gamma_star_search probes E0 - gamma G, E0 the decentralized loop and G
+    # L_c on the integrator block: close_loop's matrix at gamma, entry for entry
+    net = gridpi.load_network(bundled(grid)).net
+    ctrl = ControllerSpec(kind=DIST_PI, kp=np.full(net.n_buses, kp), ki=np.full(net.n_buses, ki),
+                          gamma=None, comm=net.coupling)
+    cl = close_loop(net, ControllerSpec(kind=DEC_PI, kp=ctrl.kp, ki=ctrl.ki))
+    zs = cl.state_layout["z"]
+    g = np.zeros_like(cl.system_matrix)
+    g[zs, zs] = ctrl.comm.laplacian
+    bar = gamma_bar(net, ctrl).gamma_bar
+    for k in (0, 1, 3, 7, 15, 31):
+        gamma = bar * 2.0 ** k
+        assert np.array_equal(cl.system_matrix - gamma * g,
+                              close_loop(net, replace(ctrl, gamma=gamma)).system_matrix)
+
+
 def test_gamma_star_search_splits_again_when_the_first_split_is_not_invariant(monkeypatch):
     # on net30.grid at kp = ki = 1, gamma_bar = 5e-14 puts gamma * L_c below
     # the rank cutoff: the first split sees 30 unobservable directions, which
